@@ -8,8 +8,9 @@ import random
 import statistics
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from qmgen import random_stable_quasimap  # noqa: E402
 

@@ -4,10 +4,9 @@ projective spaces, the map-to-quasimap contraction and its surjectivity
 witnesses."""
 
 from .basepoint import INF, OrderVector, degree_at_point, length_at_point, twist_orders
-from .classes import (CurveClass, DivisorClass, beta_a_sigma, cone_tests,
-                      divisor_class, factorizations, is_ample, is_effective,
-                      is_fano, is_nef, length, nef_hilbert_basis,
-                      wall_curve_classes)
+from .classes import (CurveClass, DivisorClass, beta_a_sigma, divisor_class,
+                      factorizations, is_ample, is_effective, is_fano, is_nef,
+                      length, nef_hilbert_basis, wall_curve_classes)
 from .contraction import (StableMapTree, contract, contraction_condition, graft,
                           prune, rational_tails, surjectivity_witness)
 from .embedding import (EmbeddingSpec, apply_ibar, build_epic_embedding,

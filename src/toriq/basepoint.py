@@ -107,10 +107,7 @@ def _scan_degree(fan, orders, vanishing):
     qualifying = []
     classes = {}
     for idx in _eligible_cones(fan, vanishing):
-        cone = fan.max_cones[idx]
-        complement = fan.cone_complement(cone)
-        a = {i: orders[i] for i in complement}
-        beta = beta_a_sigma(fan, a, cone)
+        beta = beta_a_sigma(fan, orders, fan.max_cones[idx])
         if all(o >= d for o, d in zip(orders, beta.pairings)):
             qualifying.append(idx)
             classes[idx] = beta
@@ -148,8 +145,7 @@ def length_at_point(fan, ord_vector):
     for idx in _eligible_cones(fan, ord_vector.vanishing):
         cone = fan.max_cones[idx]
         complement = fan.cone_complement(cone)
-        a = {i: ord_vector.orders[i] for i in complement}
-        beta = beta_a_sigma(fan, a, cone)
+        beta = beta_a_sigma(fan, ord_vector.orders, cone)
         total = sum(beta.pairings[i] for i in complement)
         if best is None or total < best:
             best = total

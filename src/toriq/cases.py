@@ -27,22 +27,15 @@ def fixture_path(name):
 
 
 def load_fixture_fan(name):
-    return tio.fan_from_dict(_read_json(name))
+    return tio.load_fan(fixture_path(name))
 
 
 def load_fixture_quasimap(name):
-    return tio.quasimap_from_dict(_read_json(name))
+    return tio.load_quasimap(fixture_path(name))
 
 
 def load_fixture_embedding(name):
-    return tio.embedding_from_dict(_read_json(name))
-
-
-def _read_json(name):
-    import json
-
-    with fixture_path(name).open() as handle:
-        return json.load(handle)
+    return tio.load_embedding(fixture_path(name))
 
 
 def _form(deg, *coeffs):

@@ -9,10 +9,9 @@ exactly through the dual (nef) cone.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 
-from .fan import dual_basis, require_valid, walls
+from .fan import memo, require_valid, walls
 from .linalg import frac, kernel_basis, primitive_vector
 
 
@@ -92,7 +91,7 @@ class DivisorClass:
         return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
+@memo
 def anchor_rays(fan):
     """Ray indices outside the first maximal cone; their divisors form a Pic basis."""
     sigma0 = set(fan.max_cones[0])
@@ -103,7 +102,7 @@ def picard_rank(fan):
     return fan.n_rays - fan.dim
 
 
-@lru_cache(maxsize=None)
+@memo
 def divisor_class(fan, rho):
     """The class of the boundary divisor attached to ray ``rho`` in the anchor basis."""
     require_valid(fan)
@@ -111,10 +110,8 @@ def divisor_class(fan, rho):
     if rho in anchor:
         return DivisorClass(fan, tuple(int(i == rho) for i in anchor))
     sigma0 = fan.max_cones[0]
-    pos = sigma0.index(rho)
-    m = dual_basis(fan, sigma0)[pos]
-    coords = tuple(-sum(mi * ui for mi, ui in zip(m, fan.rays[i])) for i in anchor)
-    return DivisorClass(fan, coords)
+    row = fan.exponent_matrix(sigma0)[sigma0.index(rho)]
+    return DivisorClass(fan, tuple(-row[i] for i in anchor))
 
 
 def divisor_from_ray_coefficients(fan, coeffs):
@@ -130,7 +127,7 @@ def divisor_from_ray_coefficients(fan, coeffs):
     return total
 
 
-@lru_cache(maxsize=None)
+@memo
 def anticanonical_class(fan):
     return divisor_from_ray_coefficients(fan, (1,) * fan.n_rays)
 
@@ -148,15 +145,11 @@ def beta_a_sigma(fan, a, sigma):
         raise ValueError(f"{sigma} is not a maximal cone")
     complement = fan.cone_complement(sigma)
     values = {i: frac(a[i]) for i in complement}
-    duals = dual_basis(fan, sigma)
     pairings = [Fraction(0)] * fan.n_rays
     for i in complement:
         pairings[i] = values[i]
-    for pos, rho in enumerate(sigma):
-        m = duals[pos]
-        pairings[rho] = -sum(
-            values[i] * sum(mi * ui for mi, ui in zip(m, fan.rays[i])) for i in complement
-        )
+    for rho, row in zip(sigma, fan.exponent_matrix(sigma)):
+        pairings[rho] = -sum(values[i] * row[i] for i in complement)
     return CurveClass(fan, tuple(pairings))
 
 
@@ -169,7 +162,7 @@ def curve_class_from_anchor(fan, coords):
     return beta_a_sigma(fan, a, fan.max_cones[0])
 
 
-@lru_cache(maxsize=None)
+@memo
 def wall_curve_classes(fan):
     """One curve class per wall, read off the relation between the adjacent cones.
 
@@ -183,21 +176,17 @@ def wall_curve_classes(fan):
         extra_j = next(iter(set(fan.max_cones[cj]) - set(facet)))
         # u_extra_j = -u_extra_i + sum c_rho u_rho over the wall rays, so the
         # relation u_extra_i + u_extra_j - sum c_rho u_rho = 0 gives the pairings.
-        duals = dual_basis(fan, fan.max_cones[ci])
-        coords = [sum(m * u for m, u in zip(duals[pos], fan.rays[extra_j]))
-                  for pos in range(fan.dim)]
         pairings = [0] * fan.n_rays
         pairings[extra_i] = 1
         pairings[extra_j] = 1
-        for pos, rho in enumerate(fan.max_cones[ci]):
-            if rho == extra_i:
-                continue
-            pairings[rho] = _normalize_scalar(-coords[pos])
+        for rho, row in zip(fan.max_cones[ci], fan.exponent_matrix(fan.max_cones[ci])):
+            if rho != extra_i:
+                pairings[rho] = -row[extra_j]
         out.append(CurveClass(fan, tuple(pairings)))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _mori_generators_anchor(fan):
     seen = []
     for beta in wall_curve_classes(fan):
@@ -207,7 +196,7 @@ def _mori_generators_anchor(fan):
     return tuple(seen)
 
 
-@lru_cache(maxsize=None)
+@memo
 def nef_extreme_rays(fan):
     """Primitive generators of the nef cone, as anchor-basis divisor classes."""
     require_valid(fan)
@@ -248,12 +237,12 @@ def is_ample(divisor):
     return all(divisor.pair(w) > 0 for w in wall_curve_classes(fan))
 
 
-@lru_cache(maxsize=None)
+@memo
 def is_fano(fan):
     return is_ample(anticanonical_class(fan))
 
 
-@lru_cache(maxsize=None)
+@memo
 def ample_functional(fan):
     """A canonical ample class; raises when the fan is not projective."""
     basis = nef_hilbert_basis(fan)
@@ -263,6 +252,17 @@ def ample_functional(fan):
     if total is None or not is_ample(total):
         raise ValueError("no ample class: the fan is not projective")
     return total
+
+
+@memo
+def _degree_functional(fan):
+    """The anticanonical class when it is positive on every Mori generator (the
+    Fano case), else ``ample_functional``: a degree that makes enumeration finite."""
+    anti = anticanonical_class(fan)
+    if all(anti.pair(curve_class_from_anchor(fan, g)) > 0
+           for g in _mori_generators_anchor(fan)):
+        return anti
+    return ample_functional(fan)
 
 
 def length(beta):
@@ -313,11 +313,7 @@ def effective_classes(fan, bound, functional=None):
     anchor = anchor_rays(fan)
 
     if functional is None:
-        anti = anticanonical_class(fan)
-        if all(anti.pair(curve_class_from_anchor(fan, g)) > 0 for g in gens):
-            functional = anti
-        else:
-            functional = ample_functional(fan)
+        functional = _degree_functional(fan)
     fun_anchor = [functional.coords[i] for i in range(len(anchor))]
 
     def fun(vec):
@@ -330,7 +326,7 @@ def effective_classes(fan, bound, functional=None):
     return [curve_class_from_anchor(fan, p) for p in sorted(pts)]
 
 
-@lru_cache(maxsize=None)
+@memo
 def nef_hilbert_basis(fan):
     """A minimal generating set of the semigroup of nef divisor classes."""
     require_valid(fan)
@@ -377,12 +373,7 @@ def factorizations(fan, beta, bound=None):
     """
     if not is_effective(beta) or beta.is_zero():
         raise ValueError("factorizations are defined for nonzero effective classes")
-    anti = anticanonical_class(fan)
-    gens = _mori_generators_anchor(fan)
-    if all(anti.pair(curve_class_from_anchor(fan, g)) > 0 for g in gens):
-        functional = anti
-    else:
-        functional = ample_functional(fan)
+    functional = _degree_functional(fan)
     total = functional.pair(beta)
     cap = total - 1
     if bound is not None:
@@ -427,17 +418,3 @@ def relaxed_surjectivity_condition(fan, length_bound=None):
                 return False
     return True
 
-
-def cone_tests(fan, query, *, curve=None, divisor=None, length_bound=None):
-    """Dispatch the boolean cone queries by name (CLI surface)."""
-    if query == "is_effective":
-        return is_effective(curve)
-    if query == "is_nef":
-        return is_nef(divisor)
-    if query == "is_ample":
-        return is_ample(divisor)
-    if query == "is_fano":
-        return is_fano(fan)
-    if query == "relaxed_surjectivity_condition":
-        return relaxed_surjectivity_condition(fan, length_bound)
-    raise ValueError(f"unknown cone query {query!r}")

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (invalid data, failed checks),
-2 usage error.  ``--json`` switches every subcommand to machine-readable
-output; the TORIQ_MAX_LENGTH environment variable caps enumeration bounds
-where a length bound is needed and none is given.
+2 usage error (including unreadable or malformed JSON input).  ``--json``
+switches every subcommand to machine-readable output; the TORIQ_MAX_LENGTH
+environment variable caps enumeration bounds where a length bound is needed
+and none is given.
 """
 
 import argparse
@@ -28,7 +29,10 @@ class DomainError(Exception):
     pass
 
 
-def _env_bound():
+def _length_bound(given=None):
+    """The given bound, else the TORIQ_MAX_LENGTH cap, else None."""
+    if given is not None:
+        return given
     raw = os.environ.get("TORIQ_MAX_LENGTH")
     return int(raw) if raw else None
 
@@ -109,8 +113,7 @@ def _cmd_class_length(args):
 def _cmd_class_factor(args):
     fan = tio.load_fan(args.fan)
     beta = _load_class(fan, args.curve_class)
-    bound = args.bound if args.bound is not None else _env_bound()
-    pairs = factorizations(fan, beta, bound=bound)
+    pairs = factorizations(fan, beta, bound=_length_bound(args.bound))
     payload = {"irreducible": not pairs,
                "factorizations": [[list(a.pairings), list(b.pairings)] for a, b in pairs]}
     lines = ["irreducible" if not pairs else "factorizations:"]
@@ -212,10 +215,6 @@ def _cmd_embed_check(args):
     _emit(args, {"valid": True, "epic": epic}, [f"valid embedding data; epic: {epic}"])
 
 
-def _cmd_embed_push(args):
-    _cmd_class_push(args)
-
-
 def _cmd_embed_ibar(args):
     emb = tio.load_embedding(args.embedding)
     q = tio.load_quasimap(args.quasimap)
@@ -234,7 +233,7 @@ def _cmd_embed_fibre(args):
     emb = tio.load_embedding(args.embedding)
     q = tio.load_quasimap(args.quasimap)
     beta = _load_class(emb.source, args.curve_class)
-    fibre = fibre_enumeration(emb, q, beta, length_cap=args.bound or _env_bound())
+    fibre = fibre_enumeration(emb, q, beta, length_cap=_length_bound(args.bound))
     payload = {"count": len(fibre),
                "elements": [tio.quasimap_to_dict(f) for f in fibre]}
     lines = [f"{len(fibre)} preimage(s)"]
@@ -299,7 +298,7 @@ def _cmd_graft(args):
 
 def _cmd_witness(args):
     q = tio.load_quasimap(args.quasimap)
-    witness = surjectivity_witness(q, length_bound=_env_bound())
+    witness = surjectivity_witness(q, length_bound=_length_bound())
     data = tio.quasimap_to_dict(witness.quasimap)
     if args.output:
         tio.dump(data, args.output)
@@ -374,7 +373,7 @@ def build_parser():
     p = emb.add_parser("push")
     p.add_argument("embedding")
     p.add_argument("--class", dest="curve_class", required=True)
-    p.set_defaults(func=_cmd_embed_push)
+    p.set_defaults(func=_cmd_class_push)
     p = emb.add_parser("ibar")
     p.add_argument("embedding")
     p.add_argument("quasimap")
@@ -421,15 +420,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, tio.MalformedInput) as exc:
+        # the decode and shape errors are ValueErrors, so they are caught first
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except (DomainError, ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -15,14 +15,14 @@ immersion and let us invert it on section data exactly.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 
 from .basepoint import INF, _scan_degree
 from .classes import (CurveClass, DivisorClass, ample_functional, anchor_rays,
-                      divisor_class, effective_classes, is_fano, length,
-                      nef_hilbert_basis)
-from .fan import Fan, dual_basis, primitive_collections, product_fan, projective_space_fan, require_valid
+                      divisor_from_ray_coefficients, effective_classes, is_fano,
+                      length, nef_hilbert_basis)
+from .fan import (Fan, dual_basis, memo, primitive_collections, product_fan,
+                  projective_space_fan, require_valid)
 from .forms import BinaryForm, poly_mul
 from .linalg import frac, lattice_map_is_surjective, solve_square
 from .quasimap import (Quasimap, basepoints, degrees, extend_at, regular_extension,
@@ -50,19 +50,28 @@ class EmbeddingSpec:
 
 
 def _solve_character(fan, pairings):
-    """Integer character m with <m, u_rho> = pairings[rho] for all rays, or None."""
+    """Integer character m with <m, u_rho> = pairings[rho] for all rays, or None.
+
+    ``pairings`` are ints; the dual basis of the first cone fixes m from them."""
     sigma0 = fan.max_cones[0]
-    mat = [list(fan.rays[i]) for i in sigma0]
-    sol = solve_square(mat, [pairings[i] for i in sigma0])
-    if sol is None:
-        return None
-    if any(frac(x).denominator != 1 for x in sol):
-        return None
-    m = tuple(int(x) for x in sol)
-    for rho in range(fan.n_rays):
-        if sum(mi * ui for mi, ui in zip(m, fan.rays[rho])) != pairings[rho]:
-            return None
-    return m
+    duals = dual_basis(fan, sigma0)
+    m = tuple(sum(pairings[rho] * d[k] for rho, d in zip(sigma0, duals))
+              for k in range(fan.dim))
+    return m if fan.pairing(m) == tuple(pairings) else None
+
+
+def _pull_back_character(emb, w):
+    """Pull back the target character with pairings ``w`` against the target
+    rays: its pairings v against the source rays, as a tuple, and the product
+    of the monomial coefficients it picks up."""
+    v = [0] * emb.source.n_rays
+    coef = Fraction(1)
+    for tau, w_tau in enumerate(w):
+        if w_tau:
+            coef *= emb.coeffs[tau] ** w_tau
+            for rho, e in enumerate(emb.exponents[tau]):
+                v[rho] += w_tau * e
+    return tuple(v), coef
 
 
 def validate_embedding(emb):
@@ -86,16 +95,11 @@ def validate_embedding(emb):
     if report:
         return report
 
-    # degree compatibility: target characters must pull back to source characters
-    for k in range(emb.target.dim):
-        m_y = tuple(int(i == k) for i in range(emb.target.dim))
-        v = [0] * n_src
-        for tau in range(emb.target.n_rays):
-            w = sum(mi * ui for mi, ui in zip(m_y, emb.target.rays[tau]))
-            if w:
-                for rho in range(n_src):
-                    v[rho] += w * emb.exponents[tau][rho]
-        if _solve_character(emb.source, tuple(v)) is None:
+    # degree compatibility: target characters must pull back to source
+    # characters; checking the dual basis of one cone, a basis of them, suffices
+    for w in emb.target.exponent_matrix(emb.target.max_cones[0]):
+        v, _ = _pull_back_character(emb, w)
+        if _solve_character(emb.source, v) is None:
             report.append(
                 "degree data is incompatible: a target character does not pull "
                 "back to a source character"
@@ -118,6 +122,7 @@ def validate_embedding(emb):
     return report
 
 
+@memo
 def require_valid_embedding(emb):
     violations = validate_embedding(emb)
     if violations:
@@ -125,7 +130,7 @@ def require_valid_embedding(emb):
     return emb
 
 
-@lru_cache(maxsize=None)
+@memo
 def pullback_matrix(emb):
     """Matrix of the pullback on divisor classes, target anchor basis to source."""
     require_valid_embedding(emb)
@@ -139,11 +144,7 @@ def pullback_matrix(emb):
 
 def pullback_pic(emb, tau):
     """Pullback of the class of the target boundary divisor at ray ``tau``."""
-    total = DivisorClass(emb.source, (0,) * len(anchor_rays(emb.source)))
-    for rho, e in enumerate(emb.exponents[tau]):
-        if e:
-            total = total + e * divisor_class(emb.source, rho)
-    return total
+    return divisor_from_ray_coefficients(emb.source, emb.exponents[tau])
 
 
 def pushforward_curves(emb, beta):
@@ -198,7 +199,7 @@ def _nonneg_combination(target, gens, weights):
     return coeffs
 
 
-@lru_cache(maxsize=None)
+@memo
 def chart_cover(emb):
     """Per source maximal cone, the target charts that cover it.
 
@@ -219,24 +220,15 @@ def chart_cover(emb):
             if any(emb.monomial_support(tau) & scone_set
                    for tau in tgt.cone_complement(tcone)):
                 continue
-            duals_y = dual_basis(tgt, tcone)
             chars = []
             coefs = []
             ok = True
-            for m_y in duals_y:
-                v = [0] * src.n_rays
-                coef = Fraction(1)
-                for tau in range(tgt.n_rays):
-                    w = sum(mi * ui for mi, ui in zip(m_y, tgt.rays[tau]))
-                    if w:
-                        coef *= emb.coeffs[tau] ** w
-                        for rho in range(src.n_rays):
-                            v[rho] += w * emb.exponents[tau][rho]
-                m_x = _solve_character(src, tuple(v))
-                if m_x is None:
-                    ok = False
-                    break
-                if any(sum(mi * ui for mi, ui in zip(m_x, src.rays[i])) < 0 for i in scone):
+            for w in tgt.exponent_matrix(tcone):
+                v, coef = _pull_back_character(emb, w)
+                m_x = _solve_character(src, v)
+                # m_x pairs to v with the source rays: regular on the chart iff
+                # nonnegative on the cone's rays
+                if m_x is None or any(v[i] < 0 for i in scone):
                     ok = False
                     break
                 chars.append(m_x)
@@ -273,15 +265,15 @@ def covers_all_charts(emb):
 def polytope_lattice_points(fan, coeffs):
     """Lattice points of {m : <m, u_rho> >= -coeffs[rho]}, sorted."""
     n = fan.dim
-    rows = [list(fan.rays[i]) for i in range(fan.n_rays)]
     rhs = [-frac(c) for c in coeffs]
+
+    def inside(m):
+        return all(p >= r for p, r in zip(fan.pairing(m), rhs))
+
     vertices = []
     for subset in combinations(range(fan.n_rays), n):
-        sol = solve_square([rows[i] for i in subset], [rhs[i] for i in subset])
-        if sol is None:
-            continue
-        if all(sum(frac(a) * b for a, b in zip(rows[i], sol)) >= rhs[i]
-               for i in range(fan.n_rays)):
+        sol = solve_square([fan.rays[i] for i in subset], [rhs[i] for i in subset])
+        if sol is not None and inside(sol):
             vertices.append(sol)
     if not vertices:
         return []
@@ -290,8 +282,7 @@ def polytope_lattice_points(fan, coeffs):
     points = []
     for pt in product(*[range(int(l.__ceil__()), int(h.__floor__()) + 1)
                         for l, h in zip(lo, hi)]):
-        if all(sum(a * b for a, b in zip(rows[i], pt)) >= rhs[i]
-               for i in range(fan.n_rays)):
+        if inside(pt):
             points.append(pt)
     return sorted(points)
 
@@ -322,11 +313,7 @@ def build_epic_embedding(fan, generators=None):
                 )
             factors.append(projective_space_fan(len(points) - 1))
             for m in points:
-                exp = tuple(
-                    lift[rho] + sum(mi * ui for mi, ui in zip(m, fan.rays[rho]))
-                    for rho in range(fan.n_rays)
-                )
-                exponents.append(exp)
+                exponents.append(tuple(c + p for c, p in zip(lift, fan.pairing(m))))
                 coeffs.append(Fraction(1))
         target = product_fan(factors)
         return EmbeddingSpec(fan, target, tuple(coeffs), tuple(exponents))
@@ -391,13 +378,10 @@ def _invert_component(emb, secs):
         scone = src.max_cones[si]
         for entry in chart_cover(emb)[si]:
             tcone = tgt.max_cones[entry["target_cone"]]
-            duals_y = dual_basis(tgt, tcone)
             usable = True
             w_orders = []  # per chart character: dict place -> order, or None for zero
             w_units = []
-            for j, m_y in enumerate(duals_y):
-                exps = [sum(mi * ui for mi, ui in zip(m_y, tgt.rays[tau]))
-                        for tau in range(tgt.n_rays)]
+            for j, exps in enumerate(tgt.exponent_matrix(tcone)):
                 if any(e < 0 and factored[tau] is None for tau, e in enumerate(exps)):
                     usable = False
                     break
@@ -482,13 +466,10 @@ def _invert_component(emb, secs):
                 continue
 
             if vanishing:
-                duals_x = dual_basis(src, scone)
-                w = [-sum(sections[rho].degree * src.rays[rho][k]
-                          for rho in range(src.n_rays) if rho not in vanishing)
-                     for k in range(src.dim)]
                 consistent = True
-                for pos, rho in enumerate(scone):
-                    coord = sum(mi * wi for mi, wi in zip(duals_x[pos], w))
+                for rho, row in zip(scone, src.exponent_matrix(scone)):
+                    coord = -sum(sections[r].degree * row[r]
+                                 for r in range(src.n_rays) if r not in vanishing)
                     if rho in vanishing:
                         sections[rho] = BinaryForm.zero(coord)
                     elif coord != 0:

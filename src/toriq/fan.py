@@ -7,16 +7,40 @@ vectors, section tuples), and the first maximal cone anchors the divisor
 class basis.
 
 All arithmetic is exact (ints and fractions).  Fans are immutable and every
-operation is a pure function, so values can be shared freely across threads.
+operation is a pure function.  Derived data is memoized on the instance
+(``memo``), so it is computed once per fan and freed with it.  Sharing a fan
+across threads stays safe, because memo writes are idempotent.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from itertools import combinations
 from math import gcd
 
 from .linalg import determinant, frac, invert, kernel_basis
+
+
+def memo(fn):
+    """Memoize ``fn(obj, *args)`` in ``obj``'s own ``__dict__``.
+
+    The results live and die with ``obj`` and stay out of its equality and
+    hash, which see only the dataclass fields.  ``fn`` must be pure and its
+    extra arguments hashable; exceptions are not memoized.
+    """
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memoized(obj, *args):
+        cache = obj.__dict__.setdefault("_memo", {})
+        key = (name, *args)
+        try:
+            return cache[key]
+        except KeyError:
+            value = cache[key] = fn(obj, *args)
+            return value
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -47,6 +71,15 @@ class Fan:
     def cone_complement(self, cone):
         return tuple(i for i in range(self.n_rays) if i not in set(cone))
 
+    def pairing(self, m):
+        """The pairings <m, u_rho> of a character with every ray, in ray order."""
+        return tuple(sum(mi * ui for mi, ui in zip(m, ray)) for ray in self.rays)
+
+    @memo
+    def exponent_matrix(self, sigma):
+        """E[k][rho] = <m_k, u_rho> for the dual basis m_k of a maximal cone."""
+        return tuple(self.pairing(m) for m in dual_basis(self, sigma))
+
     def to_dict(self):
         return {
             "dim": self.dim,
@@ -62,7 +95,7 @@ def _is_primitive(ray):
     return g == 1
 
 
-@lru_cache(maxsize=None)
+@memo
 def dual_basis(fan, sigma):
     """Integer covectors m_1..m_n with <m_i, u_{rho_j}> = delta_ij on the cone's rays.
 
@@ -100,7 +133,7 @@ def locate_cones(fan, u):
     return hits
 
 
-@lru_cache(maxsize=None)
+@memo
 def primitive_collections(fan):
     """Minimal ray sets contained in no cone of the fan, sorted canonically."""
     cones = [frozenset(c) for c in fan.max_cones]
@@ -120,23 +153,38 @@ def primitive_collections(fan):
     return tuple(sorted(non_faces, key=lambda s: tuple(sorted(s))))
 
 
-@lru_cache(maxsize=None)
+@memo
 def walls(fan):
     """All walls as (ray index set, (cone index, cone index)) pairs.
 
-    Only meaningful on valid fans; each wall of a smooth complete fan is a
-    facet shared by exactly two maximal cones.
+    Each wall of a smooth complete fan is a facet shared by exactly two
+    maximal cones; the ValueError raised otherwise names every other facet.
     """
     incidence = {}
     for idx, cone in enumerate(fan.max_cones):
         for facet in combinations(cone, fan.dim - 1):
             incidence.setdefault(facet, []).append(idx)
-    out = []
-    for facet, owners in sorted(incidence.items()):
-        if len(owners) != 2:
-            raise ValueError(f"wall {facet} is contained in {len(owners)} maximal cones")
-        out.append((facet, tuple(owners)))
-    return tuple(out)
+    bad = [f"wall {facet} lies in {len(owners)} maximal cones (expected 2)"
+           for facet, owners in incidence.items() if len(owners) != 2]
+    if bad:
+        raise ValueError("; ".join(bad))
+    return tuple((facet, tuple(owners)) for facet, owners in sorted(incidence.items()))
+
+
+def is_connected(n, edges):
+    """Whether the graph on vertices 0..n-1 (n >= 1) with these edges is connected."""
+    adjacency = {i: set() for i in range(n)}
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for nxt in adjacency[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == n
 
 
 def _intersection_extreme_ray_candidates(fan, ci, cj):
@@ -212,29 +260,13 @@ def validate_fan(fan):
     if used != set(range(fan.n_rays)):
         report.append("some ray lies in no maximal cone")
 
-    incidence = {}
-    for idx, cone in enumerate(fan.max_cones):
-        for facet in combinations(cone, fan.dim - 1):
-            incidence.setdefault(facet, []).append(idx)
-    adjacency = {i: set() for i in range(len(fan.max_cones))}
-    for facet, owners in incidence.items():
-        if len(owners) != 2:
-            report.append(
-                f"wall {facet} lies in {len(owners)} maximal cones (expected 2)"
-            )
-        else:
-            adjacency[owners[0]].add(owners[1])
-            adjacency[owners[1]].add(owners[0])
-    if not report and fan.max_cones:
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(fan.max_cones):
-            report.append("maximal-cone adjacency graph is not connected")
+    try:
+        fan_walls = walls(fan)
+    except ValueError as exc:
+        report.append(str(exc))
+    if not report and fan.max_cones and not is_connected(
+            len(fan.max_cones), [owners for _, owners in fan_walls]):
+        report.append("maximal-cone adjacency graph is not connected")
     if report:
         return report
 
@@ -242,7 +274,7 @@ def validate_fan(fan):
     return report
 
 
-@lru_cache(maxsize=None)
+@memo
 def require_valid(fan):
     violations = validate_fan(fan)
     if violations:

@@ -69,13 +69,6 @@ def poly_gcd(a, b):
     return a
 
 
-def poly_eval(coeffs, z):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 @dataclass(frozen=True)
 class ProjPoint:
     """A rational point [a : b] of the projective line, stored normalized."""
@@ -258,9 +251,6 @@ class BinaryForm:
                 return count
             count += 1
             rem = q
-
-    def ord_at_point(self, point):
-        return self.ord_at(Place.of_point(point))
 
     def shift(self, place, exponent):
         """Multiply by place^exponent (divide exactly for negative exponents)."""

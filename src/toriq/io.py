@@ -152,9 +152,17 @@ def embedding_to_dict(emb):
     }
 
 
-def _load_json(path):
+class MalformedInput(ValueError):
+    """A JSON file that parses but does not have the shape of the object read."""
+
+
+def _load(path, from_dict, *args):
     with open(path) as handle:
-        return json.load(handle, parse_float=_reject_float)
+        data = json.load(handle, parse_float=_reject_float)
+    try:
+        return from_dict(data, *args)
+    except TypeError as exc:  # e.g. a number where a list of rays belongs
+        raise MalformedInput(f"{path}: malformed input ({exc})") from exc
 
 
 def _reject_float(text):
@@ -162,15 +170,15 @@ def _reject_float(text):
 
 
 def load_fan(path):
-    return fan_from_dict(_load_json(path))
+    return _load(path, fan_from_dict)
 
 
 def load_quasimap(path):
-    return quasimap_from_dict(_load_json(path), os.path.dirname(os.path.abspath(path)))
+    return _load(path, quasimap_from_dict, os.path.dirname(os.path.abspath(path)))
 
 
 def load_embedding(path):
-    return embedding_from_dict(_load_json(path), os.path.dirname(os.path.abspath(path)))
+    return _load(path, embedding_from_dict, os.path.dirname(os.path.abspath(path)))
 
 
 def dump(data, path=None):

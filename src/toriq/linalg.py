@@ -19,10 +19,6 @@ def mat_vec(mat, vec):
     return tuple(sum(frac(a) * frac(b) for a, b in zip(row, vec)) for row in mat)
 
 
-def dot(u, v):
-    return sum(frac(a) * frac(b) for a, b in zip(u, v))
-
-
 def determinant(mat):
     """Exact determinant via fraction Gaussian elimination."""
     n = len(mat)

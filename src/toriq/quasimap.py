@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .basepoint import INF, OrderVector, degree_at_point, length_at_point
 from .classes import CurveClass, anticanonical_class, is_fano
-from .fan import dual_basis, primitive_collections, require_valid
+from .fan import is_connected, primitive_collections, require_valid
 from .forms import Place, common_zero_places
 from .linalg import integer_kernel_basis
 
@@ -75,13 +75,10 @@ def section_values(q, comp, point):
 
 
 def _chart_coords(fan, cone_index, values):
-    cone = fan.max_cones[cone_index]
-    duals = dual_basis(fan, cone)
     coords = []
-    for m in duals:
+    for exps in fan.exponent_matrix(fan.max_cones[cone_index]):
         val = Fraction(1)
-        for rho in range(fan.n_rays):
-            e = sum(mi * ui for mi, ui in zip(m, fan.rays[rho]))
+        for rho, e in enumerate(exps):
             if e == 0:
                 continue
             v = values[rho]
@@ -205,28 +202,18 @@ def validate_quasimap(q):
         return report
 
     # tree shape
-    adjacency = {i: set() for i in range(q.n_components)}
-    for (a, _), (b, _) in q.nodes:
+    edges = [(a, b) for (a, _), (b, _) in q.nodes]
+    for a, b in edges:
         if not (0 <= a < q.n_components and 0 <= b < q.n_components):
             report.append("node references a missing component")
             return report
         if a == b:
             report.append("a node cannot join a component to itself")
             return report
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    if len(q.nodes) != q.n_components - 1:
+    if len(edges) != q.n_components - 1:
         report.append("the dual graph is not a tree (wrong node count)")
-    else:
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != q.n_components:
-            report.append("the dual graph is not connected")
+    elif not is_connected(q.n_components, edges):
+        report.append("the dual graph is not connected")
     if report:
         return report
 
@@ -365,9 +352,10 @@ def same_morphism_sections(fan, first, second):
             return False
         ratios[rho] = lam
     for m in character_lattice_orthogonal_to(fan, zero1):
+        exps = fan.pairing(m)
         prod = Fraction(1)
         for rho, lam in ratios.items():
-            e = sum(mi * ui for mi, ui in zip(m, fan.rays[rho]))
+            e = exps[rho]
             if e:
                 prod *= lam ** e
         if prod != 1:

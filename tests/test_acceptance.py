@@ -8,7 +8,7 @@ import random
 import time
 
 from toriq.basepoint import INF, degree_at_point, length_at_point
-from toriq.cases import blowup_order_table
+from toriq.cases import blowup_order_table, projective_blocks
 from toriq.classes import curve_class_from_anchor
 from toriq.contraction import (_deterministic_tail, contract, contraction_condition,
                                graft, prune, surjectivity_witness)
@@ -165,18 +165,9 @@ def test_criterion_7_segre_non_injectivity():
 
 def test_criterion_8_epic_builder(bl0p2):
     emb = build_epic_embedding(bl0p2)
-    sizes = []
-    current = 0
-    for ray in emb.target.rays:
-        current += 1
-        if all(x <= 0 for x in ray):  # the -sum ray closes a factor block
-            sizes.append(current)
-            current = 0
-    blocks = []
-    start = 0
-    for size in sizes:
-        blocks.append(frozenset(emb.exponents[start:start + size]))
-        start += size
+    ray_blocks = projective_blocks(emb.target)
+    sizes = [len(block) for block in ray_blocks]
+    blocks = [frozenset(emb.exponents[i] for i in block) for block in ray_blocks]
     assert sorted(sizes) == [2, 3]
     assert set(blocks) == {
         frozenset({(1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1)}),

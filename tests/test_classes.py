@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toriq.classes import (CurveClass, anticanonical_class, beta_a_sigma,
-                           cone_tests, curve_class_from_anchor, divisor_class,
+                           curve_class_from_anchor, divisor_class,
                            effective_classes, factorizations, is_ample,
                            is_effective, is_fano, is_irreducible, is_nef,
                            length, nef_hilbert_basis, relaxed_surjectivity_condition,
@@ -56,10 +56,7 @@ def test_cone_tests(bl0p2):
     s_div = divisor_class(bl0p2, 2)
     assert is_nef(s_div) and not is_ample(s_div)
     assert is_effective(CurveClass(bl0p2, (0, 0, 0, 0)))
-    assert cone_tests(bl0p2, "is_fano")
-    assert cone_tests(bl0p2, "is_nef", divisor=s_div)
-    assert not cone_tests(bl0p2, "is_ample", divisor=s_div)
-    assert cone_tests(bl0p2, "relaxed_surjectivity_condition", length_bound=8)
+    assert relaxed_surjectivity_condition(bl0p2, 8)
     with pytest.raises(ValueError):
         relaxed_surjectivity_condition(bl0p2, None)
 

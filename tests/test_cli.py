@@ -93,6 +93,11 @@ def test_embed_ibar_and_fibre(tmp_path, capsys):
                        str(image), "--class", "2,2,2,2")
     assert code == 0
     assert json.loads(out)["count"] == 2
+    # a zero length cap admits no basepoint degree, so the fibre is empty
+    code, out, _ = run(capsys, "--json", "embed", "fibre", fx("segre.json"),
+                       str(image), "--class", "2,2,2,2", "--bound", "0")
+    assert code == 0
+    assert json.loads(out)["count"] == 0
 
 
 def test_witness_cli(tmp_path, capsys):
@@ -144,6 +149,18 @@ def test_reproduce_unknown_case_is_usage_error(capsys):
 def test_unreadable_file_is_usage_error(capsys):
     code, _, err = run(capsys, "fan", "validate", "no-such-file.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 2, "rays": [1, 2], "max_cones": []}',
+    '[1, 2]',
+    '{"dim": 2, "rays": ',
+])
+def test_malformed_json_is_usage_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, _, err = run(capsys, "fan", "validate", str(bad))
+    assert code == 2 and err.startswith("usage error")
 
 
 def test_max_length_env_caps_factor(capsys, monkeypatch):

@@ -1,12 +1,16 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from toriq.classes import CurveClass, curve_class_from_anchor, divisor_class
+from toriq.classes import (CurveClass, curve_class_from_anchor, divisor_class,
+                           nef_hilbert_basis)
 from toriq.embedding import (EmbeddingSpec, apply_ibar, build_epic_embedding,
                              covers_all_charts, epic_check, fibre_enumeration,
                              invert_through_charts, polytope_lattice_points,
                              pullback_pic, pushforward_curves, validate_embedding)
+from toriq.fan import Fan
 from toriq.forms import BinaryForm, ProjPoint
 from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps,
                             regular_extension, same_morphism_sections, stability,
@@ -249,3 +253,15 @@ def test_identity_embedding_inversion(p2):
     assert candidate is not None
     for comp in range(ext.n_components):
         assert same_morphism_sections(p2, candidate.sections(comp), ext.sections(comp))
+
+
+def test_fan_and_embedding_are_freed_with_their_derived_data():
+    # a sheared plane that no other test builds, so no equal fan or embedding
+    # was derived from before and a cache keyed on equal objects would keep it
+    fan = Fan(2, ((1, 0), (1, 1), (-2, -1)), ((0, 1), (1, 2), (0, 2)))
+    emb = build_epic_embedding(fan)
+    nef_hilbert_basis(fan)
+    refs = [weakref.ref(fan), weakref.ref(emb)]
+    del fan, emb
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toriq.classes import nef_hilbert_basis
 from toriq.fan import (Fan, dual_basis, locate_cones, primitive_collections,
-                       projective_space_fan, validate_fan)
+                       projective_space_fan, validate_fan, walls)
 
 
 def test_p2_is_valid(p2):
@@ -114,6 +115,8 @@ def test_locate_cones_nonempty_and_dual_identity(u):
             for j, rho in enumerate(cone):
                 pairing = sum(a * b for a, b in zip(m, fan.rays[rho]))
                 assert pairing == (1 if i == j else 0)
+            for rho, ray in enumerate(fan.rays):
+                assert fan.exponent_matrix(cone)[i][rho] == sum(a * b for a, b in zip(m, ray))
 
 
 def test_product_fan_shape(p1xp1):
@@ -125,3 +128,12 @@ def test_product_fan_shape(p1xp1):
 def test_projective_space_fans_valid():
     for n in range(1, 5):
         assert validate_fan(projective_space_fan(n)) == []
+
+
+def test_derived_data_stays_out_of_equality_and_hash(bl0p2):
+    used = Fan(bl0p2.dim, bl0p2.rays, bl0p2.max_cones)
+    assert validate_fan(used) == []
+    walls(used)
+    nef_hilbert_basis(used)
+    fresh = Fan(bl0p2.dim, bl0p2.rays, bl0p2.max_cones)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)

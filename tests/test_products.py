@@ -2,6 +2,7 @@
 
 import pytest
 
+from toriq.cases import projective_blocks
 from toriq.classes import (anticanonical_class, curve_class_from_anchor,
                            effective_classes, is_ample, is_fano, length,
                            nef_hilbert_basis, picard_rank)
@@ -48,13 +49,7 @@ def test_product_with_blowup_factor(blxp1):
 def test_builder_factor_sizes_match_polytope_counts(p2, bl0p2, p1xp1):
     for fan in (p2, bl0p2, p1xp1):
         emb = build_epic_embedding(fan)
-        sizes = []
-        current = 0
-        for ray in emb.target.rays:
-            current += 1
-            if all(x <= 0 for x in ray):
-                sizes.append(current)
-                current = 0
+        sizes = [len(block) for block in projective_blocks(emb.target)]
         expected = [
             len(polytope_lattice_points(fan, d.ray_coefficients()))
             for d in nef_hilbert_basis(fan)
