@@ -276,10 +276,7 @@ def _cmd_contract_apply(args):
 
 def _cmd_graft(args):
     q = tio.load_quasimap(args.quasimap)
-    with open(args.tail) as handle:
-        tail_data = json.load(handle)
-    sections = tuple(tio.form_from_dict(f) for f in tail_data["sections"])
-    attach = tio.point_from_json(tail_data["attach"])
+    sections, attach = tio.load_tail(args.tail)
     from .forms import Place
 
     if args.place.strip().lower() == "inf":

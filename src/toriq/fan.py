@@ -6,6 +6,10 @@ canonical index order used everywhere downstream (pairing vectors, order
 vectors, section tuples), and the first maximal cone anchors the divisor
 class basis.
 
+``validate_fan`` decides the fan condition locally: each wall's two cones
+must lie strictly on opposite sides of it (one integer sign per wall), and
+the ray sum of cone 0 must lie in cone 0 alone (covering degree one).
+
 All arithmetic is exact (ints and fractions).  Fans are immutable and every
 operation is a pure function.  Derived data is memoized on the instance
 (``memo``), so it is computed once per fan and freed with it.  Sharing a fan
@@ -13,12 +17,11 @@ across threads stays safe, because memo writes are idempotent.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import wraps
 from itertools import combinations
 from math import gcd
 
-from .linalg import determinant, frac, invert, kernel_basis
+from .linalg import determinant, frac, invert
 
 
 def memo(fn):
@@ -118,19 +121,10 @@ def dual_basis(fan, sigma):
     return tuple(covectors)
 
 
-def cone_coordinates(fan, cone_index, u):
-    """Coordinates of u in the ray basis of the given maximal cone."""
-    basis = dual_basis(fan, fan.max_cones[cone_index])
-    return tuple(sum(frac(m) * frac(x) for m, x in zip(row, u)) for row in basis)
-
-
 def locate_cones(fan, u):
     """Indices of the maximal cones containing the vector u (all, on ties)."""
-    hits = []
-    for idx in range(len(fan.max_cones)):
-        if all(c >= 0 for c in cone_coordinates(fan, idx, u)):
-            hits.append(idx)
-    return hits
+    return [idx for idx, cone in enumerate(fan.max_cones)
+            if all(sum(m * x for m, x in zip(row, u)) >= 0 for row in dual_basis(fan, cone))]
 
 
 @memo
@@ -187,42 +181,33 @@ def is_connected(n, edges):
     return len(seen) == n
 
 
-def _intersection_extreme_ray_candidates(fan, ci, cj):
-    """Vectors spanning the extreme rays of the intersection of two maximal cones."""
-    rows = [list(m) for m in dual_basis(fan, fan.max_cones[ci])]
-    rows += [list(m) for m in dual_basis(fan, fan.max_cones[cj])]
-    n = fan.dim
-    candidates = []
-    if n == 1:
-        subsets = [()]
-    else:
-        subsets = combinations(range(len(rows)), n - 1)
-    for subset in subsets:
-        sub = [rows[i] for i in subset]
-        kern = kernel_basis(sub) if sub else [tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))]
-        if len(kern) != 1:
-            continue
-        for vec in (kern[0], tuple(-x for x in kern[0])):
-            if all(sum(frac(a) * frac(b) for a, b in zip(row, vec)) >= 0 for row in rows):
-                if any(x != 0 for x in vec):
-                    candidates.append(vec)
-    return candidates
+def _fan_condition_violations(fan, fan_walls):
+    """Violations of the fan condition, decided locally at the walls.
 
+    Expects a smooth fan whose walls each lie in exactly two cones and whose
+    cones are connected through walls.  Such a fan covers every generic
+    vector the same number of times as long as each wall's two cones lie on
+    opposite sides of it (Cox-Little-Schenck, Toric Varieties; Batyrev 1991),
+    so the fan condition holds iff every wall passes that sign test and one
+    interior vector of cone 0 lies in cone 0 alone.
+    """
+    cones = fan.max_cones
 
-def _fan_condition_violations(fan):
+    def overlap(ci, cj):
+        return (f"cones {cones[ci]} and {cones[cj]} intersect "
+                f"outside the cone spanned by their common rays")
+
     out = []
-    for ci, cj in combinations(range(len(fan.max_cones)), 2):
-        common = set(fan.max_cones[ci]) & set(fan.max_cones[cj])
-        for vec in _intersection_extreme_ray_candidates(fan, ci, cj):
-            coords = cone_coordinates(fan, ci, vec)
-            support = {fan.max_cones[ci][k] for k, c in enumerate(coords) if c != 0}
-            if not support <= common:
-                out.append(
-                    f"cones {fan.max_cones[ci]} and {fan.max_cones[cj]} intersect "
-                    f"outside the cone spanned by their common rays"
-                )
-                break
-    return out
+    for facet, (ci, cj) in fan_walls:
+        (a,) = set(cones[ci]) - set(facet)
+        (b,) = set(cones[cj]) - set(facet)
+        # smoothness makes this pairing +-1; +1 puts both cones on a's side
+        if fan.exponent_matrix(cones[ci])[cones[ci].index(a)][b] >= 0:
+            out.append(overlap(ci, cj))
+    if out:
+        return out
+    interior = [sum(column) for column in zip(*(fan.rays[i] for i in cones[0]))]
+    return [overlap(0, j) for j in locate_cones(fan, interior) if j != 0]
 
 
 def validate_fan(fan):
@@ -244,6 +229,8 @@ def validate_fan(fan):
     if report:
         return report
 
+    if not fan.max_cones:
+        return ["fan has no maximal cones"]
     for cone in fan.max_cones:
         if len(cone) != fan.dim:
             report.append(f"maximal cone {cone} does not have {fan.dim} rays")
@@ -264,14 +251,13 @@ def validate_fan(fan):
         fan_walls = walls(fan)
     except ValueError as exc:
         report.append(str(exc))
-    if not report and fan.max_cones and not is_connected(
+    if not report and not is_connected(
             len(fan.max_cones), [owners for _, owners in fan_walls]):
         report.append("maximal-cone adjacency graph is not connected")
     if report:
         return report
 
-    report.extend(_fan_condition_violations(fan))
-    return report
+    return _fan_condition_violations(fan, fan_walls)
 
 
 @memo

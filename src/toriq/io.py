@@ -166,7 +166,7 @@ def _load(path, from_dict, *args):
 
 
 def _reject_float(text):
-    raise ValueError(f"float literal {text} rejected; data must be exact")
+    raise MalformedInput(f"float literal {text} rejected; data must be exact")
 
 
 def load_fan(path):
@@ -179,6 +179,15 @@ def load_quasimap(path):
 
 def load_embedding(path):
     return _load(path, embedding_from_dict, os.path.dirname(os.path.abspath(path)))
+
+
+def tail_from_dict(data):
+    """The (sections, attach point) of a graft tail file."""
+    return tuple(form_from_dict(f) for f in data["sections"]), point_from_json(data["attach"])
+
+
+def load_tail(path):
+    return _load(path, tail_from_dict)
 
 
 def dump(data, path=None):

@@ -102,15 +102,12 @@ def xpoint_from_values(fan, values):
 
 
 def x_points_equal(fan, p, r):
-    zp = tuple(v == 0 for v in p.cox)
-    zr = tuple(v == 0 for v in r.cox)
-    if zp != zr:
-        return False
-    zero = {i for i, z in enumerate(zp) if z}
-    for idx, cone in enumerate(fan.max_cones):
-        if zero <= set(cone):
-            return _chart_coords(fan, idx, p.cox) == _chart_coords(fan, idx, r.cox)
-    return False
+    """Whether two chart points of ``fan`` are the same point of the target.
+
+    ``xpoint_from_values`` charts a point in the first cone that contains its
+    zero set, so equal points share the cone and the chart coordinates.
+    """
+    return (p.cone, p.coords) == (r.cone, r.coords)
 
 
 def evaluate(q, comp, point):

@@ -36,3 +36,16 @@ def p1xp1():
 @pytest.fixture(scope="session")
 def p2xp1():
     return product_fan([projective_space_fan(2), projective_space_fan(1)])
+
+
+@pytest.fixture(scope="session")
+def f2():
+    return Fan(2, ((1, 0), (0, 1), (-1, 2), (0, -1)),
+               ((0, 1), (1, 2), (2, 3), (3, 0)))
+
+
+@pytest.fixture(scope="session")
+def hexagon():
+    """The toric del Pezzo surface of degree 6 (P2 blown up in three points)."""
+    return Fan(2, ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
+               ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))

@@ -133,6 +133,18 @@ def test_graft_cli(tmp_path, capsys):
     assert data["degree"] == [1, 1, 1] and data["basepoints"] == []
 
 
+@pytest.mark.parametrize("tail", [
+    {"sections": 5, "attach": [1, 0]},
+    {"sections": [], "attach": 3},
+])
+def test_malformed_graft_tail_is_usage_error(tmp_path, capsys, tail):
+    bad = tmp_path / "tail.json"
+    bad.write_text(json.dumps(tail))
+    code, _, err = run(capsys, "graft", fx("section_line.json"), "--component", "0",
+                       "--place", "inf", "--tail", str(bad))
+    assert code == 2 and err.startswith("usage error")
+
+
 def test_reproduce_all(capsys):
     for case in CASE_NAMES:
         code, out, _ = run(capsys, "reproduce", case)
@@ -155,6 +167,7 @@ def test_unreadable_file_is_usage_error(capsys):
     '{"dim": 2, "rays": [1, 2], "max_cones": []}',
     '[1, 2]',
     '{"dim": 2, "rays": ',
+    '{"dim": 2, "rays": [[1.0, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
 ])
 def test_malformed_json_is_usage_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"

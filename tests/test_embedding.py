@@ -126,6 +126,12 @@ def test_build_epic_embedding_p2(p2):
     assert epic_check(emb)
 
 
+def test_build_epic_embedding_hexagon(hexagon):
+    emb = build_epic_embedding(hexagon)
+    assert (emb.target.dim, emb.target.n_rays, len(emb.target.max_cones)) == (7, 12, 72)
+    assert epic_check(emb)
+
+
 def test_build_with_generator_choice(bl0p2):
     # the generating set {S, S+L} gives a line times a 4-space, with the five
     # quadratic monomials on the big factor

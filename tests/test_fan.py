@@ -1,12 +1,17 @@
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toriq.cases import fixture_path
 from toriq.classes import nef_hilbert_basis
-from toriq.fan import (Fan, dual_basis, locate_cones, primitive_collections,
+from toriq.fan import (Fan, dual_basis, locate_cones, primitive_collections, product_fan,
                        projective_space_fan, validate_fan, walls)
+from toriq.io import load_embedding
+from toriq.linalg import frac, kernel_basis
 
 
 def test_p2_is_valid(p2):
@@ -17,6 +22,7 @@ def test_missing_cone_breaks_completeness(p2):
     broken = Fan(2, p2.rays, ((0, 1), (0, 2)))
     report = validate_fan(broken)
     assert any("wall" in line for line in report)
+    assert validate_fan(Fan(2, (), ())) == ["fan has no maximal cones"]
 
 
 def test_bl0p2_is_valid(bl0p2):
@@ -126,8 +132,9 @@ def test_product_fan_shape(p1xp1):
 
 
 def test_projective_space_fans_valid():
-    for n in range(1, 5):
-        assert validate_fan(projective_space_fan(n)) == []
+    p = projective_space_fan
+    for fan in [p(n) for n in range(1, 5)] + [product_fan([p(2), p(3)]), product_fan([p(1)] * 5)]:
+        assert validate_fan(fan) == []
 
 
 def test_derived_data_stays_out_of_equality_and_hash(bl0p2):
@@ -137,3 +144,93 @@ def test_derived_data_stays_out_of_equality_and_hash(bl0p2):
     nef_hilbert_basis(used)
     fresh = Fan(bl0p2.dim, bl0p2.rays, bl0p2.max_cones)
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
+# Reference for the fan condition: an all-pairs search for extreme rays of
+# each pairwise cone intersection that leave the common face.  Far slower than
+# the wall test in validate_fan, which is checked against it below.
+
+def cone_coordinates(fan, cone_index, u):
+    """Coordinates of u in the ray basis of the given maximal cone."""
+    basis = dual_basis(fan, fan.max_cones[cone_index])
+    return tuple(sum(frac(m) * frac(x) for m, x in zip(row, u)) for row in basis)
+
+
+def _intersection_extreme_ray_candidates(fan, ci, cj):
+    """Vectors spanning the extreme rays of the intersection of two maximal cones."""
+    rows = [list(m) for m in dual_basis(fan, fan.max_cones[ci])]
+    rows += [list(m) for m in dual_basis(fan, fan.max_cones[cj])]
+    n = fan.dim
+    candidates = []
+    if n == 1:
+        subsets = [()]
+    else:
+        subsets = combinations(range(len(rows)), n - 1)
+    for subset in subsets:
+        sub = [rows[i] for i in subset]
+        kern = kernel_basis(sub) if sub else [tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))]
+        if len(kern) != 1:
+            continue
+        for vec in (kern[0], tuple(-x for x in kern[0])):
+            if all(sum(frac(a) * frac(b) for a, b in zip(row, vec)) >= 0 for row in rows):
+                if any(x != 0 for x in vec):
+                    candidates.append(vec)
+    return candidates
+
+
+def _fan_condition_violations(fan):
+    out = []
+    for ci, cj in combinations(range(len(fan.max_cones)), 2):
+        common = set(fan.max_cones[ci]) & set(fan.max_cones[cj])
+        for vec in _intersection_extreme_ray_candidates(fan, ci, cj):
+            coords = cone_coordinates(fan, ci, vec)
+            support = {fan.max_cones[ci][k] for k, c in enumerate(coords) if c != 0}
+            if not support <= common:
+                out.append(
+                    f"cones {fan.max_cones[ci]} and {fan.max_cones[cj]} intersect "
+                    f"outside the cone spanned by their common rays"
+                )
+                break
+    return out
+
+
+def _perturbed(fan, rng):
+    rays = [list(r) for r in fan.rays]
+    cones = [list(c) for c in fan.max_cones]
+    kind = rng.randrange(4)
+    i = rng.randrange(len(rays))
+    if kind == 0:
+        j = rng.randrange(len(rays))
+        rays[i], rays[j] = rays[j], rays[i]
+    elif kind == 1:
+        rays[i][rng.randrange(fan.dim)] *= -1
+    elif kind == 2:
+        rays[i] = [-x for x in rays[i]]
+    else:
+        cone = rng.choice(cones)
+        cone[rng.randrange(len(cone))] = i
+    return Fan(fan.dim, tuple(map(tuple, rays)), tuple(map(tuple, cones)))
+
+
+def test_wall_test_agrees_with_all_pairs_oracle(p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
+    double_cycle = Fan(2, ((1, 0), (-2, 1), (-1, 0), (-1, -1), (-1, -2), (0, -1), (1, 1), (-2, -1)),
+                       tuple((i, (i + 1) % 8) for i in range(8)))
+    low_dim = [p1, p2, bl0p2, p1xp1, f2, hexagon, double_cycle]
+    # the bundled fan fixtures are p2, p3, bl0p2 and p1xp1; bl0p2_product adds P1xP2
+    dim3 = [p3, p2xp1, load_embedding(fixture_path("bl0p2_product.json")).target,
+            product_fan([p1, p2]), product_fan([p1, p1, p1])]
+    rng = random.Random(2024)
+    # the oracle takes about 0.1 s on a valid 3-dimensional fan, so most
+    # perturbations start from the cheaper low-dimensional fans
+    corpus = low_dim + dim3 + [_perturbed(rng.choice(low_dim), rng) for _ in range(250)]
+    corpus += [_perturbed(rng.choice(dim3), rng) for _ in range(15)]
+    stage_failures = 0
+    for fan in corpus:
+        report = validate_fan(fan)
+        if any("intersect outside" not in line for line in report):
+            continue  # failed a check that runs before the fan condition
+        expected = _fan_condition_violations(fan)
+        assert bool(report) == bool(expected), fan
+        stage_failures += bool(expected)
+    assert validate_fan(double_cycle)
+    assert stage_failures >= 30

@@ -2,23 +2,15 @@
 degree vanishes on the rigid section, so every bounded enumeration must fall
 back to an honest ample degree."""
 
-import pytest
-
 from toriq.classes import (ample_functional, curve_class_from_anchor,
                            effective_classes, factorizations, is_ample, is_fano,
                            length, nef_hilbert_basis, relaxed_surjectivity_condition,
                            wall_curve_classes)
 from toriq.contraction import contract, surjectivity_witness
-from toriq.fan import Fan, validate_fan
+from toriq.fan import validate_fan
 from toriq.forms import BinaryForm, ProjPoint
 from toriq.quasimap import (Quasimap, basepoints, equal_quasimaps, stability,
                             validate_quasimap)
-
-
-@pytest.fixture(scope="module")
-def f2():
-    return Fan(2, ((1, 0), (0, 1), (-1, 2), (0, -1)),
-               ((0, 1), (1, 2), (2, 3), (3, 0)))
 
 
 def test_f2_is_valid_but_not_fano(f2):
