@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (invalid data, failed checks),
-2 usage error (including unreadable or malformed JSON input).  ``--json``
-switches every subcommand to machine-readable output; the TORIQ_MAX_LENGTH
-environment variable caps enumeration bounds where a length bound is needed
-and none is given.
+2 usage error (unreadable or malformed input, in a file or an option).
+``--json`` switches every subcommand to machine-readable output; the
+TORIQ_MAX_LENGTH environment variable caps enumeration bounds where a length
+bound is needed and none is given.
 """
 
 import argparse
@@ -45,27 +45,33 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
+def _reject_invalid(args, violations, what):
+    """Report the violations and fail with a domain error, if there are any."""
+    if violations:
+        _emit(args, {"valid": False, "violations": violations},
+              [f"invalid: {v}" for v in violations])
+        raise DomainError(f"{what} is invalid")
+
+
+def _emit_saved(args, data, lines):
+    """Emit ``data``, writing it to the ``-o`` file first when one is given."""
+    if args.output:
+        tio.dump(data, args.output)
+    _emit(args, data, lines + [f"written to {args.output}" if args.output else "(use -o to save)"])
+
+
 def _class_text(beta):
     return f"pairings {tuple(beta.pairings)} / anchor {tuple(beta.anchor_coords)}"
 
 
 def _cmd_fan_validate(args):
-    fan = tio.load_fan(args.fan)
-    violations = validate_fan(fan)
-    payload = {"valid": not violations, "violations": violations}
-    _emit(args, payload,
-          ["valid"] if not violations else [f"invalid: {v}" for v in violations])
-    if violations:
-        raise DomainError("fan is invalid")
+    _reject_invalid(args, validate_fan(tio.load_fan(args.fan)), "fan")
+    _emit(args, {"valid": True, "violations": []}, ["valid"])
 
 
 def _cmd_fan_info(args):
     fan = tio.load_fan(args.fan)
-    violations = validate_fan(fan)
-    if violations:
-        _emit(args, {"valid": False, "violations": violations},
-              [f"invalid: {v}" for v in violations])
-        raise DomainError("fan is invalid")
+    _reject_invalid(args, validate_fan(fan), "fan")
     mori = [tuple(w.pairings) for w in wall_curve_classes(fan)]
     hilb = [tuple(d.coords) for d in nef_hilbert_basis(fan)]
     pcs = [tuple(sorted(pc)) for pc in primitive_collections(fan)]
@@ -146,11 +152,7 @@ def _cmd_basepoint_degree(args):
 
 def _cmd_quasimap_analyze(args):
     q = tio.load_quasimap(args.quasimap)
-    violations = validate_quasimap(q)
-    if violations:
-        _emit(args, {"valid": False, "violations": violations},
-              [f"invalid: {v}" for v in violations])
-        raise DomainError("quasimap is invalid")
+    _reject_invalid(args, validate_quasimap(q), "quasimap")
     total, per_comp = degrees(q)
     bps = basepoints(q)
     ext = regular_extension(q)
@@ -194,23 +196,15 @@ def _cmd_quasimap_analyze(args):
 def _cmd_embed_build(args):
     fan = tio.load_fan(args.fan)
     emb = build_epic_embedding(fan)
-    data = tio.embedding_to_dict(emb)
-    if args.output:
-        tio.dump(data, args.output)
-    _emit(args, data, [
+    _emit_saved(args, tio.embedding_to_dict(emb), [
         f"target: product with ray blocks of a {emb.target.dim}-dimensional fan",
         f"monomial exponents: {[tuple(e) for e in emb.exponents]}",
-        (f"written to {args.output}" if args.output else "(use -o to save)"),
     ])
 
 
 def _cmd_embed_check(args):
     emb = tio.load_embedding(args.embedding)
-    violations = validate_embedding(emb)
-    if violations:
-        _emit(args, {"valid": False, "violations": violations},
-              [f"invalid: {v}" for v in violations])
-        raise DomainError("embedding data is invalid")
+    _reject_invalid(args, validate_embedding(emb), "embedding data")
     epic = epic_check(emb)
     _emit(args, {"valid": True, "epic": epic}, [f"valid embedding data; epic: {epic}"])
 
@@ -219,14 +213,8 @@ def _cmd_embed_ibar(args):
     emb = tio.load_embedding(args.embedding)
     q = tio.load_quasimap(args.quasimap)
     image = apply_ibar(emb, q)
-    data = tio.quasimap_to_dict(image)
-    if args.output:
-        tio.dump(data, args.output)
-    total = degrees(image)[0]
-    _emit(args, data, [
-        f"image degree: {_class_text(total)}",
-        (f"written to {args.output}" if args.output else "(use -o to save)"),
-    ])
+    _emit_saved(args, tio.quasimap_to_dict(image),
+                [f"image degree: {_class_text(degrees(image)[0])}"])
 
 
 def _cmd_embed_fibre(args):
@@ -264,13 +252,9 @@ def _cmd_contract_apply(args):
     q = tio.load_quasimap(args.quasimap)
     f = StableMapTree(q)
     contracted = contract(f)
-    data = tio.quasimap_to_dict(contracted)
-    if args.output:
-        tio.dump(data, args.output)
-    _emit(args, data, [
+    _emit_saved(args, tio.quasimap_to_dict(contracted), [
         f"contracted quasimap degree: {_class_text(degrees(contracted)[0])}",
         f"basepoints: {len(basepoints(contracted))}",
-        (f"written to {args.output}" if args.output else "(use -o to save)"),
     ])
 
 
@@ -284,25 +268,17 @@ def _cmd_graft(args):
     else:
         place = Place.rational(tio.parse_scalar(args.place))
     out = graft(q, args.component, place, sections, attach)
-    data = tio.quasimap_to_dict(out)
-    if args.output:
-        tio.dump(data, args.output)
-    _emit(args, data, [
-        f"grafted quasimap with {out.n_components} components",
-        (f"written to {args.output}" if args.output else "(use -o to save)"),
-    ])
+    _emit_saved(args, tio.quasimap_to_dict(out),
+                [f"grafted quasimap with {out.n_components} components"])
 
 
 def _cmd_witness(args):
     q = tio.load_quasimap(args.quasimap)
+    _reject_invalid(args, validate_quasimap(q), "quasimap")
     witness = surjectivity_witness(q, length_bound=_length_bound())
-    data = tio.quasimap_to_dict(witness.quasimap)
-    if args.output:
-        tio.dump(data, args.output)
-    _emit(args, data, [
+    _emit_saved(args, tio.quasimap_to_dict(witness.quasimap), [
         f"witness stable map with {witness.quasimap.n_components} components",
-        f"contraction verified equal to the input",
-        (f"written to {args.output}" if args.output else "(use -o to save)"),
+        "contraction verified equal to the input",
     ])
 
 

@@ -17,7 +17,7 @@ from .classes import (CurveClass, ample_functional, is_fano, length,
 from .forms import BinaryForm, Place, ProjPoint, poly_mul
 from .quasimap import (Quasimap, basepoints, degrees, equal_quasimaps, extend_at,
                        section_values, special_point_count, stability,
-                       validate_quasimap, x_points_equal, xpoint_from_values)
+                       validate_quasimap, xpoint_from_values)
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,7 @@ def graft(q, component, place, tail_sections, attach_point):
     tail_values = tuple(f.value_at(attach_point) for f in tail_sections)
     if tuple(v == 0 for v in host_values) != tuple(v == 0 for v in tail_values):
         raise ValueError("tail sections do not match the extension at the basepoint")
-    if not x_points_equal(
-        q.fan, xpoint_from_values(q.fan, host_values), xpoint_from_values(q.fan, tail_values)
-    ):
+    if xpoint_from_values(q.fan, host_values) != xpoint_from_values(q.fan, tail_values):
         raise ValueError("tail sections do not match the extension at the basepoint")
 
     new_comp = extended.n_components

@@ -6,9 +6,11 @@ canonical index order used everywhere downstream (pairing vectors, order
 vectors, section tuples), and the first maximal cone anchors the divisor
 class basis.
 
-``validate_fan`` decides the fan condition locally: each wall's two cones
-must lie strictly on opposite sides of it (one integer sign per wall), and
-the ray sum of cone 0 must lie in cone 0 alone (covering degree one).
+``validate_fan`` reads smoothness off the dual bases (a cone is smooth exactly
+when its dual basis is integral) and decides the fan condition locally: each
+wall's two cones must lie strictly on opposite sides of it (one integer sign
+per wall), and the ray sum of cone 0 must lie in cone 0 alone (covering
+degree one).
 
 All arithmetic is exact (ints and fractions).  Fans are immutable and every
 operation is a pure function.  Derived data is memoized on the instance
@@ -21,7 +23,7 @@ from functools import wraps
 from itertools import combinations
 from math import gcd
 
-from .linalg import determinant, frac, invert
+from .linalg import frac, invert
 
 
 def memo(fn):
@@ -237,8 +239,9 @@ def validate_fan(fan):
     if report:
         return report
     for cone in fan.max_cones:
-        mat = [[fan.rays[j][i] for j in cone] for i in range(fan.dim)]
-        if abs(determinant(mat)) != 1:
+        try:  # smooth (|det| = 1) exactly when the dual basis is integral
+            dual_basis(fan, cone)
+        except ValueError:
             report.append(f"maximal cone {cone} is not smooth (determinant != +-1)")
     if report:
         return report

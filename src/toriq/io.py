@@ -17,16 +17,23 @@ from .embedding import EmbeddingSpec
 from .quasimap import Quasimap
 
 
+class MalformedInput(ValueError):
+    """Input that does not have the shape or the types of the object read:
+    JSON that parses but is of the wrong shape, or a scalar that is not an
+    integer or a 'p/q' string."""
+
+
 def parse_scalar(value):
     if isinstance(value, bool):
-        raise ValueError("booleans are not numbers")
-    if isinstance(value, int):
-        return Fraction(value)
+        raise MalformedInput("booleans are not numbers")
     if isinstance(value, float):
-        raise ValueError("floats are not accepted; use integers or 'p/q' strings")
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    raise ValueError(f"cannot parse scalar {value!r}")
+        raise MalformedInput("floats are not accepted; use integers or 'p/q' strings")
+    if not isinstance(value, (int, str)):
+        raise MalformedInput(f"cannot parse scalar {value!r}")
+    try:
+        return Fraction(value.strip() if isinstance(value, str) else value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedInput(f"cannot parse scalar {value!r} ({exc})") from exc
 
 
 def scalar_to_json(value):
@@ -37,7 +44,7 @@ def scalar_to_json(value):
 def parse_int(value):
     f = parse_scalar(value)
     if f.denominator != 1:
-        raise ValueError(f"expected an integer, got {value!r}")
+        raise MalformedInput(f"expected an integer, got {value!r}")
     return int(f)
 
 
@@ -152,10 +159,6 @@ def embedding_to_dict(emb):
     }
 
 
-class MalformedInput(ValueError):
-    """A JSON file that parses but does not have the shape of the object read."""
-
-
 def _load(path, from_dict, *args):
     with open(path) as handle:
         data = json.load(handle, parse_float=_reject_float)
@@ -202,12 +205,12 @@ def dump(data, path=None):
 def parse_pairing_list(text, n):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated values, got {len(parts)}")
+        raise MalformedInput(f"expected {n} comma-separated values, got {len(parts)}")
     return tuple(parse_scalar(p) for p in parts)
 
 
 def parse_order_list(text, n):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated values, got {len(parts)}")
+        raise MalformedInput(f"expected {n} comma-separated values, got {len(parts)}")
     return tuple(parse_order(p) for p in parts)

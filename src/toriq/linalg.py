@@ -1,8 +1,15 @@
 """Small exact linear algebra helpers over the rationals and the integers.
 
 Everything here works on plain lists/tuples of ints or fractions.Fraction;
-matrices are lists of rows.  Sizes are tiny (lattice rank <= 4 at the scales
-this package targets), so clarity beats asymptotics.
+matrices are lists of rows.  Sizes are tiny (lattice rank in the single
+digits), so clarity beats asymptotics.
+
+Facts about a single smooth cone (smoothness, characters vanishing on a face)
+are read off its integral dual basis in ``fan``, not recomputed here.  What is
+left serves the places with no cone to read from: ``invert`` builds the dual
+bases, ``solve_square`` the polytope vertices, ``kernel_basis`` and
+``primitive_vector`` the nef cone's extreme rays, and
+``lattice_map_is_surjective`` the epic check of an embedding.
 """
 
 from fractions import Fraction
@@ -17,27 +24,6 @@ def frac(x):
 
 def mat_vec(mat, vec):
     return tuple(sum(frac(a) * frac(b) for a, b in zip(row, vec)) for row in mat)
-
-
-def determinant(mat):
-    """Exact determinant via fraction Gaussian elimination."""
-    n = len(mat)
-    m = [[frac(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 def invert(mat):
@@ -118,18 +104,14 @@ def primitive_vector(vec):
 
 
 def integer_diagonal_form(mat):
-    """Diagonalize an integer matrix by unimodular row/column operations.
+    """Diagonal of S @ mat @ T for some unimodular S and T.
 
-    Returns (diag, col_transform) with diag = S @ mat @ col_transform for some
-    unimodular S, diag diagonal.  kernel(mat) over Z is spanned by the columns
-    of col_transform at positions whose diagonal entry is zero (or beyond the
-    diagonal).  No divisibility chain is enforced; ranks and unit pivots are
-    still read off correctly.
+    No divisibility chain is enforced; ranks and unit pivots are still read
+    off correctly.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
     a = [[int(x) for x in row] for row in mat]
-    t = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -137,16 +119,12 @@ def integer_diagonal_form(mat):
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in t:
-            row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, mult):
         a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
 
     def add_col(dst, src, mult):
         for row in a:
-            row[dst] += mult * row[src]
-        for row in t:
             row[dst] += mult * row[src]
 
     k = 0
@@ -179,8 +157,7 @@ def integer_diagonal_form(mat):
                         swap_cols(k, j)
                         dirty = True
         k += 1
-    diag = [a[i][i] for i in range(min(m, n))]
-    return diag, t
+    return [a[i][i] for i in range(min(m, n))]
 
 
 def lattice_map_is_surjective(mat):
@@ -188,22 +165,5 @@ def lattice_map_is_surjective(mat):
     m = len(mat)
     if m == 0:
         return True
-    diag, _ = integer_diagonal_form(mat)
-    nonzero = [d for d in diag if d != 0]
+    nonzero = [d for d in integer_diagonal_form(mat) if d != 0]
     return len(nonzero) == m and all(abs(d) == 1 for d in nonzero)
-
-
-def integer_kernel_basis(mat):
-    """Basis of the saturated integer kernel {x in Z^n : mat @ x = 0}."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    diag, t = integer_diagonal_form(mat)
-    basis = []
-    for j in range(n):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append(tuple(t[i][j] for i in range(n)))
-    return basis

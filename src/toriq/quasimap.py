@@ -7,14 +7,13 @@ scalar tuple; all comparisons below work with that model and stay entirely
 inside rational arithmetic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .basepoint import INF, OrderVector, degree_at_point, length_at_point
 from .classes import CurveClass, anticanonical_class, is_fano
 from .fan import is_connected, primitive_collections, require_valid
 from .forms import Place, common_zero_places
-from .linalg import integer_kernel_basis
 
 
 @dataclass(frozen=True)
@@ -63,11 +62,17 @@ class BasepointPlace:
 @dataclass(frozen=True)
 class XPoint:
     """A point of the target in a torus chart: chosen cone, chart coordinates,
-    and the raw section values it came from."""
+    and the raw section values it came from.
+
+    ``==`` is equality of points of the target.  ``xpoint_from_values`` charts
+    a point in the first cone that contains its zero set, so equal points
+    share the cone and the chart coordinates; the Cox values of one point
+    differ by the torus action and stay out of the comparison.
+    """
 
     cone: int
     coords: tuple
-    cox: tuple
+    cox: tuple = field(compare=False)
 
 
 def section_values(q, comp, point):
@@ -99,15 +104,6 @@ def xpoint_from_values(fan, values):
         if zero <= set(cone):
             return XPoint(idx, _chart_coords(fan, idx, values), tuple(values))
     raise ValueError("value tuple is degenerate (a basepoint)")
-
-
-def x_points_equal(fan, p, r):
-    """Whether two chart points of ``fan`` are the same point of the target.
-
-    ``xpoint_from_values`` charts a point in the first cone that contains its
-    zero set, so equal points share the cone and the chart coordinates.
-    """
-    return (p.cone, p.coords) == (r.cone, r.coords)
 
 
 def evaluate(q, comp, point):
@@ -236,7 +232,7 @@ def validate_quasimap(q):
     for (a, pa), (b, pb) in q.nodes:
         va = evaluate(q, a, pa)
         vb = evaluate(q, b, pb)
-        if not x_points_equal(fan, va, vb):
+        if va != vb:
             report.append(
                 f"node between components {a} and {b} does not glue: the two "
                 "branches evaluate to different points"
@@ -314,12 +310,18 @@ def stability(q, mode="quasimap", ample=None):
     raise ValueError(f"unknown stability mode {mode!r}")
 
 
-def character_lattice_orthogonal_to(fan, rays):
-    """Basis of the characters vanishing on the given rays."""
-    mat = [list(fan.rays[i]) for i in sorted(rays)]
-    if not mat:
-        return [tuple(int(i == j) for i in range(fan.dim)) for j in range(fan.dim)]
-    return integer_kernel_basis(mat)
+def _orthogonal_characters(fan, rays):
+    """Pairing vectors of a basis of the characters vanishing on ``rays``.
+
+    The dual basis of a maximal cone sigma containing ``rays`` is a basis of
+    the character lattice, so its members m_k with sigma_k not in ``rays``
+    span the characters vanishing on them: the rows of E_sigma at those k.
+    """
+    sigma = next((cone for cone in fan.max_cones if rays <= set(cone)), None)
+    if sigma is None:
+        raise ValueError(f"the rays {tuple(sorted(rays))} lie in no cone: "
+                         "sections vanishing on all of them are degenerate")
+    return [exps for ray, exps in zip(sigma, fan.exponent_matrix(sigma)) if ray not in rays]
 
 
 def same_morphism_sections(fan, first, second):
@@ -327,12 +329,14 @@ def same_morphism_sections(fan, first, second):
     define the same morphism to the target.
 
     The tuples must be proportional ray by ray, with the ratio tuple killed by
-    every character orthogonal to the identically-vanishing rays.
+    every character orthogonal to the identically-vanishing rays.  A tuple
+    whose vanishing rays lie in no cone is degenerate and raises ValueError.
     """
     zero1 = frozenset(i for i, f in enumerate(first) if f.is_zero)
     zero2 = frozenset(i for i, f in enumerate(second) if f.is_zero)
     if zero1 != zero2:
         return False
+    characters = _orthogonal_characters(fan, zero1)
     ratios = {}
     for rho, (f, g) in enumerate(zip(first, second)):
         if rho in zero1:
@@ -348,8 +352,7 @@ def same_morphism_sections(fan, first, second):
         if tuple(lam * c for c in fp) != gp:
             return False
         ratios[rho] = lam
-    for m in character_lattice_orthogonal_to(fan, zero1):
-        exps = fan.pairing(m)
+    for exps in characters:
         prod = Fraction(1)
         for rho, lam in ratios.items():
             e = exps[rho]

@@ -168,12 +168,36 @@ def test_unreadable_file_is_usage_error(capsys):
     '[1, 2]',
     '{"dim": 2, "rays": ',
     '{"dim": 2, "rays": [[1.0, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
+    '{"dim": "x", "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
+    '{"dim": 2, "rays": [[true, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
+    '{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [["1/2", 1], [1, 2], [0, 2]]}',
+    '{"dim": 2, "rays": {"a": 1}, "max_cones": [[0, 1], [1, 2], [0, 2]]}',
+    '{"dim": 2, "rays": [["1/0", 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
 ])
 def test_malformed_json_is_usage_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     code, _, err = run(capsys, "fan", "validate", str(bad))
     assert code == 2 and err.startswith("usage error")
+
+
+@pytest.mark.parametrize("argv", [
+    ("basepoint-degree", "--fan", fx("bl0p2.json"), "--orders", "1/0,1,0,0"),
+    ("basepoint-degree", "--fan", fx("bl0p2.json"), "--orders", "1,0"),
+    ("class", "length", fx("bl0p2.json"), "--class", "1/0,1"),
+])
+def test_malformed_cli_values_are_usage_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("usage error")
+
+
+def test_witness_rejects_invalid_quasimap(tmp_path, capsys):
+    data = json.loads(fixture_path("section_line.json").read_text())
+    data["nodes"] = [[[0, [1, 3]], [1, [1, 0]]]]  # component 1 does not exist
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "witness", str(bad))
+    assert code == 1 and "invalid: node references a missing component" in out
 
 
 def test_max_length_env_caps_factor(capsys, monkeypatch):

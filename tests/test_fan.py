@@ -212,25 +212,82 @@ def _perturbed(fan, rng):
     return Fan(fan.dim, tuple(map(tuple, rays)), tuple(map(tuple, cones)))
 
 
-def test_wall_test_agrees_with_all_pairs_oracle(p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
-    double_cycle = Fan(2, ((1, 0), (-2, 1), (-1, 0), (-1, -1), (-1, -2), (0, -1), (1, 1), (-2, -1)),
-                       tuple((i, (i + 1) % 8) for i in range(8)))
-    low_dim = [p1, p2, bl0p2, p1xp1, f2, hexagon, double_cycle]
+DOUBLE_CYCLE = Fan(2, ((1, 0), (-2, 1), (-1, 0), (-1, -1), (-1, -2), (0, -1), (1, 1), (-2, -1)),
+                   tuple((i, (i + 1) % 8) for i in range(8)))
+
+
+@pytest.fixture(scope="module")
+def seeded_corpus(p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
+    """Twelve named fans and 265 seeded perturbations of them."""
+    low_dim = [p1, p2, bl0p2, p1xp1, f2, hexagon, DOUBLE_CYCLE]
     # the bundled fan fixtures are p2, p3, bl0p2 and p1xp1; bl0p2_product adds P1xP2
     dim3 = [p3, p2xp1, load_embedding(fixture_path("bl0p2_product.json")).target,
             product_fan([p1, p2]), product_fan([p1, p1, p1])]
     rng = random.Random(2024)
-    # the oracle takes about 0.1 s on a valid 3-dimensional fan, so most
-    # perturbations start from the cheaper low-dimensional fans
+    # the fan-condition oracle takes about 0.1 s on a valid 3-dimensional fan,
+    # so most perturbations start from the cheaper low-dimensional fans
     corpus = low_dim + dim3 + [_perturbed(rng.choice(low_dim), rng) for _ in range(250)]
     corpus += [_perturbed(rng.choice(dim3), rng) for _ in range(15)]
+    return corpus
+
+
+def test_wall_test_agrees_with_all_pairs_oracle(seeded_corpus):
     stage_failures = 0
-    for fan in corpus:
+    for fan in seeded_corpus:
         report = validate_fan(fan)
         if any("intersect outside" not in line for line in report):
             continue  # failed a check that runs before the fan condition
         expected = _fan_condition_violations(fan)
         assert bool(report) == bool(expected), fan
         stage_failures += bool(expected)
-    assert validate_fan(double_cycle)
+    assert validate_fan(DOUBLE_CYCLE)
     assert stage_failures >= 30
+
+
+# Reference for smoothness: the determinant of each maximal cone's rays,
+# which validate_fan no longer computes (it asks for an integral dual basis).
+
+def determinant(mat):
+    """Exact determinant via fraction Gaussian elimination."""
+    n = len(mat)
+    m = [[frac(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = Fraction(1) / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                factor = m[r][col] * inv
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+# lines of the checks that validate_fan runs before smoothness
+BEFORE_SMOOTHNESS = ("not pairwise distinct", "is zero", "not primitive",
+                     "no maximal cones", "does not have")
+
+
+def test_smoothness_agrees_with_determinant_oracle(seeded_corpus):
+    singular = Fan(2, ((1, 0), (-1, 0), (0, 1)), ((0, 1), (0, 2), (1, 2)))
+    index_two = Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
+    checked = non_smooth = 0
+    for fan in seeded_corpus + [singular, index_two]:
+        report = validate_fan(fan)
+        if any(word in line for line in report for word in BEFORE_SMOOTHNESS):
+            continue
+        expected = [
+            f"maximal cone {cone} is not smooth (determinant != +-1)"
+            for cone in fan.max_cones
+            if abs(determinant([[fan.rays[j][i] for j in cone] for i in range(fan.dim)])) != 1
+        ]
+        assert [line for line in report if "not smooth" in line] == expected, fan
+        checked += 1
+        non_smooth += bool(expected)
+    assert validate_fan(singular) == ["maximal cone (0, 1) is not smooth (determinant != +-1)"]
+    assert checked >= 200 and non_smooth >= 30

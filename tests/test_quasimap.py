@@ -1,13 +1,16 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from toriq.basepoint import degree_at_point
 from toriq.classes import is_effective
+from toriq.fan import product_fan, projective_space_fan
 from toriq.forms import BinaryForm, Place, ProjPoint
-from toriq.quasimap import (Quasimap, basepoint_length, basepoints, degrees,
-                            equal_quasimaps, evaluate, regular_extension,
-                            stability, validate_quasimap, x_points_equal)
+from toriq.quasimap import (Quasimap, _orthogonal_characters, basepoint_length,
+                            basepoints, degrees, equal_quasimaps, evaluate,
+                            regular_extension, same_morphism_sections, stability,
+                            validate_quasimap)
 
 from qmgen import random_quasimap
 
@@ -124,7 +127,7 @@ def test_evaluate_scale_invariance(p2):
     q = Quasimap(p2, ((F(1, 1), F(1, 0, 1), F(1, 1, 1)),), markings=MARKS)
     a = evaluate(q, 0, ProjPoint(1, 3))
     b = evaluate(q, 0, ProjPoint(2, 6))
-    assert x_points_equal(p2, a, b)
+    assert a == b
 
 
 def test_equal_quasimaps(segre_pair):
@@ -173,4 +176,33 @@ def test_node_gluing_invariant_random(p1xp1):
     for _ in range(15):
         q = random_quasimap(p1xp1, rng, max_components=3)
         for (a, pa), (b, pb) in q.nodes:
-            assert x_points_equal(q.fan, evaluate(q, a, pa), evaluate(q, b, pb))
+            assert evaluate(q, a, pa) == evaluate(q, b, pb)
+
+
+def test_same_morphism_needs_the_character_condition(p2):
+    f0, f1, f2 = F(1, 1), F(1, 0, 1), F(1, 1, 1)
+    zero = BinaryForm.zero(1)
+
+    def same(first, second):
+        return same_morphism_sections(p2, first, second)
+
+    # ray by ray proportional, but the ratios (1, 2, 1) are no torus element
+    assert not same((f0, f1.scale(2), f2), (f0, f1, f2))
+    assert same((f0.scale(2), f1.scale(2), f2.scale(2)), (f0, f1, f2))
+    # with ray 0 identically zero only the character pairing (0, 1, -1) is left
+    assert same((zero, f1.scale(3), f2.scale(3)), (zero, f1, f2))
+    assert not same((zero, f1.scale(3), f2), (zero, f1, f2))
+    with pytest.raises(ValueError, match=r"\(0, 1, 2\)"):
+        same((zero,) * 3, (zero,) * 3)
+
+
+def test_orthogonal_characters_of_every_face(p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
+    fans = [p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon,
+            product_fan([projective_space_fan(2), projective_space_fan(3)])]
+    for fan in fans:
+        for cone in fan.max_cones:
+            for size in range(len(cone) + 1):
+                for face in map(frozenset, combinations(cone, size)):
+                    rows = _orthogonal_characters(fan, face)
+                    assert len(rows) == fan.dim - len(face)
+                    assert all(row[rho] == 0 for row in rows for rho in face)
