@@ -2,8 +2,11 @@
 """Run every bundled worked case and print the full check-by-check report."""
 
 import sys
+from pathlib import Path
 
-from toriq.cases import CASE_NAMES, run_case
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from toriq.cases import CASE_NAMES, run_case  # noqa: E402
 
 
 def main():

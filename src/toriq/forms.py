@@ -7,16 +7,17 @@ point at infinity [0 : 1] handled through the leftover power of X.  Zero
 forms are legal for any degree (negative degrees force them) and represent
 the zero section of the corresponding line bundle.
 
-Places are monic irreducible polynomials in z, plus the place at infinity;
-irreducible factorization over the rationals is delegated to sympy, the rest
-of the polynomial arithmetic is done directly on Fraction coefficient lists.
+Places are monic irreducible polynomials in z, plus the place at infinity.
+Polynomials of degree at most two are factored over the rationals here, and
+the rest of the polynomial arithmetic is done directly on Fraction
+coefficient lists; factoring degree three and up is delegated to sympy, which
+is imported on first use so that the library and CLI start without it.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import sympy
 
 from .linalg import frac
 
@@ -293,13 +294,12 @@ class BinaryForm:
         return f"BinaryForm(deg={self.degree}, {self.coeffs})"
 
 
-_Z = sympy.Symbol("z")
-
-
 @lru_cache(maxsize=None)
 def _factor_poly_cached(poly):
+    import sympy
+
     expr = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(poly)],
-                      _Z, domain="QQ")
+                      sympy.Symbol("z"), domain="QQ")
     unit, factors = expr.factor_list()
     unit = Fraction(sympy.Integer(unit.p), sympy.Integer(unit.q)) if unit.is_Rational else None
     if unit is None:
@@ -315,13 +315,36 @@ def _factor_poly_cached(poly):
     return unit, tuple(out)
 
 
+def _factor_monic_quadratic(c, b):
+    """Monic factors of z^2 + b z + c over Q, in the order sympy gives them:
+    a double root once with multiplicity 2, distinct rational roots p/q
+    sorted by the primitive integer form [q, -p] of their linear factor."""
+    disc = b * b - 4 * c
+    num, den = math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return (((c, b, Fraction(1)), 1),)  # no rational square root: irreducible
+    if num == 0:
+        return (((b / 2, Fraction(1)), 2),)
+    root = Fraction(num, den)
+    roots = sorted(((-b - root) / 2, (-b + root) / 2),
+                   key=lambda r: (r.denominator, -r.numerator))
+    return tuple(((-r, Fraction(1)), 1) for r in roots)
+
+
 def _factor_poly(poly):
+    """Leading coefficient and (monic irreducible factor, multiplicity) pairs
+    of a nonzero polynomial with Fraction coefficients, low-to-high."""
     poly = _trim(poly)
     if not poly:
         raise ValueError("cannot factor the zero polynomial")
+    lead = poly[-1]
     if len(poly) == 1:
-        return poly[0], ()
-    return _factor_poly_cached(tuple(poly))
+        return lead, ()
+    if len(poly) == 2:
+        return lead, (((poly[0] / lead, Fraction(1)), 1),)
+    if len(poly) == 3:
+        return lead, _factor_monic_quadratic(poly[0] / lead, poly[1] / lead)
+    return _factor_poly_cached(poly)
 
 
 def common_zero_places(forms):

@@ -59,9 +59,13 @@ def order_to_json(value):
 
 
 def fan_from_dict(data):
+    dim = parse_int(data["dim"])
     rays = [[parse_int(x) for x in ray] for ray in data["rays"]]
+    for ray in rays:
+        if len(ray) != dim:
+            raise MalformedInput(f"ray {ray} does not have length {dim}")
     cones = [[parse_int(i) for i in cone] for cone in data["max_cones"]]
-    return Fan(parse_int(data["dim"]), tuple(tuple(r) for r in rays), tuple(tuple(c) for c in cones))
+    return Fan(dim, tuple(tuple(r) for r in rays), tuple(tuple(c) for c in cones))
 
 
 def fan_to_dict(fan):
@@ -87,6 +91,8 @@ def divisor_class_to_dict(divisor):
 
 
 def point_from_json(data):
+    if not isinstance(data, list) or len(data) != 2:
+        raise MalformedInput(f"a point is a list [a, b] of two scalars, got {data!r}")
     a, b = data
     return ProjPoint(parse_scalar(a), parse_scalar(b))
 
@@ -100,6 +106,9 @@ def form_from_dict(data):
     coeffs = tuple(parse_scalar(c) for c in data["coeffs"])
     if degree < 0:
         return BinaryForm.zero(degree)
+    if len(coeffs) != degree + 1:
+        raise MalformedInput(f"a degree-{degree} form needs {degree + 1} coefficients, "
+                             f"got {len(coeffs)}")
     return BinaryForm(degree, coeffs)
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toriq
 from toriq.cases import CASE_NAMES, fixture_path
 from toriq.cli import main
 
@@ -136,6 +141,8 @@ def test_graft_cli(tmp_path, capsys):
 @pytest.mark.parametrize("tail", [
     {"sections": 5, "attach": [1, 0]},
     {"sections": [], "attach": 3},
+    {"sections": [], "attach": [1, 0, 3]},
+    {"sections": [{"degree": 1, "coeffs": ["1"]}], "attach": [1, 0]},
 ])
 def test_malformed_graft_tail_is_usage_error(tmp_path, capsys, tail):
     bad = tmp_path / "tail.json"
@@ -173,6 +180,7 @@ def test_unreadable_file_is_usage_error(capsys):
     '{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [["1/2", 1], [1, 2], [0, 2]]}',
     '{"dim": 2, "rays": {"a": 1}, "max_cones": [[0, 1], [1, 2], [0, 2]]}',
     '{"dim": 2, "rays": [["1/0", 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
+    '{"dim": 2, "rays": [[1, 0, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
 ])
 def test_malformed_json_is_usage_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
@@ -210,3 +218,22 @@ def test_max_length_env_caps_factor(capsys, monkeypatch):
     code, out, _ = run(capsys, "--json", "class", "factor", fx("bl0p2.json"),
                        "--class", "1,1,1,0")
     assert json.loads(out)["irreducible"] is True
+
+
+COLD_START = """
+import sys
+import toriq, toriq.cli
+assert "sympy" not in sys.modules, "importing toriq.cli loaded sympy"
+from toriq.cases import CASE_NAMES, run_case
+assert all(run_case(name).passed for name in CASE_NAMES)
+assert "sympy" not in sys.modules, "a bundled case loaded sympy"
+"""
+
+
+def test_cli_starts_and_runs_cases_without_sympy():
+    # the bundled cases factor only linear and quadratic forms, which need no sympy
+    src = str(Path(toriq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

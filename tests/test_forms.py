@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from toriq.forms import (BinaryForm, Place, ProjPoint, common_zero_places,
-                         poly_divmod, poly_gcd, poly_mul)
+from toriq.forms import (BinaryForm, Place, ProjPoint, _factor_poly,
+                         _factor_poly_cached, common_zero_places, poly_divmod,
+                         poly_gcd, poly_mul)
 
 
 def F(deg, *coeffs):
@@ -58,6 +60,44 @@ def test_factor_includes_infinity_and_units():
     assert unit == 1
     (place, mult), = places.items()
     assert mult == 1 and place.degree == 2
+
+
+def low_degree_corpus(rng, count):
+    """Seeded polynomials of degree 1 and 2 with rational coefficients:
+    linear ones, products of two rational linear factors, double roots and
+    random (mostly irreducible) quadratics, each times a nonzero rational
+    leading coefficient of either sign."""
+    def scalar():
+        return Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4, 6, 9)))
+
+    def linear(root):
+        return (-root, Fraction(1))
+
+    corpus = []
+    while len(corpus) < count:
+        lead = scalar()
+        if lead == 0:
+            continue
+        kind = len(corpus) % 4
+        if kind == 0:
+            monic = linear(scalar())
+        elif kind == 1:
+            monic = poly_mul(linear(scalar()), linear(scalar()))
+        elif kind == 2:
+            root = scalar()
+            monic = poly_mul(linear(root), linear(root))
+        else:
+            monic = (scalar(), scalar(), Fraction(1))
+        corpus.append(tuple(c * lead for c in monic))
+    return corpus
+
+
+def test_low_degree_factoring_agrees_with_sympy():
+    corpus = low_degree_corpus(random.Random(2024), 1500)
+    assert {len(p) for p in corpus} == {2, 3}
+    oracle = _factor_poly_cached.__wrapped__
+    for poly in corpus:
+        assert _factor_poly(poly) == oracle(poly), poly
 
 
 def test_common_zero_places():
