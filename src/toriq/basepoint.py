@@ -4,13 +4,13 @@ An order vector records, per ray, the vanishing order of the corresponding
 section at one smooth point of the source curve; identically vanishing
 sections get the symbolic value ``INF``.  The degree of the point is the
 unique effective curve class whose twist removes the basepoint; it is found
-by scanning the maximal cones whose rays contain all identically-vanishing
-directions.
+by locating the vector the orders sum the rays to among the maximal cones
+that contain all identically-vanishing directions.
 """
 
 from dataclasses import dataclass
 
-from .classes import CurveClass, beta_a_sigma
+from .classes import CurveClass
 from .fan import primitive_collections, require_valid
 
 
@@ -97,30 +97,30 @@ class OrderVector:
         return frozenset(i for i, x in enumerate(self.orders) if is_infinite(x))
 
 
-def _eligible_cones(fan, vanishing):
-    return [idx for idx, cone in enumerate(fan.max_cones) if vanishing <= set(cone)]
+def _locate_degree(fan, orders, vanishing):
+    """Degree and witnesses of ``orders``, which may hold negative integers.
 
-
-def _scan_degree(fan, orders, vanishing):
-    """Shared cone scan; ``orders`` may contain negative integers (internal use)."""
+    With v the sum of a_rho u_rho over the rays off Z = ``vanishing``, a
+    maximal cone sigma containing Z is a witness iff c_k = <m_k, v> >= 0 at
+    each ray sigma_k off Z; the degree is a - c on sigma (a as 0 on Z), a off it.
+    """
     require_valid(fan)
-    qualifying = []
-    classes = {}
-    for idx in _eligible_cones(fan, vanishing):
-        beta = beta_a_sigma(fan, orders, fan.max_cones[idx])
-        if all(o >= d for o, d in zip(orders, beta.pairings)):
-            qualifying.append(idx)
-            classes[idx] = beta
-    if not qualifying:
+    finite = [(i, o) for i, o in enumerate(orders) if o and o is not INF]
+    hits = []
+    for idx, sigma in enumerate(fan.max_cones):
+        if vanishing.issubset(sigma):
+            c = [sum(o * row[i] for i, o in finite) for row in fan.exponent_matrix(sigma)]
+            if all(ck >= 0 for rho, ck in zip(sigma, c) if rho not in vanishing):
+                hits.append((idx, sigma, c))
+    if not hits:
         raise ValueError(
             "no maximal cone admits the order vector; the fan data is corrupt"
         )
-    distinct = {classes[idx].pairings for idx in qualifying}
-    if len(distinct) > 1:
-        raise RuntimeError(
-            f"degree at a point is not unique ({sorted(distinct)}); this is a bug"
-        )
-    return classes[qualifying[0]], tuple(qualifying)
+    _, sigma, c = hits[0]
+    pairings = list(orders)
+    for rho, ck in zip(sigma, c):
+        pairings[rho] = (0 if rho in vanishing else orders[rho]) - ck
+    return CurveClass(fan, tuple(pairings)), tuple(idx for idx, _, _ in hits)
 
 
 def degree_at_point(fan, ord_vector):
@@ -128,30 +128,26 @@ def degree_at_point(fan, ord_vector):
 
     Returns ``(beta, witnesses)`` where ``witnesses`` lists every maximal cone
     containing the vanishing rays whose associated class satisfies all order
-    inequalities; they all induce the same class.
+    inequalities, found by integer point location; they induce the same class.
     """
     if not isinstance(ord_vector, OrderVector):
         ord_vector = OrderVector(fan, tuple(ord_vector))
-    return _scan_degree(fan, ord_vector.orders, ord_vector.vanishing)
+    return _locate_degree(fan, ord_vector.orders, ord_vector.vanishing)
 
 
 def length_at_point(fan, ord_vector):
-    """Combinatorial length of the point: minimum over admissible cones of the
-    pairing sum of the cone's associated class over the rays off the cone."""
+    """Combinatorial length of the point: the minimum, over maximal cones
+    containing the vanishing rays, of the orders summed over the rays off
+    the cone (beta_{a,sigma} equals the orders there)."""
     if not isinstance(ord_vector, OrderVector):
         ord_vector = OrderVector(fan, tuple(ord_vector))
     require_valid(fan)
-    best = None
-    for idx in _eligible_cones(fan, ord_vector.vanishing):
-        cone = fan.max_cones[idx]
-        complement = fan.cone_complement(cone)
-        beta = beta_a_sigma(fan, ord_vector.orders, cone)
-        total = sum(beta.pairings[i] for i in complement)
-        if best is None or total < best:
-            best = total
-    if best is None:
+    vanishing = ord_vector.vanishing
+    totals = [sum(ord_vector.orders[i] for i in fan.cone_complement(cone))
+              for cone in fan.max_cones if vanishing <= set(cone)]
+    if not totals:
         raise ValueError("no maximal cone admits the order vector")
-    return best
+    return min(totals)
 
 
 def twist_orders(fan, ord_vector, beta):
@@ -175,13 +171,3 @@ def twist_orders(fan, ord_vector, beta):
             return None
         new.append(v)
     return OrderVector(fan, tuple(new))
-
-
-def is_nonbasepoint_vector(fan, ord_vector):
-    """Whether some maximal cone has order zero on every ray off the cone."""
-    if not isinstance(ord_vector, OrderVector):
-        ord_vector = OrderVector(fan, tuple(ord_vector))
-    for cone in fan.max_cones:
-        if all(ord_vector.orders[i] == 0 for i in fan.cone_complement(cone)):
-            return True
-    return False

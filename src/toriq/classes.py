@@ -2,11 +2,13 @@
 
 Curve classes are stored as their full intersection pairing vector against
 the toric boundary divisors; divisor classes in the anchor basis given by the
-boundary divisors away from the fan's first maximal cone.  Effectivity is
-membership in the rational cone spanned by the wall curve classes, decided
-exactly through the dual (nef) cone.
+boundary divisors away from the fan's first maximal cone.  Values are ints
+where integral, as on a smooth fan they usually are, and Fractions only where
+a class is rational.  Effectivity is membership in the rational cone spanned
+by the wall curve classes, decided exactly through the dual (nef) cone.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -16,6 +18,8 @@ from .linalg import frac, kernel_basis, primitive_vector
 
 
 def _normalize_scalar(x):
+    if type(x) is int:
+        return x
     f = frac(x)
     return int(f) if f.denominator == 1 else f
 
@@ -28,14 +32,13 @@ class CurveClass:
     pairings: tuple
 
     def __post_init__(self):
-        vals = tuple(_normalize_scalar(x) for x in self.pairings)
+        vals = tuple(map(_normalize_scalar, self.pairings))
         object.__setattr__(self, "pairings", vals)
         if len(vals) != self.fan.n_rays:
             raise ValueError("pairing vector length does not match the ray count")
-        for coord in range(self.fan.dim):
-            if sum(frac(d) * self.fan.rays[i][coord] for i, d in enumerate(vals)) != 0:
-                raise ValueError(f"pairing vector {vals} is not a curve class "
-                                 "(it pairs inconsistently with the ray relations)")
+        if any(sum(map(operator.mul, vals, column)) for column in zip(*self.fan.rays)):
+            raise ValueError(f"pairing vector {vals} is not a curve class "
+                             "(it pairs inconsistently with the ray relations)")
 
     @property
     def anchor_coords(self):
@@ -144,12 +147,11 @@ def beta_a_sigma(fan, a, sigma):
     if sigma not in fan.max_cones:
         raise ValueError(f"{sigma} is not a maximal cone")
     complement = fan.cone_complement(sigma)
-    values = {i: frac(a[i]) for i in complement}
-    pairings = [Fraction(0)] * fan.n_rays
+    pairings = [0] * fan.n_rays
     for i in complement:
-        pairings[i] = values[i]
+        pairings[i] = _normalize_scalar(a[i])
     for rho, row in zip(sigma, fan.exponent_matrix(sigma)):
-        pairings[rho] = -sum(values[i] * row[i] for i in complement)
+        pairings[rho] = -sum(pairings[i] * row[i] for i in complement)
     return CurveClass(fan, tuple(pairings))
 
 

@@ -282,7 +282,8 @@ def surjectivity_witness(q, length_bound=None):
             raise ValueError(
                 "target is neither Fano nor passes the relaxed surjectivity condition"
             )
-    for bp in basepoints(q):
+    bps = basepoints(q)
+    for bp in bps:
         if bp.place.rational_point() is None:
             raise ValueError(
                 "witness search supports rational basepoint places only; "
@@ -292,14 +293,11 @@ def surjectivity_witness(q, length_bound=None):
     work = q
     zero_counter = 0
 
-    def measure(qm):
-        return sum(length(bp.degree) ** 2 for bp in basepoints(qm))
+    def measure(places):
+        return sum(length(bp.degree) ** 2 for bp in places)
 
-    current = measure(work)
-    while True:
-        bps = basepoints(work)
-        if not bps:
-            break
+    current = measure(bps)
+    while bps:
         bp = bps[0]
         if bp.place.rational_point() is None:
             raise ValueError("witness search hit an irrational basepoint place")
@@ -307,7 +305,8 @@ def surjectivity_witness(q, length_bound=None):
         values = section_values(extended, bp.component, bp.place.rational_point())
         tail, zero_counter = _deterministic_tail(values, bp.degree, zero_counter)
         work = graft(work, bp.component, bp.place, tail, ProjPoint(1, 0))
-        nxt = measure(work)
+        bps = basepoints(work)
+        nxt = measure(bps)
         if nxt >= current:
             raise RuntimeError(
                 "witness search failed to descend; the target violates the "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .basepoint import INF, _scan_degree
+from .basepoint import INF, _locate_degree
 from .classes import (CurveClass, DivisorClass, ample_functional, anchor_rays,
                       divisor_from_ray_coefficients, effective_classes, is_fano,
                       length, nef_hilbert_basis)
@@ -433,9 +433,9 @@ def _invert_component(emb, secs):
                             vec.append(zeta_orders[rho][p])
                         else:
                             vec.append(0)
-                    beta_p, _ = _scan_degree(src, tuple(vec), frozenset(vanishing))
+                    beta_p, _ = _locate_degree(src, tuple(vec), frozenset(vanishing))
                     shifts[p] = beta_p
-            except (ValueError, RuntimeError):
+            except ValueError:
                 continue
 
             sections = [None] * src.n_rays
@@ -448,10 +448,9 @@ def _invert_component(emb, secs):
                 for p in all_places:
                     base = zeta_orders.get(rho, {p: 0 for p in all_places})
                     e = base[p] - shifts[p].pairings[rho]
-                    if e < 0 or (isinstance(e, Fraction) and e.denominator != 1):
+                    if e < 0:
                         ok = False
                         break
-                    e = int(e)
                     if e == 0:
                         continue
                     degree += e * p.degree

@@ -90,11 +90,20 @@ def divisor_class_to_dict(divisor):
     return {"anchor_cone": 0, "coords": [scalar_to_json(x) for x in divisor.coords]}
 
 
-def point_from_json(data):
+def _pair(data, shape):
     if not isinstance(data, list) or len(data) != 2:
-        raise MalformedInput(f"a point is a list [a, b] of two scalars, got {data!r}")
-    a, b = data
+        raise MalformedInput(f"{shape}, got {data!r}")
+    return data
+
+
+def point_from_json(data):
+    a, b = _pair(data, "a point is a list [a, b] of two scalars")
     return ProjPoint(parse_scalar(a), parse_scalar(b))
+
+
+def _special_point(data):
+    comp, point = _pair(data, "a special point is a list [component, point]")
+    return parse_int(comp), point_from_json(point)
 
 
 def point_to_json(point):
@@ -128,12 +137,10 @@ def quasimap_from_dict(data, base_dir="."):
         tuple(form_from_dict(f) for f in comp) for comp in data["components"]
     )
     nodes = tuple(
-        ((parse_int(a), point_from_json(pa)), (parse_int(b), point_from_json(pb)))
-        for (a, pa), (b, pb) in data.get("nodes", ())
+        tuple(map(_special_point, _pair(node, "a node is a list of two special points")))
+        for node in data.get("nodes", ())
     )
-    markings = tuple(
-        (parse_int(c), point_from_json(p)) for c, p in data.get("markings", ())
-    )
+    markings = tuple(map(_special_point, data.get("markings", ())))
     return Quasimap(fan, components, nodes, markings)
 
 

@@ -261,12 +261,17 @@ def extend_at(q, comp, place, beta):
     return q.with_components(new)
 
 
-def regular_extension(q):
-    """The basepoint-free quasimap obtained by twisting away every basepoint."""
+def _twist_away(q, bps):
+    """``q`` twisted at each of the given basepoint places by its degree."""
     out = q
-    for bp in basepoints(q):
+    for bp in bps:
         out = extend_at(out, bp.component, bp.place, bp.degree)
     return out
+
+
+def regular_extension(q):
+    """The basepoint-free quasimap obtained by twisting away every basepoint."""
+    return _twist_away(q, basepoints(q))
 
 
 def special_point_count(q, comp):
@@ -394,8 +399,8 @@ def equal_quasimaps(q1, q2):
             return False
         if a.degree.pairings != b.degree.pairings:
             return False
-    r1 = regular_extension(q1)
-    r2 = regular_extension(q2)
+    r1 = _twist_away(q1, bp1)
+    r2 = _twist_away(q2, bp2)
     return all(
         same_morphism_sections(q1.fan, r1.sections(c), r2.sections(c))
         for c in range(q1.n_components)

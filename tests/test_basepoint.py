@@ -3,12 +3,48 @@ from itertools import product
 
 import pytest
 
-from toriq.basepoint import (INF, OrderVector, degree_at_point, is_nonbasepoint_vector,
+from toriq.basepoint import (INF, OrderVector, _locate_degree, degree_at_point,
                              length_at_point, twist_orders)
-from toriq.classes import curve_class_from_anchor, is_effective
-from toriq.fan import projective_space_fan
+from toriq.classes import beta_a_sigma, curve_class_from_anchor, is_effective
+from toriq.fan import product_fan, projective_space_fan, require_valid
 
 from qmgen import random_order_vector
+
+
+def _eligible_cones(fan, vanishing):
+    return [idx for idx, cone in enumerate(fan.max_cones) if vanishing <= set(cone)]
+
+
+def _scan_degree(fan, orders, vanishing):
+    """Shared cone scan; ``orders`` may contain negative integers (internal use)."""
+    require_valid(fan)
+    qualifying = []
+    classes = {}
+    for idx in _eligible_cones(fan, vanishing):
+        beta = beta_a_sigma(fan, orders, fan.max_cones[idx])
+        if all(o >= d for o, d in zip(orders, beta.pairings)):
+            qualifying.append(idx)
+            classes[idx] = beta
+    if not qualifying:
+        raise ValueError(
+            "no maximal cone admits the order vector; the fan data is corrupt"
+        )
+    distinct = {classes[idx].pairings for idx in qualifying}
+    if len(distinct) > 1:
+        raise RuntimeError(
+            f"degree at a point is not unique ({sorted(distinct)}); this is a bug"
+        )
+    return classes[qualifying[0]], tuple(qualifying)
+
+
+def is_nonbasepoint_vector(fan, ord_vector):
+    """Whether some maximal cone has order zero on every ray off the cone."""
+    if not isinstance(ord_vector, OrderVector):
+        ord_vector = OrderVector(fan, tuple(ord_vector))
+    for cone in fan.max_cones:
+        if all(ord_vector.orders[i] == 0 for i in fan.cone_complement(cone)):
+            return True
+    return False
 
 
 def expected_blowup_table():
@@ -140,8 +176,9 @@ def test_all_witnesses_agree(bl0p2, p2xp1):
     for fan in (bl0p2, p2xp1):
         for _ in range(40):
             ov = random_order_vector(fan, rng)
-            # degree_at_point raises RuntimeError when two witnessing cones
-            # disagree, so this is exactly the uniqueness property
+            # the cone-scan oracle raises RuntimeError when two witnessing
+            # cones disagree, so this is exactly the uniqueness property
+            _scan_degree(fan, ov.orders, ov.vanishing)
             degree_at_point(fan, ov)
 
 
@@ -156,3 +193,27 @@ def test_length_consistent_with_direct_minimum(bl0p2, p2xp1):
                 if ov.vanishing <= set(cone)
             )
             assert length_at_point(fan, ov) == direct
+
+
+def test_point_location_agrees_with_cone_scan_oracle(p2, p1xp1, bl0p2, p2xp1, p3):
+    """Same class and same witness tuple as the cone scan, on 2400 seeded
+    vectors: nonnegative order vectors through ``degree_at_point``, and
+    vectors with negative entries, as chart inversion passes them, through
+    the shared routine.  Up to dim - 1 entries are infinite, on a face."""
+    p2xp2 = product_fan([projective_space_fan(2), projective_space_fan(2)])
+    rng = random.Random(2026)
+    for fan in (p2, p1xp1, bl0p2, p2xp1, p3, p2xp2):
+        for trial in range(400):
+            negative = trial % 3 == 0
+            cone = rng.choice(fan.max_cones)
+            vanishing = frozenset(rng.sample(cone, rng.randint(0, fan.dim - 1)))
+            low = -4 if negative else 0
+            orders = tuple(INF if i in vanishing else rng.randint(low, 4)
+                           for i in range(fan.n_rays))
+            expected, expected_witnesses = _scan_degree(fan, orders, vanishing)
+            if negative:
+                beta, witnesses = _locate_degree(fan, orders, vanishing)
+            else:
+                beta, witnesses = degree_at_point(fan, orders)
+            assert beta.pairings == expected.pairings, (fan, orders)
+            assert witnesses == expected_witnesses, (fan, orders)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,33 @@ def E(fan):
 def test_curve_class_rejects_bad_pairings(p2):
     with pytest.raises(ValueError):
         CurveClass(p2, (1, 0, 0))
+
+
+def test_integral_class_arithmetic_stays_int(bl0p2):
+    e = CurveClass(bl0p2, (0, 1, 1, -1))
+    s = CurveClass(bl0p2, (1, 0, 0, 1))
+    integral = [e + s, e - s, 3 * e, e * -2,
+                beta_a_sigma(bl0p2, {0: 1, 2: 2}, (1, 3)),
+                beta_a_sigma(bl0p2, (2, 5, 1, 7), (1, 3))]
+    assert [b.pairings for b in integral] == [
+        (1, 1, 1, 0), (-1, 1, 1, -2), (0, 3, 3, -3), (0, -2, -2, 2),
+        (1, 2, 2, -1), (2, 1, 1, 1)]
+    for beta in integral:
+        assert all(type(x) is int for x in beta.pairings)
+    half = beta_a_sigma(bl0p2, {0: Fraction(1, 2), 2: Fraction(3, 2)}, (1, 3))
+    assert half.pairings == (Fraction(1, 2), Fraction(3, 2), Fraction(3, 2), -1)
+    assert type(half.pairings[3]) is int
+    assert (half + half).pairings == (1, 3, 3, -2)
+    assert all(type(x) is int for x in (half + half).pairings)
+    flags = CurveClass(bl0p2, (True, False, False, True))
+    assert flags.pairings == (1, 0, 0, 1)
+    assert all(type(x) is int for x in flags.pairings)
+    message = r"^pairing vector \(1, 0, 0, 0\) is not a curve class \(it pairs " \
+              r"inconsistently with the ray relations\)$"
+    with pytest.raises(ValueError, match=message):
+        CurveClass(bl0p2, (1, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"^pairing vector \(Fraction\(1, 2\), 0, 0, 0\)"):
+        CurveClass(bl0p2, (Fraction(1, 2), 0, 0, 0))
 
 
 def test_divisor_class_examples(p2, bl0p2):

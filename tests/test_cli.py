@@ -199,6 +199,19 @@ def test_malformed_cli_values_are_usage_errors(capsys, argv):
     assert code == 2 and err.startswith("usage error")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("nodes", [[[0, [1, 3]]]]),
+    ("markings", [[0, [1, 3], 5]]),
+])
+def test_malformed_quasimap_shape_is_usage_error(tmp_path, capsys, field, value):
+    data = json.loads(fixture_path("section_line.json").read_text())
+    data[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "quasimap", "analyze", str(bad))
+    assert code == 2 and err.startswith("usage error")
+
+
 def test_witness_rejects_invalid_quasimap(tmp_path, capsys):
     data = json.loads(fixture_path("section_line.json").read_text())
     data["nodes"] = [[[0, [1, 3]], [1, [1, 0]]]]  # component 1 does not exist
