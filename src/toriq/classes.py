@@ -14,14 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .fan import memo, require_valid, walls
-from .linalg import frac, kernel_basis, primitive_vector
-
-
-def _normalize_scalar(x):
-    if type(x) is int:
-        return x
-    f = frac(x)
-    return int(f) if f.denominator == 1 else f
+from .linalg import frac, int_or_frac, kernel_basis, primitive_vector
 
 
 @dataclass(frozen=True)
@@ -32,7 +25,7 @@ class CurveClass:
     pairings: tuple
 
     def __post_init__(self):
-        vals = tuple(map(_normalize_scalar, self.pairings))
+        vals = tuple(map(int_or_frac, self.pairings))
         object.__setattr__(self, "pairings", vals)
         if len(vals) != self.fan.n_rays:
             raise ValueError("pairing vector length does not match the ray count")
@@ -68,7 +61,7 @@ class DivisorClass:
     coords: tuple
 
     def __post_init__(self):
-        vals = tuple(_normalize_scalar(x) for x in self.coords)
+        vals = tuple(int_or_frac(x) for x in self.coords)
         object.__setattr__(self, "coords", vals)
         if len(vals) != len(anchor_rays(self.fan)):
             raise ValueError("coordinate length does not match the Picard rank")
@@ -149,7 +142,7 @@ def beta_a_sigma(fan, a, sigma):
     complement = fan.cone_complement(sigma)
     pairings = [0] * fan.n_rays
     for i in complement:
-        pairings[i] = _normalize_scalar(a[i])
+        pairings[i] = int_or_frac(a[i])
     for rho, row in zip(sigma, fan.exponent_matrix(sigma)):
         pairings[rho] = -sum(pairings[i] * row[i] for i in complement)
     return CurveClass(fan, tuple(pairings))
@@ -219,7 +212,7 @@ def nef_extreme_rays(fan):
             pool.extend([vec, tuple(-x for x in vec)])
     for vec in pool:
         if all(sum(frac(a) * frac(b) for a, b in zip(vec, g)) >= 0 for g in gens):
-            candidates.add(tuple(_normalize_scalar(x) for x in vec))
+            candidates.add(tuple(int_or_frac(x) for x in vec))
     return tuple(DivisorClass(fan, c) for c in sorted(candidates))
 
 

@@ -21,8 +21,8 @@ from .contraction import StableMapTree, contract, contraction_condition, graft, 
 from .embedding import (apply_ibar, build_epic_embedding, epic_check,
                         fibre_enumeration, pushforward_curves, validate_embedding)
 from .fan import primitive_collections, validate_fan
-from .quasimap import (basepoint_length, basepoints, degrees, regular_extension,
-                       stability, validate_quasimap)
+from .quasimap import (_twist_away, basepoint_length, basepoints, degrees, stability,
+                       validate_quasimap)
 
 
 class DomainError(Exception):
@@ -155,7 +155,7 @@ def _cmd_quasimap_analyze(args):
     _reject_invalid(args, validate_quasimap(q), "quasimap")
     total, per_comp = degrees(q)
     bps = basepoints(q)
-    ext = regular_extension(q)
+    ext = _twist_away(q, bps)
     qm_stable = stability(q, "quasimap")
     map_stable = None if bps else stability(q, "map")
     payload = {
@@ -182,7 +182,8 @@ def _cmd_quasimap_analyze(args):
         f"basepoints: {len(bps)}",
     ]
     for bp in bps:
-        place = "inf" if bp.place.at_infinity else tuple(bp.place.coeffs)
+        coeffs = ", ".join(str(tio.scalar_to_json(c)) for c in bp.place.coeffs)
+        place = "inf" if bp.place.at_infinity else f"({coeffs})"
         lines.append(
             f"  component {bp.component}, place {place}: degree {tuple(bp.degree.pairings)},"
             f" length {basepoint_length(q, bp)}"

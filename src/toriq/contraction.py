@@ -15,8 +15,8 @@ from fractions import Fraction
 from .classes import (CurveClass, ample_functional, is_fano, length,
                       relaxed_surjectivity_condition)
 from .forms import BinaryForm, Place, ProjPoint, poly_mul
-from .quasimap import (Quasimap, basepoints, degrees, equal_quasimaps, extend_at,
-                       section_values, special_point_count, stability,
+from .quasimap import (Quasimap, _map_stable, basepoints, degrees, equal_quasimaps,
+                       extend_at, section_values, special_point_count, stability,
                        validate_quasimap, xpoint_from_values)
 
 
@@ -49,7 +49,7 @@ class StableMapTree:
         ample = self.ample
         if ample is None and not is_fano(q.fan):
             ample = ample_functional(q.fan)
-        if not stability(q, "map", ample=ample):
+        if not _map_stable(q, degrees(q)[1], ample):
             raise ValueError("the map is not stable")
 
     @property
@@ -251,17 +251,17 @@ def _deterministic_tail(values, beta, zero_start):
             sections.append(BinaryForm.constant(value))
             continue
         if value == 0:
-            poly = (Fraction(0), Fraction(1))
+            poly = (0, 1)
             needed = d - 1
         else:
-            poly = (Fraction(value),)
+            poly = (value,)
             needed = d
         for _ in range(needed):
             counter += 1
             if value == 0:
-                poly = poly_mul(poly, (Fraction(-counter), Fraction(1)))
+                poly = poly_mul(poly, (-counter, 1))
             else:
-                poly = poly_mul(poly, (Fraction(1), Fraction(-1, counter)))
+                poly = poly_mul(poly, (1, Fraction(-1, counter)))
         sections.append(BinaryForm.from_poly(d, poly))
     return tuple(sections), counter
 

@@ -25,7 +25,7 @@ from .fan import (Fan, dual_basis, memo, primitive_collections, product_fan,
                   projective_space_fan, require_valid)
 from .forms import BinaryForm, poly_mul
 from .linalg import frac, lattice_map_is_surjective, solve_square
-from .quasimap import (Quasimap, basepoints, degrees, extend_at, regular_extension,
+from .quasimap import (Quasimap, _twist_away, basepoints, degrees, extend_at,
                        same_curve, same_morphism_sections, validate_quasimap)
 
 
@@ -395,7 +395,7 @@ def _invert_component(emb, secs):
                     if e == 0:
                         continue
                     u, places = factored[tau]
-                    unit *= u ** e
+                    unit *= frac(u) ** e
                     for p, mult in places.items():
                         orders[p] += e * mult
                 w_orders.append(orders)
@@ -529,7 +529,8 @@ def fibre_enumeration(emb, q, beta, factored=None, length_cap=None):
     require_valid_embedding(emb)
     if pushforward_curves(emb, beta).pairings != degrees(q)[0].pairings:
         raise ValueError("the quasimap's degree is not the pushforward of the class")
-    extension = regular_extension(q)
+    bps = basepoints(q)
+    extension = _twist_away(q, bps)
     candidate = factored if factored is not None else invert_through_charts(emb, extension)
     f = _verify_factoring(emb, candidate, extension)
     if f is None:
@@ -544,7 +545,6 @@ def fibre_enumeration(emb, q, beta, factored=None, length_cap=None):
         raise ValueError("non-Fano source: supply a length cap for the fibre search")
     pool = [c for c in effective_classes(emb.source, cap) if not c.is_zero()]
 
-    bps = basepoints(q)
     per_place = []
     for bp in bps:
         matches = [c for c in pool

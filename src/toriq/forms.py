@@ -8,10 +8,14 @@ forms are legal for any degree (negative degrees force them) and represent
 the zero section of the corresponding line bundle.
 
 Places are monic irreducible polynomials in z, plus the place at infinity.
-Polynomials of degree at most two are factored over the rationals here, and
-the rest of the polynomial arithmetic is done directly on Fraction
-coefficient lists; factoring degree three and up is delegated to sympy, which
-is imported on first use so that the library and CLI start without it.
+Coefficients, place coefficients and point coordinates are stored as ints
+where integral and as Fractions only where not, and the polynomial
+arithmetic works on such mixed lists directly: division by a monic place
+never leaves the integers of an integral form, and gcds run over the
+integers as primitive pseudo-remainder sequences.  Polynomials of degree at
+most two are factored over the rationals here; factoring degree three and up
+is delegated to sympy, which is imported on first use so that the library
+and CLI start without it.
 """
 
 import math
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import frac
+from .linalg import int_or_frac, primitive_vector
 
 
 def _trim(coeffs):
@@ -29,10 +33,18 @@ def _trim(coeffs):
     return tuple(coeffs)
 
 
+def _quotient(x, y):
+    """x / y for nonzero y, an int when integral."""
+    if y == 1:
+        return int_or_frac(x)
+    q = Fraction(x, y)
+    return q.numerator if q.denominator == 1 else q
+
+
 def poly_mul(a, b):
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
@@ -42,31 +54,55 @@ def poly_mul(a, b):
 
 
 def poly_divmod(a, b):
+    """Quotient and remainder of a by b; b's leading coefficient is nonzero."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    n = len(b) - 1
+    lead = b[-1]
+    inv = None if lead == 1 else Fraction(1) / lead
     a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = Fraction(1) / b[-1]
-    while len(a) >= len(b) and any(x != 0 for x in a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        coef = a[-1] * inv
-        q[shift] = coef
-        for i, x in enumerate(b):
-            a[shift + i] -= coef * x
-        a.pop()
-    return _trim(q), _trim(a)
+    q = [0] * max(len(a) - n, 0)
+    for shift in range(len(a) - 1 - n, -1, -1):
+        coef = a[shift + n]
+        if coef:
+            if inv is not None:
+                coef *= inv
+            q[shift] = coef
+            for i in range(n):
+                a[shift + i] -= coef * b[i]
+    return _trim(q), _trim(a[:n])
+
+
+def _primitive_remainder(a, b):
+    """Primitive part of the pseudo-remainder of integer polynomials a by b."""
+    a = list(a)
+    n = len(b) - 1
+    lead = b[-1]
+    while len(a) > n:
+        coef = a.pop()
+        if coef:
+            if lead != 1:
+                a = [x * lead for x in a]
+            shift = len(a) - n
+            for i in range(n):
+                a[shift + i] -= coef * b[i]
+    a = _trim(a)
+    return primitive_vector(a) if a else a
 
 
 def poly_gcd(a, b):
+    """Monic gcd over the rationals (empty when both vanish).
+
+    Runs over the integers: both inputs are scaled to primitive integer
+    polynomials, each pseudo-remainder is reduced to its primitive part, and
+    only the last nonzero one is made monic."""
     a, b = _trim(a), _trim(b)
+    a = primitive_vector(a) if a else a
+    b = primitive_vector(b) if b else b
     while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        inv = Fraction(1) / a[-1]
-        a = tuple(x * inv for x in a)
+        a, b = b, _primitive_remainder(a, b)
+    if a and a[-1] != 1:
+        a = tuple(_quotient(x, a[-1]) for x in a)
     return a
 
 
@@ -74,27 +110,27 @@ def poly_gcd(a, b):
 class ProjPoint:
     """A rational point [a : b] of the projective line, stored normalized."""
 
-    a: Fraction
-    b: Fraction
+    a: int  # 1, or 0 at infinity
+    b: object  # the chart coordinate b/a as an int or Fraction; 1 at infinity
 
     def __post_init__(self):
-        a, b = frac(self.a), frac(self.b)
+        a, b = self.a, self.b
         if a == 0 and b == 0:
             raise ValueError("[0 : 0] is not a point")
         if a != 0:
-            a, b = Fraction(1), b / a
+            a, b = 1, _quotient(b, a)
         else:
-            a, b = Fraction(0), Fraction(1)
+            a, b = 0, 1
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
     @classmethod
     def from_chart(cls, z):
-        return cls(Fraction(1), frac(z))
+        return cls(1, z)
 
     @classmethod
     def infinity(cls):
-        return cls(Fraction(0), Fraction(1))
+        return cls(0, 1)
 
     @property
     def is_infinity(self):
@@ -124,7 +160,7 @@ class Place:
         if self.at_infinity:
             object.__setattr__(self, "coeffs", ())
         else:
-            coeffs = tuple(frac(x) for x in self.coeffs)
+            coeffs = tuple(map(int_or_frac, self.coeffs))
             if len(coeffs) < 2 or coeffs[-1] != 1:
                 raise ValueError("finite places are monic polynomials of degree >= 1")
             object.__setattr__(self, "coeffs", coeffs)
@@ -139,7 +175,7 @@ class Place:
 
     @classmethod
     def rational(cls, z):
-        return cls.finite((-frac(z), Fraction(1)))
+        return cls.finite((-z, 1))
 
     @classmethod
     def of_point(cls, point):
@@ -174,7 +210,7 @@ class BinaryForm:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(frac(x) for x in self.coeffs)
+        coeffs = tuple(map(int_or_frac, self.coeffs))
         if self.degree < 0:
             if any(x != 0 for x in coeffs):
                 raise ValueError("negative-degree forms must be zero")
@@ -187,11 +223,11 @@ class BinaryForm:
 
     @classmethod
     def zero(cls, degree):
-        return cls(degree, (Fraction(0),) * (degree + 1) if degree >= 0 else ())
+        return cls(degree, (0,) * (degree + 1) if degree >= 0 else ())
 
     @classmethod
     def constant(cls, value):
-        return cls(0, (frac(value),))
+        return cls(0, (value,))
 
     @classmethod
     def from_poly(cls, degree, poly_coeffs):
@@ -199,11 +235,11 @@ class BinaryForm:
         poly = _trim(poly_coeffs)
         if len(poly) > degree + 1:
             raise ValueError("polynomial degree exceeds the form degree")
-        return cls(degree, tuple(poly) + (Fraction(0),) * (degree + 1 - len(poly)))
+        return cls(degree, poly + (0,) * (degree + 1 - len(poly)))
 
     @property
     def is_zero(self):
-        return all(x == 0 for x in self.coeffs)
+        return not any(self.coeffs)
 
     @property
     def poly(self):
@@ -216,14 +252,14 @@ class BinaryForm:
 
     def value_at(self, point):
         a, b = point.a, point.b
-        total = Fraction(0)
+        total = 0
         for k, c in enumerate(self.coeffs):
             if c != 0:
                 total += c * a ** (self.degree - k) * b ** k
         return total
 
     def scale(self, factor):
-        return BinaryForm(self.degree, tuple(frac(factor) * c for c in self.coeffs))
+        return BinaryForm(self.degree, tuple(factor * c for c in self.coeffs))
 
     def mul(self, other):
         if self.is_zero or other.is_zero:
@@ -322,18 +358,18 @@ def _factor_monic_quadratic(c, b):
     disc = b * b - 4 * c
     num, den = math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator)
     if num * num != disc.numerator or den * den != disc.denominator:
-        return (((c, b, Fraction(1)), 1),)  # no rational square root: irreducible
+        return (((c, b, 1), 1),)  # no rational square root: irreducible
     if num == 0:
-        return (((b / 2, Fraction(1)), 2),)
+        return (((_quotient(b, 2), 1), 2),)
     root = Fraction(num, den)
     roots = sorted(((-b - root) / 2, (-b + root) / 2),
                    key=lambda r: (r.denominator, -r.numerator))
-    return tuple(((-r, Fraction(1)), 1) for r in roots)
+    return tuple(((-r, 1), 1) for r in roots)
 
 
 def _factor_poly(poly):
     """Leading coefficient and (monic irreducible factor, multiplicity) pairs
-    of a nonzero polynomial with Fraction coefficients, low-to-high."""
+    of a nonzero polynomial with exact coefficients, low-to-high."""
     poly = _trim(poly)
     if not poly:
         raise ValueError("cannot factor the zero polynomial")
@@ -341,9 +377,9 @@ def _factor_poly(poly):
     if len(poly) == 1:
         return lead, ()
     if len(poly) == 2:
-        return lead, (((poly[0] / lead, Fraction(1)), 1),)
+        return lead, (((_quotient(poly[0], lead), 1), 1),)
     if len(poly) == 3:
-        return lead, _factor_monic_quadratic(poly[0] / lead, poly[1] / lead)
+        return lead, _factor_monic_quadratic(_quotient(poly[0], lead), _quotient(poly[1], lead))
     return _factor_poly_cached(poly)
 
 
@@ -360,7 +396,7 @@ def common_zero_places(forms):
     g = None
     for f in nonzero:
         g = f.poly if g is None else poly_gcd(g, f.poly)
-        if g == (Fraction(1),):
+        if g == (1,):
             break
     places = []
     if g and len(g) > 1:

@@ -8,18 +8,27 @@ Facts about a single smooth cone (smoothness, characters vanishing on a face)
 are read off its integral dual basis in ``fan``, not recomputed here.  What is
 left serves the places with no cone to read from: ``invert`` builds the dual
 bases, ``solve_square`` the polytope vertices, ``kernel_basis`` and
-``primitive_vector`` the nef cone's extreme rays, and
-``lattice_map_is_surjective`` the epic check of an embedding.
+``primitive_vector`` the nef cone's extreme rays (the latter also the integer
+gcd of ``forms``), ``int_or_frac`` the int-or-Fraction storage of classes and
+forms, and ``lattice_map_is_surjective`` the epic check of an embedding.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def frac(x):
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def int_or_frac(x):
+    """The exact value of ``x``: an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    f = frac(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 def mat_vec(mat, vec):
@@ -89,17 +98,13 @@ def kernel_basis(mat):
 
 
 def primitive_vector(vec):
-    """Scale a nonzero rational vector to a primitive integer vector."""
-    fracs = [frac(x) for x in vec]
-    if all(x == 0 for x in fracs):
+    """Scale a nonzero rational vector by a positive rational to a primitive
+    integer vector."""
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (denom // x.denominator) for x in vec]
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive form")
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
     return tuple(x // g for x in ints)
 
 

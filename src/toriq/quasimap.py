@@ -290,7 +290,6 @@ def stability(q, mode="quasimap", ample=None):
     2g-2 + #special + 2 * (ample degree) > 0, with the anticanonical class as
     the polarization on Fano targets.
     """
-    fan = q.fan
     _, per_comp = degrees(q)
     if mode == "quasimap":
         for comp in range(q.n_components):
@@ -303,16 +302,22 @@ def stability(q, mode="quasimap", ample=None):
     if mode == "map":
         if basepoints(q):
             raise ValueError("map-mode stability needs a basepoint-free quasimap")
-        if ample is None:
-            if not is_fano(fan):
-                raise ValueError("non-Fano target: supply an ample class")
-            ample = anticanonical_class(fan)
-        for comp in range(q.n_components):
-            k = -2 + special_point_count(q, comp)
-            if k + 2 * ample.pair(per_comp[comp]) <= 0:
-                return False
-        return True
+        return _map_stable(q, per_comp, ample)
     raise ValueError(f"unknown stability mode {mode!r}")
+
+
+def _map_stable(q, per_comp, ample):
+    """The map-mode stability inequality on every component of a quasimap
+    already known to be basepoint-free, with component classes ``per_comp``."""
+    if ample is None:
+        if not is_fano(q.fan):
+            raise ValueError("non-Fano target: supply an ample class")
+        ample = anticanonical_class(q.fan)
+    for comp in range(q.n_components):
+        k = -2 + special_point_count(q, comp)
+        if k + 2 * ample.pair(per_comp[comp]) <= 0:
+            return False
+    return True
 
 
 def _orthogonal_characters(fan, rays):
@@ -353,7 +358,7 @@ def same_morphism_sections(fan, first, second):
         fp, gp = f.poly, g.poly
         if len(fp) != len(gp):
             return False
-        lam = gp[-1] / fp[-1]
+        lam = Fraction(gp[-1], fp[-1])
         if tuple(lam * c for c in fp) != gp:
             return False
         ratios[rho] = lam

@@ -76,6 +76,13 @@ def test_quasimap_analyze(capsys):
     assert data["basepoints"][0]["length"] == 1
 
 
+def test_quasimap_analyze_text_places(capsys):
+    code, out, _ = run(capsys, "quasimap", "analyze", fx("segre_q1.json"))
+    assert code == 0
+    assert "  component 0, place (0, 1): degree (0, 0, 1, 1), length 1" in out.splitlines()
+    assert "  component 0, place inf: degree (1, 1, 0, 0), length 1" in out.splitlines()
+
+
 def test_embed_commands(tmp_path, capsys):
     out_file = tmp_path / "emb.json"
     code, _, _ = run(capsys, "embed", "build", fx("bl0p2.json"), "-o", str(out_file))

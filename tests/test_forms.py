@@ -3,9 +3,45 @@ from fractions import Fraction
 
 import pytest
 
+from toriq.contraction import surjectivity_witness
+from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
 from toriq.forms import (BinaryForm, Place, ProjPoint, _factor_poly,
-                         _factor_poly_cached, common_zero_places, poly_divmod,
-                         poly_gcd, poly_mul)
+                         _factor_poly_cached, _trim, common_zero_places,
+                         poly_divmod, poly_gcd, poly_mul)
+from toriq.quasimap import basepoints, degrees, regular_extension
+
+from qmgen import random_stable_quasimap
+
+
+# Euclid over the rationals, as forms did it before its gcd ran over the
+# integers; the oracles of the differential test below.
+def poly_divmod_oracle(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    inv = Fraction(1) / b[-1]
+    while len(a) >= len(b) and any(x != 0 for x in a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        shift = len(a) - len(b)
+        coef = a[-1] * inv
+        q[shift] = coef
+        for i, x in enumerate(b):
+            a[shift + i] -= coef * x
+        a.pop()
+    return _trim(q), _trim(a)
+
+
+def poly_gcd_oracle(a, b):
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, poly_divmod_oracle(a, b)[1]
+    if a:
+        inv = Fraction(1) / a[-1]
+        a = tuple(x * inv for x in a)
+    return a
 
 
 def F(deg, *coeffs):
@@ -131,3 +167,105 @@ def test_point_normalization():
     assert ProjPoint(0, 5) == ProjPoint.infinity()
     with pytest.raises(ValueError):
         ProjPoint(0, 0)
+
+
+def exact_corpus(rng, count):
+    """Seeded polynomial pairs for the differential test: int, rational and
+    integral-Fraction coefficients; pairs sharing a factor; non-monic, constant
+    and place divisors; zero operands."""
+    def scalar(kind):
+        k = rng.randint(-6, 6)
+        if kind == 0:
+            return k
+        if kind == 1:
+            return Fraction(k)
+        return Fraction(k, rng.choice((1, 2, 3, 4, 6)))
+
+    def poly(degree):
+        kind = rng.randrange(3)
+        coeffs = [scalar(kind) for _ in range(degree + 1)]
+        if coeffs[-1] == 0:
+            coeffs[-1] = rng.choice((1, -1, 2, Fraction(1, 3)))
+        return tuple(coeffs)
+
+    def place():
+        z = scalar(rng.randrange(3))
+        if rng.random() < 0.5:
+            return Place.rational(z).coeffs
+        return Place.finite((z, scalar(rng.randrange(3)), 1)).coeffs
+
+    pairs = []
+    while len(pairs) < count:
+        shape = len(pairs) % 5
+        if shape == 0:  # independent polynomials
+            a, b = poly(rng.randint(0, 5)), poly(rng.randint(0, 4))
+        elif shape == 1:  # a shared factor
+            common = poly(rng.randint(1, 2))
+            a = poly_mul(common, poly(rng.randint(0, 3)))
+            b = poly_mul(common, poly(rng.randint(0, 2)))
+        elif shape == 2:  # a place divisor dividing a to some power
+            b = place()
+            a = poly(rng.randint(0, 3))
+            for _ in range(rng.randint(0, 2)):
+                a = poly_mul(a, b)
+        elif shape == 3:  # constants
+            a, b = poly(rng.randint(0, 4)), poly(0)
+            if rng.random() < 0.5:
+                a, b = b, a
+        else:  # zero operands
+            a, b = (), poly(rng.randint(0, 3))
+            if rng.random() < 0.3:
+                a, b = b, a
+        pairs.append((a, b))
+    return pairs
+
+
+def test_integer_gcd_and_divmod_agree_with_euclid_oracles():
+    pairs = exact_corpus(random.Random(7), 1500)
+    for a, b in pairs:
+        assert poly_gcd(a, b) == poly_gcd_oracle(a, b), (a, b)
+        assert poly_gcd(b, a) == poly_gcd_oracle(b, a), (a, b)
+        if b:
+            assert poly_divmod(a, b) == poly_divmod_oracle(a, b), (a, b)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                poly_divmod(a, b)
+    assert poly_gcd((), ()) == poly_gcd_oracle((), ()) == ()
+    assert sum(len(poly_gcd(a, b)) > 1 for a, b in pairs) > 300
+
+
+def exact_values(q):
+    """Every coefficient of every form and every point coordinate of ``q``."""
+    for sections in q.components:
+        for form in sections:
+            yield from form.coeffs
+    for node in q.nodes:
+        for _, point in node:
+            yield from (point.a, point.b)
+    for _, point in q.markings:
+        yield from (point.a, point.b)
+
+
+def assert_int_or_proper_fraction(values):
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), repr(x)
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "bl0p2"])
+def test_form_data_is_int_or_proper_fraction(name, request):
+    fan = request.getfixturevalue(name)
+    emb = build_epic_embedding(fan)
+    rng = random.Random(f"types/{name}")
+    rational_seen = False
+    for _ in range(8):
+        q = random_stable_quasimap(fan, rng, max_total_length=5)
+        bps = basepoints(q)
+        assert_int_or_proper_fraction(c for bp in bps for c in bp.place.coeffs)
+        image = apply_ibar(emb, q)
+        results = [q, regular_extension(q), surjectivity_witness(q).quasimap, image]
+        results += fibre_enumeration(emb, image, degrees(q)[0])
+        for result in results:
+            values = list(exact_values(result))
+            assert_int_or_proper_fraction(values)
+            rational_seen |= any(type(x) is Fraction for x in values)
+    assert rational_seen
