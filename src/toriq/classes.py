@@ -211,8 +211,8 @@ def nef_extreme_rays(fan):
             vec = primitive_vector(kern[0])
             pool.extend([vec, tuple(-x for x in vec)])
     for vec in pool:
-        if all(sum(frac(a) * frac(b) for a, b in zip(vec, g)) >= 0 for g in gens):
-            candidates.add(tuple(int_or_frac(x) for x in vec))
+        if all(sum(a * b for a, b in zip(vec, g)) >= 0 for g in gens):
+            candidates.add(vec)
     return tuple(DivisorClass(fan, c) for c in sorted(candidates))
 
 

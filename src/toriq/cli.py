@@ -165,7 +165,8 @@ def _cmd_quasimap_analyze(args):
         "basepoints": [
             {
                 "component": bp.component,
-                "place": "inf" if bp.place.at_infinity else [str(c) for c in bp.place.coeffs],
+                "place": ("inf" if bp.place.at_infinity
+                          else [tio.scalar_to_json(c) for c in bp.place.coeffs]),
                 "degree": list(bp.degree.pairings),
                 "length": basepoint_length(q, bp),
             }

@@ -16,6 +16,7 @@ immersion and let us invert it on section data exactly.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import ceil, floor
 
 from .basepoint import INF, _locate_degree
 from .classes import (CurveClass, DivisorClass, ample_functional, anchor_rays,
@@ -24,7 +25,7 @@ from .classes import (CurveClass, DivisorClass, ample_functional, anchor_rays,
 from .fan import (Fan, dual_basis, memo, primitive_collections, product_fan,
                   projective_space_fan, require_valid)
 from .forms import BinaryForm, poly_mul
-from .linalg import frac, lattice_map_is_surjective, solve_square
+from .linalg import frac, int_or_frac, lattice_map_is_surjective, solve_square
 from .quasimap import (Quasimap, _twist_away, basepoints, degrees, extend_at,
                        same_curve, same_morphism_sections, validate_quasimap)
 
@@ -263,28 +264,31 @@ def covers_all_charts(emb):
 
 
 def polytope_lattice_points(fan, coeffs):
-    """Lattice points of {m : <m, u_rho> >= -coeffs[rho]}, sorted."""
+    """Lattice points of {m : <m, u_rho> >= -coeffs[rho]}, sorted, on a valid
+    smooth complete fan.  A nef class (integral, every cone point m_sigma in the
+    polytope) has the m_sigma as vertices (Cox-Little-Schenck, Thm 6.1.7, Prop
+    6.1.10); for any other, every set of dim rays is solved for a vertex."""
     n = fan.dim
-    rhs = [-frac(c) for c in coeffs]
+    rhs = [-int_or_frac(c) for c in coeffs]
 
     def inside(m):
         return all(p >= r for p, r in zip(fan.pairing(m), rhs))
 
-    vertices = []
-    for subset in combinations(range(fan.n_rays), n):
-        sol = solve_square([fan.rays[i] for i in subset], [rhs[i] for i in subset])
-        if sol is not None and inside(sol):
-            vertices.append(sol)
-    if not vertices:
-        return []
+    vertices = [tuple(sum(rhs[i] * m[k] for i, m in zip(sigma, dual_basis(fan, sigma)))
+                      for k in range(n))
+                for sigma in fan.max_cones]
+    if any(type(r) is not int for r in rhs) or not all(map(inside, vertices)):
+        vertices = []
+        for subset in combinations(range(fan.n_rays), n):
+            sol = solve_square([fan.rays[i] for i in subset], [rhs[i] for i in subset])
+            if sol is not None and inside(sol):
+                vertices.append(sol)
+        if not vertices:
+            return []
     lo = [min(v[k] for v in vertices) for k in range(n)]
     hi = [max(v[k] for v in vertices) for k in range(n)]
-    points = []
-    for pt in product(*[range(int(l.__ceil__()), int(h.__floor__()) + 1)
-                        for l, h in zip(lo, hi)]):
-        if inside(pt):
-            points.append(pt)
-    return sorted(points)
+    box = product(*[range(ceil(l), floor(h) + 1) for l, h in zip(lo, hi)])
+    return sorted(filter(inside, box))
 
 
 def build_epic_embedding(fan, generators=None):

@@ -23,7 +23,7 @@ from functools import wraps
 from itertools import combinations
 from math import gcd
 
-from .linalg import frac, invert
+from .linalg import invert
 
 
 def memo(fn):
@@ -110,17 +110,11 @@ def dual_basis(fan, sigma):
     sigma = tuple(sorted(sigma))
     if sigma not in fan.max_cones:
         raise ValueError(f"{sigma} is not a maximal cone of the fan")
-    cols = [[fan.rays[j][i] for j in sigma] for i in range(fan.dim)]
-    inv = invert(cols)
-    covectors = []
-    for row in inv:
-        ints = []
-        for x in row:
-            if frac(x).denominator != 1:
-                raise ValueError("non-unimodular cone has no integral dual basis")
-            ints.append(int(x))
-        covectors.append(tuple(ints))
-    return tuple(covectors)
+    inv = invert([[fan.rays[j][i] for j in sigma] for i in range(fan.dim)])
+    # the inverse of an integer matrix is integral exactly when |det| = 1
+    if any(type(x) is not int for row in inv for x in row):
+        raise ValueError("non-unimodular cone has no integral dual basis")
+    return tuple(map(tuple, inv))
 
 
 def locate_cones(fan, u):

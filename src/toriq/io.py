@@ -9,7 +9,7 @@ import json
 import os
 from fractions import Fraction
 
-from .basepoint import INF, is_infinite
+from .basepoint import INF
 from .classes import CurveClass, DivisorClass
 from .fan import Fan
 from .forms import BinaryForm, ProjPoint
@@ -52,10 +52,6 @@ def parse_order(value):
     if isinstance(value, str) and value.strip().lower() == "inf":
         return INF
     return parse_int(value)
-
-
-def order_to_json(value):
-    return "inf" if is_infinite(value) else int(value)
 
 
 def fan_from_dict(data):

@@ -2,15 +2,15 @@
 
 Everything here works on plain lists/tuples of ints or fractions.Fraction;
 matrices are lists of rows.  Sizes are tiny (lattice rank in the single
-digits), so clarity beats asymptotics.
+digits), so clarity beats asymptotics.  Values are ``int`` where integral.
 
-Facts about a single smooth cone (smoothness, characters vanishing on a face)
-are read off its integral dual basis in ``fan``, not recomputed here.  What is
-left serves the places with no cone to read from: ``invert`` builds the dual
-bases, ``solve_square`` the polytope vertices, ``kernel_basis`` and
-``primitive_vector`` the nef cone's extreme rays (the latter also the integer
-gcd of ``forms``), ``int_or_frac`` the int-or-Fraction storage of classes and
-forms, and ``lattice_map_is_surjective`` the epic check of an embedding.
+``invert``, ``solve_square`` and ``kernel_basis`` share one fraction-free
+elimination on integer rows.  ``invert`` builds the dual bases of ``fan``,
+``solve_square`` the vertices of a non-nef class's polytope,
+``kernel_basis`` and ``primitive_vector`` the nef cone's extreme rays (the
+latter also the integer gcd of ``forms``), ``int_or_frac`` the int-or-Fraction
+storage of classes and forms, and ``lattice_map_is_surjective`` the epic check
+of an embedding.
 """
 
 from fractions import Fraction
@@ -31,69 +31,72 @@ def int_or_frac(x):
     return f.numerator if f.denominator == 1 else f
 
 
-def mat_vec(mat, vec):
-    return tuple(sum(frac(a) * frac(b) for a, b in zip(row, vec)) for row in mat)
+def _gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), pivoting in the
+    first ``ncols`` columns; each row is first scaled by the lcm of its
+    denominators.  Returns the integer rows, the pivot columns and the common
+    pivot d (the determinant up to sign): row i holds d at the i-th pivot
+    column and 0 at the others, and the rows past the rank are 0 there."""
+    a = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (scale // x.denominator) for x in row])
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        pivot_row = a[r]
+        d = pivot_row[c]
+        for i, row in enumerate(a):
+            if i != r:  # each entry is an integer minor, so the division is exact
+                f = row[c]
+                a[i] = [(d * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+        prev = d
+    return a, pivots, prev
+
+
+def _divided(row, d):
+    return [x // d if x % d == 0 else Fraction(x, d) for x in row]
 
 
 def invert(mat):
     """Exact inverse of a square rational matrix; raises on singular input."""
     n = len(mat)
-    aug = [[frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    rows, pivots, d = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)], n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return [_divided(row[n:], d) for row in rows]
 
 
 def solve_square(mat, rhs):
     """Solve mat @ x = rhs for square mat; returns None when singular."""
-    try:
-        inv = invert(mat)
-    except ValueError:
+    n = len(mat)
+    rows, pivots, d = _gauss_jordan([list(row) + [b] for row, b in zip(mat, rhs)], n)
+    if len(pivots) < n:
         return None
-    return mat_vec(inv, rhs)
+    return tuple(_divided([row[n] for row in rows], d))
 
 
 def kernel_basis(mat):
     """Basis of the rational kernel {x : mat @ x = 0} (mat rows = equations)."""
     if not mat:
         return []
-    rows = [[frac(x) for x in row] for row in mat]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
+    ncols = len(mat[0])
+    rows, pivots, d = _gauss_jordan(mat, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -rows[i][f]
-        basis.append(tuple(vec))
+        vec = [0] * ncols
+        vec[f] = d
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[f]
+        basis.append(tuple(_divided(vec, d)))
     return basis
 
 

@@ -14,6 +14,7 @@ from .basepoint import INF, OrderVector, degree_at_point, length_at_point
 from .classes import CurveClass, anticanonical_class, is_fano
 from .fan import is_connected, primitive_collections, require_valid
 from .forms import Place, common_zero_places
+from .linalg import int_or_frac
 
 
 @dataclass(frozen=True)
@@ -82,18 +83,18 @@ def section_values(q, comp, point):
 def _chart_coords(fan, cone_index, values):
     coords = []
     for exps in fan.exponent_matrix(fan.max_cones[cone_index]):
-        val = Fraction(1)
+        val = 1
         for rho, e in enumerate(exps):
             if e == 0:
                 continue
             v = values[rho]
             if v == 0:
                 if e > 0:
-                    val = Fraction(0)
+                    val = 0
                     break
                 raise ZeroDivisionError("vanishing coordinate with negative exponent")
-            val *= Fraction(v) ** e
-        coords.append(val)
+            val *= v ** e if e > 0 else Fraction(v) ** e
+        coords.append(int_or_frac(val))
     return tuple(coords)
 
 

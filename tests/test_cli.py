@@ -76,6 +76,12 @@ def test_quasimap_analyze(capsys):
     assert data["basepoints"][0]["length"] == 1
 
 
+def test_quasimap_analyze_json_places(capsys):
+    code, out, _ = run(capsys, "--json", "quasimap", "analyze", fx("segre_q1.json"))
+    assert code == 0
+    assert [bp["place"] for bp in json.loads(out)["basepoints"]] == [[0, 1], "inf"]
+
+
 def test_quasimap_analyze_text_places(capsys):
     code, out, _ = run(capsys, "quasimap", "analyze", fx("segre_q1.json"))
     assert code == 0

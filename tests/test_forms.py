@@ -8,7 +8,7 @@ from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
 from toriq.forms import (BinaryForm, Place, ProjPoint, _factor_poly,
                          _factor_poly_cached, _trim, common_zero_places,
                          poly_divmod, poly_gcd, poly_mul)
-from toriq.quasimap import basepoints, degrees, regular_extension
+from toriq.quasimap import basepoints, degrees, evaluate, regular_extension
 
 from qmgen import random_stable_quasimap
 
@@ -251,6 +251,18 @@ def assert_int_or_proper_fraction(values):
         assert type(x) is int or (type(x) is Fraction and x.denominator != 1), repr(x)
 
 
+CHART_POINTS = [ProjPoint.from_chart(z) for z in (0, 1, -1, Fraction(1, 2), Fraction(-3, 2))]
+CHART_POINTS.append(ProjPoint.infinity())
+
+
+def chart_coords(q):
+    """The chart coordinates of a basepoint-free ``q`` at ``CHART_POINTS`` on
+    every component."""
+    for comp in range(q.n_components):
+        for point in CHART_POINTS:
+            yield from evaluate(q, comp, point).coords
+
+
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "bl0p2"])
 def test_form_data_is_int_or_proper_fraction(name, request):
     fan = request.getfixturevalue(name)
@@ -262,10 +274,13 @@ def test_form_data_is_int_or_proper_fraction(name, request):
         bps = basepoints(q)
         assert_int_or_proper_fraction(c for bp in bps for c in bp.place.coeffs)
         image = apply_ibar(emb, q)
-        results = [q, regular_extension(q), surjectivity_witness(q).quasimap, image]
+        extension = regular_extension(q)
+        results = [q, extension, surjectivity_witness(q).quasimap, image]
         results += fibre_enumeration(emb, image, degrees(q)[0])
         for result in results:
             values = list(exact_values(result))
             assert_int_or_proper_fraction(values)
             rational_seen |= any(type(x) is Fraction for x in values)
+        for result in (extension, apply_ibar(emb, extension)):
+            assert_int_or_proper_fraction(chart_coords(result))
     assert rational_seen

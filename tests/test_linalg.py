@@ -1,0 +1,222 @@
+"""The integer elimination of ``linalg`` and the cone-point vertices of
+``polytope_lattice_points`` against the rational code they replaced."""
+
+import random
+from fractions import Fraction
+from itertools import combinations, product
+
+import pytest
+
+from toriq.classes import divisor_from_ray_coefficients, is_nef, nef_hilbert_basis
+from toriq import embedding
+from toriq.embedding import polytope_lattice_points
+from toriq.fan import product_fan, projective_space_fan
+from toriq.linalg import frac, invert, kernel_basis, solve_square
+
+
+# Reference: rational Gauss-Jordan elimination, every entry a Fraction.
+
+def mat_vec(mat, vec):
+    return tuple(sum(frac(a) * frac(b) for a, b in zip(row, vec)) for row in mat)
+
+
+def invert_oracle(mat):
+    """Exact inverse of a square rational matrix; raises on singular input."""
+    n = len(mat)
+    aug = [[frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [a * inv for a in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def solve_square_oracle(mat, rhs):
+    """Solve mat @ x = rhs for square mat; returns None when singular."""
+    try:
+        inv = invert_oracle(mat)
+    except ValueError:
+        return None
+    return mat_vec(inv, rhs)
+
+
+def kernel_basis_oracle(mat):
+    """Basis of the rational kernel {x : mat @ x = 0} (mat rows = equations)."""
+    if not mat:
+        return []
+    rows = [[frac(x) for x in row] for row in mat]
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [a * inv for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -rows[i][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def polytope_lattice_points_oracle(fan, coeffs):
+    """Lattice points of {m : <m, u_rho> >= -coeffs[rho]}, sorted, with the
+    vertices found by solving every set of dim rays."""
+    n = fan.dim
+    rhs = [-frac(c) for c in coeffs]
+
+    def inside(m):
+        return all(p >= r for p, r in zip(fan.pairing(m), rhs))
+
+    vertices = []
+    for subset in combinations(range(fan.n_rays), n):
+        sol = solve_square_oracle([fan.rays[i] for i in subset], [rhs[i] for i in subset])
+        if sol is not None and inside(sol):
+            vertices.append(sol)
+    if not vertices:
+        return []
+    lo = [min(v[k] for v in vertices) for k in range(n)]
+    hi = [max(v[k] for v in vertices) for k in range(n)]
+    points = []
+    for pt in product(*[range(int(l.__ceil__()), int(h.__floor__()) + 1)
+                        for l, h in zip(lo, hi)]):
+        if inside(pt):
+            points.append(pt)
+    return sorted(points)
+
+
+def assert_int_or_proper_fraction(values):
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), repr(x)
+
+
+def random_scalar(rng, kind):
+    if kind == "int":
+        return rng.randint(-3, 3) if rng.random() < 0.9 else rng.randint(-60, 60)
+    if kind == "integral fraction":
+        return Fraction(rng.randint(-3, 3))
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def random_matrix(rng, m, n):
+    """An m x n matrix of one kind of entries; in about half the cases a row
+    is a multiple of another, a row is zero or two columns are equal."""
+    kind = rng.choice(["int", "int", "rational", "integral fraction"])
+    mat = [[random_scalar(rng, kind) for _ in range(n)] for _ in range(m)]
+    shape = rng.randrange(6)
+    if shape == 1 and m > 1:
+        i, j = rng.sample(range(m), 2)
+        k = random_scalar(rng, kind)
+        mat[i] = [k * x for x in mat[j]]
+    elif shape == 2:
+        mat[rng.randrange(m)] = [0] * n
+    elif shape == 3 and n > 1:
+        i, j = rng.sample(range(n), 2)
+        for row in mat:
+            row[i] = row[j]
+    return mat
+
+
+def test_elimination_agrees_with_rational_oracle():
+    rng = random.Random("linalg")
+    singular = rank_deficient = 0
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        mat = random_matrix(rng, n, n)
+        try:
+            expected = invert_oracle(mat)
+        except ValueError:
+            expected = None
+        if expected is None:
+            singular += 1
+            with pytest.raises(ValueError):
+                invert(mat)
+        else:
+            got = invert(mat)
+            assert got == expected
+            assert_int_or_proper_fraction(x for row in got for x in row)
+
+        rhs = [random_scalar(rng, rng.choice(["int", "rational"])) for _ in range(n)]
+        got = solve_square(mat, rhs)
+        assert got == (None if expected is None else mat_vec(expected, rhs))
+        if got is not None:
+            assert_int_or_proper_fraction(got)
+
+        rect = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        got = kernel_basis(rect)
+        assert got == kernel_basis_oracle(rect)
+        assert_int_or_proper_fraction(x for vec in got for x in vec)
+        rank_deficient += len(got) > max(0, len(rect[0]) - len(rect))
+    assert 300 < singular < 1700 and rank_deficient > 300
+
+
+@pytest.fixture(scope="module")
+def polytope_fans(p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
+    return [p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon,
+            product_fan([bl0p2, projective_space_fan(1)]),
+            product_fan([f2, projective_space_fan(1)])]
+
+
+def random_coefficients(rng, fan):
+    """Ray coefficients of a nef class moved by a random character, or
+    random small integers or rationals."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        coeffs = [0] * fan.n_rays
+        for d in nef_hilbert_basis(fan):
+            k = rng.randint(0, 2)
+            coeffs = [c + k * a for c, a in zip(coeffs, d.ray_coefficients())]
+        shift = fan.pairing([rng.randint(-2, 2) for _ in range(fan.dim)])
+        return [c + s for c, s in zip(coeffs, shift)]
+    if kind < 3:
+        return [rng.randint(-2, 3) for _ in range(fan.n_rays)]
+    return [Fraction(rng.randint(-4, 6), rng.randint(1, 3)) for _ in range(fan.n_rays)]
+
+
+def test_polytope_points_agree_with_subset_oracle(polytope_fans, monkeypatch):
+    solves = []
+
+    def counted_solve(mat, rhs):
+        solves.append(mat)
+        return solve_square(mat, rhs)
+
+    monkeypatch.setattr(embedding, "solve_square", counted_solve)
+    rng = random.Random("polytope")
+    nef = not_nef = 0
+    for i in range(1200):
+        fan = polytope_fans[i % len(polytope_fans)]
+        coeffs = random_coefficients(rng, fan)
+        solves.clear()
+        got = polytope_lattice_points(fan, coeffs)
+        assert got == polytope_lattice_points_oracle(fan, coeffs), (fan, coeffs)
+        assert all(type(x) is int for pt in got for x in pt)
+        if all(type(c) is int for c in coeffs):
+            if is_nef(divisor_from_ray_coefficients(fan, coeffs)):
+                nef += 1
+                assert not solves  # the cone points are the vertices
+            else:
+                not_nef += 1
+    assert nef > 250 and not_nef > 250
