@@ -12,7 +12,8 @@ from importlib import resources
 from .basepoint import INF, degree_at_point
 from .classes import curve_class_from_anchor
 from .contraction import contract, contraction_condition, surjectivity_witness
-from .embedding import apply_ibar, build_epic_embedding, epic_check, fibre_enumeration
+from .embedding import (apply_ibar, build_epic_embedding, epic_check, fibre_enumeration,
+                        pushforward_curves)
 from .forms import BinaryForm, ProjPoint
 from .quasimap import (Quasimap, _twist_away, basepoints, degrees, equal_quasimaps,
                        stability, validate_quasimap)
@@ -177,8 +178,6 @@ def projective_blocks(target):
 
 def factor_degrees(emb, beta):
     """Degrees of a pushed-forward class on each target factor, largest first."""
-    from .embedding import pushforward_curves
-
     pushed = pushforward_curves(emb, beta)
     blocks = projective_blocks(emb.target)
     pairs = sorted(((len(b) - 1, pushed.pairings[b[0]]) for b in blocks), reverse=True)

@@ -15,12 +15,14 @@ import sys
 from . import io as tio
 from .basepoint import degree_at_point, length_at_point
 from .cases import CASE_NAMES, run_case
-from .classes import (anticanonical_class, factorizations, is_fano, length,
-                      nef_hilbert_basis, picard_rank, wall_curve_classes)
+from .classes import (CurveClass, anticanonical_class, curve_class_from_anchor,
+                      factorizations, is_fano, length, nef_hilbert_basis, picard_rank,
+                      wall_curve_classes)
 from .contraction import StableMapTree, contract, contraction_condition, graft, surjectivity_witness
 from .embedding import (apply_ibar, build_epic_embedding, epic_check,
                         fibre_enumeration, pushforward_curves, validate_embedding)
 from .fan import primitive_collections, validate_fan
+from .forms import Place
 from .quasimap import (_twist_away, basepoint_length, basepoints, degrees, stability,
                        validate_quasimap)
 
@@ -34,7 +36,10 @@ def _length_bound(given=None):
     if given is not None:
         return given
     raw = os.environ.get("TORIQ_MAX_LENGTH")
-    return int(raw) if raw else None
+    try:
+        return tio.parse_int(raw) if raw else None
+    except tio.MalformedInput as exc:
+        raise tio.MalformedInput(f"TORIQ_MAX_LENGTH: {exc}") from exc
 
 
 def _emit(args, payload, text_lines):
@@ -100,8 +105,6 @@ def _cmd_fan_info(args):
 
 def _load_class(fan, text):
     """Accept a curve class as a full pairing vector or as anchor coordinates."""
-    from .classes import CurveClass, curve_class_from_anchor, picard_rank
-
     parts = [p.strip() for p in text.split(",")]
     rank = picard_rank(fan)
     if len(parts) == rank and rank != fan.n_rays:
@@ -214,6 +217,7 @@ def _cmd_embed_check(args):
 def _cmd_embed_ibar(args):
     emb = tio.load_embedding(args.embedding)
     q = tio.load_quasimap(args.quasimap)
+    _reject_invalid(args, validate_quasimap(q), "quasimap")
     image = apply_ibar(emb, q)
     _emit_saved(args, tio.quasimap_to_dict(image),
                 [f"image degree: {_class_text(degrees(image)[0])}"])
@@ -222,6 +226,7 @@ def _cmd_embed_ibar(args):
 def _cmd_embed_fibre(args):
     emb = tio.load_embedding(args.embedding)
     q = tio.load_quasimap(args.quasimap)
+    _reject_invalid(args, validate_quasimap(q), "quasimap")
     beta = _load_class(emb.source, args.curve_class)
     fibre = fibre_enumeration(emb, q, beta, length_cap=_length_bound(args.bound))
     payload = {"count": len(fibre),
@@ -263,8 +268,6 @@ def _cmd_contract_apply(args):
 def _cmd_graft(args):
     q = tio.load_quasimap(args.quasimap)
     sections, attach = tio.load_tail(args.tail)
-    from .forms import Place
-
     if args.place.strip().lower() == "inf":
         place = Place.infinity()
     else:

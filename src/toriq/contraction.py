@@ -16,8 +16,8 @@ from .classes import (CurveClass, ample_functional, is_fano, length,
                       relaxed_surjectivity_condition)
 from .forms import BinaryForm, Place, ProjPoint, poly_mul
 from .quasimap import (Quasimap, _map_stable, basepoints, degrees, equal_quasimaps,
-                       extend_at, section_values, special_point_count, stability,
-                       validate_quasimap, xpoint_from_values)
+                       extend_at, section_values, stability, validate_quasimap,
+                       xpoint_from_values)
 
 
 @dataclass(frozen=True)
@@ -313,38 +313,6 @@ def surjectivity_witness(q, length_bound=None):
                 "surjectivity hypotheses or this is a bug"
             )
         current = nxt
-
-    # drop degree-0 unmarked bridges left by the surgery (none expected for
-    # stable inputs, kept as a guard)
-    while True:
-        _, per_comp = degrees(work)
-        bridge = None
-        for comp in range(work.n_components):
-            if per_comp[comp].is_zero() and special_point_count(work, comp) == 2 \
-                    and not any(c == comp for c, _ in work.markings) \
-                    and work.n_components > 1:
-                bridge = comp
-                break
-        if bridge is None:
-            break
-        touching = [n for n in work.nodes if bridge in (n[0][0], n[1][0])]
-        (a, pa), (b, pb) = touching[0]
-        (c, pc), (d, pd) = touching[1]
-        end1 = (a, pa) if b == bridge else (b, pb)
-        end2 = (c, pc) if d == bridge else (d, pd)
-        keep = [i for i in range(work.n_components) if i != bridge]
-        renum = {old: new for new, old in enumerate(keep)}
-        nodes = tuple(
-            ((renum[x], px), (renum[y], py))
-            for (x, px), (y, py) in work.nodes
-            if bridge not in (x, y)
-        ) + (((renum[end1[0]], end1[1]), (renum[end2[0]], end2[1])),)
-        work = Quasimap(
-            work.fan,
-            tuple(work.components[i] for i in keep),
-            nodes,
-            tuple((renum[c2], p) for c2, p in work.markings),
-        )
 
     witness = StableMapTree(work)
     if not equal_quasimaps(contract(witness), q):

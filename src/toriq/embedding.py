@@ -10,7 +10,10 @@ The chart-cover test below is the workhorse: a source chart is covered by a
 target chart when the monomials away from the target cone are invertible on
 the source chart and the pulled-back chart characters generate the source
 chart's coordinate semigroup.  Covered charts make the embedding a closed
-immersion and let us invert it on section data exactly.
+immersion and let us invert it on section data exactly.  The chart data is
+integral and free of the coefficients: they act as a torus automorphism of
+the target, applied by ``apply_ibar`` and divided out of each target section
+when a chart is inverted.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from .classes import (CurveClass, DivisorClass, ample_functional, anchor_rays,
 from .fan import (Fan, dual_basis, memo, primitive_collections, product_fan,
                   projective_space_fan, require_valid)
 from .forms import BinaryForm, poly_mul
-from .linalg import frac, int_or_frac, lattice_map_is_surjective, solve_square
+from .linalg import int_or_frac, lattice_map_is_surjective, solve_square
 from .quasimap import (Quasimap, _twist_away, basepoints, degrees, extend_at,
                        same_curve, same_morphism_sections, validate_quasimap)
 
@@ -41,7 +44,7 @@ class EmbeddingSpec:
     exponents: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(frac(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(int_or_frac(c) for c in self.coeffs))
         object.__setattr__(
             self, "exponents", tuple(tuple(int(e) for e in exp) for exp in self.exponents)
         )
@@ -63,16 +66,13 @@ def _solve_character(fan, pairings):
 
 def _pull_back_character(emb, w):
     """Pull back the target character with pairings ``w`` against the target
-    rays: its pairings v against the source rays, as a tuple, and the product
-    of the monomial coefficients it picks up."""
+    rays: its pairings against the source rays, as a tuple."""
     v = [0] * emb.source.n_rays
-    coef = Fraction(1)
     for tau, w_tau in enumerate(w):
         if w_tau:
-            coef *= emb.coeffs[tau] ** w_tau
             for rho, e in enumerate(emb.exponents[tau]):
                 v[rho] += w_tau * e
-    return tuple(v), coef
+    return tuple(v)
 
 
 def validate_embedding(emb):
@@ -99,15 +99,9 @@ def validate_embedding(emb):
     # degree compatibility: target characters must pull back to source
     # characters; checking the dual basis of one cone, a basis of them, suffices
     for w in emb.target.exponent_matrix(emb.target.max_cones[0]):
-        v, _ = _pull_back_character(emb, w)
-        if _solve_character(emb.source, v) is None:
-            report.append(
-                "degree data is incompatible: a target character does not pull "
-                "back to a source character"
-            )
-            break
-    if report:
-        return report
+        if _solve_character(emb.source, _pull_back_character(emb, w)) is None:
+            return ["degree data is incompatible: a target character does not pull "
+                    "back to a source character"]
 
     # base-locus condition: no common zero of a target primitive collection
     # outside the source unstable locus
@@ -204,10 +198,10 @@ def _nonneg_combination(target, gens, weights):
 def chart_cover(emb):
     """Per source maximal cone, the target charts that cover it.
 
-    Each entry carries the target cone index, the pulled-back chart
-    characters with their coefficients, and nonnegative combinations
-    expressing each source chart character; empty lists mean the chart test
-    fails for that cone.
+    Each entry carries the target cone index and, per source chart
+    character, the nonnegative combination of the pulled-back target chart
+    characters that expresses it; the monomial coefficients play no part.
+    Empty lists mean the chart test fails for that cone.
     """
     require_valid_embedding(emb)
     src, tgt = emb.source, emb.target
@@ -222,10 +216,9 @@ def chart_cover(emb):
                    for tau in tgt.cone_complement(tcone)):
                 continue
             chars = []
-            coefs = []
             ok = True
             for w in tgt.exponent_matrix(tcone):
-                v, coef = _pull_back_character(emb, w)
+                v = _pull_back_character(emb, w)
                 m_x = _solve_character(src, v)
                 # m_x pairs to v with the source rays: regular on the chart iff
                 # nonnegative on the cone's rays
@@ -233,7 +226,6 @@ def chart_cover(emb):
                     ok = False
                     break
                 chars.append(m_x)
-                coefs.append(coef)
             if not ok:
                 continue
             nonzero = [(j, g) for j, g in enumerate(chars) if any(x != 0 for x in g)]
@@ -243,18 +235,13 @@ def chart_cover(emb):
                     m_i, [g for _, g in nonzero], interior
                 )
                 if combo is None:
-                    combos = None
                     break
                 full = [0] * len(chars)
                 for (j, _), c in zip(nonzero, combo):
                     full[j] = c
                 combos.append(tuple(full))
-            if combos is None:
-                continue
-            entries.append(
-                {"target_cone": ti, "chars": tuple(chars), "coeffs": tuple(coefs),
-                 "combos": tuple(combos)}
-            )
+            else:
+                entries.append({"target_cone": ti, "combos": tuple(combos)})
         cover[si] = tuple(entries)
     return cover
 
@@ -318,7 +305,7 @@ def build_epic_embedding(fan, generators=None):
             factors.append(projective_space_fan(len(points) - 1))
             for m in points:
                 exponents.append(tuple(c + p for c, p in zip(lift, fan.pairing(m))))
-                coeffs.append(Fraction(1))
+                coeffs.append(1)
         target = product_fan(factors)
         return EmbeddingSpec(fan, target, tuple(coeffs), tuple(exponents))
 
@@ -359,13 +346,16 @@ def apply_ibar(emb, q):
     return Quasimap(emb.target, tuple(new_components), q.nodes, q.markings)
 
 
-def _factored_sections(secs):
+def _factored_sections(emb, secs):
+    """Per target ray, the unit and places of the section divided by its
+    monomial coefficient, or None for a zero section."""
     out = []
-    for f in secs:
+    for c, f in zip(emb.coeffs, secs):
         if f.is_zero:
             out.append(None)
         else:
-            out.append(f.factor())
+            u, places = f.factor()
+            out.append((Fraction(u, c), places))
     return out
 
 
@@ -373,7 +363,7 @@ def _invert_component(emb, secs):
     """Source section tuple whose image is the given basepoint-free target
     tuple on one component, or None when no chart inversion applies."""
     src, tgt = emb.source, emb.target
-    factored = _factored_sections(secs)
+    factored = _factored_sections(emb, secs)
     all_places = sorted(
         {p for fac in factored if fac for p in fac[1]},
         key=lambda p: p.sort_key(),
@@ -385,7 +375,7 @@ def _invert_component(emb, secs):
             usable = True
             w_orders = []  # per chart character: dict place -> order, or None for zero
             w_units = []
-            for j, exps in enumerate(tgt.exponent_matrix(tcone)):
+            for exps in tgt.exponent_matrix(tcone):
                 if any(e < 0 and factored[tau] is None for tau, e in enumerate(exps)):
                     usable = False
                     break
@@ -399,11 +389,11 @@ def _invert_component(emb, secs):
                     if e == 0:
                         continue
                     u, places = factored[tau]
-                    unit *= frac(u) ** e
+                    unit *= u ** e
                     for p, mult in places.items():
                         orders[p] += e * mult
                 w_orders.append(orders)
-                w_units.append(unit / entry["coeffs"][j])
+                w_units.append(unit)
             if not usable:
                 continue
 
@@ -521,11 +511,11 @@ def _quasimap_sort_key(q):
     )
 
 
-def fibre_enumeration(emb, q, beta, factored=None, length_cap=None):
+def fibre_enumeration(emb, q, beta, length_cap=None):
     """All source quasimaps of class ``beta`` mapping to ``q`` along the embedding.
 
     Works place by place: the regular extension must factor through the source
-    (by chart inversion, or through caller-supplied candidate data), then each
+    (by chart inversion), then each
     basepoint receives an effective source class with the right pushforward,
     the right total and a nonnegative twisted order vector; every surviving
     assignment is materialized by twisting the factored map.
@@ -535,8 +525,7 @@ def fibre_enumeration(emb, q, beta, factored=None, length_cap=None):
         raise ValueError("the quasimap's degree is not the pushforward of the class")
     bps = basepoints(q)
     extension = _twist_away(q, bps)
-    candidate = factored if factored is not None else invert_through_charts(emb, extension)
-    f = _verify_factoring(emb, candidate, extension)
+    f = _verify_factoring(emb, invert_through_charts(emb, extension), extension)
     if f is None:
         return ()
     f_total, _ = degrees(f)

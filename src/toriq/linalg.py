@@ -4,16 +4,18 @@ Everything here works on plain lists/tuples of ints or fractions.Fraction;
 matrices are lists of rows.  Sizes are tiny (lattice rank in the single
 digits), so clarity beats asymptotics.  Values are ``int`` where integral.
 
-``invert``, ``solve_square`` and ``kernel_basis`` share one fraction-free
-elimination on integer rows.  ``invert`` builds the dual bases of ``fan``,
-``solve_square`` the vertices of a non-nef class's polytope,
-``kernel_basis`` and ``primitive_vector`` the nef cone's extreme rays (the
-latter also the integer gcd of ``forms``), ``int_or_frac`` the int-or-Fraction
-storage of classes and forms, and ``lattice_map_is_surjective`` the epic check
-of an embedding.
+``invert``, ``solve_square``, ``kernel_basis`` and
+``lattice_map_is_surjective`` share one fraction-free elimination on integer
+rows.  ``invert`` builds the dual bases of ``fan``, ``solve_square`` the
+vertices of a non-nef class's polytope, ``kernel_basis`` and
+``primitive_vector`` the nef cone's extreme rays (the latter also the integer
+gcd of ``forms``), ``lattice_map_is_surjective`` the epic check of an
+embedding from the maximal minors, and ``int_or_frac`` the int-or-Fraction
+storage of classes, forms and embedding coefficients.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 
@@ -111,67 +113,20 @@ def primitive_vector(vec):
     return tuple(x // g for x in ints)
 
 
-def integer_diagonal_form(mat):
-    """Diagonal of S @ mat @ T for some unimodular S and T.
-
-    No divisibility chain is enforced; ranks and unit pivots are still read
-    off correctly.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [[int(x) for x in row] for row in mat]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, mult):
-        a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-
-    def add_col(dst, src, mult):
-        for row in a:
-            row[dst] += mult * row[src]
-
-    k = 0
-    while k < min(m, n):
-        pivot = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if a[i][j] != 0:
-                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(k + 1, m):
-                if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    add_row(i, k, -q)
-                    if a[i][k] != 0:
-                        swap_rows(k, i)
-                        dirty = True
-            for j in range(k + 1, n):
-                if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    add_col(j, k, -q)
-                    if a[k][j] != 0:
-                        swap_cols(k, j)
-                        dirty = True
-        k += 1
-    return [a[i][i] for i in range(min(m, n))]
-
-
 def lattice_map_is_surjective(mat):
-    """Whether the integer matrix, as a map Z^cols -> Z^rows, is surjective."""
+    """Whether the integer matrix, as a map Z^cols -> Z^rows, is surjective:
+    whether its maximal minors, each the common pivot of the elimination on
+    one set of columns, have gcd 1."""
     m = len(mat)
     if m == 0:
         return True
-    nonzero = [d for d in integer_diagonal_form(mat) if d != 0]
-    return len(nonzero) == m and all(abs(d) == 1 for d in nonzero)
+    if m > len(mat[0]):
+        return False
+    g = 0
+    for cols in combinations(range(len(mat[0])), m):
+        _, pivots, d = _gauss_jordan([[row[c] for c in cols] for row in mat], m)
+        if len(pivots) == m:
+            g = gcd(g, d)
+            if g == 1:
+                return True
+    return False

@@ -118,6 +118,30 @@ def test_embed_ibar_and_fibre(tmp_path, capsys):
     assert json.loads(out)["count"] == 0
 
 
+def _drop_last_section(path, dest):
+    data = json.loads(Path(path).read_text())
+    data["components"][0] = data["components"][0][:-1]
+    dest.write_text(json.dumps(data))
+    return str(dest)
+
+
+def test_embed_ibar_rejects_invalid_quasimap(tmp_path, capsys):
+    bad = _drop_last_section(fx("segre_q1.json"), tmp_path / "bad.json")
+    code, out, err = run(capsys, "embed", "ibar", fx("segre.json"), bad)
+    assert code == 1 and "invalid: component 0 does not have one section per ray" in out
+    assert "quasimap is invalid" in err
+
+
+def test_embed_fibre_rejects_invalid_quasimap(tmp_path, capsys):
+    image = tmp_path / "image.json"
+    run(capsys, "embed", "ibar", fx("segre.json"), fx("segre_q1.json"), "-o", str(image))
+    bad = _drop_last_section(image, tmp_path / "bad.json")
+    code, out, err = run(capsys, "embed", "fibre", fx("segre.json"), bad,
+                         "--class", "2,2,2,2")
+    assert code == 1 and "invalid: component 0 does not have one section per ray" in out
+    assert "quasimap is invalid" in err
+
+
 def test_witness_cli(tmp_path, capsys):
     out_file = tmp_path / "witness.json"
     code, out, _ = run(capsys, "witness", fx("section_line.json"), "-o", str(out_file))
@@ -244,6 +268,13 @@ def test_max_length_env_caps_factor(capsys, monkeypatch):
     code, out, _ = run(capsys, "--json", "class", "factor", fx("bl0p2.json"),
                        "--class", "1,1,1,0")
     assert json.loads(out)["irreducible"] is True
+
+
+@pytest.mark.parametrize("raw", ["abc", "2.5"])
+def test_malformed_max_length_env_is_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("TORIQ_MAX_LENGTH", raw)
+    code, _, err = run(capsys, "class", "factor", fx("bl0p2.json"), "--class", "1,1,1,0")
+    assert code == 2 and err.startswith("usage error: TORIQ_MAX_LENGTH")
 
 
 COLD_START = """

@@ -1,5 +1,6 @@
-"""The integer elimination of ``linalg`` and the cone-point vertices of
-``polytope_lattice_points`` against the rational code they replaced."""
+"""The integer elimination of ``linalg``, its surjectivity test and the
+cone-point vertices of ``polytope_lattice_points`` against the code they
+replaced."""
 
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from toriq.classes import divisor_from_ray_coefficients, is_nef, nef_hilbert_bas
 from toriq import embedding
 from toriq.embedding import polytope_lattice_points
 from toriq.fan import product_fan, projective_space_fan
-from toriq.linalg import frac, invert, kernel_basis, solve_square
+from toriq.linalg import frac, invert, kernel_basis, lattice_map_is_surjective, solve_square
 
 
 # Reference: rational Gauss-Jordan elimination, every entry a Fraction.
@@ -171,6 +172,97 @@ def test_elimination_agrees_with_rational_oracle():
         assert_int_or_proper_fraction(x for vec in got for x in vec)
         rank_deficient += len(got) > max(0, len(rect[0]) - len(rect))
     assert 300 < singular < 1700 and rank_deficient > 300
+
+
+# Reference: surjectivity read off a diagonal form under unimodular row and
+# column operations.
+
+def integer_diagonal_form(mat):
+    """Diagonal of S @ mat @ T for some unimodular S and T.
+
+    No divisibility chain is enforced; ranks and unit pivots are still read
+    off correctly.
+    """
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    a = [[int(x) for x in row] for row in mat]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, mult):
+        a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
+
+    def add_col(dst, src, mult):
+        for row in a:
+            row[dst] += mult * row[src]
+
+    k = 0
+    while k < min(m, n):
+        pivot = None
+        for i in range(k, m):
+            for j in range(k, n):
+                if a[i][j] != 0:
+                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
+                        pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(k, pivot[0])
+        swap_cols(k, pivot[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(k + 1, m):
+                if a[i][k] != 0:
+                    q = a[i][k] // a[k][k]
+                    add_row(i, k, -q)
+                    if a[i][k] != 0:
+                        swap_rows(k, i)
+                        dirty = True
+            for j in range(k + 1, n):
+                if a[k][j] != 0:
+                    q = a[k][j] // a[k][k]
+                    add_col(j, k, -q)
+                    if a[k][j] != 0:
+                        swap_cols(k, j)
+                        dirty = True
+        k += 1
+    return [a[i][i] for i in range(min(m, n))]
+
+
+def lattice_map_is_surjective_oracle(mat):
+    m = len(mat)
+    if m == 0:
+        return True
+    nonzero = [d for d in integer_diagonal_form(mat) if d != 0]
+    return len(nonzero) == m and all(abs(d) == 1 for d in nonzero)
+
+
+def test_surjectivity_agrees_with_diagonal_form_oracle():
+    assert lattice_map_is_surjective([[2, 3]])
+    assert not lattice_map_is_surjective([[1, 0], [0, 2]])
+    assert lattice_map_is_surjective([])
+    rng = random.Random("surjective")
+    verdicts = {True: 0, False: 0}
+    tall = deficient = 0
+    for _ in range(4000):
+        m, n = rng.randint(1, 4), rng.randint(1, 7)
+        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.25:  # a row that is a multiple of another
+            i, j = rng.sample(range(m), 2)
+            k = rng.randint(-2, 2)
+            mat[i] = [k * x for x in mat[j]]
+        expected = lattice_map_is_surjective_oracle(mat)
+        assert lattice_map_is_surjective(mat) == expected, mat
+        verdicts[expected] += 1
+        tall += m > n
+        rank = m - len(kernel_basis([list(col) for col in zip(*mat)]))
+        deficient += rank < min(m, n)
+    assert min(verdicts.values()) > 1500 and tall > 700 and deficient > 400
 
 
 @pytest.fixture(scope="module")
