@@ -17,36 +17,44 @@ from qmgen import random_stable_quasimap  # noqa: E402
 
 from toriq.classes import length  # noqa: E402
 from toriq.contraction import contract, surjectivity_witness  # noqa: E402
-from toriq.fan import Fan  # noqa: E402
+from toriq.fan import Fan, product_fan, projective_space_fan  # noqa: E402
 from toriq.quasimap import basepoints, degrees, equal_quasimaps  # noqa: E402
+
+# the Fano targets of perfbench's warm_session workload, with its ray orders
+TARGETS = {
+    "p2": Fan(2, ((-1, -1), (1, 0), (0, 1)), ((0, 1), (0, 2), (1, 2))),
+    "p1xp1": product_fan([projective_space_fan(1), projective_space_fan(1)]),
+    "bl0p2": Fan(2, ((0, -1), (1, 0), (-1, 1), (0, 1)), ((1, 3), (2, 3), (0, 2), (0, 1))),
+    "p1xp2": product_fan([projective_space_fan(1), projective_space_fan(2)]),
+}
 
 
 def main():
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 50
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
     rng = random.Random(seed)
-    fans = {
-        "plane": Fan(2, ((-1, -1), (1, 0), (0, 1)), ((0, 1), (0, 2), (1, 2))),
-        "blowup": Fan(2, ((0, -1), (1, 0), (-1, 1), (0, 1)),
-                      ((1, 3), (2, 3), (0, 2), (0, 1))),
-    }
-    times = []
+    names = list(TARGETS)
+    times = {name: [] for name in names}
     grafts = []
     for i in range(count):
-        name, fan = list(fans.items())[i % 2]
-        q = random_stable_quasimap(fan, rng, max_total_length=6)
+        name = names[i % len(names)]
+        q = random_stable_quasimap(TARGETS[name], rng, max_total_length=6)
         start = time.perf_counter()
         witness = surjectivity_witness(q)
         elapsed = time.perf_counter() - start
         assert equal_quasimaps(contract(witness), q)
-        times.append(elapsed)
+        times[name].append(elapsed)
         grafts.append(witness.quasimap.n_components - q.n_components)
         print(f"{i:3d} {name:6s} degree-length {length(degrees(q)[0]):2d} "
               f"basepoints {len(basepoints(q))} grafted {grafts[-1]} "
               f"components in {elapsed * 1000:6.1f} ms")
-    print(f"\n{count} searches: mean {statistics.mean(times)*1000:.1f} ms, "
-          f"max {max(times)*1000:.1f} ms, mean grafted components "
+    every = [t for ts in times.values() for t in ts]
+    print(f"\n{count} searches: mean {statistics.mean(every)*1000:.1f} ms, "
+          f"max {max(every)*1000:.1f} ms, mean grafted components "
           f"{statistics.mean(grafts):.2f}")
+    for name, ts in times.items():
+        if ts:
+            print(f"  {name:6s} {len(ts):3d} searches, mean {statistics.mean(ts)*1000:.1f} ms")
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ from .embedding import (apply_ibar, build_epic_embedding, epic_check,
                         fibre_enumeration, pushforward_curves, validate_embedding)
 from .fan import primitive_collections, validate_fan
 from .forms import Place
-from .quasimap import (_twist_away, basepoint_length, basepoints, degrees, stability,
-                       validate_quasimap)
+from .quasimap import (_map_stable, _twist_away, basepoint_length, basepoints, degrees,
+                       stability, validate_quasimap)
 
 
 class DomainError(Exception):
@@ -160,7 +160,7 @@ def _cmd_quasimap_analyze(args):
     bps = basepoints(q)
     ext = _twist_away(q, bps)
     qm_stable = stability(q, "quasimap")
-    map_stable = None if bps else stability(q, "map")
+    map_stable = None if bps else _map_stable(q, per_comp, None)
     payload = {
         "valid": True,
         "degree": list(total.pairings),
@@ -267,6 +267,7 @@ def _cmd_contract_apply(args):
 
 def _cmd_graft(args):
     q = tio.load_quasimap(args.quasimap)
+    _reject_invalid(args, validate_quasimap(q), "quasimap")
     sections, attach = tio.load_tail(args.tail)
     if args.place.strip().lower() == "inf":
         place = Place.infinity()

@@ -12,11 +12,13 @@ sections until the quasimap becomes a stable map again.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .basepoint import degree_at_point
 from .classes import (CurveClass, ample_functional, is_fano, length,
                       relaxed_surjectivity_condition)
 from .forms import BinaryForm, Place, ProjPoint, poly_mul
-from .quasimap import (Quasimap, _map_stable, basepoints, degrees, equal_quasimaps,
-                       extend_at, section_values, stability, validate_quasimap,
+from .quasimap import (Quasimap, _map_stable, _order_vector_at, basepoints,
+                       component_basepoints, degrees, equal_quasimaps, extend_at,
+                       section_values, stability, validate_quasimap,
                        xpoint_from_values)
 
 
@@ -183,16 +185,14 @@ def graft(q, component, place, tail_sections, attach_point):
     sections at the basepoint."""
     if isinstance(place, ProjPoint):
         place = Place.of_point(place)
-    bp = next(
-        (b for b in basepoints(q) if b.component == component and b.place == place),
-        None,
-    )
-    if bp is None:
+    beta = None
+    if 0 <= component < q.n_components:
+        beta, _ = degree_at_point(q.fan, _order_vector_at(q, component, place))
+    if beta is None or beta.is_zero():
         raise ValueError("the given place is not a basepoint of the quasimap")
     point = place.rational_point()
     if point is None:
         raise ValueError("grafting needs a rational basepoint place")
-    beta = bp.degree
     tail_sections = tuple(tail_sections)
     if len(tail_sections) != q.fan.n_rays:
         raise ValueError("one tail section per ray is required")
@@ -305,7 +305,9 @@ def surjectivity_witness(q, length_bound=None):
         values = section_values(extended, bp.component, bp.place.rational_point())
         tail, zero_counter = _deterministic_tail(values, bp.degree, zero_counter)
         work = graft(work, bp.component, bp.place, tail, ProjPoint(1, 0))
-        bps = basepoints(work)
+        # twisting at one place leaves every other order vector as it was, so
+        # only the new tail component needs a scan
+        bps = bps[1:] + component_basepoints(work, work.n_components - 1)
         nxt = measure(bps)
         if nxt >= current:
             raise RuntimeError(

@@ -437,11 +437,11 @@ def _invert_component(emb, secs):
             for rho in range(src.n_rays):
                 if rho in vanishing:
                     continue
-                poly = (Fraction(1),)
+                poly = (1,)
                 degree = 0
+                base = zeta_orders.get(rho, {})
                 for p in all_places:
-                    base = zeta_orders.get(rho, {p: 0 for p in all_places})
-                    e = base[p] - shifts[p].pairings[rho]
+                    e = base.get(p, 0) - shifts[p].pairings[rho]
                     if e < 0:
                         ok = False
                         break
@@ -511,6 +511,18 @@ def _quasimap_sort_key(q):
     )
 
 
+@memo
+def fibre_class_pool(emb, cap):
+    """The nonzero effective source classes of length at most ``cap``, grouped
+    by the pairings of their pushforward, in enumeration order."""
+    require_valid_embedding(emb)
+    pool = {}
+    for c in effective_classes(emb.source, cap):
+        if not c.is_zero():
+            pool.setdefault(pushforward_curves(emb, c).pairings, []).append(c)
+    return {pairings: tuple(classes) for pairings, classes in pool.items()}
+
+
 def fibre_enumeration(emb, q, beta, length_cap=None):
     """All source quasimaps of class ``beta`` mapping to ``q`` along the embedding.
 
@@ -536,12 +548,11 @@ def fibre_enumeration(emb, q, beta, length_cap=None):
         cap = length(beta)
     else:
         raise ValueError("non-Fano source: supply a length cap for the fibre search")
-    pool = [c for c in effective_classes(emb.source, cap) if not c.is_zero()]
+    pool = fibre_class_pool(emb, cap)
 
     per_place = []
     for bp in bps:
-        matches = [c for c in pool
-                   if pushforward_curves(emb, c).pairings == bp.degree.pairings]
+        matches = pool.get(bp.degree.pairings)
         if not matches:
             return ()
         per_place.append(matches)

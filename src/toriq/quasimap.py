@@ -128,31 +128,36 @@ def _order_vector_at(q, comp, place):
     return OrderVector(q.fan, tuple(orders))
 
 
-def basepoints(q):
-    """All basepoint places with their order vectors and degrees.
+def component_basepoints(q, comp):
+    """Basepoint places of one component, sorted, with order vectors and degrees.
 
     Conjugate basepoints sharing an irreducible minimal polynomial over the
     rationals are reported as one place; degree bookkeeping weights them by
     the place degree.
     """
     fan = q.fan
+    secs = q.sections(comp)
+    places = set()
+    for pc in primitive_collections(fan):
+        group = [secs[i] for i in sorted(pc)]
+        if all(f.is_zero for f in group):
+            raise ValueError(
+                f"component {comp} vanishes on the primitive collection {tuple(sorted(pc))}"
+            )
+        places.update(common_zero_places(group))
     out = []
-    for comp in range(q.n_components):
-        secs = q.sections(comp)
-        places = {}
-        for pc in primitive_collections(fan):
-            group = [secs[i] for i in sorted(pc)]
-            if all(f.is_zero for f in group):
-                raise ValueError(
-                    f"component {comp} vanishes on the primitive collection {tuple(sorted(pc))}"
-                )
-            for place in common_zero_places(group):
-                places[place] = True
-        for place in sorted(places, key=lambda p: p.sort_key()):
-            orders = _order_vector_at(q, comp, place)
-            beta, _ = degree_at_point(fan, orders)
-            out.append(BasepointPlace(comp, place, orders, beta))
-    return tuple(sorted(out, key=lambda b: b.sort_key()))
+    for place in sorted(places, key=lambda p: p.sort_key()):
+        orders = _order_vector_at(q, comp, place)
+        beta, _ = degree_at_point(fan, orders)
+        out.append(BasepointPlace(comp, place, orders, beta))
+    return tuple(out)
+
+
+def basepoints(q):
+    """All basepoint places with their order vectors and degrees, sorted by
+    component, then place: the per-component scans, concatenated."""
+    return tuple(bp for comp in range(q.n_components)
+                 for bp in component_basepoints(q, comp))
 
 
 def point_is_basepoint(q, comp, point):

@@ -155,7 +155,7 @@ def test_witness_cli(tmp_path, capsys):
     assert json.loads(out)["degree"] == [1, 1, 1]
 
 
-def test_graft_cli(tmp_path, capsys):
+def _line_tail(tmp_path):
     tail = tmp_path / "tail.json"
     tail.write_text(json.dumps({
         "sections": [
@@ -165,14 +165,32 @@ def test_graft_cli(tmp_path, capsys):
         ],
         "attach": ["1", "0"],
     }))
+    return str(tail)
+
+
+def test_graft_cli(tmp_path, capsys):
     out_file = tmp_path / "grafted.json"
     code, _, _ = run(capsys, "graft", fx("section_line.json"),
                      "--component", "0", "--place", "inf",
-                     "--tail", str(tail), "-o", str(out_file))
+                     "--tail", _line_tail(tmp_path), "-o", str(out_file))
     assert code == 0
     code, out, _ = run(capsys, "--json", "quasimap", "analyze", str(out_file))
     data = json.loads(out)
     assert data["degree"] == [1, 1, 1] and data["basepoints"] == []
+
+
+def test_graft_rejects_invalid_quasimap(tmp_path, capsys):
+    bad = _drop_last_section(fx("section_line.json"), tmp_path / "bad.json")
+    code, out, err = run(capsys, "graft", bad, "--component", "0", "--place", "inf",
+                         "--tail", _line_tail(tmp_path))
+    assert code == 1 and "invalid: component 0 does not have one section per ray" in out
+    assert "quasimap is invalid" in err
+
+
+def test_graft_at_a_missing_component_is_a_domain_error(tmp_path, capsys):
+    code, _, err = run(capsys, "graft", fx("section_line.json"), "--component", "5",
+                       "--place", "inf", "--tail", _line_tail(tmp_path))
+    assert code == 1 and "the given place is not a basepoint of the quasimap" in err
 
 
 @pytest.mark.parametrize("tail", [

@@ -7,9 +7,10 @@ from toriq.classes import length
 from toriq.contraction import (StableMapTree, _deterministic_tail, contract,
                                contraction_condition, graft, prune,
                                rational_tails, surjectivity_witness)
+from toriq.fan import product_fan, projective_space_fan
 from toriq.forms import BinaryForm, Place, ProjPoint
-from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps,
-                            extend_at, section_values, stability,
+from toriq.quasimap import (Quasimap, basepoints, component_basepoints, degrees,
+                            equal_quasimaps, extend_at, section_values, stability,
                             validate_quasimap)
 
 from qmgen import random_quasimap, random_stable_quasimap
@@ -224,3 +225,73 @@ def test_stable_map_tree_validation(p2):
                  markings=MARKS)
     with pytest.raises(ValueError):
         StableMapTree(q)  # has a basepoint
+
+
+def _witness_targets(p2, bl0p2, p1xp1, p3):
+    p1xp2 = product_fan([projective_space_fan(1), projective_space_fan(2)])
+    return {"p2": p2, "bl0p2": bl0p2, "p1xp1": p1xp1, "p1xp2": p1xp2, "p3": p3}
+
+
+def _seeded_stable_quasimaps(fans, count, seed):
+    rng = random.Random(seed)
+    names = sorted(fans)
+    return [random_stable_quasimap(fans[names[i % len(names)]], rng, max_total_length=6)
+            for i in range(count)]
+
+
+def test_carried_basepoints_match_fresh_scans(p2, bl0p2, p1xp1, p3):
+    """The witness loop's carried list (the rest of the list plus a scan of
+    the new tail) equals a full rescan after every graft; replaying the loop
+    reproduces the witness."""
+    fans = _witness_targets(p2, bl0p2, p1xp1, p3)
+    steps = 0
+    for q in _seeded_stable_quasimaps(fans, 200, 2024):
+        work, bps, counter = q, basepoints(q), 0
+        while bps:
+            bp = bps[0]
+            extended = extend_at(work, bp.component, bp.place, bp.degree)
+            values = section_values(extended, bp.component, bp.place.rational_point())
+            tail, counter = _deterministic_tail(values, bp.degree, counter)
+            work = graft(work, bp.component, bp.place, tail, ProjPoint(1, 0))
+            bps = bps[1:] + component_basepoints(work, work.n_components - 1)
+            assert bps == basepoints(work)
+            steps += 1
+        assert work == surjectivity_witness(q).quasimap
+    assert steps >= 200
+
+
+def _scan_lookup(q, component, place):
+    """The basepoint at (component, place) found by a full scan, or None."""
+    return next((b for b in basepoints(q) if b.component == component and b.place == place),
+                None)
+
+
+def test_graft_matches_scan_lookup(p2, bl0p2, p1xp1, p3):
+    fans = _witness_targets(p2, bl0p2, p1xp1, p3)
+    probes = [Place.infinity()] + [Place.rational(z) for z in range(-3, 4)]
+    grafted = rejected = 0
+    for q in _seeded_stable_quasimaps(fans, 60, 7):
+        bps = basepoints(q)
+        for bp in bps:
+            extended = extend_at(q, bp.component, bp.place, bp.degree)
+            values = section_values(extended, bp.component, bp.place.rational_point())
+            tail, _ = _deterministic_tail(values, bp.degree, 0)
+            point = bp.place.rational_point()
+            expected = Quasimap(
+                q.fan, extended.components + (tail,),
+                extended.nodes + (((bp.component, point),
+                                   (q.n_components, ProjPoint(1, 0))),),
+                q.markings)
+            assert graft(q, bp.component, bp.place, tail, ProjPoint(1, 0)) == expected
+            grafted += 1
+        tail = tuple(BinaryForm.zero(0) for _ in range(q.fan.n_rays))
+        places = probes + [bp.place for bp in bps]
+        comps = list(range(-1, q.n_components + 1)) + [q.n_components + 5]
+        spots = [(comp, place) for comp in comps for place in places]
+        for comp, place in spots:
+            if _scan_lookup(q, comp, place) is not None:
+                continue
+            with pytest.raises(ValueError, match="not a basepoint of the quasimap"):
+                graft(q, comp, place, tail, ProjPoint(1, 0))
+            rejected += 1
+    assert grafted >= 60 and rejected >= 500

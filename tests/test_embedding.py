@@ -4,14 +4,17 @@ import weakref
 
 import pytest
 
+from toriq.cases import fixture_path
 from toriq.classes import (CurveClass, curve_class_from_anchor, divisor_class,
-                           nef_hilbert_basis)
+                           effective_classes, nef_hilbert_basis)
 from toriq.embedding import (EmbeddingSpec, apply_ibar, build_epic_embedding,
-                             covers_all_charts, epic_check, fibre_enumeration,
-                             invert_through_charts, polytope_lattice_points,
-                             pullback_pic, pushforward_curves, validate_embedding)
+                             covers_all_charts, epic_check, fibre_class_pool,
+                             fibre_enumeration, invert_through_charts,
+                             polytope_lattice_points, pullback_pic, pushforward_curves,
+                             validate_embedding)
 from toriq.fan import Fan
 from toriq.forms import BinaryForm, ProjPoint
+from toriq.io import load_embedding
 from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps,
                             regular_extension, same_morphism_sections, stability,
                             validate_quasimap)
@@ -259,6 +262,25 @@ def test_identity_embedding_inversion(p2):
     assert candidate is not None
     for comp in range(ext.n_components):
         assert same_morphism_sections(p2, candidate.sections(comp), ext.sections(comp))
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "bl0p2", "p1xp1", "p2xp1", "f2",
+                                  "hexagon", "segre.json"])
+def test_fibre_class_pool_matches_filter(request, name):
+    """The indexed pool against the filter it replaced: the nonzero effective
+    classes of length at most the cap whose pushforward is the degree at the
+    basepoint, in enumeration order."""
+    if name.endswith(".json"):
+        emb = load_embedding(str(fixture_path(name)))
+    else:
+        emb = build_epic_embedding(request.getfixturevalue(name))
+    for cap in range(7):
+        candidates = [(pushforward_curves(emb, c).pairings, c)
+                      for c in effective_classes(emb.source, cap) if not c.is_zero()]
+        pool = fibre_class_pool(emb, cap)
+        assert set(pool) == {pairings for pairings, _ in candidates}
+        for pairings, classes in pool.items():
+            assert list(classes) == [c for pushed, c in candidates if pushed == pairings]
 
 
 def test_fan_and_embedding_are_freed_with_their_derived_data():
