@@ -293,12 +293,12 @@ def _truncated_cone_lattice_points(generators, is_member, functional, bound):
     return points
 
 
-def effective_classes(fan, bound, functional=None):
+def effective_classes(fan, bound):
     """All effective curve classes with functional value at most ``bound``.
 
-    The functional defaults to the anticanonical degree when that is positive
-    on the whole effective cone (the Fano case) and to a fixed ample degree
-    otherwise; either way the enumeration is finite and exact.
+    The functional is the anticanonical degree when that is positive on the
+    whole effective cone (the Fano case) and a fixed ample degree otherwise;
+    either way the enumeration is finite and exact.
     """
     require_valid(fan)
     gens = _mori_generators_anchor(fan)
@@ -307,8 +307,7 @@ def effective_classes(fan, bound, functional=None):
     nef = nef_extreme_rays(fan)
     anchor = anchor_rays(fan)
 
-    if functional is None:
-        functional = _degree_functional(fan)
+    functional = _degree_functional(fan)
     fun_anchor = [functional.coords[i] for i in range(len(anchor))]
 
     def fun(vec):
@@ -375,7 +374,7 @@ def factorizations(fan, beta, bound=None):
         cap = min(cap, bound)
     pairs = []
     seen = set()
-    for part in effective_classes(fan, cap, functional=functional):
+    for part in effective_classes(fan, cap):
         if part.is_zero():
             continue
         rest = beta - part

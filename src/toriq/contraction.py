@@ -113,12 +113,23 @@ def rational_tails(q):
     return tuple(sorted(tails, key=lambda t: (t.host, t.host_point.sort_key())))
 
 
-def _tail_class(q, tail):
-    _, per_comp = degrees(q)
-    total = None
-    for comp in sorted(tail.components):
-        total = per_comp[comp] if total is None else total + per_comp[comp]
-    return total
+def _tail_checks(q):
+    """Per rational tail: the tail, its class (the sum of its components'
+    classes) and whether the kept sections' orders at the attaching point
+    absorb the twist by that class."""
+    tails = rational_tails(q)
+    per_comp = degrees(q)[1] if tails else ()
+    checks = []
+    for tail in tails:
+        first, *rest = sorted(tail.components)
+        beta = per_comp[first]
+        for comp in rest:
+            beta = beta + per_comp[comp]
+        place = Place.of_point(tail.host_point)
+        orders = (form.ord_at(place) for form in q.sections(tail.host))
+        ok = all(o is None or o + d >= 0 for o, d in zip(orders, beta.pairings))
+        checks.append((tail, beta, ok))
+    return checks
 
 
 def contraction_condition(f):
@@ -126,21 +137,8 @@ def contraction_condition(f):
 
     A tail passes when the kept sections' orders at the attaching point
     absorb the twist by the tail's class."""
-    q = _as_quasimap(f)
-    place_results = []
-    for tail in rational_tails(q):
-        beta = _tail_class(q, tail)
-        place = Place.of_point(tail.host_point)
-        ok = True
-        for rho, form in enumerate(q.sections(tail.host)):
-            o = form.ord_at(place)
-            if o is None:
-                continue
-            if o + beta.pairings[rho] < 0:
-                ok = False
-                break
-        place_results.append((tail, ok))
-    return place_results, all(ok for _, ok in place_results)
+    checks = _tail_checks(_as_quasimap(f))
+    return [(tail, ok) for tail, _, ok in checks], all(ok for _, _, ok in checks)
 
 
 def _drop_components(q, dropped, twists):
@@ -166,14 +164,14 @@ def contract(f):
     The result is a quasimap of the same total degree whose basepoints at the
     former attaching points carry exactly the tail classes."""
     q = _as_quasimap(f)
-    results, overall = contraction_condition(q)
-    if not overall:
+    checks = _tail_checks(q)
+    if not all(ok for _, _, ok in checks):
         raise ValueError("the map does not satisfy the contraction condition")
     dropped = set()
     twists = []
-    for tail, _ in results:
+    for tail, beta, _ in checks:
         dropped |= tail.components
-        twists.append((tail.host, Place.of_point(tail.host_point), _tail_class(q, tail)))
+        twists.append((tail.host, Place.of_point(tail.host_point), beta))
     return _drop_components(q, dropped, twists)
 
 
@@ -211,11 +209,16 @@ def graft(q, component, place, tail_sections, attach_point):
         raise ValueError("tail sections do not match the extension at the basepoint")
     if xpoint_from_values(q.fan, host_values) != xpoint_from_values(q.fan, tail_values):
         raise ValueError("tail sections do not match the extension at the basepoint")
+    return _attach(extended, component, point, tail_sections, attach_point)
 
+
+def _attach(extended, component, point, tail_sections, attach_point):
+    """The already twisted quasimap with the tail appended as a new component,
+    noded to ``component`` at ``point``."""
     new_comp = extended.n_components
     components = extended.components + (tail_sections,)
     nodes = extended.nodes + (((component, point), (new_comp, attach_point)),)
-    return Quasimap(q.fan, components, nodes, extended.markings)
+    return Quasimap(extended.fan, components, nodes, extended.markings)
 
 
 def prune(q, component):
@@ -299,12 +302,15 @@ def surjectivity_witness(q, length_bound=None):
     current = measure(bps)
     while bps:
         bp = bps[0]
-        if bp.place.rational_point() is None:
+        point = bp.place.rational_point()
+        if point is None:
             raise ValueError("witness search hit an irrational basepoint place")
+        # the tail is built to match the twist at [1:0], so graft's checks
+        # would hold by construction; the closing checks below still run
         extended = extend_at(work, bp.component, bp.place, bp.degree)
-        values = section_values(extended, bp.component, bp.place.rational_point())
+        values = section_values(extended, bp.component, point)
         tail, zero_counter = _deterministic_tail(values, bp.degree, zero_counter)
-        work = graft(work, bp.component, bp.place, tail, ProjPoint(1, 0))
+        work = _attach(extended, bp.component, point, tail, ProjPoint(1, 0))
         # twisting at one place leaves every other order vector as it was, so
         # only the new tail component needs a scan
         bps = bps[1:] + component_basepoints(work, work.n_components - 1)

@@ -198,10 +198,12 @@ def _nonneg_combination(target, gens, weights):
 def chart_cover(emb):
     """Per source maximal cone, the target charts that cover it.
 
-    Each entry carries the target cone index and, per source chart
-    character, the nonnegative combination of the pulled-back target chart
-    characters that expresses it; the monomial coefficients play no part.
-    Empty lists mean the chart test fails for that cone.
+    Each entry carries the target cone index and one lift per ray of the
+    source cone.  The lift of the chart coordinate dual to that ray is its
+    exponent vector over the target rays: the nonnegative combination of the
+    target chart characters (rows of the target cone's exponent matrix)
+    whose pullback is that coordinate.  The monomial coefficients play no
+    part.  Empty lists mean the chart test fails for that cone.
     """
     require_valid_embedding(emb)
     src, tgt = emb.source, emb.target
@@ -215,33 +217,28 @@ def chart_cover(emb):
             if any(emb.monomial_support(tau) & scone_set
                    for tau in tgt.cone_complement(tcone)):
                 continue
+            rows = []
             chars = []
-            ok = True
             for w in tgt.exponent_matrix(tcone):
                 v = _pull_back_character(emb, w)
                 m_x = _solve_character(src, v)
                 # m_x pairs to v with the source rays: regular on the chart iff
                 # nonnegative on the cone's rays
                 if m_x is None or any(v[i] < 0 for i in scone):
-                    ok = False
                     break
-                chars.append(m_x)
-            if not ok:
-                continue
-            nonzero = [(j, g) for j, g in enumerate(chars) if any(x != 0 for x in g)]
-            combos = []
-            for m_i in duals_x:
-                combo = _nonneg_combination(
-                    m_i, [g for _, g in nonzero], interior
-                )
-                if combo is None:
-                    break
-                full = [0] * len(chars)
-                for (j, _), c in zip(nonzero, combo):
-                    full[j] = c
-                combos.append(tuple(full))
+                if any(m_x):
+                    rows.append(w)
+                    chars.append(m_x)
             else:
-                entries.append({"target_cone": ti, "combos": tuple(combos)})
+                lifts = []
+                for m_i in duals_x:
+                    combo = _nonneg_combination(m_i, chars, interior)
+                    if combo is None:
+                        break
+                    lifts.append(tuple(sum(c * w[tau] for c, w in zip(combo, rows))
+                                       for tau in range(tgt.n_rays)))
+                else:
+                    entries.append({"target_cone": ti, "lifts": tuple(lifts)})
         cover[si] = tuple(entries)
     return cover
 
@@ -364,99 +361,57 @@ def _invert_component(emb, secs):
     tuple on one component, or None when no chart inversion applies."""
     src, tgt = emb.source, emb.target
     factored = _factored_sections(emb, secs)
+    zeros = [tau for tau, fac in enumerate(factored) if fac is None]
     all_places = sorted(
         {p for fac in factored if fac for p in fac[1]},
         key=lambda p: p.sort_key(),
     )
-    for si in range(len(src.max_cones)):
-        scone = src.max_cones[si]
+    for si, scone in enumerate(src.max_cones):
         for entry in chart_cover(emb)[si]:
             tcone = tgt.max_cones[entry["target_cone"]]
-            usable = True
-            w_orders = []  # per chart character: dict place -> order, or None for zero
-            w_units = []
-            for exps in tgt.exponent_matrix(tcone):
-                if any(e < 0 and factored[tau] is None for tau, e in enumerate(exps)):
-                    usable = False
-                    break
-                if any(e > 0 and factored[tau] is None for tau, e in enumerate(exps)):
-                    w_orders.append(None)
-                    w_units.append(None)
-                    continue
-                orders = {p: 0 for p in all_places}
-                unit = Fraction(1)
-                for tau, e in enumerate(exps):
-                    if e == 0:
-                        continue
-                    u, places = factored[tau]
-                    unit *= u ** e
-                    for p, mult in places.items():
-                        orders[p] += e * mult
-                w_orders.append(orders)
-                w_units.append(unit)
-            if not usable:
+            if any(row[tau] < 0 for row in tgt.exponent_matrix(tcone) for tau in zeros):
                 continue
-
-            # exponent data for the candidate source sections
-            zeta_orders = {}
-            zeta_units = {}
+            # unit and per-place orders of each source chart coordinate, read
+            # off the target sections through its lift; a lift positive at a
+            # zero section makes the coordinate vanish
+            orders = {p: [0] * src.n_rays for p in all_places}
+            units = [Fraction(1)] * src.n_rays
             vanishing = set()
-            for pos, rho in enumerate(scone):
-                combo = entry["combos"][pos]
-                if any(c > 0 and w_orders[j] is None for j, c in enumerate(combo)):
+            for rho, lift in zip(scone, entry["lifts"]):
+                if any(lift[tau] > 0 for tau in zeros):
                     vanishing.add(rho)
                     continue
-                orders = {p: 0 for p in all_places}
-                unit = Fraction(1)
-                for j, c in enumerate(combo):
-                    if c:
-                        unit *= w_units[j] ** c
-                        for p, o in w_orders[j].items():
-                            orders[p] += c * o
-                zeta_orders[rho] = orders
-                zeta_units[rho] = unit
+                for tau, e in enumerate(lift):
+                    if e:
+                        u, places = factored[tau]
+                        units[rho] *= u ** e
+                        for p, mult in places.items():
+                            orders[p][rho] += e * mult
 
             try:
-                shifts = {}
-                for p in all_places:
-                    vec = []
-                    for rho in range(src.n_rays):
-                        if rho in vanishing:
-                            vec.append(INF)
-                        elif rho in zeta_orders:
-                            vec.append(zeta_orders[rho][p])
-                        else:
-                            vec.append(0)
+                shifts = []
+                for vec in orders.values():
+                    for rho in vanishing:
+                        vec[rho] = INF
                     beta_p, _ = _locate_degree(src, tuple(vec), frozenset(vanishing))
-                    shifts[p] = beta_p
+                    shifts.append(beta_p.pairings)
             except ValueError:
                 continue
 
+            # the orders less the shift are the c_k >= 0 of the witnessing cone
             sections = [None] * src.n_rays
-            ok = True
             for rho in range(src.n_rays):
                 if rho in vanishing:
                     continue
                 poly = (1,)
                 degree = 0
-                base = zeta_orders.get(rho, {})
-                for p in all_places:
-                    e = base.get(p, 0) - shifts[p].pairings[rho]
-                    if e < 0:
-                        ok = False
-                        break
-                    if e == 0:
-                        continue
+                for (p, vec), shift in zip(orders.items(), shifts):
+                    e = vec[rho] - shift[rho]
                     degree += e * p.degree
                     if not p.at_infinity:
                         for _ in range(e):
                             poly = poly_mul(poly, p.coeffs)
-                if not ok:
-                    break
-                unit = zeta_units.get(rho, Fraction(1))
-                sections[rho] = BinaryForm.from_poly(degree, tuple(unit * c for c in poly))
-            if not ok:
-                continue
+                sections[rho] = BinaryForm.from_poly(degree, tuple(units[rho] * c for c in poly))
 
             if vanishing:
                 consistent = True
@@ -527,10 +482,10 @@ def fibre_enumeration(emb, q, beta, length_cap=None):
     """All source quasimaps of class ``beta`` mapping to ``q`` along the embedding.
 
     Works place by place: the regular extension must factor through the source
-    (by chart inversion), then each
-    basepoint receives an effective source class with the right pushforward,
-    the right total and a nonnegative twisted order vector; every surviving
-    assignment is materialized by twisting the factored map.
+    (by chart inversion) as some f.  Each basepoint then keeps the pool classes
+    with the right pushforward whose pairings, added to f's orders there, stay
+    nonnegative; every assignment of kept classes with the right total is
+    materialized by twisting f.
     """
     require_valid_embedding(emb)
     if pushforward_curves(emb, beta).pairings != degrees(q)[0].pairings:
@@ -552,7 +507,9 @@ def fibre_enumeration(emb, q, beta, length_cap=None):
 
     per_place = []
     for bp in bps:
-        matches = pool.get(bp.degree.pairings)
+        orders = [form.ord_at(bp.place) for form in f.sections(bp.component)]
+        matches = [c for c in pool.get(bp.degree.pairings, ())
+                   if all(o is None or o + d >= 0 for o, d in zip(orders, c.pairings))]
         if not matches:
             return ()
         per_place.append(matches)
@@ -563,19 +520,6 @@ def fibre_enumeration(emb, q, beta, length_cap=None):
         for bp, c in zip(bps, assignment):
             total = total + bp.place.degree * c
         if total.pairings != beta.pairings:
-            continue
-        ok = True
-        for bp, c in zip(bps, assignment):
-            for rho, form in enumerate(f.sections(bp.component)):
-                o = form.ord_at(bp.place)
-                if o is None:
-                    continue
-                if o + c.pairings[rho] < 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
             continue
         out = f
         for bp, c in zip(bps, assignment):

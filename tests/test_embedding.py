@@ -1,25 +1,30 @@
 import gc
 import random
 import weakref
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from toriq.cases import fixture_path
 from toriq.classes import (CurveClass, curve_class_from_anchor, divisor_class,
                            effective_classes, nef_hilbert_basis)
-from toriq.embedding import (EmbeddingSpec, apply_ibar, build_epic_embedding,
-                             covers_all_charts, epic_check, fibre_class_pool,
-                             fibre_enumeration, invert_through_charts,
-                             polytope_lattice_points, pullback_pic, pushforward_curves,
-                             validate_embedding)
-from toriq.fan import Fan
-from toriq.forms import BinaryForm, ProjPoint
+from toriq.basepoint import INF, _locate_degree
+from toriq.embedding import (EmbeddingSpec, _factored_sections, _invert_component,
+                             _nonneg_combination, _pull_back_character,
+                             _solve_character, apply_ibar, build_epic_embedding,
+                             chart_cover, covers_all_charts, epic_check,
+                             fibre_class_pool, fibre_enumeration,
+                             invert_through_charts, polytope_lattice_points,
+                             pullback_pic, pushforward_curves, validate_embedding)
+from toriq.fan import Fan, dual_basis
+from toriq.forms import BinaryForm, ProjPoint, poly_mul
 from toriq.io import load_embedding
 from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps,
                             regular_extension, same_morphism_sections, stability,
                             validate_quasimap)
 
-from qmgen import random_quasimap
+from qmgen import GiveUp, _section_tuple, random_quasimap
 
 
 def F(deg, *coeffs):
@@ -264,16 +269,22 @@ def test_identity_embedding_inversion(p2):
         assert same_morphism_sections(p2, candidate.sections(comp), ext.sections(comp))
 
 
-@pytest.mark.parametrize("name", ["p1", "p2", "p3", "bl0p2", "p1xp1", "p2xp1", "f2",
-                                  "hexagon", "segre.json"])
+CONFTEST_FANS = ["p1", "p2", "p3", "bl0p2", "p1xp1", "p2xp1", "f2", "hexagon"]
+
+
+def embedding_named(request, name):
+    """A bundled embedding fixture, or the built embedding of a conftest fan."""
+    if name.endswith(".json"):
+        return load_embedding(str(fixture_path(name)))
+    return build_epic_embedding(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("name", CONFTEST_FANS + ["segre.json"])
 def test_fibre_class_pool_matches_filter(request, name):
     """The indexed pool against the filter it replaced: the nonzero effective
     classes of length at most the cap whose pushforward is the degree at the
     basepoint, in enumeration order."""
-    if name.endswith(".json"):
-        emb = load_embedding(str(fixture_path(name)))
-    else:
-        emb = build_epic_embedding(request.getfixturevalue(name))
+    emb = embedding_named(request, name)
     for cap in range(7):
         candidates = [(pushforward_curves(emb, c).pairings, c)
                       for c in effective_classes(emb.source, cap) if not c.is_zero()]
@@ -281,6 +292,225 @@ def test_fibre_class_pool_matches_filter(request, name):
         assert set(pool) == {pairings for pairings, _ in candidates}
         for pairings, classes in pool.items():
             assert list(classes) == [c for pushed, c in candidates if pushed == pairings]
+
+
+# The chart inversion as it was before the cover stored lifts, kept as the
+# oracle of test_inversion_matches_combination_oracle.
+
+def _oracle_chart_cover(emb):
+    """The chart cover with, per source chart character, the nonnegative
+    combination of the pulled-back target chart characters that expresses it,
+    in place of its lift."""
+    src, tgt = emb.source, emb.target
+    cover = {}
+    for si, scone in enumerate(src.max_cones):
+        scone_set = set(scone)
+        interior = [sum(src.rays[i][k] for i in scone) for k in range(src.dim)]
+        duals_x = dual_basis(src, scone)
+        entries = []
+        for ti, tcone in enumerate(tgt.max_cones):
+            if any(emb.monomial_support(tau) & scone_set
+                   for tau in tgt.cone_complement(tcone)):
+                continue
+            chars = []
+            ok = True
+            for w in tgt.exponent_matrix(tcone):
+                v = _pull_back_character(emb, w)
+                m_x = _solve_character(src, v)
+                # m_x pairs to v with the source rays: regular on the chart iff
+                # nonnegative on the cone's rays
+                if m_x is None or any(v[i] < 0 for i in scone):
+                    ok = False
+                    break
+                chars.append(m_x)
+            if not ok:
+                continue
+            nonzero = [(j, g) for j, g in enumerate(chars) if any(x != 0 for x in g)]
+            combos = []
+            for m_i in duals_x:
+                combo = _nonneg_combination(
+                    m_i, [g for _, g in nonzero], interior
+                )
+                if combo is None:
+                    break
+                full = [0] * len(chars)
+                for (j, _), c in zip(nonzero, combo):
+                    full[j] = c
+                combos.append(tuple(full))
+            else:
+                entries.append({"target_cone": ti, "combos": tuple(combos)})
+        cover[si] = tuple(entries)
+    return cover
+
+
+def _oracle_invert_component(emb, cover, secs):
+    """Chart inversion through the combinations: a unit and per-place orders
+    for every target chart character, combined per source chart character."""
+    src, tgt = emb.source, emb.target
+    factored = _factored_sections(emb, secs)
+    all_places = sorted(
+        {p for fac in factored if fac for p in fac[1]},
+        key=lambda p: p.sort_key(),
+    )
+    for si in range(len(src.max_cones)):
+        scone = src.max_cones[si]
+        for entry in cover[si]:
+            tcone = tgt.max_cones[entry["target_cone"]]
+            usable = True
+            w_orders = []  # per chart character: dict place -> order, or None for zero
+            w_units = []
+            for exps in tgt.exponent_matrix(tcone):
+                if any(e < 0 and factored[tau] is None for tau, e in enumerate(exps)):
+                    usable = False
+                    break
+                if any(e > 0 and factored[tau] is None for tau, e in enumerate(exps)):
+                    w_orders.append(None)
+                    w_units.append(None)
+                    continue
+                orders = {p: 0 for p in all_places}
+                unit = Fraction(1)
+                for tau, e in enumerate(exps):
+                    if e == 0:
+                        continue
+                    u, places = factored[tau]
+                    unit *= u ** e
+                    for p, mult in places.items():
+                        orders[p] += e * mult
+                w_orders.append(orders)
+                w_units.append(unit)
+            if not usable:
+                continue
+
+            # exponent data for the candidate source sections
+            zeta_orders = {}
+            zeta_units = {}
+            vanishing = set()
+            for pos, rho in enumerate(scone):
+                combo = entry["combos"][pos]
+                if any(c > 0 and w_orders[j] is None for j, c in enumerate(combo)):
+                    vanishing.add(rho)
+                    continue
+                orders = {p: 0 for p in all_places}
+                unit = Fraction(1)
+                for j, c in enumerate(combo):
+                    if c:
+                        unit *= w_units[j] ** c
+                        for p, o in w_orders[j].items():
+                            orders[p] += c * o
+                zeta_orders[rho] = orders
+                zeta_units[rho] = unit
+
+            try:
+                shifts = {}
+                for p in all_places:
+                    vec = []
+                    for rho in range(src.n_rays):
+                        if rho in vanishing:
+                            vec.append(INF)
+                        elif rho in zeta_orders:
+                            vec.append(zeta_orders[rho][p])
+                        else:
+                            vec.append(0)
+                    beta_p, _ = _locate_degree(src, tuple(vec), frozenset(vanishing))
+                    shifts[p] = beta_p
+            except ValueError:
+                continue
+
+            sections = [None] * src.n_rays
+            ok = True
+            for rho in range(src.n_rays):
+                if rho in vanishing:
+                    continue
+                poly = (1,)
+                degree = 0
+                base = zeta_orders.get(rho, {})
+                for p in all_places:
+                    e = base.get(p, 0) - shifts[p].pairings[rho]
+                    if e < 0:
+                        ok = False
+                        break
+                    if e == 0:
+                        continue
+                    degree += e * p.degree
+                    if not p.at_infinity:
+                        for _ in range(e):
+                            poly = poly_mul(poly, p.coeffs)
+                if not ok:
+                    break
+                unit = zeta_units.get(rho, Fraction(1))
+                sections[rho] = BinaryForm.from_poly(degree, tuple(unit * c for c in poly))
+            if not ok:
+                continue
+
+            if vanishing:
+                consistent = True
+                for rho, row in zip(scone, src.exponent_matrix(scone)):
+                    coord = -sum(sections[r].degree * row[r]
+                                 for r in range(src.n_rays) if r not in vanishing)
+                    if rho in vanishing:
+                        sections[rho] = BinaryForm.zero(coord)
+                    elif coord != 0:
+                        consistent = False
+                        break
+                if not consistent:
+                    continue
+            return tuple(sections)
+    return None
+
+
+def _target_tuples(emb, rng, count):
+    """Seeded basepoint-free target section tuples on one component.
+
+    Half are images of random source tuples, half are random target tuples,
+    which are mostly not images; in both some sections are set to zero."""
+    pools = {fan: effective_classes(fan, 4) for fan in (emb.source, emb.target)}
+    tuples = []
+    while len(tuples) < count:
+        from_source = rng.random() < 0.5
+        fan = emb.source if from_source else emb.target
+        try:
+            secs = list(_section_tuple(fan, rng, rng.choice(pools[fan])))
+        except GiveUp:
+            continue
+        for rho in range(fan.n_rays):
+            if rng.random() < 0.5:
+                secs[rho] = BinaryForm.zero(secs[rho].degree)
+        q = Quasimap(fan, (tuple(secs),))
+        if validate_quasimap(q) or basepoints(q):
+            continue
+        tuples.append(apply_ibar(emb, q).sections(0) if from_source else tuple(secs))
+    return tuples
+
+
+def test_inversion_matches_combination_oracle(request):
+    """Lifts are the combinations applied to the target chart characters, and
+    inverting through them gives the oracle's sections, None included."""
+    outcomes = {}
+    for name in CONFTEST_FANS + ["segre.json", "bl0p2_product.json"]:
+        emb = embedding_named(request, name)
+        tgt = emb.target
+        cover = _oracle_chart_cover(emb)
+        for si, entries in chart_cover(emb).items():
+            assert [e["target_cone"] for e in entries] == [e["target_cone"] for e in cover[si]]
+            for entry, old in zip(entries, cover[si]):
+                rows = tgt.exponent_matrix(tgt.max_cones[entry["target_cone"]])
+                assert entry["lifts"] == tuple(
+                    tuple(sum(c * row[tau] for c, row in zip(combo, rows))
+                          for tau in range(tgt.n_rays))
+                    for combo in old["combos"])
+        seen = outcomes[name] = Counter()
+        for secs in _target_tuples(emb, random.Random(f"inversion/{name}"), 30):
+            got = _invert_component(emb, secs)
+            assert got == _oracle_invert_component(emb, cover, secs)
+            if got is None:
+                seen["none"] += 1
+            else:
+                seen["vanishing" if any(f.is_zero for f in got) else "plain"] += 1
+        assert seen["plain"] and seen["vanishing"], (name, seen)
+        if tgt.dim == emb.source.dim:
+            # an isomorphism has every basepoint-free tuple as an image
+            assert not seen["none"], (name, seen)
+    assert sum(seen["none"] for seen in outcomes.values()) > 0, outcomes
 
 
 def test_fan_and_embedding_are_freed_with_their_derived_data():
