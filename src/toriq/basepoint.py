@@ -8,10 +8,9 @@ by locating the vector the orders sum the rays to among the maximal cones
 that contain all identically-vanishing directions.
 """
 
-from dataclasses import dataclass
-
 from .classes import CurveClass
 from .fan import primitive_collections, require_valid
+from .record import Record
 
 
 class _Infinity:
@@ -64,16 +63,14 @@ def is_infinite(x):
     return x is INF
 
 
-@dataclass(frozen=True)
-class OrderVector:
+class OrderVector(Record):
     """Per-ray vanishing orders at one point, entries in Z>=0 or INF."""
 
-    fan: object
-    orders: tuple
+    _fields = ("fan", "orders")
 
-    def __post_init__(self):
+    def __init__(self, fan, orders):
         vals = []
-        for x in self.orders:
+        for x in orders:
             if is_infinite(x):
                 vals.append(INF)
             else:
@@ -81,11 +78,11 @@ class OrderVector:
                 if v < 0:
                     raise ValueError("vanishing orders must be nonnegative")
                 vals.append(v)
-        object.__setattr__(self, "orders", tuple(vals))
-        if len(vals) != self.fan.n_rays:
+        if len(vals) != fan.n_rays:
             raise ValueError("order vector length does not match the ray count")
+        self.__dict__.update(fan=fan, orders=tuple(vals))
         vanishing = self.vanishing
-        for pc in primitive_collections(self.fan):
+        for pc in primitive_collections(fan):
             if pc <= vanishing:
                 raise ValueError(
                     "degenerate order vector: the identically-vanishing rays "

@@ -5,7 +5,6 @@ prints them with a pass/fail summary.  Fixture files live next to this
 module and are also the CLI's example inputs.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -89,10 +88,10 @@ def family_contracted():
                     markings=((0, ProjPoint(1, 1)), (0, ProjPoint(1, 3))))
 
 
-@dataclass
 class CaseReport:
-    name: str
-    checks: list  # (label, computed, expected)
+    def __init__(self, name, checks):
+        self.name = name
+        self.checks = checks  # (label, computed, expected)
 
     @property
     def passed(self):

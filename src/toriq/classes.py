@@ -9,29 +9,32 @@ by the wall curve classes, decided exactly through the dual (nef) cone.
 """
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from .fan import memo, require_valid, walls
 from .linalg import frac, int_or_frac, kernel_basis, primitive_vector
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(Record):
     """A 1-cycle class, as the vector of its pairings with the boundary divisors."""
 
-    fan: object
-    pairings: tuple
+    _fields = ("fan", "pairings")
 
-    def __post_init__(self):
-        vals = tuple(map(int_or_frac, self.pairings))
-        object.__setattr__(self, "pairings", vals)
-        if len(vals) != self.fan.n_rays:
+    def __init__(self, fan, pairings):
+        self.__post_init__(fan, pairings)
+
+    def __post_init__(self, fan, pairings):
+        # the whole construction, looked up on the instance, so that wrapping
+        # this one method counts and times every construction
+        vals = tuple(map(int_or_frac, pairings))
+        if len(vals) != fan.n_rays:
             raise ValueError("pairing vector length does not match the ray count")
-        if any(sum(map(operator.mul, vals, column)) for column in zip(*self.fan.rays)):
+        if any(sum(map(operator.mul, vals, column)) for column in zip(*fan.rays)):
             raise ValueError(f"pairing vector {vals} is not a curve class "
                              "(it pairs inconsistently with the ray relations)")
+        self.__dict__.update(fan=fan, pairings=vals)
 
     @property
     def anchor_coords(self):
@@ -53,18 +56,16 @@ class CurveClass:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """A divisor class in the anchor basis of the fan's first maximal cone."""
 
-    fan: object
-    coords: tuple
+    _fields = ("fan", "coords")
 
-    def __post_init__(self):
-        vals = tuple(int_or_frac(x) for x in self.coords)
-        object.__setattr__(self, "coords", vals)
-        if len(vals) != len(anchor_rays(self.fan)):
+    def __init__(self, fan, coords):
+        vals = tuple(map(int_or_frac, coords))
+        if len(vals) != len(anchor_rays(fan)):
             raise ValueError("coordinate length does not match the Picard rank")
+        self.__dict__.update(fan=fan, coords=vals)
 
     def pair(self, beta):
         """Intersection number with a curve class."""
@@ -367,9 +368,7 @@ def factorizations(fan, beta, bound=None):
     """
     if not is_effective(beta) or beta.is_zero():
         raise ValueError("factorizations are defined for nonzero effective classes")
-    functional = _degree_functional(fan)
-    total = functional.pair(beta)
-    cap = total - 1
+    cap = factor_search_cap(fan, beta)
     if bound is not None:
         cap = min(cap, bound)
     pairs = []
@@ -387,6 +386,13 @@ def factorizations(fan, beta, bound=None):
         pairs.append((curve_class_from_anchor(fan, key[0]), curve_class_from_anchor(fan, key[1])))
     pairs.sort(key=lambda pr: (pr[0].anchor_coords, pr[1].anchor_coords))
     return pairs
+
+
+def factor_search_cap(fan, beta):
+    """The largest degree a summand of ``beta`` can have: its degree under the
+    enumeration functional, less one.  A ``factorizations`` bound below this
+    cuts the search short."""
+    return _degree_functional(fan).pair(beta) - 1
 
 
 def is_irreducible(fan, beta):

@@ -16,8 +16,8 @@ from . import io as tio
 from .basepoint import degree_at_point, length_at_point
 from .cases import CASE_NAMES, run_case
 from .classes import (CurveClass, anticanonical_class, curve_class_from_anchor,
-                      factorizations, is_fano, length, nef_hilbert_basis, picard_rank,
-                      wall_curve_classes)
+                      factor_search_cap, factorizations, is_fano, length,
+                      nef_hilbert_basis, picard_rank, wall_curve_classes)
 from .contraction import StableMapTree, contract, contraction_condition, graft, surjectivity_witness
 from .embedding import (apply_ibar, build_epic_embedding, epic_check,
                         fibre_enumeration, pushforward_curves, validate_embedding)
@@ -32,14 +32,17 @@ class DomainError(Exception):
 
 
 def _length_bound(given=None):
-    """The given bound, else the TORIQ_MAX_LENGTH cap, else None."""
-    if given is not None:
-        return given
-    raw = os.environ.get("TORIQ_MAX_LENGTH")
-    try:
-        return tio.parse_int(raw) if raw else None
-    except tio.MalformedInput as exc:
-        raise tio.MalformedInput(f"TORIQ_MAX_LENGTH: {exc}") from exc
+    """The given ``--bound``, else the TORIQ_MAX_LENGTH cap, else None."""
+    option, bound = "--bound", given
+    if bound is None:
+        option, raw = "TORIQ_MAX_LENGTH", os.environ.get("TORIQ_MAX_LENGTH")
+        try:
+            bound = tio.parse_int(raw) if raw else None
+        except tio.MalformedInput as exc:
+            raise tio.MalformedInput(f"{option}: {exc}") from exc
+    if bound is not None and bound < 0:
+        raise tio.MalformedInput(f"{option}: a length bound must be nonnegative, got {bound}")
+    return bound
 
 
 def _emit(args, payload, text_lines):
@@ -122,10 +125,16 @@ def _cmd_class_length(args):
 def _cmd_class_factor(args):
     fan = tio.load_fan(args.fan)
     beta = _load_class(fan, args.curve_class)
-    pairs = factorizations(fan, beta, bound=_length_bound(args.bound))
-    payload = {"irreducible": not pairs,
+    bound = _length_bound(args.bound)
+    pairs = factorizations(fan, beta, bound=bound)
+    # no split below a bound that cut the search says nothing about irreducibility
+    cut = not pairs and bound is not None and bound < factor_search_cap(fan, beta)
+    payload = {"irreducible": None if cut else not pairs,
                "factorizations": [[list(a.pairings), list(b.pairings)] for a, b in pairs]}
-    lines = ["irreducible" if not pairs else "factorizations:"]
+    if cut:
+        lines = [f"no factorization with summands of degree <= {bound}"]
+    else:
+        lines = ["irreducible" if not pairs else "factorizations:"]
     for a, b in pairs:
         lines.append(f"  {_class_text(a)}  +  {_class_text(b)}")
     _emit(args, payload, lines)

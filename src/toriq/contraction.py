@@ -9,7 +9,6 @@ and the witness search runs it at each basepoint with deterministic tail
 sections until the quasimap becomes a stable map again.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .basepoint import degree_at_point
@@ -20,17 +19,17 @@ from .quasimap import (Quasimap, _map_stable, _order_vector_at, basepoints,
                        component_basepoints, degrees, equal_quasimaps, extend_at,
                        section_values, stability, validate_quasimap,
                        xpoint_from_values)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Tail:
-    components: frozenset
-    host: int
-    host_point: object
+class Tail(Record):
+    _fields = ("components", "host", "host_point")
+
+    def __init__(self, components, host, host_point):
+        self.__dict__.update(components=components, host=host, host_point=host_point)
 
 
-@dataclass(frozen=True)
-class StableMapTree:
+class StableMapTree(Record):
     """A basepoint-free, map-stable quasimap, validated on construction.
 
     Map stability is checked against the anticanonical polarization on Fano
@@ -38,17 +37,16 @@ class StableMapTree:
     the outcome does not depend on that choice); pass ``ample`` to force one.
     """
 
-    quasimap: Quasimap
-    ample: object = None
+    _fields = ("quasimap", "ample")
 
-    def __post_init__(self):
-        q = self.quasimap
+    def __init__(self, quasimap, ample=None):
+        q = quasimap
         violations = validate_quasimap(q)
         if violations:
             raise ValueError("invalid map data: " + "; ".join(violations))
         if basepoints(q):
             raise ValueError("a stable map cannot have basepoints")
-        ample = self.ample
+        self.__dict__.update(quasimap=q, ample=ample)
         if ample is None and not is_fano(q.fan):
             ample = ample_functional(q.fan)
         if not _map_stable(q, degrees(q)[1], ample):

@@ -16,7 +16,6 @@ the target, applied by ``apply_ibar`` and divided out of each target section
 when a chart is inverted.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
@@ -25,29 +24,25 @@ from .basepoint import INF, _locate_degree
 from .classes import (CurveClass, DivisorClass, ample_functional, anchor_rays,
                       divisor_from_ray_coefficients, effective_classes, is_fano,
                       length, nef_hilbert_basis)
-from .fan import (Fan, dual_basis, memo, primitive_collections, product_fan,
+from .fan import (dual_basis, memo, primitive_collections, product_fan,
                   projective_space_fan, require_valid)
 from .forms import BinaryForm, poly_mul
 from .linalg import int_or_frac, lattice_map_is_surjective, solve_square
 from .quasimap import (Quasimap, _twist_away, basepoints, degrees, extend_at,
                        same_curve, same_morphism_sections, validate_quasimap)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class EmbeddingSpec:
+class EmbeddingSpec(Record):
     """Monomial lift data of a toric closed embedding: per target ray a
     coefficient and an exponent vector over the source rays."""
 
-    source: Fan
-    target: Fan
-    coeffs: tuple
-    exponents: tuple
+    _fields = ("source", "target", "coeffs", "exponents")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int_or_frac(c) for c in self.coeffs))
-        object.__setattr__(
-            self, "exponents", tuple(tuple(int(e) for e in exp) for exp in self.exponents)
-        )
+    def __init__(self, source, target, coeffs, exponents):
+        self.__dict__.update(
+            source=source, target=target, coeffs=tuple(map(int_or_frac, coeffs)),
+            exponents=tuple(tuple(int(e) for e in exp) for exp in exponents))
 
     def monomial_support(self, tau):
         return frozenset(i for i, e in enumerate(self.exponents[tau]) if e > 0)

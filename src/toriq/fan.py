@@ -18,19 +18,19 @@ operation is a pure function.  Derived data is memoized on the instance
 across threads stays safe, because memo writes are idempotent.
 """
 
-from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations
 from math import gcd
 
 from .linalg import invert
+from .record import Record
 
 
 def memo(fn):
     """Memoize ``fn(obj, *args)`` in ``obj``'s own ``__dict__``.
 
     The results live and die with ``obj`` and stay out of its equality and
-    hash, which see only the dataclass fields.  ``fn`` must be pure and its
+    hash, which see only the value fields.  ``fn`` must be pure and its
     extra arguments hashable; exceptions are not memoized.
     """
     name = f"{fn.__module__}.{fn.__qualname__}"
@@ -48,26 +48,22 @@ def memo(fn):
     return memoized
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """A fan given by primitive rays and maximal cones (sets of ray indices)."""
 
-    dim: int
-    rays: tuple
-    max_cones: tuple
+    _fields = ("dim", "rays", "max_cones")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in self.rays))
-        object.__setattr__(
-            self, "max_cones", tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones)
-        )
-        for ray in self.rays:
-            if len(ray) != self.dim:
-                raise ValueError(f"ray {ray} does not have length {self.dim}")
-        for cone in self.max_cones:
+    def __init__(self, dim, rays, max_cones):
+        rays = tuple(tuple(int(x) for x in r) for r in rays)
+        max_cones = tuple(tuple(sorted(int(i) for i in c)) for c in max_cones)
+        for ray in rays:
+            if len(ray) != dim:
+                raise ValueError(f"ray {ray} does not have length {dim}")
+        for cone in max_cones:
             for i in cone:
-                if not 0 <= i < len(self.rays):
+                if not 0 <= i < len(rays):
                     raise ValueError(f"cone {cone} references unknown ray {i}")
+        self.__dict__.update(dim=dim, rays=rays, max_cones=max_cones)
 
     @property
     def n_rays(self):

@@ -19,11 +19,11 @@ and CLI start without it.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import int_or_frac, primitive_vector
+from .record import Record
 
 
 def _trim(coeffs):
@@ -106,23 +106,21 @@ def poly_gcd(a, b):
     return a
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """A rational point [a : b] of the projective line, stored normalized."""
+class ProjPoint(Record):
+    """A rational point [a : b] of the projective line, stored normalized:
+    ``a`` is 1, or 0 at infinity, and ``b`` is the chart coordinate b/a as an
+    int or Fraction, or 1 at infinity."""
 
-    a: int  # 1, or 0 at infinity
-    b: object  # the chart coordinate b/a as an int or Fraction; 1 at infinity
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        a, b = self.a, self.b
+    def __init__(self, a, b):
         if a == 0 and b == 0:
             raise ValueError("[0 : 0] is not a point")
         if a != 0:
             a, b = 1, _quotient(b, a)
         else:
             a, b = 0, 1
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self.__dict__.update(a=a, b=b)
 
     @classmethod
     def from_chart(cls, z):
@@ -148,22 +146,20 @@ class ProjPoint:
         return "[0 : 1]" if self.is_infinity else f"[1 : {self.b}]"
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Record):
     """A closed point of the projective line: a monic irreducible polynomial
     in the chart coordinate, or the point at infinity."""
 
-    at_infinity: bool
-    coeffs: tuple  # monic, low-to-high; empty when at infinity
+    _fields = ("at_infinity", "coeffs")  # coeffs: monic, low-to-high; empty at infinity
 
-    def __post_init__(self):
-        if self.at_infinity:
-            object.__setattr__(self, "coeffs", ())
+    def __init__(self, at_infinity, coeffs):
+        if at_infinity:
+            coeffs = ()
         else:
-            coeffs = tuple(map(int_or_frac, self.coeffs))
+            coeffs = tuple(map(int_or_frac, coeffs))
             if len(coeffs) < 2 or coeffs[-1] != 1:
                 raise ValueError("finite places are monic polynomials of degree >= 1")
-            object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__.update(at_infinity=at_infinity, coeffs=coeffs)
 
     @classmethod
     def infinity(cls):
@@ -202,24 +198,20 @@ class Place:
         return f"Place({self.coeffs})"
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(Record):
     """A homogeneous form of fixed degree on the projective line (possibly zero)."""
 
-    degree: int
-    coeffs: tuple
+    _fields = ("degree", "coeffs")
 
-    def __post_init__(self):
-        coeffs = tuple(map(int_or_frac, self.coeffs))
-        if self.degree < 0:
+    def __init__(self, degree, coeffs):
+        coeffs = tuple(map(int_or_frac, coeffs))
+        if degree < 0:
             if any(x != 0 for x in coeffs):
                 raise ValueError("negative-degree forms must be zero")
             coeffs = ()
-        elif len(coeffs) != self.degree + 1:
-            raise ValueError(
-                f"a degree-{self.degree} form needs {self.degree + 1} coefficients"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
+        elif len(coeffs) != degree + 1:
+            raise ValueError(f"a degree-{degree} form needs {degree + 1} coefficients")
+        self.__dict__.update(degree=degree, coeffs=coeffs)
 
     @classmethod
     def zero(cls, degree):

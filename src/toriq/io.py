@@ -1,4 +1,4 @@
-"""JSON (de)serialization for fans, classes, quasimaps and embeddings.
+"""JSON (de)serialization for fans, quasimaps and embeddings.
 
 Integers stay integers; rationals travel as "p/q" strings; the token "inf"
 encodes an infinite vanishing order.  Floats are rejected everywhere to keep
@@ -10,7 +10,6 @@ import os
 from fractions import Fraction
 
 from .basepoint import INF
-from .classes import CurveClass, DivisorClass
 from .fan import Fan
 from .forms import BinaryForm, ProjPoint
 from .embedding import EmbeddingSpec
@@ -66,24 +65,6 @@ def fan_from_dict(data):
 
 def fan_to_dict(fan):
     return fan.to_dict()
-
-
-def curve_class_from_dict(fan, data):
-    return CurveClass(fan, tuple(parse_scalar(x) for x in data["pairings"]))
-
-
-def curve_class_to_dict(beta):
-    return {"pairings": [scalar_to_json(x) for x in beta.pairings]}
-
-
-def divisor_class_from_dict(fan, data):
-    if parse_int(data.get("anchor_cone", 0)) != 0:
-        raise ValueError("divisor classes are anchored at the first maximal cone")
-    return DivisorClass(fan, tuple(parse_scalar(x) for x in data["coords"]))
-
-
-def divisor_class_to_dict(divisor):
-    return {"anchor_cone": 0, "coords": [scalar_to_json(x) for x in divisor.coords]}
 
 
 def _pair(data, shape):

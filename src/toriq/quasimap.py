@@ -7,32 +7,27 @@ scalar tuple; all comparisons below work with that model and stay entirely
 inside rational arithmetic.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .basepoint import INF, OrderVector, degree_at_point, length_at_point
 from .classes import CurveClass, anticanonical_class, is_fano
 from .fan import is_connected, primitive_collections, require_valid
-from .forms import Place, common_zero_places
+from .forms import common_zero_places
 from .linalg import int_or_frac
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Quasimap:
-    fan: object
-    components: tuple  # per component: tuple of BinaryForm, one per ray
-    nodes: tuple = ()  # ((comp, ProjPoint), (comp, ProjPoint)) pairs
-    markings: tuple = ()  # (comp, ProjPoint) pairs
+class Quasimap(Record):
+    # components: per component, a tuple of BinaryForm, one per ray;
+    # nodes: ((comp, ProjPoint), (comp, ProjPoint)) pairs; markings: (comp, ProjPoint) pairs
+    _fields = ("fan", "components", "nodes", "markings")
 
-    def __post_init__(self):
-        comps = tuple(tuple(sec) for sec in self.components)
-        object.__setattr__(self, "components", comps)
-        nodes = tuple(
-            ((int(a), pa), (int(b), pb)) for (a, pa), (b, pb) in self.nodes
-        )
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(
-            self, "markings", tuple((int(c), p) for c, p in self.markings)
+    def __init__(self, fan, components, nodes=(), markings=()):
+        self.__dict__.update(
+            fan=fan,
+            components=tuple(tuple(sec) for sec in components),
+            nodes=tuple(((int(a), pa), (int(b), pb)) for (a, pa), (b, pb) in nodes),
+            markings=tuple((int(c), p) for c, p in markings),
         )
 
     @property
@@ -49,19 +44,17 @@ class Quasimap:
         return Quasimap(self.fan, tuple(components), self.nodes, self.markings)
 
 
-@dataclass(frozen=True)
-class BasepointPlace:
-    component: int
-    place: Place
-    orders: OrderVector
-    degree: CurveClass
+class BasepointPlace(Record):
+    _fields = ("component", "place", "orders", "degree")
+
+    def __init__(self, component, place, orders, degree):
+        self.__dict__.update(component=component, place=place, orders=orders, degree=degree)
 
     def sort_key(self):
         return (self.component,) + self.place.sort_key()
 
 
-@dataclass(frozen=True)
-class XPoint:
+class XPoint(Record):
     """A point of the target in a torus chart: chosen cone, chart coordinates,
     and the raw section values it came from.
 
@@ -71,9 +64,11 @@ class XPoint:
     differ by the torus action and stay out of the comparison.
     """
 
-    cone: int
-    coords: tuple
-    cox: tuple = field(compare=False)
+    _fields = ("cone", "coords", "cox")
+    _compare = ("cone", "coords")
+
+    def __init__(self, cone, coords, cox):
+        self.__dict__.update(cone=cone, coords=coords, cox=cox)
 
 
 def section_values(q, comp, point):

@@ -1,0 +1,37 @@
+"""Immutable values with field-wise equality and hash.
+
+A subclass names its fields in ``_fields`` and, when equality should see only
+some of them, that subset in ``_compare``.  Its ``__init__`` normalises and
+checks each field once and stores it straight into the instance
+``__dict__``; assignment and deletion are refused afterwards.  Instances are
+equal only to instances of the same class, and the hash is that of the tuple
+of compared fields, as a frozen dataclass's is (every subclass compares two
+or more fields, so ``attrgetter`` returns that tuple).
+"""
+
+from operator import attrgetter
+
+
+class Record:
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*getattr(cls, "_compare", cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"

@@ -17,10 +17,15 @@ class GiveUp(Exception):
     pass
 
 
+_POOLS = {}  # (fan, max_len, allow_zero) -> the classes a draw picks from
+
+
 def random_effective_class(fan, rng, max_len, allow_zero=False):
-    pool = effective_classes(fan, max_len)
-    if not allow_zero:
-        pool = [c for c in pool if not c.is_zero()]
+    key = (fan, max_len, allow_zero)
+    pool = _POOLS.get(key)
+    if pool is None:
+        pool = _POOLS[key] = tuple(c for c in effective_classes(fan, max_len)
+                                   if allow_zero or not c.is_zero())
     if not pool:
         raise GiveUp(f"no effective classes of length <= {max_len}")
     return rng.choice(pool)

@@ -285,7 +285,8 @@ def test_max_length_env_caps_factor(capsys, monkeypatch):
     monkeypatch.setenv("TORIQ_MAX_LENGTH", "0")
     code, out, _ = run(capsys, "--json", "class", "factor", fx("bl0p2.json"),
                        "--class", "1,1,1,0")
-    assert json.loads(out)["irreducible"] is True
+    # the cap cut the search short, so irreducibility is left open
+    assert json.loads(out)["irreducible"] is None
 
 
 @pytest.mark.parametrize("raw", ["abc", "2.5"])
@@ -295,18 +296,54 @@ def test_malformed_max_length_env_is_usage_error(capsys, monkeypatch, raw):
     assert code == 2 and err.startswith("usage error: TORIQ_MAX_LENGTH")
 
 
+FACTOR_P2 = ("class", "factor", fx("p2.json"), "--class", "2,2,2")
+FIBRE_SEGRE = ("embed", "fibre", fx("segre.json"), fx("segre_q1.json"), "--class", "2,2,2,2")
+
+
+@pytest.mark.parametrize("argv", [FACTOR_P2, FIBRE_SEGRE])
+def test_negative_length_bound_is_usage_error(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, *argv, "--bound", "-3")
+    assert code == 2 and err.startswith("usage error: --bound") and out == ""
+    monkeypatch.setenv("TORIQ_MAX_LENGTH", "-3")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("usage error: TORIQ_MAX_LENGTH") and out == ""
+
+
+def test_factor_search_cut_by_the_bound_is_not_irreducible(capsys):
+    code, out, _ = run(capsys, *FACTOR_P2)
+    assert code == 0 and out.splitlines()[0] == "factorizations:"
+    code, out, _ = run(capsys, *FACTOR_P2, "--bound", "1")
+    assert code == 0 and out == "no factorization with summands of degree <= 1\n"
+    code, out, _ = run(capsys, "--json", *FACTOR_P2, "--bound", "1")
+    assert json.loads(out) == {"irreducible": None, "factorizations": []}
+    # a bound at the class's own cap (degree 6, less one) does not cut the search
+    code, out, _ = run(capsys, "--json", *FACTOR_P2, "--bound", "5")
+    assert json.loads(out) == {"irreducible": False,
+                               "factorizations": [[[1, 1, 1], [1, 1, 1]]]}
+    line = ("class", "factor", fx("p2.json"), "--class", "1,1,1")
+    code, out, _ = run(capsys, *line, "--bound", "2")
+    assert code == 0 and out == "irreducible\n"
+    code, out, _ = run(capsys, "--json", *line, "--bound", "1")
+    assert json.loads(out)["irreducible"] is None
+
+
 COLD_START = """
 import sys
 import toriq, toriq.cli
 assert "sympy" not in sys.modules, "importing toriq.cli loaded sympy"
+for name in ("dataclasses", "inspect"):
+    assert name not in sys.modules, f"importing toriq.cli loaded {name}"
 from toriq.cases import CASE_NAMES, run_case
 assert all(run_case(name).passed for name in CASE_NAMES)
 assert "sympy" not in sys.modules, "a bundled case loaded sympy"
+for name in ("dataclasses", "inspect"):
+    assert name not in sys.modules, f"a bundled case loaded {name}"
 """
 
 
 def test_cli_starts_and_runs_cases_without_sympy():
-    # the bundled cases factor only linear and quadratic forms, which need no sympy
+    # the bundled cases factor only linear and quadratic forms, which need no
+    # sympy; dataclasses and inspect are slow stdlib imports the CLI avoids
     src = str(Path(toriq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", COLD_START], env=env,

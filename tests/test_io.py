@@ -5,7 +5,6 @@ import pytest
 
 from toriq import io as tio
 from toriq.basepoint import INF, is_infinite
-from toriq.classes import CurveClass, DivisorClass
 from toriq.forms import BinaryForm, ProjPoint
 
 
@@ -44,17 +43,6 @@ def test_order_tokens():
     assert order_to_json(INF) == "inf"
     assert order_to_json(tio.parse_order("3")) == 3
     assert tio.parse_order_list("0,1,inf,0", 4) == (0, 1, INF, 0)
-
-
-def test_curve_and_divisor_class_round_trip(bl0p2):
-    beta = CurveClass(bl0p2, (1, 0, 0, 1))
-    assert tio.curve_class_from_dict(bl0p2, tio.curve_class_to_dict(beta)) == beta
-    div = DivisorClass(bl0p2, (2, -1))
-    data = tio.divisor_class_to_dict(div)
-    assert data["anchor_cone"] == 0
-    assert tio.divisor_class_from_dict(bl0p2, data) == div
-    with pytest.raises(ValueError):
-        tio.divisor_class_from_dict(bl0p2, {"anchor_cone": 1, "coords": [1, 0]})
 
 
 def test_quasimap_round_trip_with_rational_coeffs(p2, tmp_path):
