@@ -198,8 +198,6 @@ def nef_extreme_rays(fan):
     require_valid(fan)
     gens = _mori_generators_anchor(fan)
     rank = picard_rank(fan)
-    if rank == 0:
-        return ()
     candidates = set()
     if rank == 1:
         pool = [(1,), (-1,)]
@@ -275,9 +273,7 @@ def _truncated_cone_lattice_points(generators, is_member, functional, bound):
     """
     if bound < 0:
         return []
-    rank = len(generators[0]) if generators else 0
-    if rank == 0:
-        return [()]
+    rank = len(generators[0])
     vertices = [tuple(Fraction(0) for _ in range(rank))]
     for g in generators:
         f = functional(g)
@@ -303,8 +299,6 @@ def effective_classes(fan, bound):
     """
     require_valid(fan)
     gens = _mori_generators_anchor(fan)
-    if not gens:
-        return [CurveClass(fan, (0,) * fan.n_rays)] if bound >= 0 else []
     nef = nef_extreme_rays(fan)
     anchor = anchor_rays(fan)
 
@@ -327,8 +321,6 @@ def nef_hilbert_basis(fan):
     require_valid(fan)
     gens = _mori_generators_anchor(fan)
     rank = picard_rank(fan)
-    if rank == 0:
-        return ()
     extremes = nef_extreme_rays(fan)
     if not extremes:
         raise ValueError("nef cone has no extreme rays (fan not projective?)")
@@ -368,7 +360,7 @@ def factorizations(fan, beta, bound=None):
     """
     if not is_effective(beta) or beta.is_zero():
         raise ValueError("factorizations are defined for nonzero effective classes")
-    cap = factor_search_cap(fan, beta)
+    cap = enumeration_degree(beta) - 1
     if bound is not None:
         cap = min(cap, bound)
     pairs = []
@@ -388,11 +380,12 @@ def factorizations(fan, beta, bound=None):
     return pairs
 
 
-def factor_search_cap(fan, beta):
-    """The largest degree a summand of ``beta`` can have: its degree under the
-    enumeration functional, less one.  A ``factorizations`` bound below this
-    cuts the search short."""
-    return _degree_functional(fan).pair(beta) - 1
+def enumeration_degree(beta):
+    """The degree of ``beta`` under the functional ``effective_classes``
+    bounds: the anticanonical degree on a Fano fan, a fixed ample degree
+    otherwise.  Every effective summand of ``beta``, and so every basepoint
+    class of a quasimap of class ``beta``, has at most this degree."""
+    return _degree_functional(beta.fan).pair(beta)
 
 
 def is_irreducible(fan, beta):

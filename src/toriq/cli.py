@@ -16,7 +16,7 @@ from . import io as tio
 from .basepoint import degree_at_point, length_at_point
 from .cases import CASE_NAMES, run_case
 from .classes import (CurveClass, anticanonical_class, curve_class_from_anchor,
-                      factor_search_cap, factorizations, is_fano, length,
+                      enumeration_degree, factorizations, is_fano, length,
                       nef_hilbert_basis, picard_rank, wall_curve_classes)
 from .contraction import StableMapTree, contract, contraction_condition, graft, surjectivity_witness
 from .embedding import (apply_ibar, build_epic_embedding, epic_check,
@@ -128,7 +128,7 @@ def _cmd_class_factor(args):
     bound = _length_bound(args.bound)
     pairs = factorizations(fan, beta, bound=bound)
     # no split below a bound that cut the search says nothing about irreducibility
-    cut = not pairs and bound is not None and bound < factor_search_cap(fan, beta)
+    cut = not pairs and bound is not None and bound < enumeration_degree(beta) - 1
     payload = {"irreducible": None if cut else not pairs,
                "factorizations": [[list(a.pairings), list(b.pairings)] for a, b in pairs]}
     if cut:
@@ -237,11 +237,16 @@ def _cmd_embed_fibre(args):
     q = tio.load_quasimap(args.quasimap)
     _reject_invalid(args, validate_quasimap(q), "quasimap")
     beta = _load_class(emb.source, args.curve_class)
-    fibre = fibre_enumeration(emb, q, beta, length_cap=_length_bound(args.bound))
-    payload = {"count": len(fibre),
+    bound = _length_bound(args.bound)
+    fibre = fibre_enumeration(emb, q, beta, length_cap=bound)
+    # a cap below beta's own degree may leave preimages out
+    complete = bound is None or bound >= enumeration_degree(beta)
+    payload = {"count": len(fibre), "complete": complete,
                "elements": [tio.quasimap_to_dict(f) for f in fibre]}
-    lines = [f"{len(fibre)} preimage(s)"]
-    _emit(args, payload, lines)
+    line = f"{len(fibre)} preimage(s)"
+    if not complete:
+        line += f" with basepoint classes of degree <= {bound}"
+    _emit(args, payload, [line])
 
 
 def _cmd_contract_check(args):

@@ -12,8 +12,8 @@ sections until the quasimap becomes a stable map again.
 from fractions import Fraction
 
 from .basepoint import degree_at_point
-from .classes import (CurveClass, ample_functional, is_fano, length,
-                      relaxed_surjectivity_condition)
+from .classes import (CurveClass, ample_functional, enumeration_degree, is_fano,
+                      length, relaxed_surjectivity_condition)
 from .forms import BinaryForm, Place, ProjPoint, poly_mul
 from .quasimap import (Quasimap, _map_stable, _order_vector_at, basepoints,
                        component_basepoints, degrees, equal_quasimaps, extend_at,
@@ -278,7 +278,7 @@ def surjectivity_witness(q, length_bound=None):
     if not stability(q, "quasimap"):
         raise ValueError("the witness search needs a stable quasimap")
     if not is_fano(fan):
-        bound = length_bound if length_bound is not None else ample_functional(fan).pair(degrees(q)[0])
+        bound = length_bound if length_bound is not None else enumeration_degree(degrees(q)[0])
         if not relaxed_surjectivity_condition(fan, bound):
             raise ValueError(
                 "target is neither Fano nor passes the relaxed surjectivity condition"

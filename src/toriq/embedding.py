@@ -8,12 +8,13 @@ along an embedding, and enumerates fibres of that transport.
 
 The chart-cover test below is the workhorse: a source chart is covered by a
 target chart when the monomials away from the target cone are invertible on
-the source chart and the pulled-back chart characters generate the source
-chart's coordinate semigroup.  Covered charts make the embedding a closed
-immersion and let us invert it on section data exactly.  The chart data is
-integral and free of the coefficients: they act as a torus automorphism of
-the target, applied by ``apply_ibar`` and divided out of each target section
-when a chart is inverted.
+the source chart and each source chart coordinate is the pullback of one
+target chart character, found by lookup on its pairings with the source
+cone's rays.  Covered charts make the embedding a closed immersion and let
+us invert it on section data exactly.  The chart data is integral and free
+of the coefficients: they act as a torus automorphism of the target, applied
+by ``apply_ibar`` and divided out of each target section when a chart is
+inverted.
 """
 
 from fractions import Fraction
@@ -22,14 +23,14 @@ from math import ceil, floor
 
 from .basepoint import INF, _locate_degree
 from .classes import (CurveClass, DivisorClass, ample_functional, anchor_rays,
-                      divisor_from_ray_coefficients, effective_classes, is_fano,
-                      length, nef_hilbert_basis)
+                      divisor_from_ray_coefficients, effective_classes,
+                      enumeration_degree, nef_hilbert_basis)
 from .fan import (dual_basis, memo, primitive_collections, product_fan,
                   projective_space_fan, require_valid)
 from .forms import BinaryForm, poly_mul
 from .linalg import int_or_frac, lattice_map_is_surjective, solve_square
 from .quasimap import (Quasimap, _twist_away, basepoints, degrees, extend_at,
-                       same_curve, same_morphism_sections, validate_quasimap)
+                       same_morphism_sections, validate_quasimap)
 from .record import Record
 
 
@@ -153,87 +154,42 @@ def epic_check(emb):
     return lattice_map_is_surjective([list(row) for row in pullback_matrix(emb)])
 
 
-def _nonneg_combination(target, gens, weights):
-    """Coefficients c >= 0 with sum c_j gens[j] = target, or None.
-
-    Pairing against the interior covector ``weights`` is additive and positive
-    on the usable generators, which caps the search depth."""
-
-    def weight(vec):
-        return sum(a * b for a, b in zip(vec, weights))
-
-    target = tuple(target)
-    tw = weight(target)
-    if tw < 0:
-        return None
-
-    def rec(remaining, rw, start):
-        if all(x == 0 for x in remaining):
-            return []
-        for j in range(start, len(gens)):
-            gw = weight(gens[j])
-            if gw <= 0 or gw > rw:
-                continue
-            nxt = tuple(a - b for a, b in zip(remaining, gens[j]))
-            sub = rec(nxt, rw - gw, j)
-            if sub is not None:
-                return [j] + sub
-        return None
-
-    picks = rec(target, tw, 0)
-    if picks is None:
-        return None
-    coeffs = [0] * len(gens)
-    for j in picks:
-        coeffs[j] += 1
-    return coeffs
-
-
 @memo
 def chart_cover(emb):
     """Per source maximal cone, the target charts that cover it.
 
     Each entry carries the target cone index and one lift per ray of the
-    source cone.  The lift of the chart coordinate dual to that ray is its
-    exponent vector over the target rays: the nonnegative combination of the
-    target chart characters (rows of the target cone's exponent matrix)
-    whose pullback is that coordinate.  The monomial coefficients play no
-    part.  Empty lists mean the chart test fails for that cone.
+    source cone.  The lift of the chart coordinate dual to that ray is one
+    target chart character (a row of the target cone's exponent matrix),
+    given as its exponent vector over the target rays: the first whose
+    pullback is that coordinate.  On the smooth source cone a character is
+    fixed by its pairings with the cone's rays, and a sum of regular
+    characters is a coordinate only when it has a single term, so the lift
+    is found by lookup.  The monomial coefficients play no part.  Empty
+    lists mean the chart test fails for that cone.
     """
     require_valid_embedding(emb)
     src, tgt = emb.source, emb.target
+    coordinates = [tuple(int(j == k) for j in range(src.dim)) for k in range(src.dim)]
     cover = {}
     for si, scone in enumerate(src.max_cones):
         scone_set = set(scone)
-        interior = [sum(src.rays[i][k] for i in scone) for k in range(src.dim)]
-        duals_x = dual_basis(src, scone)
         entries = []
         for ti, tcone in enumerate(tgt.max_cones):
             if any(emb.monomial_support(tau) & scone_set
                    for tau in tgt.cone_complement(tcone)):
                 continue
-            rows = []
-            chars = []
+            # each target character pulls back to a source character, as
+            # require_valid_embedding checked; its pairings with the cone's
+            # rays are its coordinates in the cone's dual basis, and they are
+            # nonnegative: the monomials off the target cone miss those rays
+            found = {}
             for w in tgt.exponent_matrix(tcone):
                 v = _pull_back_character(emb, w)
-                m_x = _solve_character(src, v)
-                # m_x pairs to v with the source rays: regular on the chart iff
-                # nonnegative on the cone's rays
-                if m_x is None or any(v[i] < 0 for i in scone):
-                    break
-                if any(m_x):
-                    rows.append(w)
-                    chars.append(m_x)
-            else:
-                lifts = []
-                for m_i in duals_x:
-                    combo = _nonneg_combination(m_i, chars, interior)
-                    if combo is None:
-                        break
-                    lifts.append(tuple(sum(c * w[tau] for c, w in zip(combo, rows))
-                                       for tau in range(tgt.n_rays)))
-                else:
-                    entries.append({"target_cone": ti, "lifts": tuple(lifts)})
+                found.setdefault(tuple(v[i] for i in scone), w)
+            lifts = tuple(found.get(e) for e in coordinates)
+            if None not in lifts:
+                entries.append({"target_cone": ti, "lifts": lifts})
         cover[si] = tuple(entries)
     return cover
 
@@ -442,8 +398,6 @@ def invert_through_charts(emb, extension):
 def _verify_factoring(emb, candidate, extension):
     if candidate is None:
         return None
-    if not same_curve(candidate, extension):
-        return None
     if basepoints(candidate):
         return None
     image = apply_ibar(emb, candidate)
@@ -463,8 +417,9 @@ def _quasimap_sort_key(q):
 
 @memo
 def fibre_class_pool(emb, cap):
-    """The nonzero effective source classes of length at most ``cap``, grouped
-    by the pairings of their pushforward, in enumeration order."""
+    """The nonzero effective source classes of degree at most ``cap`` (see
+    ``enumeration_degree``), grouped by the pairings of their pushforward, in
+    enumeration order."""
     require_valid_embedding(emb)
     pool = {}
     for c in effective_classes(emb.source, cap):
@@ -480,7 +435,9 @@ def fibre_enumeration(emb, q, beta, length_cap=None):
     (by chart inversion) as some f.  Each basepoint then keeps the pool classes
     with the right pushforward whose pairings, added to f's orders there, stay
     nonnegative; every assignment of kept classes with the right total is
-    materialized by twisting f.
+    materialized by twisting f.  The pool holds the classes of degree at most
+    ``length_cap``; by default that is beta's own degree, which no basepoint
+    class exceeds, so a smaller cap may leave preimages out.
     """
     require_valid_embedding(emb)
     if pushforward_curves(emb, beta).pairings != degrees(q)[0].pairings:
@@ -492,12 +449,7 @@ def fibre_enumeration(emb, q, beta, length_cap=None):
         return ()
     f_total, _ = degrees(f)
 
-    if length_cap is not None:
-        cap = length_cap
-    elif is_fano(emb.source):
-        cap = length(beta)
-    else:
-        raise ValueError("non-Fano source: supply a length cap for the fibre search")
+    cap = enumeration_degree(beta) if length_cap is None else length_cap
     pool = fibre_class_pool(emb, cap)
 
     per_place = []

@@ -118,6 +118,20 @@ def test_embed_ibar_and_fibre(tmp_path, capsys):
     assert json.loads(out)["count"] == 0
 
 
+def test_embed_fibre_says_when_the_bound_cut_the_search(tmp_path, capsys):
+    image = tmp_path / "image.json"
+    run(capsys, "embed", "ibar", fx("segre.json"), fx("segre_q1.json"), "-o", str(image))
+    fibre = ("embed", "fibre", fx("segre.json"), str(image), "--class", "2,2,2,2")
+    # the class has degree 8, which no basepoint class of its quasimaps exceeds
+    for bound, complete in ((), True), (("--bound", "0"), False), (("--bound", "8"), True):
+        code, out, _ = run(capsys, "--json", *fibre, *bound)
+        assert code == 0 and json.loads(out)["complete"] is complete
+    code, out, _ = run(capsys, *fibre, "--bound", "7")
+    assert code == 0 and out == "2 preimage(s) with basepoint classes of degree <= 7\n"
+    code, out, _ = run(capsys, *fibre)
+    assert code == 0 and out == "2 preimage(s)\n"
+
+
 def _drop_last_section(path, dest):
     data = json.loads(Path(path).read_text())
     data["components"][0] = data["components"][0][:-1]

@@ -11,13 +11,13 @@ from toriq.classes import (CurveClass, curve_class_from_anchor, divisor_class,
                            effective_classes, nef_hilbert_basis)
 from toriq.basepoint import INF, _locate_degree
 from toriq.embedding import (EmbeddingSpec, _factored_sections, _invert_component,
-                             _nonneg_combination, _pull_back_character,
-                             _solve_character, apply_ibar, build_epic_embedding,
+                             _pull_back_character, _solve_character,
+                             apply_ibar, build_epic_embedding,
                              chart_cover, covers_all_charts, epic_check,
                              fibre_class_pool, fibre_enumeration,
                              invert_through_charts, polytope_lattice_points,
                              pullback_pic, pushforward_curves, validate_embedding)
-from toriq.fan import Fan, dual_basis
+from toriq.fan import Fan, dual_basis, product_fan, projective_space_fan
 from toriq.forms import BinaryForm, ProjPoint, poly_mul
 from toriq.io import load_embedding
 from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps,
@@ -295,7 +295,44 @@ def test_fibre_class_pool_matches_filter(request, name):
 
 
 # The chart inversion as it was before the cover stored lifts, kept as the
-# oracle of test_inversion_matches_combination_oracle.
+# oracle of test_inversion_matches_combination_oracle and
+# test_chart_cover_lookup_matches_combination_search.
+
+def _nonneg_combination(target, gens, weights):
+    """Coefficients c >= 0 with sum c_j gens[j] = target, or None.
+
+    Pairing against the interior covector ``weights`` is additive and positive
+    on the usable generators, which caps the search depth."""
+
+    def weight(vec):
+        return sum(a * b for a, b in zip(vec, weights))
+
+    target = tuple(target)
+    tw = weight(target)
+    if tw < 0:
+        return None
+
+    def rec(remaining, rw, start):
+        if all(x == 0 for x in remaining):
+            return []
+        for j in range(start, len(gens)):
+            gw = weight(gens[j])
+            if gw <= 0 or gw > rw:
+                continue
+            nxt = tuple(a - b for a, b in zip(remaining, gens[j]))
+            sub = rec(nxt, rw - gw, j)
+            if sub is not None:
+                return [j] + sub
+        return None
+
+    picks = rec(target, tw, 0)
+    if picks is None:
+        return None
+    coeffs = [0] * len(gens)
+    for j in picks:
+        coeffs[j] += 1
+    return coeffs
+
 
 def _oracle_chart_cover(emb):
     """The chart cover with, per source chart character, the nonnegative
@@ -482,6 +519,41 @@ def _target_tuples(emb, rng, count):
     return tuples
 
 
+def assert_cover_matches_oracle(emb):
+    """The lookup's lifts are the oracle's combinations applied to the target
+    chart characters, entry for entry; returns the oracle's cover."""
+    tgt = emb.target
+    cover = _oracle_chart_cover(emb)
+    assert sorted(chart_cover(emb)) == sorted(cover)
+    for si, entries in chart_cover(emb).items():
+        assert [e["target_cone"] for e in entries] == [e["target_cone"] for e in cover[si]]
+        for entry, old in zip(entries, cover[si]):
+            rows = tgt.exponent_matrix(tgt.max_cones[entry["target_cone"]])
+            assert entry["lifts"] == tuple(
+                tuple(sum(c * row[tau] for c, row in zip(combo, rows))
+                      for tau in range(tgt.n_rays))
+                for combo in old["combos"])
+    return cover
+
+
+@pytest.mark.parametrize("factors", [(1, 1, 1), (2, 2), (1, 2)])
+def test_chart_cover_lookup_matches_combination_search(factors):
+    # products whose built targets have many projective-space factors
+    emb = build_epic_embedding(product_fan([projective_space_fan(n) for n in factors]))
+    cover = assert_cover_matches_oracle(emb)
+    assert all(cover.values())
+
+
+def test_chart_cover_of_a_non_covering_embedding(p1):
+    # t -> t^2 pulls each target chart coordinate back to the square of a
+    # source one, so no source chart coordinate is the pullback of a character
+    square = EmbeddingSpec(p1, p1, (1, 1), ((2, 0), (0, 2)))
+    assert validate_embedding(square) == []
+    cover = assert_cover_matches_oracle(square)
+    assert cover == {0: (), 1: ()}
+    assert not covers_all_charts(square)
+
+
 def test_inversion_matches_combination_oracle(request):
     """Lifts are the combinations applied to the target chart characters, and
     inverting through them gives the oracle's sections, None included."""
@@ -489,15 +561,7 @@ def test_inversion_matches_combination_oracle(request):
     for name in CONFTEST_FANS + ["segre.json", "bl0p2_product.json"]:
         emb = embedding_named(request, name)
         tgt = emb.target
-        cover = _oracle_chart_cover(emb)
-        for si, entries in chart_cover(emb).items():
-            assert [e["target_cone"] for e in entries] == [e["target_cone"] for e in cover[si]]
-            for entry, old in zip(entries, cover[si]):
-                rows = tgt.exponent_matrix(tgt.max_cones[entry["target_cone"]])
-                assert entry["lifts"] == tuple(
-                    tuple(sum(c * row[tau] for c, row in zip(combo, rows))
-                          for tau in range(tgt.n_rays))
-                    for combo in old["combos"])
+        cover = assert_cover_matches_oracle(emb)
         seen = outcomes[name] = Counter()
         for secs in _target_tuples(emb, random.Random(f"inversion/{name}"), 30):
             got = _invert_component(emb, secs)

@@ -2,15 +2,20 @@
 degree vanishes on the rigid section, so every bounded enumeration must fall
 back to an honest ample degree."""
 
+import random
+
 from toriq.classes import (ample_functional, curve_class_from_anchor,
-                           effective_classes, factorizations, is_ample, is_fano,
-                           length, nef_hilbert_basis, relaxed_surjectivity_condition,
-                           wall_curve_classes)
+                           effective_classes, enumeration_degree, factorizations,
+                           is_ample, is_fano, length, nef_hilbert_basis,
+                           relaxed_surjectivity_condition, wall_curve_classes)
 from toriq.contraction import contract, surjectivity_witness
+from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
 from toriq.fan import validate_fan
 from toriq.forms import BinaryForm, ProjPoint
-from toriq.quasimap import (Quasimap, basepoints, equal_quasimaps, stability,
+from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps, stability,
                             validate_quasimap)
+
+from qmgen import random_stable_quasimap
 
 
 def test_f2_is_valid_but_not_fano(f2):
@@ -57,3 +62,17 @@ def test_f2_witness_via_relaxed_condition(f2):
     witness = surjectivity_witness(q)
     assert stability(witness.quasimap, "map", ample=ample_functional(f2))
     assert equal_quasimaps(contract(witness), q)
+
+
+def test_f2_fibre_needs_no_cap(f2):
+    # the default cap is the class's own ample degree; a larger one finds nothing more
+    emb = build_epic_embedding(f2)
+    rng = random.Random(2)
+    for _ in range(10):
+        q = random_stable_quasimap(f2, rng)
+        beta = degrees(q)[0]
+        image = apply_ibar(emb, q)
+        fibre = fibre_enumeration(emb, image, beta)
+        assert fibre == fibre_enumeration(emb, image, beta,
+                                          length_cap=enumeration_degree(beta) + 3)
+        assert any(equal_quasimaps(f, q) for f in fibre)
