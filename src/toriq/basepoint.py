@@ -9,7 +9,7 @@ that contain all identically-vanishing directions.
 """
 
 from .classes import CurveClass
-from .fan import primitive_collections, require_valid
+from .fan import memo, primitive_collections, require_valid
 from .record import Record
 
 
@@ -94,21 +94,31 @@ class OrderVector(Record):
         return frozenset(i for i, x in enumerate(self.orders) if is_infinite(x))
 
 
-def _locate_degree(fan, orders, vanishing):
+@memo
+def _cone_table(fan):
+    """Per maximal cone: its index, rays, ray set and exponent matrix rows."""
+    return tuple((idx, sigma, frozenset(sigma), fan.exponent_matrix(sigma))
+                 for idx, sigma in enumerate(fan.max_cones))
+
+
+def _locate_degree(fan, orders, vanishing, first=False):
     """Degree and witnesses of ``orders``, which may hold negative integers.
 
     With v the sum of a_rho u_rho over the rays off Z = ``vanishing``, a
     maximal cone sigma containing Z is a witness iff c_k = <m_k, v> >= 0 at
     each ray sigma_k off Z; the degree is a - c on sigma (a as 0 on Z), a off it.
+    With ``first`` the scan stops at the first witness, the only one returned.
     """
     require_valid(fan)
     finite = [(i, o) for i, o in enumerate(orders) if o and o is not INF]
     hits = []
-    for idx, sigma in enumerate(fan.max_cones):
-        if vanishing.issubset(sigma):
-            c = [sum(o * row[i] for i, o in finite) for row in fan.exponent_matrix(sigma)]
+    for idx, sigma, cone_set, rows in _cone_table(fan):
+        if vanishing <= cone_set:
+            c = [sum(o * row[i] for i, o in finite) for row in rows]
             if all(ck >= 0 for rho, ck in zip(sigma, c) if rho not in vanishing):
                 hits.append((idx, sigma, c))
+                if first:
+                    break
     if not hits:
         raise ValueError(
             "no maximal cone admits the order vector; the fan data is corrupt"

@@ -392,6 +392,7 @@ def is_irreducible(fan, beta):
     return not factorizations(fan, beta)
 
 
+@memo
 def relaxed_surjectivity_condition(fan, length_bound=None):
     """Check the surjectivity hypothesis that replaces Fano.
 

@@ -15,8 +15,8 @@ from .basepoint import degree_at_point
 from .classes import (CurveClass, ample_functional, enumeration_degree, is_fano,
                       length, relaxed_surjectivity_condition)
 from .forms import BinaryForm, Place, ProjPoint, poly_mul
-from .quasimap import (Quasimap, _map_stable, _order_vector_at, basepoints,
-                       component_basepoints, degrees, equal_quasimaps, extend_at,
+from .quasimap import (Quasimap, _equal_quasimaps, _map_stable, _order_vector_at,
+                       basepoints, component_basepoints, degrees, extend_at,
                        section_values, stability, validate_quasimap,
                        xpoint_from_values)
 from .record import Record
@@ -283,7 +283,7 @@ def surjectivity_witness(q, length_bound=None):
             raise ValueError(
                 "target is neither Fano nor passes the relaxed surjectivity condition"
             )
-    bps = basepoints(q)
+    bps = input_bps = basepoints(q)
     for bp in bps:
         if bp.place.rational_point() is None:
             raise ValueError(
@@ -321,6 +321,6 @@ def surjectivity_witness(q, length_bound=None):
         current = nxt
 
     witness = StableMapTree(work)
-    if not equal_quasimaps(contract(witness), q):
+    if not _equal_quasimaps(contract(witness), q, input_bps):
         raise RuntimeError("witness verification failed: contraction mismatch")
     return witness

@@ -284,12 +284,11 @@ def apply_ibar(emb, q):
             if any(e > 0 and f.is_zero for e, f in zip(exp, secs)):
                 out.append(BinaryForm.zero(degree))
                 continue
-            form = BinaryForm.constant(emb.coeffs[tau])
+            poly = (emb.coeffs[tau],)
             for e, f in zip(exp, secs):
-                if e:
-                    form = form.mul(f.power(e))
-            assert form.degree == degree
-            out.append(form)
+                for _ in range(e):
+                    poly = poly_mul(poly, f.poly)
+            out.append(BinaryForm.from_poly(degree, poly))
         new_components.append(tuple(out))
     return Quasimap(emb.target, tuple(new_components), q.nodes, q.markings)
 
@@ -344,7 +343,8 @@ def _invert_component(emb, secs):
                 for vec in orders.values():
                     for rho in vanishing:
                         vec[rho] = INF
-                    beta_p, _ = _locate_degree(src, tuple(vec), frozenset(vanishing))
+                    beta_p, _ = _locate_degree(src, tuple(vec), frozenset(vanishing),
+                                               first=True)
                     shifts.append(beta_p.pairings)
             except ValueError:
                 continue

@@ -11,11 +11,12 @@ Places are monic irreducible polynomials in z, plus the place at infinity.
 Coefficients, place coefficients and point coordinates are stored as ints
 where integral and as Fractions only where not, and the polynomial
 arithmetic works on such mixed lists directly: division by a monic place
-never leaves the integers of an integral form, and gcds run over the
-integers as primitive pseudo-remainder sequences.  Polynomials of degree at
-most two are factored over the rationals here; factoring degree three and up
-is delegated to sympy, which is imported on first use so that the library
-and CLI start without it.
+never leaves the integers of an integral form (by a rational place z - r it
+is synthetic division, Horner's rule at r), and gcds run over the integers
+as primitive pseudo-remainder sequences.  Polynomials of degree at most two
+are factored over the rationals here; factoring degree three and up is
+delegated to sympy, which is imported on first use so that the library and
+CLI start without it.
 """
 
 import math
@@ -71,6 +72,22 @@ def poly_divmod(a, b):
             for i in range(n):
                 a[shift + i] -= coef * b[i]
     return _trim(q), _trim(a[:n])
+
+
+def _divide_by_place(poly, coeffs):
+    """Quotient and remainder (falsy when zero) of a nonzero polynomial by a
+    monic place polynomial; by z - r, synthetic division at the root r."""
+    if len(coeffs) != 2:
+        return poly_divmod(poly, coeffs)
+    root = -coeffs[0]
+    if not root:
+        return poly[1:], poly[0]
+    acc, out = 0, []
+    for c in reversed(poly):
+        acc = c + root * acc
+        out.append(acc)
+    rem = out.pop()
+    return tuple(reversed(out)), rem
 
 
 def _primitive_remainder(a, b):
@@ -199,7 +216,8 @@ class Place(Record):
 
 
 class BinaryForm(Record):
-    """A homogeneous form of fixed degree on the projective line (possibly zero)."""
+    """A homogeneous form of fixed degree on the projective line (possibly zero),
+    with its dehomogenization ``poly`` (trailing zeros trimmed) computed once."""
 
     _fields = ("degree", "coeffs")
 
@@ -211,7 +229,8 @@ class BinaryForm(Record):
             coeffs = ()
         elif len(coeffs) != degree + 1:
             raise ValueError(f"a degree-{degree} form needs {degree + 1} coefficients")
-        self.__dict__.update(degree=degree, coeffs=coeffs)
+        # poly, the trimmed dehomogenization, stays out of == and hash
+        self.__dict__.update(degree=degree, coeffs=coeffs, poly=_trim(coeffs))
 
     @classmethod
     def zero(cls, degree):
@@ -231,12 +250,7 @@ class BinaryForm(Record):
 
     @property
     def is_zero(self):
-        return not any(self.coeffs)
-
-    @property
-    def poly(self):
-        """Dehomogenized coefficients (trailing zeros trimmed)."""
-        return _trim(self.coeffs)
+        return not self.poly
 
     @property
     def poly_degree(self):
@@ -253,33 +267,18 @@ class BinaryForm(Record):
     def scale(self, factor):
         return BinaryForm(self.degree, tuple(factor * c for c in self.coeffs))
 
-    def mul(self, other):
-        if self.is_zero or other.is_zero:
-            return BinaryForm.zero(self.degree + other.degree)
-        return BinaryForm.from_poly(self.degree + other.degree, poly_mul(self.poly, other.poly))
-
-    def power(self, exponent):
-        if exponent < 0:
-            raise ValueError("negative powers of forms are not forms")
-        out = BinaryForm.constant(1)
-        for _ in range(exponent):
-            out = out.mul(self)
-        return out
-
     def ord_at(self, place):
         """Vanishing order at a place; infinite for the zero form (returns None)."""
         if self.is_zero:
             return None
         if place.at_infinity:
             return self.degree - self.poly_degree
-        count = 0
-        rem = self.poly
+        count, rem = 0, self.poly
         while True:
-            q, r = poly_divmod(rem, place.coeffs)
+            rem, r = _divide_by_place(rem, place.coeffs)
             if r:
                 return count
             count += 1
-            rem = q
 
     def shift(self, place, exponent):
         """Multiply by place^exponent (divide exactly for negative exponents)."""
@@ -298,10 +297,9 @@ class BinaryForm(Record):
                 poly = poly_mul(poly, place.coeffs)
         else:
             for _ in range(-exponent):
-                q, r = poly_divmod(poly, place.coeffs)
+                poly, r = _divide_by_place(poly, place.coeffs)
                 if r:
                     raise ValueError("form is not divisible by the given place")
-                poly = q
         return BinaryForm.from_poly(new_degree, poly)
 
     def factor(self):

@@ -9,7 +9,7 @@ inside rational arithmetic.
 
 from fractions import Fraction
 
-from .basepoint import INF, OrderVector, degree_at_point, length_at_point
+from .basepoint import INF, OrderVector, _locate_degree, length_at_point
 from .classes import CurveClass, anticanonical_class, is_fano
 from .fan import is_connected, primitive_collections, require_valid
 from .forms import common_zero_places
@@ -143,7 +143,7 @@ def component_basepoints(q, comp):
     out = []
     for place in sorted(places, key=lambda p: p.sort_key()):
         orders = _order_vector_at(q, comp, place)
-        beta, _ = degree_at_point(fan, orders)
+        beta, _ = _locate_degree(fan, orders.orders, orders.vanishing, first=True)
         out.append(BasepointPlace(comp, place, orders, beta))
     return tuple(out)
 
@@ -392,12 +392,17 @@ def same_curve(q1, q2):
 def equal_quasimaps(q1, q2):
     """Equality of quasimaps on a common curve: equal regular extensions,
     equal basepoint places and equal degrees at every basepoint."""
+    return _equal_quasimaps(q1, q2)
+
+
+def _equal_quasimaps(q1, q2, bp2=None):
+    """``equal_quasimaps``, reusing q2's basepoints when they are given."""
     if q1.fan != q2.fan:
         raise ValueError("quasimaps to different targets are incomparable")
     if not same_curve(q1, q2):
         raise ValueError("quasimaps on different curves are incomparable")
     bp1 = basepoints(q1)
-    bp2 = basepoints(q2)
+    bp2 = basepoints(q2) if bp2 is None else bp2
     if len(bp1) != len(bp2):
         return False
     for a, b in zip(bp1, bp2):

@@ -217,3 +217,31 @@ def test_point_location_agrees_with_cone_scan_oracle(p2, p1xp1, bl0p2, p2xp1, p3
                 beta, witnesses = degree_at_point(fan, orders)
             assert beta.pairings == expected.pairings, (fan, orders)
             assert witnesses == expected_witnesses, (fan, orders)
+
+
+CONFTEST_FANS = ["p1", "p2", "p3", "bl0p2", "p1xp1", "p2xp1", "f2", "hexagon"]
+
+
+@pytest.mark.parametrize("name", CONFTEST_FANS)
+def test_first_witness_is_the_first_of_every_witness(name, request):
+    """The scan that stops at the first witnessing cone finds the class of
+    the full scan and its first witness: on order vectors with infinite
+    entries through ``degree_at_point``, and on vectors with negative
+    entries, as chart inversion passes them, through the full shared scan."""
+    fan = request.getfixturevalue(name)
+    rng = random.Random(f"first-witness/{name}")
+    tied = 0
+    for _ in range(150):
+        ov = random_order_vector(fan, rng, inf_prob=0.3)
+        beta, witnesses = degree_at_point(fan, ov)
+        assert _locate_degree(fan, ov.orders, ov.vanishing, first=True) == (beta, witnesses[:1])
+        tied += len(witnesses) > 1
+
+        cone = rng.choice(fan.max_cones)
+        vanishing = frozenset(rng.sample(cone, rng.randint(0, fan.dim - 1)))
+        orders = tuple(INF if i in vanishing else rng.randint(-4, 4)
+                       for i in range(fan.n_rays))
+        beta, witnesses = _locate_degree(fan, orders, vanishing)
+        assert _locate_degree(fan, orders, vanishing, first=True) == (beta, witnesses[:1])
+        tied += len(witnesses) > 1
+    assert tied > 10

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from toriq import contraction
 from toriq.cases import family_contracted, family_map
 from toriq.classes import length
 from toriq.contraction import (StableMapTree, _deterministic_tail, contract,
@@ -217,6 +218,26 @@ def test_witness_rejects_irrational_places(p1xp1):
     bps = basepoints(q)
     assert any(bp.place.degree == 2 for bp in bps)
     with pytest.raises(ValueError):
+        surjectivity_witness(q)
+
+
+def test_witness_closing_check_rejects_a_wrong_contraction(p2, monkeypatch):
+    """The closing comparison reuses the input's basepoint list but still
+    compares: a contraction with one section scaled by a factor that no torus
+    element undoes fails the witness."""
+    q = random_stable_quasimap(p2, random.Random(17), max_total_length=5)
+    assert not any(f.is_zero for f in q.sections(0))
+    real_contract = contraction.contract
+
+    def scaled_contract(f):
+        c = real_contract(f)
+        first, *rest = c.sections(0)
+        return c.with_components(((first.scale(3), *rest),) + c.components[1:])
+
+    assert equal_quasimaps(real_contract(surjectivity_witness(q)), q)
+    assert not equal_quasimaps(scaled_contract(surjectivity_witness(q)), q)
+    monkeypatch.setattr(contraction, "contract", scaled_contract)
+    with pytest.raises(RuntimeError, match="witness verification failed"):
         surjectivity_witness(q)
 
 

@@ -234,6 +234,124 @@ def test_integer_gcd_and_divmod_agree_with_euclid_oracles():
     assert sum(len(poly_gcd(a, b)) > 1 for a, b in pairs) > 300
 
 
+# Division by a place as forms did it before division by a rational place
+# went synthetic: repeated poly_divmod by the place polynomial.  The oracles
+# of the differential test below.
+def ord_at_oracle(form, place):
+    if form.is_zero:
+        return None
+    if place.at_infinity:
+        return form.degree - form.poly_degree
+    count = 0
+    rem = form.poly
+    while True:
+        q, r = poly_divmod(rem, place.coeffs)
+        if r:
+            return count
+        count += 1
+        rem = q
+
+
+def shift_oracle(form, place, exponent):
+    if exponent == 0:
+        return form
+    new_degree = form.degree + exponent * place.degree
+    if form.is_zero:
+        return BinaryForm.zero(new_degree)
+    if place.at_infinity:
+        if exponent < 0 and form.degree - form.poly_degree < -exponent:
+            raise ValueError("form is not divisible by the place at infinity")
+        return BinaryForm.from_poly(new_degree, form.poly)
+    poly = form.poly
+    if exponent > 0:
+        for _ in range(exponent):
+            poly = poly_mul(poly, place.coeffs)
+    else:
+        for _ in range(-exponent):
+            q, r = poly_divmod(poly, place.coeffs)
+            if r:
+                raise ValueError("form is not divisible by the given place")
+            poly = q
+    return BinaryForm.from_poly(new_degree, poly)
+
+
+DIVISION_PLACES = [Place.rational(z) for z in (0, 1, -2, 3, Fraction(1, 2), Fraction(-3, 4))]
+DIVISION_PLACES += [Place.finite((1, 0, 1)), Place.finite((Fraction(1, 2), 1, 1)),
+                    Place.infinity()]
+
+
+def division_corpus(rng, count):
+    """Seeded forms of degree 0 to 8, int or Fraction coefficients, most of
+    them a random cofactor times a power of one of ``DIVISION_PLACES`` (a
+    power of X at infinity), some of them zero."""
+    def scalar(fractional):
+        k = rng.randint(-5, 5)
+        return Fraction(k, rng.choice((1, 2, 3, 4))) if fractional else k
+
+    forms = []
+    while len(forms) < count:
+        degree = rng.randint(0, 8)
+        if rng.random() < 0.05:
+            forms.append(BinaryForm.zero(degree))
+            continue
+        fractional = rng.random() < 0.5
+        place = rng.choice(DIVISION_PLACES)
+        power = rng.randint(0, degree // place.degree)
+        poly = tuple(scalar(fractional) for _ in range(degree - power * place.degree + 1))
+        if not any(poly):
+            continue
+        if place.at_infinity:
+            poly = _trim(poly)
+            if len(poly) > degree - power + 1:
+                continue
+        else:
+            for _ in range(power):
+                poly = poly_mul(poly, place.coeffs)
+        forms.append(BinaryForm.from_poly(degree, poly))
+    return forms
+
+
+def _outcome(fn, *args):
+    """The result, or the ValueError's message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_place_division_agrees_with_divmod_oracle():
+    forms = division_corpus(random.Random(31), 300)
+    divided = {place: 0 for place in DIVISION_PLACES}
+    refused = 0
+    for form in forms:
+        for place in DIVISION_PLACES:
+            assert form.ord_at(place) == ord_at_oracle(form, place), (form, place)
+            for exponent in range(-3, 4):
+                expected = _outcome(shift_oracle, form, place, exponent)
+                result = _outcome(form.shift, place, exponent)
+                assert repr(result) == repr(expected), (form, place, exponent)
+                if isinstance(expected, str):
+                    refused += 1
+                elif exponent < 0 and not form.is_zero:
+                    divided[place] += 1
+    assert min(divided.values()) > 20 and refused > 5000
+
+
+def test_stored_poly_leaves_equality_hash_and_repr_alone():
+    f = BinaryForm(3, (1, Fraction(1, 2), 0, 0))
+    assert f.poly == (1, Fraction(1, 2)) == _trim(f.coeffs)
+    assert f == BinaryForm.from_poly(3, (1, Fraction(1, 2)))
+    assert hash(f) == hash((3, (1, Fraction(1, 2), 0, 0)))
+    assert repr(f) == "BinaryForm(deg=3, (1, Fraction(1, 2), 0, 0))"
+    assert f != BinaryForm(1, (1, Fraction(1, 2)))  # same poly, other degree
+    assert BinaryForm.zero(2).poly == () and BinaryForm.zero(-1).poly == ()
+    for name in ("poly", "coeffs", "degree"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, ())
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+
+
 def exact_values(q):
     """Every coefficient of every form and every point coordinate of ``q``."""
     for sections in q.components:

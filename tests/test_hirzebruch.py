@@ -4,13 +4,16 @@ back to an honest ample degree."""
 
 import random
 
+import pytest
+
+from toriq import classes
 from toriq.classes import (ample_functional, curve_class_from_anchor,
                            effective_classes, enumeration_degree, factorizations,
                            is_ample, is_fano, length, nef_hilbert_basis,
                            relaxed_surjectivity_condition, wall_curve_classes)
 from toriq.contraction import contract, surjectivity_witness
 from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
-from toriq.fan import validate_fan
+from toriq.fan import Fan, validate_fan
 from toriq.forms import BinaryForm, ProjPoint
 from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps, stability,
                             validate_quasimap)
@@ -48,6 +51,27 @@ def test_f2_bounded_enumeration_is_finite(f2):
 
 def test_f2_relaxed_condition_holds(f2):
     assert relaxed_surjectivity_condition(f2, 8)
+
+
+def test_relaxed_condition_is_memoized_per_fan_and_bound(f2, monkeypatch):
+    fan = Fan(f2.dim, f2.rays, f2.max_cones)  # a fresh instance: an empty memo
+    calls = []
+    real = classes.effective_classes
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(classes, "effective_classes", counting)
+    assert relaxed_surjectivity_condition(fan, 5)
+    assert relaxed_surjectivity_condition(fan, 5)
+    assert calls == [(5,)]
+    assert relaxed_surjectivity_condition(fan, 6)
+    assert calls == [(5,), (6,)]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="requires a length bound"):
+            relaxed_surjectivity_condition(fan, None)
+    assert calls == [(5,), (6,)]
 
 
 def test_f2_witness_via_relaxed_condition(f2):

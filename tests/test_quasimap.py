@@ -3,16 +3,16 @@ from itertools import combinations
 
 import pytest
 
-from toriq.basepoint import degree_at_point
+from toriq.basepoint import INF, OrderVector, degree_at_point
 from toriq.classes import is_effective
-from toriq.fan import product_fan, projective_space_fan
-from toriq.forms import BinaryForm, Place, ProjPoint
-from toriq.quasimap import (Quasimap, _orthogonal_characters, basepoint_length,
-                            basepoints, degrees, equal_quasimaps, evaluate,
-                            regular_extension, same_morphism_sections, stability,
-                            validate_quasimap)
+from toriq.fan import primitive_collections, product_fan, projective_space_fan
+from toriq.forms import BinaryForm, Place, ProjPoint, common_zero_places
+from toriq.quasimap import (BasepointPlace, Quasimap, _orthogonal_characters,
+                            basepoint_length, basepoints, component_basepoints, degrees,
+                            equal_quasimaps, evaluate, regular_extension,
+                            same_morphism_sections, stability, validate_quasimap)
 
-from qmgen import random_quasimap
+from qmgen import random_quasimap, random_stable_quasimap
 
 
 def F(deg, *coeffs):
@@ -206,3 +206,38 @@ def test_orthogonal_characters_of_every_face(p1, p2, p3, bl0p2, p1xp1, p2xp1, f2
                     rows = _orthogonal_characters(fan, face)
                     assert len(rows) == fan.dim - len(face)
                     assert all(row[rho] == 0 for row in rows for rho in face)
+
+
+def _reference_component_basepoints(q, comp):
+    """The basepoint scan of one component, each degree read off public
+    ``degree_at_point`` (which tries every maximal cone)."""
+    secs = q.sections(comp)
+    places = set()
+    for pc in primitive_collections(q.fan):
+        places.update(common_zero_places([secs[i] for i in sorted(pc)]))
+    out = []
+    for place in sorted(places, key=lambda p: p.sort_key()):
+        orders = OrderVector(q.fan, tuple(INF if o is None else o
+                                          for o in (f.ord_at(place) for f in secs)))
+        beta, _ = degree_at_point(q.fan, orders)
+        out.append(BasepointPlace(comp, place, orders, beta))
+    return tuple(out)
+
+
+def test_component_basepoints_match_a_full_witness_scan(p2, p1xp1, bl0p2, p2xp1, hexagon):
+    """200 seeded quasimaps: stable ones with rational basepoints, and random
+    trees whose places may have degree two or more."""
+    rng = random.Random(1405)
+    fans = (p2, p1xp1, bl0p2, p2xp1, hexagon)
+    found = 0
+    for i in range(200):
+        fan = fans[i % len(fans)]
+        if i % 2 or fan is hexagon:  # no stable draw on the hexagon
+            q = random_quasimap(fan, rng, max_total_length=6)
+        else:
+            q = random_stable_quasimap(fan, rng, max_total_length=6)
+        for comp in range(q.n_components):
+            expected = _reference_component_basepoints(q, comp)
+            assert component_basepoints(q, comp) == expected
+            found += len(expected)
+    assert found >= 100
