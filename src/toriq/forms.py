@@ -13,10 +13,11 @@ where integral and as Fractions only where not, and the polynomial
 arithmetic works on such mixed lists directly: division by a monic place
 never leaves the integers of an integral form (by a rational place z - r it
 is synthetic division, Horner's rule at r), and gcds run over the integers
-as primitive pseudo-remainder sequences.  Polynomials of degree at most two
-are factored over the rationals here; factoring degree three and up is
-delegated to sympy, which is imported on first use so that the library and
-CLI start without it.
+as primitive pseudo-remainder sequences, except where the answer is read off:
+1 for a constant input, and for a linear input whether the other one vanishes
+at its root.  Polynomials of degree at most two are factored over the
+rationals here; factoring degree three and up is delegated to sympy, which is
+imported on first use so that the library and CLI start without it.
 """
 
 import math
@@ -110,10 +111,22 @@ def _primitive_remainder(a, b):
 def poly_gcd(a, b):
     """Monic gcd over the rationals (empty when both vanish).
 
-    Runs over the integers: both inputs are scaled to primitive integer
+    1 for a constant input; a linear input is tested at its root.  Otherwise
+    the gcd runs over the integers: both inputs are scaled to primitive integer
     polynomials, each pseudo-remainder is reduced to its primitive part, and
     only the last nonzero one is made monic."""
     a, b = _trim(a), _trim(b)
+    if len(a) == 1 or len(b) == 1:
+        return (1,)
+    if len(b) == 2:
+        a, b = b, a
+    if len(a) == 2:  # b vanishes at -a0/a1 iff its homogenization does at [a1 : -a0]
+        x, y = -a[0], a[1]
+        value, x_power = 0, 1
+        for c in b:
+            value = value * y + c * x_power
+            x_power *= x
+        return (1,) if value else (_quotient(a[0], y), 1)
     a = primitive_vector(a) if a else a
     b = primitive_vector(b) if b else b
     while b:
@@ -242,11 +255,16 @@ class BinaryForm(Record):
 
     @classmethod
     def from_poly(cls, degree, poly_coeffs):
-        """Form of the given degree whose dehomogenization is the polynomial."""
-        poly = _trim(poly_coeffs)
+        """Form of the given degree whose dehomogenization is the polynomial,
+        built in one pass: each value normalized once, the polynomial trimmed
+        and padded."""
+        poly = _trim(map(int_or_frac, poly_coeffs))
         if len(poly) > degree + 1:
             raise ValueError("polynomial degree exceeds the form degree")
-        return cls(degree, poly + (0,) * (degree + 1 - len(poly)))
+        form = cls.__new__(cls)
+        form.__dict__.update(degree=degree, coeffs=poly + (0,) * (degree + 1 - len(poly)),
+                             poly=poly)
+        return form
 
     @property
     def is_zero(self):
@@ -386,7 +404,7 @@ def common_zero_places(forms):
     g = None
     for f in nonzero:
         g = f.poly if g is None else poly_gcd(g, f.poly)
-        if g == (1,):
+        if len(g) == 1:
             break
     places = []
     if g and len(g) > 1:

@@ -348,28 +348,28 @@ def same_morphism_sections(fan, first, second):
     if zero1 != zero2:
         return False
     characters = _orthogonal_characters(fan, zero1)
-    ratios = {}
+    ratios = {}  # ray -> (g_lead, f_lead), the ratio g/f as a pair
     for rho, (f, g) in enumerate(zip(first, second)):
-        if rho in zero1:
-            if f.degree != g.degree:
-                return False
-            continue
         if f.degree != g.degree:
             return False
+        if rho in zero1:
+            continue
         fp, gp = f.poly, g.poly
         if len(fp) != len(gp):
             return False
-        lam = Fraction(gp[-1], fp[-1])
-        if tuple(lam * c for c in fp) != gp:
+        u, v = gp[-1], fp[-1]
+        if any(c * u != d * v for c, d in zip(fp, gp)):
             return False
-        ratios[rho] = lam
+        ratios[rho] = (u, v)
     for exps in characters:
-        prod = Fraction(1)
-        for rho, lam in ratios.items():
+        num = den = 1
+        for rho, (u, v) in ratios.items():
             e = exps[rho]
             if e:
-                prod *= lam ** e
-        if prod != 1:
+                a, b = (u, v) if e > 0 else (v, u)
+                num *= a ** abs(e)
+                den *= b ** abs(e)
+        if num != den:
             return False
     return True
 

@@ -6,8 +6,9 @@ import pytest
 from toriq.contraction import surjectivity_witness
 from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
 from toriq.forms import (BinaryForm, Place, ProjPoint, _factor_poly,
-                         _factor_poly_cached, _trim, common_zero_places,
-                         poly_divmod, poly_gcd, poly_mul)
+                         _factor_poly_cached, _primitive_remainder, _quotient, _trim,
+                         common_zero_places, poly_divmod, poly_gcd, poly_mul)
+from toriq.linalg import primitive_vector
 from toriq.quasimap import basepoints, degrees, evaluate, regular_extension
 
 from qmgen import random_stable_quasimap
@@ -234,6 +235,86 @@ def test_integer_gcd_and_divmod_agree_with_euclid_oracles():
     assert sum(len(poly_gcd(a, b)) > 1 for a, b in pairs) > 300
 
 
+# The gcd as forms took it before its constant and linear fast paths: the
+# primitive pseudo-remainder sequence on every pair.  The oracle of the
+# differential test below.
+def poly_gcd_prs_oracle(a, b):
+    a, b = _trim(a), _trim(b)
+    a = primitive_vector(a) if a else a
+    b = primitive_vector(b) if b else b
+    while b:
+        a, b = b, _primitive_remainder(a, b)
+    if a and a[-1] != 1:
+        a = tuple(_quotient(x, a[-1]) for x in a)
+    return a
+
+
+def small_degree_corpus(rng, count):
+    """Seeded pairs with a constant or linear input: int, Fraction and
+    integral-Fraction coefficients, non-monic linear inputs, integral and
+    Fraction roots, the other input of degree 0-6 and sharing the root about
+    half the time, and zero operands."""
+    def scalar():
+        kind = rng.randrange(3)
+        k = rng.randint(-6, 6)
+        if kind == 0:
+            return k
+        return Fraction(k, 1 if kind == 1 else rng.choice((1, 2, 3, 5)))
+
+    def nonzero():
+        return rng.choice((1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-4, 3), Fraction(6)))
+
+    def poly(degree):
+        return tuple(scalar() for _ in range(degree)) + (nonzero(),)
+
+    pairs = []
+    while len(pairs) < count:
+        if len(pairs) % 4 == 0:  # a constant against anything
+            a, b = (nonzero(),), rng.choice(((), poly(rng.randint(0, 6))))
+        else:  # a linear input, a1 z + a0 with root -a0/a1
+            a = (scalar(), nonzero())
+            b = poly(rng.randint(0, 5))
+            if rng.random() < 0.5:
+                b = poly_mul(b, a)
+            elif rng.random() < 0.1:
+                b = ()
+        if rng.random() < 0.5:
+            a, b = b, a
+        pairs.append((a, b))
+    return pairs
+
+
+def test_small_degree_gcd_agrees_with_the_prs_oracle():
+    pairs = small_degree_corpus(random.Random(1501), 2000)
+    linear = fraction_roots = 0
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            got = poly_gcd(x, y)
+            assert repr(got) == repr(poly_gcd_prs_oracle(x, y)), (x, y)
+            assert got == poly_gcd_oracle(x, y), (x, y)
+        linear += len(got) == 2
+        fraction_roots += len(got) == 2 and type(got[0]) is Fraction
+    assert linear > 500 and fraction_roots > 150
+    assert poly_gcd((), ()) == poly_gcd_prs_oracle((), ()) == ()
+
+
+def test_common_zero_places_stops_at_the_first_constant_gcd(monkeypatch):
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr("toriq.forms.poly_gcd", counting_gcd)
+    # the first polynomial, 5, is constant: no gcd is taken; all three vanish at infinity
+    assert common_zero_places([F(2, 5), F(2, 0, 1), F(2, 1, 2)]) == [Place.infinity()]
+    assert calls == []
+    # gcd(2z - 2, z^2 + 1) = 1 stops the scan before z - 1
+    assert common_zero_places([F(2, -2, 2), F(2, 1, 0, 1), F(2, -1, 1)]) == []
+    assert len(calls) == 1
+    assert common_zero_places([F(2, -2, 2), F(2, 1, -1), F(2, 0, -1, 1)]) == [Place.rational(1)]
+
+
 # Division by a place as forms did it before division by a rational place
 # went synthetic: repeated poly_divmod by the place polynomial.  The oracles
 # of the differential test below.
@@ -350,6 +431,50 @@ def test_stored_poly_leaves_equality_hash_and_repr_alone():
             setattr(f, name, ())
         with pytest.raises(AttributeError):
             delattr(f, name)
+
+
+def _check_derived(form):
+    """A form the library built must be the form the public constructor builds
+    from its degree and coefficients, down to the types of its values."""
+    rebuilt = BinaryForm(form.degree, form.coeffs)
+    assert form == rebuilt and hash(form) == hash(rebuilt)
+    assert repr(form) == repr(rebuilt) and repr(form.poly) == repr(rebuilt.poly)
+    assert set(form.__dict__) == {"degree", "coeffs", "poly"}
+    assert not form.poly or form.poly[-1] != 0
+    with pytest.raises(AttributeError):
+        form.coeffs = ()
+
+
+def test_derived_forms_match_the_public_constructor(p2, p1xp1, bl0p2):
+    rng = random.Random(1502)
+    shifted = 0
+    for form in division_corpus(rng, 150):
+        for place in DIVISION_PLACES:
+            for exponent in (-2, -1, 1, 2):
+                try:
+                    out = form.shift(place, exponent)
+                except ValueError:
+                    continue
+                _check_derived(out)
+                shifted += 1
+    assert shifted > 1000
+    for fan in (p2, p1xp1, bl0p2):
+        emb = build_epic_embedding(fan)
+        for _ in range(6):
+            q = random_stable_quasimap(fan, rng, max_total_length=5)
+            results = [apply_ibar(emb, q), surjectivity_witness(q).quasimap]
+            results += fibre_enumeration(emb, results[0], degrees(q)[0])
+            for result in results:
+                for sections in result.components:
+                    for form in sections:
+                        _check_derived(form)
+    # from_poly itself: untrimmed input, integral Fractions, the zero form of degree -1
+    for degree, poly in ((3, (Fraction(4, 2), 0, Fraction(1, 3), 0, 0)), (2, (0, 0)), (-1, ())):
+        _check_derived(BinaryForm.from_poly(degree, poly))
+    assert repr(BinaryForm.from_poly(1, (Fraction(6, 3), 0)).coeffs) == "(2, 0)"
+    for degree, poly in ((1, (1, 2, 3)), (-1, (1,)), (-2, ())):
+        with pytest.raises(ValueError, match="polynomial degree exceeds the form degree"):
+            BinaryForm.from_poly(degree, poly)
 
 
 def exact_values(q):

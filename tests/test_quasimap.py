@@ -1,12 +1,17 @@
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
 from toriq.basepoint import INF, OrderVector, degree_at_point
 from toriq.classes import is_effective
+from toriq.contraction import contract, surjectivity_witness
+from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
 from toriq.fan import primitive_collections, product_fan, projective_space_fan
 from toriq.forms import BinaryForm, Place, ProjPoint, common_zero_places
+from toriq.linalg import kernel_basis, primitive_vector
 from toriq.quasimap import (BasepointPlace, Quasimap, _orthogonal_characters,
                             basepoint_length, basepoints, component_basepoints, degrees,
                             equal_quasimaps, evaluate, regular_extension,
@@ -241,3 +246,136 @@ def test_component_basepoints_match_a_full_witness_scan(p2, p1xp1, bl0p2, p2xp1,
             assert component_basepoints(q, comp) == expected
             found += len(expected)
     assert found >= 100
+
+
+def _outcome(fn, *args):
+    """The result, or the ValueError's message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# same_morphism_sections as it was before it compared cross-multiplied: a
+# Fraction ratio per ray, raised to each character's exponents.  The oracle
+# of the differential test below.
+def same_morphism_sections_oracle(fan, first, second):
+    zero1 = frozenset(i for i, f in enumerate(first) if f.is_zero)
+    zero2 = frozenset(i for i, f in enumerate(second) if f.is_zero)
+    if zero1 != zero2:
+        return False
+    characters = _orthogonal_characters(fan, zero1)
+    ratios = {}
+    for rho, (f, g) in enumerate(zip(first, second)):
+        if rho in zero1:
+            if f.degree != g.degree:
+                return False
+            continue
+        if f.degree != g.degree:
+            return False
+        fp, gp = f.poly, g.poly
+        if len(fp) != len(gp):
+            return False
+        lam = Fraction(gp[-1], fp[-1])
+        if tuple(lam * c for c in fp) != gp:
+            return False
+        ratios[rho] = lam
+    for exps in characters:
+        result = Fraction(1)
+        for rho, lam in ratios.items():
+            e = exps[rho]
+            if e:
+                result *= lam ** e
+        if result != 1:
+            return False
+    return True
+
+
+def morphism_pairs(fan, rng, count):
+    """Seeded section-tuple pairs on ``fan``: the second is the first rescaled
+    by an element of the torus G that the target is the quotient by (s acts on
+    ray rho by the product of s_r^a_r,rho over the relations a_r among the
+    rays), by per-ray scalars that are mostly not in G, or with one
+    coefficient, one degree or one zero set changed.  Coefficients are ints
+    and Fractions of either sign; zero sections lie on a face of a maximal
+    cone, or now and then contain a primitive collection."""
+    scalars = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(4))
+
+    def form(degree):
+        coeffs = [rng.choice((0, 0, 1, -1, 3, -5, Fraction(1, 3), Fraction(-7, 2)))
+                  for _ in range(degree + 1)]
+        coeffs[rng.randrange(degree + 1)] = rng.choice(scalars)
+        return BinaryForm(degree, coeffs)
+
+    relations = [primitive_vector(r) for r in kernel_basis([list(col) for col in zip(*fan.rays)])]
+    pairs = []
+    while len(pairs) < count:
+        if rng.random() < 0.03:
+            zero = set(rng.choice(primitive_collections(fan)))
+        else:
+            cone = rng.choice(fan.max_cones)
+            zero = set(rng.sample(cone, rng.randint(0, len(cone))))
+        first = tuple(BinaryForm.zero(d) if rho in zero else form(d)
+                      for rho, d in enumerate(rng.randint(0, 3) for _ in fan.rays))
+        kind = len(pairs) % 4
+        if kind == 0:
+            s = [Fraction(rng.choice(scalars)) for _ in relations]
+            factors = [prod(x ** r[rho] for x, r in zip(s, relations)) for rho in range(fan.n_rays)]
+        else:
+            factors = [rng.choice(scalars) for _ in fan.rays]
+        second = [f.scale(c) for f, c in zip(first, factors)]
+        rho = rng.randrange(fan.n_rays)
+        f = second[rho]
+        if kind == 2:
+            if f.is_zero:
+                second[rho] = form(f.degree)
+            elif rng.random() < 0.2:
+                second[rho] = f.scale(0)
+            else:
+                k = rng.randrange(f.degree + 1)
+                second[rho] = BinaryForm(f.degree, f.coeffs[:k] + (f.coeffs[k] + 1,)
+                                         + f.coeffs[k + 1:])
+        elif kind == 3:
+            second[rho] = (BinaryForm.zero(f.degree + 1) if f.is_zero
+                           else BinaryForm.from_poly(f.degree + 1, f.poly))
+        pairs.append((first, tuple(second), kind))
+    return pairs
+
+
+def test_cross_multiplied_morphism_check_agrees_with_the_ratio_oracle(
+        p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
+    rng = random.Random(1503)
+    tally = {}
+    for fan in (p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
+        assert any(e < 0 for cone in fan.max_cones for row in fan.exponent_matrix(cone)
+                   for e in row)
+        for first, second, kind in morphism_pairs(fan, rng, 160):
+            expected = _outcome(same_morphism_sections_oracle, fan, first, second)
+            assert _outcome(same_morphism_sections, fan, first, second) == expected
+            tally[kind, expected] = tally.get((kind, expected), 0) + 1
+    # rescalings by G are the same morphism; most per-ray rescalings are not
+    assert tally.get((0, False), 0) == 0 and tally[0, True] > 250
+    assert tally[1, True] > 50 and tally[1, False] > 150
+    assert tally[2, False] > 250 and tally[3, False] > 250
+    assert sum(n for (_, outcome), n in tally.items() if type(outcome) is str) > 20
+
+
+def test_requests_leave_no_memo_on_their_inputs(p2, p1xp1, bl0p2):
+    """A reused input must not carry state from one request to the next: after
+    a witness, a fibre and an analyze request, the quasimap and its forms hold
+    their fields only (and each form its ``poly``)."""
+    rng = random.Random(1505)
+    for fan in (p2, p1xp1, bl0p2):
+        emb = build_epic_embedding(fan)
+        for _ in range(4):
+            q = random_stable_quasimap(fan, rng, max_total_length=6)
+            witness = surjectivity_witness(q)
+            assert equal_quasimaps(contract(witness), q)
+            fibre = fibre_enumeration(emb, apply_ibar(emb, q), degrees(q)[0])
+            assert any(equal_quasimaps(element, q) for element in fibre)
+            assert basepoints(q) and stability(q) is True
+            assert not basepoints(regular_extension(q))
+            assert set(q.__dict__) == set(Quasimap._fields)
+            for sections in q.components:
+                for form in sections:
+                    assert set(form.__dict__) == {"degree", "coeffs", "poly"}
