@@ -15,10 +15,10 @@ from .basepoint import degree_at_point
 from .classes import (CurveClass, ample_functional, enumeration_degree, is_fano,
                       length, relaxed_surjectivity_condition)
 from .forms import BinaryForm, Place, ProjPoint, poly_mul
-from .quasimap import (Quasimap, _equal_quasimaps, _map_stable, _order_vector_at,
-                       basepoints, component_basepoints, degrees, extend_at,
-                       section_values, stability, validate_quasimap,
-                       xpoint_from_values)
+from .quasimap import (Quasimap, _chart, _chart_cone, _equal_quasimaps, _map_stable,
+                       _order_vector_at, basepoints, component_basepoints, degrees,
+                       evaluate, extend_at, section_values, stability,
+                       validate_quasimap)
 from .record import Record
 
 
@@ -201,11 +201,10 @@ def graft(q, component, place, tail_sections, attach_point):
             raise ValueError("sections of negative degree must vanish")
 
     extended = extend_at(q, component, place, beta)
-    host_values = section_values(extended, component, point)
     tail_values = tuple(f.value_at(attach_point) for f in tail_sections)
-    if tuple(v == 0 for v in host_values) != tuple(v == 0 for v in tail_values):
-        raise ValueError("tail sections do not match the extension at the basepoint")
-    if xpoint_from_values(q.fan, host_values) != xpoint_from_values(q.fan, tail_values):
+    tail_cone = _chart_cone(q.fan, tail_values)
+    if (tail_cone is None
+            or _chart(q.fan, tail_cone, tail_values) != evaluate(extended, component, point)):
         raise ValueError("tail sections do not match the extension at the basepoint")
     return _attach(extended, component, point, tail_sections, attach_point)
 
@@ -301,8 +300,6 @@ def surjectivity_witness(q, length_bound=None):
     while bps:
         bp = bps[0]
         point = bp.place.rational_point()
-        if point is None:
-            raise ValueError("witness search hit an irrational basepoint place")
         # the tail is built to match the twist at [1:0], so graft's checks
         # would hold by construction; the closing checks below still run
         extended = extend_at(work, bp.component, bp.place, bp.degree)

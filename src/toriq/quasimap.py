@@ -58,10 +58,10 @@ class XPoint(Record):
     """A point of the target in a torus chart: chosen cone, chart coordinates,
     and the raw section values it came from.
 
-    ``==`` is equality of points of the target.  ``xpoint_from_values`` charts
-    a point in the first cone that contains its zero set, so equal points
-    share the cone and the chart coordinates; the Cox values of one point
-    differ by the torus action and stay out of the comparison.
+    ``==`` is equality of points of the target.  ``_chart`` charts a point in
+    the first cone that contains its zero set (``_chart_cone``), so equal
+    points share the cone and the chart coordinates; the Cox values of one
+    point differ by the torus action and stay out of the comparison.
     """
 
     _fields = ("cone", "coords", "cox")
@@ -75,44 +75,41 @@ def section_values(q, comp, point):
     return tuple(f.value_at(point) for f in q.sections(comp))
 
 
-def _chart_coords(fan, cone_index, values):
+def _chart_cone(fan, values):
+    """Index of the first maximal cone that holds the zero set of the Cox
+    values, or None when there is none: the values are taken at a basepoint."""
+    zero = {i for i, v in enumerate(values) if v == 0}
+    return next((idx for idx, cone in enumerate(fan.max_cones) if zero <= set(cone)), None)
+
+
+def _chart(fan, cone_index, values):
+    """The point with the given Cox values in the chart of a cone that holds
+    their zero set.  A zero ray pairs with exponent 0 or 1 there, so only
+    nonzero values are inverted."""
     coords = []
     for exps in fan.exponent_matrix(fan.max_cones[cone_index]):
         val = 1
-        for rho, e in enumerate(exps):
-            if e == 0:
-                continue
-            v = values[rho]
-            if v == 0:
-                if e > 0:
-                    val = 0
-                    break
-                raise ZeroDivisionError("vanishing coordinate with negative exponent")
-            val *= v ** e if e > 0 else Fraction(v) ** e
+        for v, e in zip(values, exps):
+            if e:
+                val *= v ** e if e > 0 else Fraction(v) ** e
         coords.append(int_or_frac(val))
-    return tuple(coords)
-
-
-def xpoint_from_values(fan, values):
-    """Chart representation of a non-degenerate Cox value tuple."""
-    zero = {i for i, v in enumerate(values) if v == 0}
-    for idx, cone in enumerate(fan.max_cones):
-        if zero <= set(cone):
-            return XPoint(idx, _chart_coords(fan, idx, values), tuple(values))
-    raise ValueError("value tuple is degenerate (a basepoint)")
+    return XPoint(cone_index, tuple(coords), tuple(values))
 
 
 def evaluate(q, comp, point):
     """Evaluate the quasimap at a non-basepoint: a cone and its chart coordinates."""
     values = section_values(q, comp, point)
-    try:
-        return xpoint_from_values(q.fan, values)
-    except ValueError:
+    cone = _chart_cone(q.fan, values)
+    if cone is None:
         raise ValueError(f"cannot evaluate at {point}: the point is a basepoint")
+    return _chart(q.fan, cone, values)
 
 
-def _component_vanishing(q, comp):
-    return frozenset(i for i, f in enumerate(q.sections(comp)) if f.is_zero)
+def _degenerate_collections(q, comp):
+    """The primitive collections, each sorted, on which every section of the
+    component vanishes identically."""
+    vanishing = {i for i, f in enumerate(q.sections(comp)) if f.is_zero}
+    return [tuple(sorted(pc)) for pc in primitive_collections(q.fan) if pc <= vanishing]
 
 
 def _order_vector_at(q, comp, place):
@@ -131,15 +128,13 @@ def component_basepoints(q, comp):
     the place degree.
     """
     fan = q.fan
+    degenerate = _degenerate_collections(q, comp)
+    if degenerate:
+        raise ValueError(f"component {comp} vanishes on the primitive collection {degenerate[0]}")
     secs = q.sections(comp)
     places = set()
     for pc in primitive_collections(fan):
-        group = [secs[i] for i in sorted(pc)]
-        if all(f.is_zero for f in group):
-            raise ValueError(
-                f"component {comp} vanishes on the primitive collection {tuple(sorted(pc))}"
-            )
-        places.update(common_zero_places(group))
+        places.update(common_zero_places([secs[i] for i in sorted(pc)]))
     out = []
     for place in sorted(places, key=lambda p: p.sort_key()):
         orders = _order_vector_at(q, comp, place)
@@ -156,9 +151,7 @@ def basepoints(q):
 
 
 def point_is_basepoint(q, comp, point):
-    values = section_values(q, comp, point)
-    zero = {i for i, v in enumerate(values) if v == 0}
-    return not any(zero <= set(cone) for cone in q.fan.max_cones)
+    return _chart_cone(q.fan, section_values(q, comp, point)) is None
 
 
 def validate_quasimap(q):
@@ -185,13 +178,11 @@ def validate_quasimap(q):
             report.append(
                 f"component {comp} degrees {degs} violate the ray relations"
             )
-        vanishing = _component_vanishing(q, comp)
-        for pc in primitive_collections(fan):
-            if pc <= vanishing:
-                report.append(
-                    f"component {comp} is degenerate: sections of the primitive "
-                    f"collection {tuple(sorted(pc))} all vanish identically"
-                )
+        for pc in _degenerate_collections(q, comp):
+            report.append(
+                f"component {comp} is degenerate: sections of the primitive "
+                f"collection {pc} all vanish identically"
+            )
     if report:
         return report
 
@@ -199,11 +190,9 @@ def validate_quasimap(q):
     edges = [(a, b) for (a, _), (b, _) in q.nodes]
     for a, b in edges:
         if not (0 <= a < q.n_components and 0 <= b < q.n_components):
-            report.append("node references a missing component")
-            return report
+            return ["node references a missing component"]
         if a == b:
-            report.append("a node cannot join a component to itself")
-            return report
+            return ["a node cannot join a component to itself"]
     if len(edges) != q.n_components - 1:
         report.append("the dual graph is not a tree (wrong node count)")
     elif not is_connected(q.n_components, edges):
@@ -217,23 +206,27 @@ def validate_quasimap(q):
         special.setdefault(b, []).append(pb)
     for comp, point in q.markings:
         if not 0 <= comp < q.n_components:
-            report.append("marking references a missing component")
-            return report
+            return ["marking references a missing component"]
         special.setdefault(comp, []).append(point)
     for comp, pts in special.items():
         if len(set(pts)) != len(pts):
             report.append(f"special points on component {comp} are not distinct")
 
+    # one evaluation per special point: a marking needs only the cone test,
+    # node ends are charted below to compare them
+    evaluated = []
     for comp, point in list(q.markings) + [e for n in q.nodes for e in n]:
-        if point_is_basepoint(q, comp, point):
+        values = section_values(q, comp, point)
+        cone = _chart_cone(fan, values)
+        if cone is None:
             report.append(f"special point {point} on component {comp} is a basepoint")
+        evaluated.append((cone, values))
     if report:
         return report
 
-    for (a, pa), (b, pb) in q.nodes:
-        va = evaluate(q, a, pa)
-        vb = evaluate(q, b, pb)
-        if va != vb:
+    ends = evaluated[len(q.markings):]
+    for i, ((a, _), (b, _)) in enumerate(q.nodes):
+        if _chart(fan, *ends[2 * i]) != _chart(fan, *ends[2 * i + 1]):
             report.append(
                 f"node between components {a} and {b} does not glue: the two "
                 "branches evaluate to different points"

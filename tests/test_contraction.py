@@ -150,6 +150,26 @@ def test_graft_rejects_value_mismatch(p2):
         graft(q, bp.component, bp.place, bad_tail, ProjPoint(1, 0))
 
 
+def test_graft_rejects_a_tail_degenerate_at_the_attach_point(p2, p1xp1):
+    """Tail values that vanish on a primitive collection lie in no cone: no
+    point of the target, so no match for the extension."""
+    q = Quasimap(p2, ((BinaryForm.zero(1), BinaryForm.zero(1), F(1, 1)),),
+                 markings=MARKS)
+    bp, = basepoints(q)
+    # every section vanishes at the attach point [1:0], on the collection {0, 1, 2}
+    tail = (F(1, 0, 1), F(1, 0, 2), F(1, 0, 3))
+    with pytest.raises(ValueError, match="do not match the extension"):
+        graft(q, bp.component, bp.place, tail, ProjPoint(1, 0))
+
+    # on P1 x P1 the tail vanishes on the collection {0, 1} of the first factor
+    q = Quasimap(p1xp1, ((F(1, 0, 1), F(1, 0, 1), F(0, 1), F(0, 2)),), markings=MARKS)
+    bp, = basepoints(q)
+    assert bp.degree.pairings == (1, 1, 0, 0)
+    tail = (F(1, 0, 1), F(1, 0, 5), F(0, 1), F(0, 2))
+    with pytest.raises(ValueError, match="do not match the extension"):
+        graft(q, bp.component, bp.place, tail, ProjPoint(1, 0))
+
+
 def test_prune_requires_unmarked_leaf():
     f = family_map(0)
     with pytest.raises(ValueError):

@@ -6,16 +6,18 @@ from math import prod
 import pytest
 
 from toriq.basepoint import INF, OrderVector, degree_at_point
-from toriq.classes import is_effective
+from toriq.classes import CurveClass, is_effective
 from toriq.contraction import contract, surjectivity_witness
 from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
-from toriq.fan import primitive_collections, product_fan, projective_space_fan
+from toriq.fan import (is_connected, primitive_collections, product_fan,
+                       projective_space_fan, require_valid)
 from toriq.forms import BinaryForm, Place, ProjPoint, common_zero_places
 from toriq.linalg import kernel_basis, primitive_vector
 from toriq.quasimap import (BasepointPlace, Quasimap, _orthogonal_characters,
                             basepoint_length, basepoints, component_basepoints, degrees,
                             equal_quasimaps, evaluate, regular_extension,
-                            same_morphism_sections, stability, validate_quasimap)
+                            same_morphism_sections, section_values, stability,
+                            validate_quasimap)
 
 from qmgen import random_quasimap, random_stable_quasimap
 
@@ -182,6 +184,181 @@ def test_node_gluing_invariant_random(p1xp1):
         q = random_quasimap(p1xp1, rng, max_components=3)
         for (a, pa), (b, pb) in q.nodes:
             assert evaluate(q, a, pa) == evaluate(q, b, pb)
+
+
+# validate_quasimap as it was before it evaluated each special point once: a
+# basepoint test per marking and node end on the zero set of the values, then
+# both ends of every node evaluated again for the gluing check.  The oracle of
+# the differential test below.
+def validate_quasimap_oracle(q):
+    fan = q.fan
+    report = []
+    try:
+        require_valid(fan)
+    except ValueError as exc:
+        return [str(exc)]
+    if q.n_components == 0:
+        return ["a quasimap needs at least one component"]
+    for comp, secs in enumerate(q.components):
+        if len(secs) != fan.n_rays:
+            report.append(f"component {comp} does not have one section per ray")
+    if report:
+        return report
+
+    for comp in range(q.n_components):
+        degs = q.component_degree_vector(comp)
+        try:
+            CurveClass(fan, degs)
+        except ValueError:
+            report.append(
+                f"component {comp} degrees {degs} violate the ray relations"
+            )
+        vanishing = frozenset(i for i, f in enumerate(q.sections(comp)) if f.is_zero)
+        for pc in primitive_collections(fan):
+            if pc <= vanishing:
+                report.append(
+                    f"component {comp} is degenerate: sections of the primitive "
+                    f"collection {tuple(sorted(pc))} all vanish identically"
+                )
+    if report:
+        return report
+
+    edges = [(a, b) for (a, _), (b, _) in q.nodes]
+    for a, b in edges:
+        if not (0 <= a < q.n_components and 0 <= b < q.n_components):
+            report.append("node references a missing component")
+            return report
+        if a == b:
+            report.append("a node cannot join a component to itself")
+            return report
+    if len(edges) != q.n_components - 1:
+        report.append("the dual graph is not a tree (wrong node count)")
+    elif not is_connected(q.n_components, edges):
+        report.append("the dual graph is not connected")
+    if report:
+        return report
+
+    special = {}
+    for (a, pa), (b, pb) in q.nodes:
+        special.setdefault(a, []).append(pa)
+        special.setdefault(b, []).append(pb)
+    for comp, point in q.markings:
+        if not 0 <= comp < q.n_components:
+            report.append("marking references a missing component")
+            return report
+        special.setdefault(comp, []).append(point)
+    for comp, pts in special.items():
+        if len(set(pts)) != len(pts):
+            report.append(f"special points on component {comp} are not distinct")
+
+    for comp, point in list(q.markings) + [e for n in q.nodes for e in n]:
+        zero = {i for i, v in enumerate(section_values(q, comp, point)) if v == 0}
+        if not any(zero <= set(cone) for cone in fan.max_cones):
+            report.append(f"special point {point} on component {comp} is a basepoint")
+    if report:
+        return report
+
+    for (a, pa), (b, pb) in q.nodes:
+        if evaluate(q, a, pa) != evaluate(q, b, pb):
+            report.append(
+                f"node between components {a} and {b} does not glue: the two "
+                "branches evaluate to different points"
+            )
+    return report
+
+
+def broken_variants(q, rng):
+    """Copies of a valid quasimap with one invariant broken in each, as
+    (label, quasimap) pairs, the label ending in a part of the violation it
+    is meant to cause: the sections (count, degrees, a degenerate
+    component), the dual graph (node count, connectedness, missing
+    components, self-nodes) and the special points (duplicates, basepoints at
+    markings and node ends, nodes that do not glue)."""
+    fan, comps, nodes, marks = q.fan, list(q.components), list(q.nodes), list(q.markings)
+    n = q.n_components
+
+    def free_point(comp):
+        used = {p for c, p in marks if c == comp}
+        used |= {p for node in nodes for c, p in node if c == comp}
+        return next(ProjPoint(1, z) for z in range(100, 200) if ProjPoint(1, z) not in used)
+
+    def with_sections(comp, secs):
+        return Quasimap(fan, comps[:comp] + [tuple(secs)] + comps[comp + 1:], nodes, marks)
+
+    def with_nodes(new_nodes):
+        return Quasimap(fan, comps, new_nodes, marks)
+
+    def with_node(i, node):
+        return with_nodes(nodes[:i] + [node] + nodes[i + 1:])
+
+    def with_marking(marking):
+        return Quasimap(fan, comps, nodes, marks + [marking])
+
+    comp = rng.randrange(n)
+    secs = comps[comp]
+    yield "at least one component", Quasimap(fan, (), nodes, marks)
+    yield "one section per ray", with_sections(comp, secs[:-1])
+    rho = rng.randrange(fan.n_rays)
+    f = secs[rho]
+    bumped = (BinaryForm.zero(f.degree + 1) if f.is_zero
+              else BinaryForm.from_poly(f.degree + 1, f.poly))
+    yield "violate the ray relations", with_sections(comp, secs[:rho] + (bumped,) + secs[rho + 1:])
+    pc = rng.choice(primitive_collections(fan))
+    yield "is degenerate", with_sections(
+        comp, [BinaryForm.zero(f.degree) if rho in pc else f for rho, f in enumerate(secs)])
+
+    if nodes:
+        yield "wrong node count", with_nodes(nodes[:-1])
+        (a, pa), _ = nodes[0]
+        yield "cannot join a component to itself", with_node(0, ((a, pa), (a, free_point(a))))
+    extra = ((0, free_point(0)), (n - 1, free_point(n - 1)))
+    yield "wrong node count", with_nodes(nodes + [extra])
+    off_curve = ((0, free_point(0)), (n, ProjPoint(1, 0)))
+    yield "node references a missing component", with_nodes(nodes + [off_curve])
+    yield "marking references a missing component", with_marking((n, ProjPoint(1, 0)))
+    if n >= 3:
+        # as many nodes as a tree needs, all of them between components 0 and 1
+        pairs = [((0, ProjPoint(1, 50 + i)), (1, ProjPoint(1, 70 + i))) for i in range(n - 1)]
+        yield "is not connected", with_nodes(pairs)
+
+    for i, ((a, pa), (b, pb)) in enumerate(nodes):
+        yield "does not glue", with_node(i, ((a, pa), (b, free_point(b))))
+        yield "are not distinct", with_marking((a, pa))
+    if marks:
+        yield "are not distinct", with_marking(marks[-1])
+    for bp in basepoints(q):
+        point = bp.place.rational_point()
+        if point is None:
+            continue
+        yield "marking: is a basepoint", with_marking((bp.component, point))
+        for i, ((a, _), end) in enumerate(nodes):
+            if a == bp.component:
+                yield "node end: is a basepoint", with_node(i, ((a, point), end))
+
+
+def test_validation_matches_the_two_pass_oracle(p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
+    """Seeded stable quasimaps over every fan but the hexagon (no stable draw
+    there), their witnesses, random trees over every fan, and broken copies
+    of all of them: the same violations in the same order as the oracle."""
+    rng = random.Random(1601)
+    inputs = []
+    for fan in (p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
+        for _ in range(6):
+            if fan is not hexagon:
+                q = random_stable_quasimap(fan, rng, max_total_length=5)
+                inputs.append(q)
+                if fan is not f2:
+                    inputs.append(surjectivity_witness(q).quasimap)
+            inputs.append(random_quasimap(fan, rng, max_total_length=6))
+    hits = {}
+    for q in inputs:
+        assert validate_quasimap(q) == validate_quasimap_oracle(q) == []
+        for label, bad in broken_variants(q, rng):
+            expected = validate_quasimap_oracle(bad)
+            assert validate_quasimap(bad) == expected
+            part = label.split(": ")[-1]
+            hits[label] = hits.get(label, 0) + any(part in v for v in expected)
+    assert len(hits) == 13 and min(hits.values()) >= 5, hits
 
 
 def test_same_morphism_needs_the_character_condition(p2):
