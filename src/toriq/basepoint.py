@@ -5,7 +5,9 @@ section at one smooth point of the source curve; identically vanishing
 sections get the symbolic value ``INF``.  The degree of the point is the
 unique effective curve class whose twist removes the basepoint; it is found
 by locating the vector the orders sum the rays to among the maximal cones
-that contain all identically-vanishing directions.
+that contain all identically-vanishing directions.  Neither the scan's
+vectors (``OrderVector._scanned``; the scan rejects degenerate components
+itself) nor the degree, a class by construction, is checked again.
 """
 
 from .classes import CurveClass
@@ -89,6 +91,13 @@ class OrderVector(Record):
                     f"contain the primitive collection {tuple(sorted(pc))}"
                 )
 
+    @classmethod
+    def _scanned(cls, fan, orders):
+        """Unchecked: a scan's orders, ints >= 0 or INF, on a non-degenerate component."""
+        vec = cls.__new__(cls)
+        vec.__dict__.update(fan=fan, orders=orders)
+        return vec
+
     @property
     def vanishing(self):
         return frozenset(i for i, x in enumerate(self.orders) if is_infinite(x))
@@ -127,7 +136,8 @@ def _locate_degree(fan, orders, vanishing, first=False):
     pairings = list(orders)
     for rho, ck in zip(sigma, c):
         pairings[rho] = (0 if rho in vanishing else orders[rho]) - ck
-    return CurveClass(fan, tuple(pairings)), tuple(idx for idx, _, _ in hits)
+    # a class for any integer orders: sum a_rho u_rho = v = sum c_k u_sigma_k
+    return CurveClass._derived(fan, pairings), tuple(idx for idx, _, _ in hits)
 
 
 def degree_at_point(fan, ord_vector):

@@ -15,10 +15,9 @@ from .basepoint import degree_at_point
 from .classes import (CurveClass, ample_functional, enumeration_degree, is_fano,
                       length, relaxed_surjectivity_condition)
 from .forms import BinaryForm, Place, ProjPoint, poly_mul
-from .quasimap import (Quasimap, _chart, _chart_cone, _equal_quasimaps, _map_stable,
-                       _order_vector_at, basepoints, component_basepoints, degrees,
-                       evaluate, extend_at, section_values, stability,
-                       validate_quasimap)
+from .quasimap import (Quasimap, _chart_cone, _equal_quasimaps, _map_stable, _orders_at,
+                       _same_point, basepoints, component_basepoints, degrees,
+                       extend_at, section_values, stability, validate_quasimap)
 from .record import Record
 
 
@@ -153,7 +152,7 @@ def _drop_components(q, dropped, twists):
         if a in renum and b in renum
     )
     markings = tuple((renum[c], p) for c, p in out.markings)
-    return Quasimap(q.fan, components, nodes, markings)
+    return Quasimap._rebuilt(q.fan, components, nodes, markings)
 
 
 def contract(f):
@@ -183,7 +182,7 @@ def graft(q, component, place, tail_sections, attach_point):
         place = Place.of_point(place)
     beta = None
     if 0 <= component < q.n_components:
-        beta, _ = degree_at_point(q.fan, _order_vector_at(q, component, place))
+        beta, _ = degree_at_point(q.fan, _orders_at(q, component, place))
     if beta is None or beta.is_zero():
         raise ValueError("the given place is not a basepoint of the quasimap")
     point = place.rational_point()
@@ -202,20 +201,19 @@ def graft(q, component, place, tail_sections, attach_point):
 
     extended = extend_at(q, component, place, beta)
     tail_values = tuple(f.value_at(attach_point) for f in tail_sections)
-    tail_cone = _chart_cone(q.fan, tail_values)
-    if (tail_cone is None
-            or _chart(q.fan, tail_cone, tail_values) != evaluate(extended, component, point)):
+    values = section_values(extended, component, point)
+    if not _same_point(q.fan, _chart_cone(q.fan, tail_values), tail_values,
+                       _chart_cone(q.fan, values), values):
         raise ValueError("tail sections do not match the extension at the basepoint")
     return _attach(extended, component, point, tail_sections, attach_point)
 
 
 def _attach(extended, component, point, tail_sections, attach_point):
     """The already twisted quasimap with the tail appended as a new component,
-    noded to ``component`` at ``point``."""
-    new_comp = extended.n_components
-    components = extended.components + (tail_sections,)
-    nodes = extended.nodes + (((component, point), (new_comp, attach_point)),)
-    return Quasimap(extended.fan, components, nodes, extended.markings)
+    noded to ``component`` at ``point``; the tail is a tuple of forms."""
+    node = ((component, point), (extended.n_components, attach_point))
+    return Quasimap._rebuilt(extended.fan, extended.components + (tail_sections,),
+                             extended.nodes + (node,), extended.markings)
 
 
 def prune(q, component):

@@ -290,7 +290,7 @@ def apply_ibar(emb, q):
                     poly = poly_mul(poly, f.poly)
             out.append(BinaryForm.from_poly(degree, poly))
         new_components.append(tuple(out))
-    return Quasimap(emb.target, tuple(new_components), q.nodes, q.markings)
+    return Quasimap._rebuilt(emb.target, tuple(new_components), q.nodes, q.markings)
 
 
 def _factored_sections(emb, secs):
@@ -389,7 +389,7 @@ def invert_through_charts(emb, extension):
         if secs is None:
             return None
         comps.append(secs)
-    candidate = Quasimap(emb.source, tuple(comps), extension.nodes, extension.markings)
+    candidate = Quasimap._rebuilt(emb.source, tuple(comps), extension.nodes, extension.markings)
     if validate_quasimap(candidate):
         return None
     return candidate

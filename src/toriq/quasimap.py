@@ -4,12 +4,14 @@ A quasimap is a tuple of exact binary forms per ray on each component, plus
 nodes and markings.  Equivalence of the underlying line-bundle data reduces,
 on a tree, to rescaling each component's section tuple by a character-trivial
 scalar tuple; all comparisons below work with that model and stay entirely
-inside rational arithmetic.
+inside rational arithmetic (node ends, and ratios of sections, are compared
+cross-multiplied).  The public constructor normalises its parts once; a
+quasimap rebuilt from a built one (``Quasimap._rebuilt``) reuses them.
 """
 
 from fractions import Fraction
 
-from .basepoint import INF, OrderVector, _locate_degree, length_at_point
+from .basepoint import INF, OrderVector, _cone_table, _locate_degree, length_at_point
 from .classes import CurveClass, anticanonical_class, is_fano
 from .fan import is_connected, primitive_collections, require_valid
 from .forms import common_zero_places
@@ -41,7 +43,14 @@ class Quasimap(Record):
         return tuple(f.degree for f in self.components[comp])
 
     def with_components(self, components):
-        return Quasimap(self.fan, tuple(components), self.nodes, self.markings)
+        return Quasimap._rebuilt(self.fan, tuple(map(tuple, components)), self.nodes, self.markings)
+
+    @classmethod
+    def _rebuilt(cls, fan, components, nodes, markings):
+        """Unnormalised: section tuples, nodes and markings of a built quasimap."""
+        q = cls.__new__(cls)
+        q.__dict__.update(fan=fan, components=components, nodes=nodes, markings=markings)
+        return q
 
 
 class BasepointPlace(Record):
@@ -75,11 +84,15 @@ def section_values(q, comp, point):
     return tuple(f.value_at(point) for f in q.sections(comp))
 
 
+def _first_cone(fan, rays):
+    """Index of the first maximal cone that holds the ray set, or None."""
+    return next((idx for idx, _, cone, _ in _cone_table(fan) if rays <= cone), None)
+
+
 def _chart_cone(fan, values):
     """Index of the first maximal cone that holds the zero set of the Cox
     values, or None when there is none: the values are taken at a basepoint."""
-    zero = {i for i, v in enumerate(values) if v == 0}
-    return next((idx for idx, cone in enumerate(fan.max_cones) if zero <= set(cone)), None)
+    return _first_cone(fan, {i for i, v in enumerate(values) if v == 0})
 
 
 def _chart(fan, cone_index, values):
@@ -94,6 +107,28 @@ def _chart(fan, cone_index, values):
                 val *= v ** e if e > 0 else Fraction(v) ** e
         coords.append(int_or_frac(val))
     return XPoint(cone_index, tuple(coords), tuple(values))
+
+
+def _cross_equal(rows, pairs):
+    """Whether prod x^e = prod y^e over the (x, y) pairs for each row e,
+    cross-multiplied; x and y are nonzero wherever e < 0."""
+    for exps in rows:
+        lhs = rhs = 1
+        for (x, y), e in zip(pairs, exps):
+            if e:
+                a, b = (x, y) if e > 0 else (y, x)
+                lhs *= a ** abs(e)
+                rhs *= b ** abs(e)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _same_point(fan, idx, v, other_idx, w):
+    """``_chart`` equality of two ends, each a cone index holding the zero set
+    of its Cox values, in integers: zero values have exponent 0 or 1 there."""
+    return idx is not None and idx == other_idx and \
+        _cross_equal(_cone_table(fan)[idx][3], list(zip(v, w)))
 
 
 def evaluate(q, comp, point):
@@ -112,12 +147,9 @@ def _degenerate_collections(q, comp):
     return [tuple(sorted(pc)) for pc in primitive_collections(q.fan) if pc <= vanishing]
 
 
-def _order_vector_at(q, comp, place):
-    orders = []
-    for f in q.sections(comp):
-        o = f.ord_at(place)
-        orders.append(INF if o is None else o)
-    return OrderVector(q.fan, tuple(orders))
+def _orders_at(q, comp, place):
+    """Per-ray vanishing orders of one component at a place, INF for zero."""
+    return tuple(INF if o is None else o for o in (f.ord_at(place) for f in q.sections(comp)))
 
 
 def component_basepoints(q, comp):
@@ -137,7 +169,7 @@ def component_basepoints(q, comp):
         places.update(common_zero_places([secs[i] for i in sorted(pc)]))
     out = []
     for place in sorted(places, key=lambda p: p.sort_key()):
-        orders = _order_vector_at(q, comp, place)
+        orders = OrderVector._scanned(fan, _orders_at(q, comp, place))
         beta, _ = _locate_degree(fan, orders.orders, orders.vanishing, first=True)
         out.append(BasepointPlace(comp, place, orders, beta))
     return tuple(out)
@@ -213,7 +245,7 @@ def validate_quasimap(q):
             report.append(f"special points on component {comp} are not distinct")
 
     # one evaluation per special point: a marking needs only the cone test,
-    # node ends are charted below to compare them
+    # node ends are compared below in integers
     evaluated = []
     for comp, point in list(q.markings) + [e for n in q.nodes for e in n]:
         values = section_values(q, comp, point)
@@ -226,7 +258,7 @@ def validate_quasimap(q):
 
     ends = evaluated[len(q.markings):]
     for i, ((a, _), (b, _)) in enumerate(q.nodes):
-        if _chart(fan, *ends[2 * i]) != _chart(fan, *ends[2 * i + 1]):
+        if not _same_point(fan, *ends[2 * i], *ends[2 * i + 1]):
             report.append(
                 f"node between components {a} and {b} does not glue: the two "
                 "branches evaluate to different points"
@@ -321,11 +353,12 @@ def _orthogonal_characters(fan, rays):
     the character lattice, so its members m_k with sigma_k not in ``rays``
     span the characters vanishing on them: the rows of E_sigma at those k.
     """
-    sigma = next((cone for cone in fan.max_cones if rays <= set(cone)), None)
-    if sigma is None:
+    idx = _first_cone(fan, rays)
+    if idx is None:
         raise ValueError(f"the rays {tuple(sorted(rays))} lie in no cone: "
                          "sections vanishing on all of them are degenerate")
-    return [exps for ray, exps in zip(sigma, fan.exponent_matrix(sigma)) if ray not in rays]
+    _, sigma, _, rows = _cone_table(fan)[idx]
+    return [exps for ray, exps in zip(sigma, rows) if ray not in rays]
 
 
 def same_morphism_sections(fan, first, second):
@@ -341,11 +374,12 @@ def same_morphism_sections(fan, first, second):
     if zero1 != zero2:
         return False
     characters = _orthogonal_characters(fan, zero1)
-    ratios = {}  # ray -> (g_lead, f_lead), the ratio g/f as a pair
+    ratios = []  # per ray, the ratio g/f as the pair (g_lead, f_lead)
     for rho, (f, g) in enumerate(zip(first, second)):
         if f.degree != g.degree:
             return False
-        if rho in zero1:
+        if rho in zero1:  # no character sees a zero ray
+            ratios.append((1, 1))
             continue
         fp, gp = f.poly, g.poly
         if len(fp) != len(gp):
@@ -353,18 +387,8 @@ def same_morphism_sections(fan, first, second):
         u, v = gp[-1], fp[-1]
         if any(c * u != d * v for c, d in zip(fp, gp)):
             return False
-        ratios[rho] = (u, v)
-    for exps in characters:
-        num = den = 1
-        for rho, (u, v) in ratios.items():
-            e = exps[rho]
-            if e:
-                a, b = (u, v) if e > 0 else (v, u)
-                num *= a ** abs(e)
-                den *= b ** abs(e)
-        if num != den:
-            return False
-    return True
+        ratios.append((u, v))
+    return _cross_equal(characters, ratios)
 
 
 def _node_key(node):

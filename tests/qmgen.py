@@ -20,12 +20,21 @@ class GiveUp(Exception):
 _POOLS = {}  # (fan, max_len, allow_zero) -> the classes a draw picks from
 
 
-def random_effective_class(fan, rng, max_len, allow_zero=False):
+def _effective_pool(fan, max_len, allow_zero):
     key = (fan, max_len, allow_zero)
     pool = _POOLS.get(key)
     if pool is None:
         pool = _POOLS[key] = tuple(c for c in effective_classes(fan, max_len)
                                    if allow_zero or not c.is_zero())
+    return pool
+
+
+def random_effective_class(fan, rng, max_len, allow_zero=False, at_least=None):
+    """A random effective class of length <= ``max_len``; with ``at_least``,
+    one whose pairings are each at least the given ones."""
+    pool = _effective_pool(fan, max_len, allow_zero)
+    if at_least is not None:
+        pool = [c for c in pool if all(d >= n for d, n in zip(c.pairings, at_least))]
     if not pool:
         raise GiveUp(f"no effective classes of length <= {max_len}")
     return rng.choice(pool)
@@ -159,68 +168,76 @@ def random_quasimap(fan, rng, max_components=3, max_total_length=8, markings=2,
 
 
 def random_stable_quasimap(fan, rng, max_total_length=6, attempts=120):
-    """A stable quasimap on one component with rational basepoints only."""
-    for _ in range(attempts):
-        try:
-            n_bp = rng.randint(1, 2)
-            bp_classes = []
-            budget = max_total_length
-            for _ in range(n_bp):
-                beta = random_effective_class(fan, rng, max(budget - 1, 1))
-                bp_classes.append(beta)
-                budget -= length(beta)
-            if budget < 0:
-                continue
-            gamma = random_effective_class(fan, rng, max(budget, 0), allow_zero=True)
-            bp_points = rng.sample([ProjPoint(1, z) for z in range(5)], n_bp)
+    """A stable quasimap on one component with rational basepoints only.
 
-            # base map sections vanish at each basepoint enough to absorb the twist
-            forms = []
-            feasible = True
-            for rho in range(fan.n_rays):
-                needed = [max(0, -b.pairings[rho]) for b in bp_classes]
-                d = gamma.pairings[rho]
-                if d < sum(needed):
-                    feasible = False
-                    break
-                poly = (Fraction(1),)
-                for point, m in zip(bp_points, needed):
-                    for _ in range(m):
-                        poly = poly_mul(poly, (-point.chart, Fraction(1)))
-                free = d - sum(needed)
-                filler = random_form(rng, free)
-                forms.append(BinaryForm.from_poly(d, poly_mul(poly, filler.poly)))
-            if not feasible:
+    The base class is drawn among all effective classes of the remaining
+    length, and an attempt whose base class cannot absorb the basepoint
+    classes is dropped.  When every attempt is dropped so, as on the hexagon,
+    whose (-1)-curves pair -1 with a ray, a second round draws the base class
+    among those that absorb them; on a fan where the first round succeeds,
+    the seeded draws do not depend on the second."""
+    for absorbing in (False, True):
+        for _ in range(attempts):
+            try:
+                return _stable_attempt(fan, rng, max_total_length, absorbing)
+            except GiveUp:
                 continue
-            base = Quasimap(fan, (tuple(forms),))
-            if validate_quasimap(base) or basepoints(base):
-                continue
-            q = base
-            for point, beta in zip(bp_points, bp_classes):
-                q = extend_at(q, 0, Place.of_point(point), -1 * beta)
-
-            marks = []
-            for z in range(5, 20):
-                if len(marks) == 2:
-                    break
-                mpoint = ProjPoint(1, z)
-                if mpoint in bp_points or point_is_basepoint(q, 0, mpoint):
-                    continue
-                marks.append((0, mpoint))
-            if len(marks) < 2:
-                continue
-            q = Quasimap(fan, q.components, (), tuple(marks))
-            if validate_quasimap(q):
-                continue
-            bps = basepoints(q)
-            if len(bps) != n_bp:
-                continue
-            if any(bp.place.rational_point() is None for bp in bps):
-                continue
-            return q
-        except GiveUp:
-            continue
     raise GiveUp("random_stable_quasimap ran out of attempts")
+
+
+def _stable_attempt(fan, rng, max_total_length, absorbing):
+    n_bp = rng.randint(1, 2)
+    bp_classes = []
+    budget = max_total_length
+    for _ in range(n_bp):
+        beta = random_effective_class(fan, rng, max(budget - 1, 1))
+        bp_classes.append(beta)
+        budget -= length(beta)
+    if budget < 0:
+        raise GiveUp("length budget exceeded")
+    absorbed = [sum(max(0, -b.pairings[rho]) for b in bp_classes) for rho in range(fan.n_rays)]
+    gamma = random_effective_class(fan, rng, max(budget, 0), allow_zero=True,
+                                   at_least=absorbed if absorbing else None)
+    bp_points = rng.sample([ProjPoint(1, z) for z in range(5)], n_bp)
+
+    # base map sections vanish at each basepoint enough to absorb the twist
+    forms = []
+    for rho in range(fan.n_rays):
+        needed = [max(0, -b.pairings[rho]) for b in bp_classes]
+        d = gamma.pairings[rho]
+        if d < sum(needed):
+            raise GiveUp("the base class does not absorb the basepoint classes")
+        poly = (Fraction(1),)
+        for point, m in zip(bp_points, needed):
+            for _ in range(m):
+                poly = poly_mul(poly, (-point.chart, Fraction(1)))
+        free = d - sum(needed)
+        filler = random_form(rng, free)
+        forms.append(BinaryForm.from_poly(d, poly_mul(poly, filler.poly)))
+    base = Quasimap(fan, (tuple(forms),))
+    if validate_quasimap(base) or basepoints(base):
+        raise GiveUp("the base map is invalid or has basepoints")
+    q = base
+    for point, beta in zip(bp_points, bp_classes):
+        q = extend_at(q, 0, Place.of_point(point), -1 * beta)
+
+    marks = []
+    for z in range(5, 20):
+        if len(marks) == 2:
+            break
+        mpoint = ProjPoint(1, z)
+        if mpoint in bp_points or point_is_basepoint(q, 0, mpoint):
+            continue
+        marks.append((0, mpoint))
+    if len(marks) < 2:
+        raise GiveUp("no room for two markings")
+    q = Quasimap(fan, q.components, (), tuple(marks))
+    if validate_quasimap(q):
+        raise GiveUp("the twisted quasimap is invalid")
+    bps = basepoints(q)
+    if len(bps) != n_bp or any(bp.place.rational_point() is None for bp in bps):
+        raise GiveUp("the basepoints are not the intended rational ones")
+    return q
 
 
 def random_order_vector(fan, rng, max_order=4, inf_prob=0.25):

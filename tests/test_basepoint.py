@@ -1,14 +1,17 @@
 import random
+import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from toriq.basepoint import (INF, OrderVector, _locate_degree, degree_at_point,
                              length_at_point, twist_orders)
-from toriq.classes import beta_a_sigma, curve_class_from_anchor, is_effective
-from toriq.fan import product_fan, projective_space_fan, require_valid
+from toriq.classes import CurveClass, beta_a_sigma, curve_class_from_anchor, is_effective
+from toriq.fan import primitive_collections, product_fan, projective_space_fan, require_valid
+from toriq.quasimap import component_basepoints, degrees
 
-from qmgen import random_order_vector
+from qmgen import random_order_vector, random_stable_quasimap
 
 
 def _eligible_cones(fan, vanishing):
@@ -245,3 +248,92 @@ def test_first_witness_is_the_first_of_every_witness(name, request):
         assert _locate_degree(fan, orders, vanishing, first=True) == (beta, witnesses[:1])
         tied += len(witnesses) > 1
     assert tied > 10
+
+
+def _checked(beta):
+    """The class the public constructor builds from the same data; it raises
+    on pairings that break the ray relations."""
+    rebuilt = CurveClass(beta.fan, beta.pairings)
+    assert rebuilt == beta and repr(rebuilt) == repr(beta)
+    assert [type(x) for x in rebuilt.pairings] == [type(x) for x in beta.pairings]
+    return rebuilt
+
+
+@pytest.mark.parametrize("name", CONFTEST_FANS)
+def test_derived_values_match_the_checked_constructors(name, request):
+    """Classes from ``+``, ``-``, ``*`` and ``_locate_degree`` (first witness
+    and every witness, negative orders included) and the scan's order vectors,
+    on seeded stable quasimaps: each equals what the public constructor
+    builds from the same data, which accepts it."""
+    fan = request.getfixturevalue(name)
+    rng = random.Random(f"derived/{name}")
+    derived = []
+    vectors = 0
+    for _ in range(8):
+        q = random_stable_quasimap(fan, rng, max_total_length=5)
+        beta = degrees(q)[0]
+        for bp in component_basepoints(q, 0):
+            assert OrderVector(fan, bp.orders.orders) == bp.orders
+            vectors += 1
+            for first in (True, False):
+                derived.append(_locate_degree(fan, bp.orders.orders, bp.orders.vanishing,
+                                              first=first)[0])
+            gamma = bp.degree
+            k = rng.choice((-2, -1, 0, 3, Fraction(1, 2), Fraction(-4, 3)))
+            derived += [beta + gamma, beta - gamma, gamma - beta, k * gamma, gamma * k,
+                        Fraction(2) * beta]
+        cone = rng.choice(fan.max_cones)
+        vanishing = frozenset(rng.sample(cone, rng.randint(0, fan.dim - 1)))
+        orders = tuple(INF if i in vanishing else rng.randint(-4, 4)
+                       for i in range(fan.n_rays))
+        for first in (True, False):
+            derived.append(_locate_degree(fan, orders, vanishing, first=first)[0])
+    for beta in derived:
+        _checked(beta)
+    assert vectors >= 8 and len(derived) >= 60
+
+
+def test_classes_of_two_fans_do_not_combine(p2, p1xp1, bl0p2):
+    line = CurveClass(p2, (1, 1, 1))
+    fibre = CurveClass(p1xp1, (1, 1, 0, 0))
+    exceptional = CurveClass(bl0p2, (0, 1, 1, -1))
+    # p1xp1 and bl0p2 both have four rays
+    for a, b in ((line, fibre), (fibre, exceptional), (exceptional, fibre)):
+        with pytest.raises(ValueError, match="^curve classes of different fans cannot be combined$"):
+            a + b
+        with pytest.raises(ValueError, match="^curve classes of different fans cannot be combined$"):
+            a - b
+    assert fibre + CurveClass(product_fan([projective_space_fan(1)] * 2), (0, 0, 1, 1)) == \
+        CurveClass(p1xp1, (1, 1, 1, 1))
+
+
+def test_public_constructors_still_check(p2, bl0p2):
+    with pytest.raises(ValueError, match=r"^pairing vector \(1, 0, 0\) is not a curve class "
+                                         r"\(it pairs inconsistently with the ray relations\)$"):
+        CurveClass(p2, (1, 0, 0))
+    with pytest.raises(ValueError, match="^pairing vector length does not match the ray count$"):
+        CurveClass(p2, (1, 1))
+    with pytest.raises(ValueError, match="^vanishing orders must be nonnegative$"):
+        OrderVector(p2, (0, -1, 2))
+    with pytest.raises(ValueError, match=r"^degenerate order vector: the identically-vanishing "
+                                         r"rays contain the primitive collection \(0, 1, 2\)$"):
+        OrderVector(p2, (INF, INF, INF))
+    with pytest.raises(ValueError, match=r"^degenerate order vector: the identically-vanishing "
+                                         r"rays contain the primitive collection \(0, 3\)$"):
+        OrderVector(bl0p2, (INF, 1, 2, INF))
+
+
+@pytest.mark.parametrize("name", CONFTEST_FANS)
+def test_scan_rejects_degenerate_components(name, request):
+    """The scan's vectors skip the order-vector check, so the scan itself must
+    refuse a component that vanishes on a primitive collection."""
+    fan = request.getfixturevalue(name)
+    rng = random.Random(f"degenerate/{name}")
+    q = random_stable_quasimap(fan, rng, max_total_length=5)
+    for pc in primitive_collections(fan):
+        secs = tuple(f.scale(0) if rho in pc else f for rho, f in enumerate(q.sections(0)))
+        vanishing = {rho for rho, f in enumerate(secs) if f.is_zero}
+        first = next(c for c in primitive_collections(fan) if c <= vanishing)
+        message = f"component 0 vanishes on the primitive collection {tuple(sorted(first))}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            component_basepoints(q.with_components((secs,)), 0)

@@ -6,18 +6,18 @@ from math import prod
 import pytest
 
 from toriq.basepoint import INF, OrderVector, degree_at_point
-from toriq.classes import CurveClass, is_effective
+from toriq.classes import CurveClass, is_effective, wall_curve_classes
 from toriq.contraction import contract, surjectivity_witness
 from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
 from toriq.fan import (is_connected, primitive_collections, product_fan,
                        projective_space_fan, require_valid)
 from toriq.forms import BinaryForm, Place, ProjPoint, common_zero_places
 from toriq.linalg import kernel_basis, primitive_vector
-from toriq.quasimap import (BasepointPlace, Quasimap, _orthogonal_characters,
-                            basepoint_length, basepoints, component_basepoints, degrees,
-                            equal_quasimaps, evaluate, regular_extension,
-                            same_morphism_sections, section_values, stability,
-                            validate_quasimap)
+from toriq.quasimap import (BasepointPlace, Quasimap, _chart, _chart_cone,
+                            _orthogonal_characters, _same_point, basepoint_length,
+                            basepoints, component_basepoints, degrees, equal_quasimaps,
+                            evaluate, regular_extension, same_morphism_sections,
+                            section_values, stability, validate_quasimap)
 
 from qmgen import random_quasimap, random_stable_quasimap
 
@@ -331,24 +331,25 @@ def broken_variants(q, rng):
         if point is None:
             continue
         yield "marking: is a basepoint", with_marking((bp.component, point))
-        for i, ((a, _), end) in enumerate(nodes):
+        for i, ((a, pa), (b, pb)) in enumerate(nodes):
             if a == bp.component:
-                yield "node end: is a basepoint", with_node(i, ((a, point), end))
+                yield "node end: is a basepoint", with_node(i, ((a, point), (b, pb)))
+            if b == bp.component:
+                yield "node end: is a basepoint", with_node(i, ((a, pa), (b, point)))
 
 
 def test_validation_matches_the_two_pass_oracle(p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
-    """Seeded stable quasimaps over every fan but the hexagon (no stable draw
-    there), their witnesses, random trees over every fan, and broken copies
-    of all of them: the same violations in the same order as the oracle."""
+    """Seeded stable quasimaps over every fan, their witnesses, random trees
+    over every fan, and broken copies of all of them: the same violations in
+    the same order as the oracle."""
     rng = random.Random(1601)
     inputs = []
     for fan in (p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
         for _ in range(6):
-            if fan is not hexagon:
-                q = random_stable_quasimap(fan, rng, max_total_length=5)
-                inputs.append(q)
-                if fan is not f2:
-                    inputs.append(surjectivity_witness(q).quasimap)
+            q = random_stable_quasimap(fan, rng, max_total_length=5)
+            inputs.append(q)
+            if fan is not f2:
+                inputs.append(surjectivity_witness(q).quasimap)
             inputs.append(random_quasimap(fan, rng, max_total_length=6))
     hits = {}
     for q in inputs:
@@ -414,7 +415,7 @@ def test_component_basepoints_match_a_full_witness_scan(p2, p1xp1, bl0p2, p2xp1,
     found = 0
     for i in range(200):
         fan = fans[i % len(fans)]
-        if i % 2 or fan is hexagon:  # no stable draw on the hexagon
+        if i % 2:
             q = random_quasimap(fan, rng, max_total_length=6)
         else:
             q = random_stable_quasimap(fan, rng, max_total_length=6)
@@ -556,3 +557,45 @@ def test_requests_leave_no_memo_on_their_inputs(p2, p1xp1, bl0p2):
             for sections in q.components:
                 for form in sections:
                     assert set(form.__dict__) == {"degree", "coeffs", "poly"}
+
+
+def test_same_point_agrees_with_the_chart_oracle(p2, p3, p1xp1, hexagon, f2):
+    """Seeded Cox value tuples with zeros, negative and Fraction values: the
+    integer same-point test on two (cone, values) ends agrees with equality of
+    their charts.  Second tuples are torus rescalings of the first (by the
+    relations among the rays, read off the wall classes), rescalings with one
+    value changed, and fresh tuples; each end is charted in the first cone
+    holding its zero set or in another cone that holds it."""
+    rng = random.Random(1707)
+    pool = (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+    scalars = (1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4))
+    for fan in (p2, p3, p1xp1, hexagon, f2):
+        relations = [beta.pairings for beta in wall_curve_classes(fan)]
+        outcomes = {True: 0, False: 0}
+        for _ in range(400):
+            v = tuple(rng.choice(pool) for _ in range(fan.n_rays))
+            if _chart_cone(fan, v) is None:
+                continue
+            kind = rng.randrange(3)
+            if kind == 2:
+                w = tuple(rng.choice(pool) for _ in range(fan.n_rays))
+            else:
+                w = list(v)
+                for relation in rng.sample(relations, rng.randint(1, len(relations))):
+                    t = rng.choice(scalars)
+                    w = [x * Fraction(t) ** a for x, a in zip(w, relation)]
+                if kind == 1:
+                    w[rng.randrange(fan.n_rays)] = rng.choice(pool)
+                w = tuple(w)
+            if _chart_cone(fan, w) is None:
+                continue
+            ends = []
+            for values in (v, w):
+                zero = {i for i, x in enumerate(values) if x == 0}
+                holding = [i for i, cone in enumerate(fan.max_cones) if zero <= set(cone)]
+                idx = holding[0] if rng.random() < 0.7 else rng.choice(holding)
+                ends.append((idx, values))
+            expected = _chart(fan, *ends[0]) == _chart(fan, *ends[1])
+            assert _same_point(fan, *ends[0], *ends[1]) == expected, (fan, ends)
+            outcomes[expected] += 1
+        assert min(outcomes.values()) >= 40, outcomes
