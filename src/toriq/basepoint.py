@@ -11,7 +11,7 @@ itself) nor the degree, a class by construction, is checked again.
 """
 
 from .classes import CurveClass
-from .fan import memo, primitive_collections, require_valid
+from .fan import _degenerate_collections, memo, require_valid
 from .record import Record
 
 
@@ -83,13 +83,12 @@ class OrderVector(Record):
         if len(vals) != fan.n_rays:
             raise ValueError("order vector length does not match the ray count")
         self.__dict__.update(fan=fan, orders=tuple(vals))
-        vanishing = self.vanishing
-        for pc in primitive_collections(fan):
-            if pc <= vanishing:
-                raise ValueError(
-                    "degenerate order vector: the identically-vanishing rays "
-                    f"contain the primitive collection {tuple(sorted(pc))}"
-                )
+        degenerate = _degenerate_collections(fan, self.vanishing)
+        if degenerate:
+            raise ValueError(
+                "degenerate order vector: the identically-vanishing rays "
+                f"contain the primitive collection {degenerate[0]}"
+            )
 
     @classmethod
     def _scanned(cls, fan, orders):

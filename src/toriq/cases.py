@@ -18,10 +18,6 @@ from .quasimap import (Quasimap, _twist_away, basepoints, degrees, equal_quasima
                        stability, validate_quasimap)
 from . import io as tio
 
-CASE_NAMES = ("table1", "segre", "blowup-embeddings", "family-t",
-              "extension-degree", "witness-demo")
-
-
 def fixture_path(name):
     return resources.files("toriq.fixtures").joinpath(name)
 
@@ -226,15 +222,18 @@ def _case_witness_demo():
     return CaseReport("witness-demo", checks)
 
 
+_CASES = {
+    "table1": _case_table1,
+    "segre": _case_segre,
+    "blowup-embeddings": _case_blowup_embeddings,
+    "family-t": _case_family_t,
+    "extension-degree": _case_extension_degree,
+    "witness-demo": _case_witness_demo,
+}
+CASE_NAMES = tuple(_CASES)
+
+
 def run_case(name):
-    cases = {
-        "table1": _case_table1,
-        "segre": _case_segre,
-        "blowup-embeddings": _case_blowup_embeddings,
-        "family-t": _case_family_t,
-        "extension-degree": _case_extension_degree,
-        "witness-demo": _case_witness_demo,
-    }
-    if name not in cases:
+    if name not in _CASES:
         raise ValueError(f"unknown case {name!r}; choose from {', '.join(CASE_NAMES)}")
-    return cases[name]()
+    return _CASES[name]()

@@ -262,13 +262,9 @@ def ample_functional(fan):
 
 @memo
 def _degree_functional(fan):
-    """The anticanonical class when it is positive on every Mori generator (the
-    Fano case), else ``ample_functional``: a degree that makes enumeration finite."""
-    anti = anticanonical_class(fan)
-    if all(anti.pair(curve_class_from_anchor(fan, g)) > 0
-           for g in _mori_generators_anchor(fan)):
-        return anti
-    return ample_functional(fan)
+    """The anticanonical class on a Fano fan, else ``ample_functional``: a
+    degree that makes enumeration finite, and map stability's polarization."""
+    return anticanonical_class(fan) if is_fano(fan) else ample_functional(fan)
 
 
 def length(beta):

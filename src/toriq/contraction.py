@@ -12,11 +12,11 @@ sections until the quasimap becomes a stable map again.
 from fractions import Fraction
 
 from .basepoint import degree_at_point
-from .classes import (CurveClass, ample_functional, enumeration_degree, is_fano,
-                      length, relaxed_surjectivity_condition)
+from .classes import (CurveClass, enumeration_degree, is_fano, length,
+                      relaxed_surjectivity_condition)
 from .forms import BinaryForm, Place, ProjPoint, poly_mul
-from .quasimap import (Quasimap, _chart_cone, _equal_quasimaps, _map_stable, _orders_at,
-                       _same_point, basepoints, component_basepoints, degrees,
+from .quasimap import (Quasimap, _absorbs, _chart_cone, _equal_quasimaps, _map_stable,
+                       _orders_at, _same_point, basepoints, component_basepoints, degrees,
                        extend_at, section_values, stability, validate_quasimap)
 from .record import Record
 
@@ -31,9 +31,9 @@ class Tail(Record):
 class StableMapTree(Record):
     """A basepoint-free, map-stable quasimap, validated on construction.
 
-    Map stability is checked against the anticanonical polarization on Fano
-    targets and the canonical ample class otherwise (with at least one marking
-    the outcome does not depend on that choice); pass ``ample`` to force one.
+    Map stability is checked against ``stability``'s default polarization
+    (with at least one marking the outcome does not depend on that choice);
+    pass ``ample`` to force one.
     """
 
     _fields = ("quasimap", "ample")
@@ -46,8 +46,6 @@ class StableMapTree(Record):
         if basepoints(q):
             raise ValueError("a stable map cannot have basepoints")
         self.__dict__.update(quasimap=q, ample=ample)
-        if ample is None and not is_fano(q.fan):
-            ample = ample_functional(q.fan)
         if not _map_stable(q, degrees(q)[1], ample):
             raise ValueError("the map is not stable")
 
@@ -122,10 +120,8 @@ def _tail_checks(q):
         beta = per_comp[first]
         for comp in rest:
             beta = beta + per_comp[comp]
-        place = Place.of_point(tail.host_point)
-        orders = (form.ord_at(place) for form in q.sections(tail.host))
-        ok = all(o is None or o + d >= 0 for o, d in zip(orders, beta.pairings))
-        checks.append((tail, beta, ok))
+        orders = _orders_at(q, tail.host, Place.of_point(tail.host_point))
+        checks.append((tail, beta, _absorbs(orders, beta)))
     return checks
 
 

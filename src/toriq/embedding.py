@@ -29,8 +29,8 @@ from .fan import (dual_basis, memo, primitive_collections, product_fan,
                   projective_space_fan, require_valid)
 from .forms import BinaryForm, poly_mul
 from .linalg import int_or_frac, lattice_map_is_surjective, solve_square
-from .quasimap import (Quasimap, _twist_away, basepoints, degrees, extend_at,
-                       same_morphism_sections, validate_quasimap)
+from .quasimap import (Quasimap, _absorbs, _orders_at, _twist_away, basepoints, degrees,
+                       extend_at, same_morphism_sections, validate_quasimap)
 from .record import Record
 
 
@@ -338,16 +338,14 @@ def _invert_component(emb, secs):
                         for p, mult in places.items():
                             orders[p][rho] += e * mult
 
-            try:
-                shifts = []
-                for vec in orders.values():
-                    for rho in vanishing:
-                        vec[rho] = INF
-                    beta_p, _ = _locate_degree(src, tuple(vec), frozenset(vanishing),
-                                               first=True)
-                    shifts.append(beta_p.pairings)
-            except ValueError:
-                continue
+            # the vanishing rays lie in the source cone, so they are not
+            # degenerate and every place's orders have a witnessing cone
+            shifts = []
+            for vec in orders.values():
+                for rho in vanishing:
+                    vec[rho] = INF
+                beta_p, _ = _locate_degree(src, tuple(vec), frozenset(vanishing), first=True)
+                shifts.append(beta_p.pairings)
 
             # the orders less the shift are the c_k >= 0 of the witnessing cone
             sections = [None] * src.n_rays
@@ -381,8 +379,9 @@ def _invert_component(emb, secs):
 
 
 def invert_through_charts(emb, extension):
-    """Candidate source quasimap mapping to the given basepoint-free quasimap,
-    found by chart inversion; None when no chart applies."""
+    """The source quasimap through which the given basepoint-free quasimap
+    factors, found by chart inversion: valid, basepoint-free and mapping to
+    ``extension``; None when no chart applies or the candidate fails a check."""
     comps = []
     for comp in range(extension.n_components):
         secs = _invert_component(emb, extension.sections(comp))
@@ -390,22 +389,12 @@ def invert_through_charts(emb, extension):
             return None
         comps.append(secs)
     candidate = Quasimap._rebuilt(emb.source, tuple(comps), extension.nodes, extension.markings)
-    if validate_quasimap(candidate):
-        return None
-    return candidate
-
-
-def _verify_factoring(emb, candidate, extension):
-    if candidate is None:
-        return None
-    if basepoints(candidate):
+    if validate_quasimap(candidate) or basepoints(candidate):
         return None
     image = apply_ibar(emb, candidate)
-    for comp in range(extension.n_components):
-        if not same_morphism_sections(
-            emb.target, image.sections(comp), extension.sections(comp)
-        ):
-            return None
+    if not all(same_morphism_sections(emb.target, image.sections(c), extension.sections(c))
+               for c in range(extension.n_components)):
+        return None
     return candidate
 
 
@@ -444,7 +433,7 @@ def fibre_enumeration(emb, q, beta, length_cap=None):
         raise ValueError("the quasimap's degree is not the pushforward of the class")
     bps = basepoints(q)
     extension = _twist_away(q, bps)
-    f = _verify_factoring(emb, invert_through_charts(emb, extension), extension)
+    f = invert_through_charts(emb, extension)
     if f is None:
         return ()
     f_total, _ = degrees(f)
@@ -454,9 +443,8 @@ def fibre_enumeration(emb, q, beta, length_cap=None):
 
     per_place = []
     for bp in bps:
-        orders = [form.ord_at(bp.place) for form in f.sections(bp.component)]
-        matches = [c for c in pool.get(bp.degree.pairings, ())
-                   if all(o is None or o + d >= 0 for o, d in zip(orders, c.pairings))]
+        orders = _orders_at(f, bp.component, bp.place)
+        matches = [c for c in pool.get(bp.degree.pairings, ()) if _absorbs(orders, c)]
         if not matches:
             return ()
         per_place.append(matches)

@@ -139,6 +139,13 @@ def primitive_collections(fan):
     return tuple(sorted(non_faces, key=lambda s: tuple(sorted(s))))
 
 
+def _degenerate_collections(fan, rays):
+    """The primitive collections inside a ray set, each sorted, in canonical
+    order: empty exactly when the rays lie in one cone, since a smooth fan is
+    simplicial and every non-face holds a minimal one."""
+    return [tuple(sorted(pc)) for pc in primitive_collections(fan) if pc <= rays]
+
+
 @memo
 def walls(fan):
     """All walls as (ray index set, (cone index, cone index)) pairs.

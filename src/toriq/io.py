@@ -195,15 +195,17 @@ def dump(data, path=None):
     return text
 
 
-def parse_pairing_list(text, n):
+def _parse_list(text, n, parse):
+    """The ``n`` comma-separated values of ``text``, each read by ``parse``."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise MalformedInput(f"expected {n} comma-separated values, got {len(parts)}")
-    return tuple(parse_scalar(p) for p in parts)
+    return tuple(parse(p) for p in parts)
+
+
+def parse_pairing_list(text, n):
+    return _parse_list(text, n, parse_scalar)
 
 
 def parse_order_list(text, n):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
-        raise MalformedInput(f"expected {n} comma-separated values, got {len(parts)}")
-    return tuple(parse_order(p) for p in parts)
+    return _parse_list(text, n, parse_order)

@@ -12,8 +12,8 @@ quasimap rebuilt from a built one (``Quasimap._rebuilt``) reuses them.
 from fractions import Fraction
 
 from .basepoint import INF, OrderVector, _cone_table, _locate_degree, length_at_point
-from .classes import CurveClass, anticanonical_class, is_fano
-from .fan import is_connected, primitive_collections, require_valid
+from .classes import CurveClass, _degree_functional
+from .fan import _degenerate_collections, is_connected, primitive_collections, require_valid
 from .forms import common_zero_places
 from .linalg import int_or_frac
 from .record import Record
@@ -140,16 +140,20 @@ def evaluate(q, comp, point):
     return _chart(q.fan, cone, values)
 
 
-def _degenerate_collections(q, comp):
-    """The primitive collections, each sorted, on which every section of the
-    component vanishes identically."""
-    vanishing = {i for i, f in enumerate(q.sections(comp)) if f.is_zero}
-    return [tuple(sorted(pc)) for pc in primitive_collections(q.fan) if pc <= vanishing]
+def _zero_rays(secs):
+    """The rays whose sections vanish identically."""
+    return frozenset(i for i, f in enumerate(secs) if f.is_zero)
 
 
 def _orders_at(q, comp, place):
     """Per-ray vanishing orders of one component at a place, INF for zero."""
     return tuple(INF if o is None else o for o in (f.ord_at(place) for f in q.sections(comp)))
+
+
+def _absorbs(orders, beta):
+    """Whether orders at a place (``_orders_at``) stay nonnegative when the
+    sections are twisted there by ``beta``: each finite order plus its pairing."""
+    return all(o is INF or o + d >= 0 for o, d in zip(orders, beta.pairings))
 
 
 def component_basepoints(q, comp):
@@ -160,10 +164,10 @@ def component_basepoints(q, comp):
     the place degree.
     """
     fan = q.fan
-    degenerate = _degenerate_collections(q, comp)
+    secs = q.sections(comp)
+    degenerate = _degenerate_collections(fan, _zero_rays(secs))
     if degenerate:
         raise ValueError(f"component {comp} vanishes on the primitive collection {degenerate[0]}")
-    secs = q.sections(comp)
     places = set()
     for pc in primitive_collections(fan):
         places.update(common_zero_places([secs[i] for i in sorted(pc)]))
@@ -210,7 +214,7 @@ def validate_quasimap(q):
             report.append(
                 f"component {comp} degrees {degs} violate the ray relations"
             )
-        for pc in _degenerate_collections(q, comp):
+        for pc in _degenerate_collections(fan, _zero_rays(q.sections(comp))):
             report.append(
                 f"component {comp} is degenerate: sections of the primitive "
                 f"collection {pc} all vanish identically"
@@ -313,8 +317,9 @@ def stability(q, mode="quasimap", ample=None):
     In quasimap mode a component with fewer than two special points fails and
     one with exactly two needs nonzero degree.  In map mode the input must be
     basepoint-free and each component needs
-    2g-2 + #special + 2 * (ample degree) > 0, with the anticanonical class as
-    the polarization on Fano targets.
+    2g-2 + #special + 2 * (ample degree) > 0; by default the polarization is
+    the anticanonical class on Fano targets and ``ample_functional`` otherwise
+    (``_degree_functional``).
     """
     _, per_comp = degrees(q)
     if mode == "quasimap":
@@ -336,9 +341,7 @@ def _map_stable(q, per_comp, ample):
     """The map-mode stability inequality on every component of a quasimap
     already known to be basepoint-free, with component classes ``per_comp``."""
     if ample is None:
-        if not is_fano(q.fan):
-            raise ValueError("non-Fano target: supply an ample class")
-        ample = anticanonical_class(q.fan)
+        ample = _degree_functional(q.fan)
     for comp in range(q.n_components):
         k = -2 + special_point_count(q, comp)
         if k + 2 * ample.pair(per_comp[comp]) <= 0:
@@ -369,8 +372,8 @@ def same_morphism_sections(fan, first, second):
     every character orthogonal to the identically-vanishing rays.  A tuple
     whose vanishing rays lie in no cone is degenerate and raises ValueError.
     """
-    zero1 = frozenset(i for i, f in enumerate(first) if f.is_zero)
-    zero2 = frozenset(i for i, f in enumerate(second) if f.is_zero)
+    zero1 = _zero_rays(first)
+    zero2 = _zero_rays(second)
     if zero1 != zero2:
         return False
     characters = _orthogonal_characters(fan, zero1)

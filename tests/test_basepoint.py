@@ -1,15 +1,16 @@
 import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from toriq.basepoint import (INF, OrderVector, _locate_degree, degree_at_point,
                              length_at_point, twist_orders)
 from toriq.classes import CurveClass, beta_a_sigma, curve_class_from_anchor, is_effective
-from toriq.fan import primitive_collections, product_fan, projective_space_fan, require_valid
-from toriq.quasimap import component_basepoints, degrees
+from toriq.fan import (_degenerate_collections, primitive_collections, product_fan,
+                       projective_space_fan, require_valid)
+from toriq.quasimap import _first_cone, component_basepoints, degrees
 
 from qmgen import random_order_vector, random_stable_quasimap
 
@@ -248,6 +249,33 @@ def test_first_witness_is_the_first_of_every_witness(name, request):
         assert _locate_degree(fan, orders, vanishing, first=True) == (beta, witnesses[:1])
         tied += len(witnesses) > 1
     assert tied > 10
+
+
+@pytest.mark.parametrize("name", CONFTEST_FANS)
+def test_degeneracy_is_lying_in_no_cone(name, request):
+    """Every ray subset: it holds a primitive collection exactly when no
+    maximal cone holds it, and when one does, the point location finds a
+    witness for seeded integer orders off it, negative ones included.  So a
+    chart inversion, whose vanishing rays lie in its source cone, never
+    meets an order vector without one."""
+    fan = request.getfixturevalue(name)
+    rng = random.Random(f"degenerate/{name}")
+    faces = 0
+    for size in range(fan.n_rays + 1):
+        for rays in map(frozenset, combinations(range(fan.n_rays), size)):
+            degenerate = _degenerate_collections(fan, rays)
+            assert (degenerate == []) == (_first_cone(fan, rays) is not None), rays
+            if degenerate:
+                with pytest.raises(ValueError, match="degenerate"):
+                    OrderVector(fan, tuple(INF if i in rays else 0 for i in range(fan.n_rays)))
+                continue
+            faces += 1
+            for _ in range(6):
+                orders = tuple(INF if i in rays else rng.randint(-4, 4)
+                               for i in range(fan.n_rays))
+                beta, witnesses = _locate_degree(fan, orders, rays, first=True)
+                assert len(witnesses) == 1 and rays <= set(fan.max_cones[witnesses[0]])
+    assert faces > len(fan.max_cones)
 
 
 def _checked(beta):

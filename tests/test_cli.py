@@ -89,6 +89,27 @@ def test_quasimap_analyze_text_places(capsys):
     assert "  component 0, place inf: degree (1, 1, 0, 0), length 1" in out.splitlines()
 
 
+def test_quasimap_analyze_of_a_non_fano_stable_map(tmp_path, capsys):
+    """A basepoint-free quasimap to F2 of the rigid section's class, which
+    ``contract check`` takes as a stable map: ``analyze`` agrees."""
+    form = {"degree": 1, "coeffs": [1, 0]}
+    path = tmp_path / "rigid.json"
+    path.write_text(json.dumps({
+        "fan": {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
+                "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+        "components": [[form, {"degree": -2, "coeffs": []},
+                        {"degree": 1, "coeffs": [0, 1]}, {"degree": 0, "coeffs": [1]}]],
+        "nodes": [],
+        "markings": [[0, [1, 1]], [0, [1, 2]]],
+    }))
+    code, out, _ = run(capsys, "--json", "quasimap", "analyze", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["basepoints"] == [] and data["stable_map"] is True
+    code, out, _ = run(capsys, "--json", "contract", "check", str(path))
+    assert code == 0 and json.loads(out)["admissible"] is True
+
+
 def test_embed_commands(tmp_path, capsys):
     out_file = tmp_path / "emb.json"
     code, _, _ = run(capsys, "embed", "build", fx("bl0p2.json"), "-o", str(out_file))

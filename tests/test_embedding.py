@@ -269,6 +269,32 @@ def test_identity_embedding_inversion(p2):
         assert same_morphism_sections(p2, candidate.sections(comp), ext.sections(comp))
 
 
+def test_chart_inversion_returns_only_a_checked_factorization(segre):
+    """Seeded basepoint-free maps to P3: chart inversion builds a valid,
+    basepoint-free candidate for those off the Segre quadric too, but its
+    image is another map, so ``invert_through_charts`` returns None; maps on
+    the quadric, images of their inversion, give that inversion back."""
+    rng = random.Random(1801)
+    off_quadric = 0
+    for _ in range(60):
+        degree = rng.randint(1, 2)
+        secs = tuple(BinaryForm(degree, tuple(rng.randint(-2, 2) for _ in range(degree + 1)))
+                     for _ in range(4))
+        q = Quasimap(segre.target, (secs,), markings=((0, ProjPoint(1, 7)),))
+        if validate_quasimap(q) or basepoints(q):
+            continue
+        candidate = Quasimap(segre.source, (_invert_component(segre, secs),), (), q.markings)
+        assert validate_quasimap(candidate) == [] and basepoints(candidate) == ()
+        image = apply_ibar(segre, candidate)
+        if same_morphism_sections(segre.target, image.sections(0), secs):
+            assert invert_through_charts(segre, q) == candidate
+        else:
+            off_quadric += 1
+            assert invert_through_charts(segre, q) is None
+            assert invert_through_charts(segre, image) == candidate
+    assert off_quadric >= 20
+
+
 CONFTEST_FANS = ["p1", "p2", "p3", "bl0p2", "p1xp1", "p2xp1", "f2", "hexagon"]
 
 

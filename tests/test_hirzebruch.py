@@ -7,11 +7,11 @@ import random
 import pytest
 
 from toriq import classes
-from toriq.classes import (ample_functional, curve_class_from_anchor,
+from toriq.classes import (ample_functional, anticanonical_class, curve_class_from_anchor,
                            effective_classes, enumeration_degree, factorizations,
                            is_ample, is_fano, length, nef_hilbert_basis,
                            relaxed_surjectivity_condition, wall_curve_classes)
-from toriq.contraction import contract, surjectivity_witness
+from toriq.contraction import StableMapTree, contract, surjectivity_witness
 from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
 from toriq.fan import Fan, validate_fan
 from toriq.forms import BinaryForm, ProjPoint
@@ -100,3 +100,36 @@ def test_f2_fibre_needs_no_cap(f2):
         assert fibre == fibre_enumeration(emb, image, beta,
                                           length_cap=enumeration_degree(beta) + 3)
         assert any(equal_quasimaps(f, q) for f in fibre)
+
+
+MARKS = ((0, ProjPoint(1, 1)), (0, ProjPoint(1, 2)))
+
+
+def rigid_section_map(f2):
+    """A basepoint-free map of the rigid section's class (1, -2, 1, 0) with
+    two markings: its anticanonical degree is 0, so its map stability turns
+    on the polarization."""
+    return Quasimap(f2, ((BinaryForm.from_poly(1, (1,)), BinaryForm.zero(-2),
+                          BinaryForm.from_poly(1, (0, 1)), BinaryForm.constant(1)),),
+                    markings=MARKS)
+
+
+def test_f2_map_stability_defaults_to_the_ample_functional(f2):
+    """Map mode and ``StableMapTree`` take the same default polarization on a
+    non-Fano target: the ample functional, not the anticanonical class."""
+    q = rigid_section_map(f2)
+    assert validate_quasimap(q) == [] and basepoints(q) == ()
+    assert stability(q, "map") is True
+    assert stability(q, "map", ample=ample_functional(f2)) is True
+    assert stability(q, "map", ample=anticanonical_class(f2)) is False
+    assert StableMapTree(q).quasimap == q
+    with pytest.raises(ValueError, match="not stable"):
+        StableMapTree(q, ample=anticanonical_class(f2))
+
+    # a constant map with two markings fails under every polarization
+    point = Quasimap(f2, ((BinaryForm.constant(1),) * 4,), markings=MARKS)
+    assert validate_quasimap(point) == [] and basepoints(point) == ()
+    assert stability(point, "map") is False
+    assert stability(point, "map", ample=ample_functional(f2)) is False
+    with pytest.raises(ValueError, match="not stable"):
+        StableMapTree(point)

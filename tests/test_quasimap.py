@@ -338,10 +338,28 @@ def broken_variants(q, rng):
                 yield "node end: is a basepoint", with_node(i, ((a, pa), (b, point)))
 
 
+def noded_basepoint_trees(p2, p1xp1, bl0p2):
+    """Three trees whose middle component has a rational basepoint at z = 0
+    and two nodes, at z = 1 and z = 2, to constant leaves there, so that
+    moving either node end onto the basepoint breaks validation."""
+    def tree(fan, secs):
+        leaves = [tuple(BinaryForm.constant(v) for v in section_values(
+            Quasimap(fan, (secs,)), 0, ProjPoint(1, z))) for z in (1, 2)]
+        nodes = [((0, ProjPoint(1, z)), (z, ProjPoint(1, 0))) for z in (1, 2)]
+        return Quasimap(fan, (secs, *leaves), nodes, [(1, ProjPoint(1, 1))])
+
+    return [
+        tree(p2, (F(2, 0, 1), F(2, 0, 0, 1), F(2, 0, 1, 1))),
+        tree(p1xp1, (F(1, 0, 1), F(1, 0, 2), F(1, 1), F(1, 1, 1))),
+        tree(bl0p2, (F(1, 1, 1), F(1, 0, 1), F(1, 0, 3), F(0, 1))),
+    ]
+
+
 def test_validation_matches_the_two_pass_oracle(p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
     """Seeded stable quasimaps over every fan, their witnesses, random trees
-    over every fan, and broken copies of all of them: the same violations in
-    the same order as the oracle."""
+    over every fan, fixed trees with a basepoint on a noded component, and
+    broken copies of all of them: the same violations in the same order as
+    the oracle."""
     rng = random.Random(1601)
     inputs = []
     for fan in (p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
@@ -351,6 +369,11 @@ def test_validation_matches_the_two_pass_oracle(p1, p2, p3, bl0p2, p1xp1, p2xp1,
             if fan is not f2:
                 inputs.append(surjectivity_witness(q).quasimap)
             inputs.append(random_quasimap(fan, rng, max_total_length=6))
+    for q in noded_basepoint_trees(p2, p1xp1, bl0p2):
+        noded = {c for node in q.nodes for c, _ in node}
+        assert [(bp.component, bp.place) for bp in basepoints(q)] == [(0, Place.rational(0))]
+        assert 0 in noded
+        inputs.append(q)
     hits = {}
     for q in inputs:
         assert validate_quasimap(q) == validate_quasimap_oracle(q) == []
