@@ -9,15 +9,15 @@ and the witness search runs it at each basepoint with deterministic tail
 sections until the quasimap becomes a stable map again.
 """
 
-from fractions import Fraction
+from math import prod
 
 from .basepoint import degree_at_point
 from .classes import (CurveClass, enumeration_degree, is_fano, length,
                       relaxed_surjectivity_condition)
-from .forms import BinaryForm, Place, ProjPoint, poly_mul
-from .quasimap import (Quasimap, _absorbs, _chart_cone, _equal_quasimaps, _map_stable,
-                       _orders_at, _same_point, basepoints, component_basepoints, degrees,
-                       extend_at, section_values, stability, validate_quasimap)
+from .forms import BinaryForm, Place, ProjPoint, _quotient, poly_mul
+from .quasimap import (Quasimap, _absorbs, _chart_cone, _map_stable, _orders_at, _same_point,
+                       basepoints, component_basepoints, degrees, equal_quasimaps, extend_at,
+                       section_values, stability, validate_quasimap)
 from .record import Record
 
 
@@ -244,18 +244,19 @@ def _deterministic_tail(values, beta, zero_start):
         if d == 0:
             sections.append(BinaryForm.constant(value))
             continue
+        needed = d if value else d - 1
+        zeros = range(counter + 1, counter + needed + 1)
+        counter += needed
         if value == 0:
             poly = (0, 1)
-            needed = d - 1
-        else:
-            poly = (value,)
-            needed = d
-        for _ in range(needed):
-            counter += 1
-            if value == 0:
-                poly = poly_mul(poly, (-counter, 1))
-            else:
-                poly = poly_mul(poly, (1, Fraction(-1, counter)))
+            for k in zeros:
+                poly = poly_mul(poly, (-k, 1))
+        else:  # value * prod (1 - z/k), as value * prod (k - z) over prod k
+            poly = (1,)
+            for k in zeros:
+                poly = poly_mul(poly, (k, -1))
+            denominator = prod(zeros)
+            poly = tuple(_quotient(value * c, denominator) for c in poly)
         sections.append(BinaryForm.from_poly(d, poly))
     return tuple(sections), counter
 
@@ -276,7 +277,7 @@ def surjectivity_witness(q, length_bound=None):
             raise ValueError(
                 "target is neither Fano nor passes the relaxed surjectivity condition"
             )
-    bps = input_bps = basepoints(q)
+    bps = basepoints(q)
     for bp in bps:
         if bp.place.rational_point() is None:
             raise ValueError(
@@ -312,6 +313,6 @@ def surjectivity_witness(q, length_bound=None):
         current = nxt
 
     witness = StableMapTree(work)
-    if not _equal_quasimaps(contract(witness), q, input_bps):
+    if not equal_quasimaps(contract(witness), q):
         raise RuntimeError("witness verification failed: contraction mismatch")
     return witness

@@ -27,7 +27,7 @@ from .classes import (CurveClass, DivisorClass, ample_functional, anchor_rays,
                       enumeration_degree, nef_hilbert_basis)
 from .fan import (dual_basis, memo, primitive_collections, product_fan,
                   projective_space_fan, require_valid)
-from .forms import BinaryForm, poly_mul
+from .forms import BinaryForm, _quotient, poly_mul
 from .linalg import int_or_frac, lattice_map_is_surjective, solve_square
 from .quasimap import (Quasimap, _absorbs, _orders_at, _twist_away, basepoints, degrees,
                        extend_at, same_morphism_sections, validate_quasimap)
@@ -302,7 +302,7 @@ def _factored_sections(emb, secs):
             out.append(None)
         else:
             u, places = f.factor()
-            out.append((Fraction(u, c), places))
+            out.append((_quotient(u, c), places))
     return out
 
 
@@ -325,7 +325,7 @@ def _invert_component(emb, secs):
             # off the target sections through its lift; a lift positive at a
             # zero section makes the coordinate vanish
             orders = {p: [0] * src.n_rays for p in all_places}
-            units = [Fraction(1)] * src.n_rays
+            units = [1] * src.n_rays
             vanishing = set()
             for rho, lift in zip(scone, entry["lifts"]):
                 if any(lift[tau] > 0 for tau in zeros):
@@ -334,7 +334,7 @@ def _invert_component(emb, secs):
                 for tau, e in enumerate(lift):
                     if e:
                         u, places = factored[tau]
-                        units[rho] *= u ** e
+                        units[rho] *= u ** e if e > 0 else Fraction(u) ** e
                         for p, mult in places.items():
                             orders[p][rho] += e * mult
 

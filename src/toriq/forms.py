@@ -275,12 +275,16 @@ class BinaryForm(Record):
         return len(self.poly) - 1 if self.poly else None
 
     def value_at(self, point):
-        a, b = point.a, point.b
-        total = 0
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                total += c * a ** (self.degree - k) * b ** k
-        return total
+        """At [1 : b], Horner's rule on ``poly``; at [0 : 1], the top
+        coefficient, a Fraction when any coefficient is (as the term sum is)."""
+        if point.a:
+            b = point.b
+            total = 0
+            for c in reversed(self.poly):
+                total = total * b + c
+            return total
+        top = self.coeffs[-1] if self.coeffs else 0
+        return Fraction(top) if any(type(c) is Fraction for c in self.poly) else top
 
     def scale(self, factor):
         return BinaryForm(self.degree, tuple(factor * c for c in self.coeffs))

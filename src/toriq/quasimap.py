@@ -1,9 +1,9 @@
 """Quasimaps from trees of rational curves to a smooth complete toric target.
 
 A quasimap is a tuple of exact binary forms per ray on each component, plus
-nodes and markings.  Equivalence of the underlying line-bundle data reduces,
-on a tree, to rescaling each component's section tuple by a character-trivial
-scalar tuple; all comparisons below work with that model and stay entirely
+nodes and markings.  Two quasimaps on one curve are equal exactly when each
+component's section tuples differ by an element of the torus G that the target
+is the quotient by, so equality needs no basepoint scan.  All comparisons stay
 inside rational arithmetic (node ends, and ratios of sections, are compared
 cross-multiplied).  The public constructor normalises its parts once; a
 quasimap rebuilt from a built one (``Quasimap._rebuilt``) reuses them.
@@ -156,6 +156,15 @@ def _absorbs(orders, beta):
     return all(o is INF or o + d >= 0 for o, d in zip(orders, beta.pairings))
 
 
+def _nondegenerate_sections(q, comp):
+    """The sections of one component; ValueError when they are degenerate."""
+    secs = q.sections(comp)
+    degenerate = _degenerate_collections(q.fan, _zero_rays(secs))
+    if degenerate:
+        raise ValueError(f"component {comp} vanishes on the primitive collection {degenerate[0]}")
+    return secs
+
+
 def component_basepoints(q, comp):
     """Basepoint places of one component, sorted, with order vectors and degrees.
 
@@ -164,10 +173,7 @@ def component_basepoints(q, comp):
     the place degree.
     """
     fan = q.fan
-    secs = q.sections(comp)
-    degenerate = _degenerate_collections(fan, _zero_rays(secs))
-    if degenerate:
-        raise ValueError(f"component {comp} vanishes on the primitive collection {degenerate[0]}")
+    secs = _nondegenerate_sections(q, comp)
     places = set()
     for pc in primitive_collections(fan):
         places.update(common_zero_places([secs[i] for i in sorted(pc)]))
@@ -365,12 +371,13 @@ def _orthogonal_characters(fan, rays):
 
 
 def same_morphism_sections(fan, first, second):
-    """Whether two basepoint-free section tuples on one rational component
-    define the same morphism to the target.
+    """Whether two section tuples on one rational component are related by
+    the torus G (the same morphism when they are basepoint-free).
 
-    The tuples must be proportional ray by ray, with the ratio tuple killed by
-    every character orthogonal to the identically-vanishing rays.  A tuple
-    whose vanishing rays lie in no cone is degenerate and raises ValueError.
+    The tuples must have equal degrees and be proportional ray by ray, so they
+    share their basepoints, with the ratios killed by every character
+    orthogonal to the identically-vanishing rays.  A tuple whose vanishing
+    rays lie in no cone is degenerate and raises ValueError.
     """
     zero1 = _zero_rays(first)
     zero2 = _zero_rays(second)
@@ -410,32 +417,18 @@ def same_curve(q1, q2):
 
 
 def equal_quasimaps(q1, q2):
-    """Equality of quasimaps on a common curve: equal regular extensions,
-    equal basepoint places and equal degrees at every basepoint."""
-    return _equal_quasimaps(q1, q2)
-
-
-def _equal_quasimaps(q1, q2, bp2=None):
-    """``equal_quasimaps``, reusing q2's basepoints when they are given."""
+    """Equality of quasimaps on a common curve: G-related section tuples on
+    every component (``same_morphism_sections``).  A degenerate component
+    raises ValueError, q1's before q2's."""
     if q1.fan != q2.fan:
         raise ValueError("quasimaps to different targets are incomparable")
     if not same_curve(q1, q2):
         raise ValueError("quasimaps on different curves are incomparable")
-    bp1 = basepoints(q1)
-    bp2 = basepoints(q2) if bp2 is None else bp2
-    if len(bp1) != len(bp2):
-        return False
-    for a, b in zip(bp1, bp2):
-        if a.component != b.component or a.place != b.place:
-            return False
-        if a.degree.pairings != b.degree.pairings:
-            return False
-    r1 = _twist_away(q1, bp1)
-    r2 = _twist_away(q2, bp2)
-    return all(
-        same_morphism_sections(q1.fan, r1.sections(c), r2.sections(c))
-        for c in range(q1.n_components)
-    )
+    for q in (q1, q2):
+        for comp in range(q.n_components):
+            _nondegenerate_sections(q, comp)
+    return all(same_morphism_sections(q1.fan, first, second)
+               for first, second in zip(q1.components, q2.components))
 
 
 def basepoint_length(q, bp):

@@ -1,15 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from toriq import contraction
+from toriq import contraction, quasimap
 from toriq.cases import family_contracted, family_map
-from toriq.classes import length
+from toriq.classes import effective_classes, length
 from toriq.contraction import (StableMapTree, _deterministic_tail, contract,
                                contraction_condition, graft, prune,
                                rational_tails, surjectivity_witness)
 from toriq.fan import product_fan, projective_space_fan
-from toriq.forms import BinaryForm, Place, ProjPoint
+from toriq.forms import BinaryForm, Place, ProjPoint, poly_mul
 from toriq.quasimap import (Quasimap, basepoints, component_basepoints, degrees,
                             equal_quasimaps, extend_at, section_values, stability,
                             validate_quasimap)
@@ -242,9 +243,8 @@ def test_witness_rejects_irrational_places(p1xp1):
 
 
 def test_witness_closing_check_rejects_a_wrong_contraction(p2, monkeypatch):
-    """The closing comparison reuses the input's basepoint list but still
-    compares: a contraction with one section scaled by a factor that no torus
-    element undoes fails the witness."""
+    """The closing comparison compares: a contraction with one section scaled
+    by a factor that no torus element undoes fails the witness."""
     q = random_stable_quasimap(p2, random.Random(17), max_total_length=5)
     assert not any(f.is_zero for f in q.sections(0))
     real_contract = contraction.contract
@@ -336,3 +336,79 @@ def test_graft_matches_scan_lookup(p2, bl0p2, p1xp1, p3):
                 graft(q, comp, place, tail, ProjPoint(1, 0))
             rejected += 1
     assert grafted >= 60 and rejected >= 500
+
+
+# _deterministic_tail as it was before it multiplied in integers: factors
+# (1 - z/k) with Fraction coefficients.  The oracle of the differential test
+# below.
+def deterministic_tail_oracle(values, beta, zero_start):
+    sections = []
+    counter = zero_start
+    for rho, value in enumerate(values):
+        d = beta.pairings[rho]
+        if d < 0:
+            sections.append(BinaryForm.zero(d))
+            continue
+        if d == 0:
+            sections.append(BinaryForm.constant(value))
+            continue
+        if value == 0:
+            poly = (0, 1)
+            needed = d - 1
+        else:
+            poly = (value,)
+            needed = d
+        for _ in range(needed):
+            counter += 1
+            if value == 0:
+                poly = poly_mul(poly, (-counter, 1))
+            else:
+                poly = poly_mul(poly, (1, Fraction(-1, counter)))
+        sections.append(BinaryForm.from_poly(d, poly))
+    return tuple(sections), counter
+
+
+def test_integer_tails_match_the_fraction_oracle(p2, bl0p2, p1xp1, p3, hexagon):
+    """Seeded attach values (zero, int and Fraction) and classes, some with
+    negative pairings: the integer tail equals the oracle's, repr and
+    coefficient types included, and ends at the same zero counter."""
+    rng = random.Random(1903)
+    pool = (0, 0, 1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-5, 3))
+    coefficient_types = set()
+    for fan in (p2, bl0p2, p1xp1, p3, hexagon):
+        classes = [c for c in effective_classes(fan, 8) if not c.is_zero()]
+        for _ in range(60):
+            beta = rng.choice(classes)
+            values = tuple(rng.choice(pool) for _ in fan.rays)
+            start = rng.randint(0, 6)
+            got = _deterministic_tail(values, beta, start)
+            expected = deterministic_tail_oracle(values, beta, start)
+            assert got == expected and repr(got) == repr(expected)
+            types = [type(c) for f in got[0] for c in f.coeffs]
+            assert types == [type(c) for f in expected[0] for c in f.coeffs]
+            coefficient_types.update(types)
+    assert coefficient_types == {int, Fraction}
+
+
+def test_witness_scans_each_component_once(p2, bl0p2, p1xp1, p3, monkeypatch):
+    """A witness scans the input's components, the new tail of each graft and
+    the witness's components (its stable-map check); the closing comparison
+    of the contraction with the input scans nothing."""
+    fans = _witness_targets(p2, bl0p2, p1xp1, p3)
+    real = quasimap.component_basepoints
+    scans = []
+
+    def counting(q, comp):
+        scans.append(comp)
+        return real(q, comp)
+
+    monkeypatch.setattr(quasimap, "component_basepoints", counting)
+    monkeypatch.setattr(contraction, "component_basepoints", counting)
+    total_grafts = 0
+    for q in _seeded_stable_quasimaps(fans, 20, 1904):
+        scans.clear()
+        witness = surjectivity_witness(q).quasimap
+        grafts = witness.n_components - q.n_components
+        assert len(scans) == q.n_components + grafts + witness.n_components
+        total_grafts += grafts
+    assert total_grafts >= 20

@@ -580,6 +580,23 @@ def test_chart_cover_of_a_non_covering_embedding(p1):
     assert not covers_all_charts(square)
 
 
+def test_factored_units_are_ints_where_integral(request):
+    """The unit of each factored target section over its monomial
+    coefficient is an int when integral and a Fraction only otherwise, on
+    seeded tuples and on them scaled by 2/3."""
+    types = Counter()
+    for name in CONFTEST_FANS + ["segre.json"]:
+        emb = embedding_named(request, name)
+        for secs in _target_tuples(emb, random.Random(f"units/{name}"), 20):
+            scaled = [f.scale(Fraction(2, 3)) for f in secs]
+            for fac in _factored_sections(emb, secs) + _factored_sections(emb, scaled):
+                if fac is not None:
+                    unit = fac[0]
+                    assert type(unit) is int or unit.denominator != 1, (name, unit)
+                    types[type(unit)] += 1
+    assert types[int] and types[Fraction], types
+
+
 def test_inversion_matches_combination_oracle(request):
     """Lifts are the combinations applied to the target chart characters, and
     inverting through them gives the oracle's sections, None included."""

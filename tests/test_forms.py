@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,44 @@ def test_orders_and_values():
     assert g.ord_at(Place.infinity()) == 2
     assert g.value_at(ProjPoint.infinity()) == 0
     assert g.value_at(ProjPoint(1, 2)) == 4
+
+
+# value_at as it was before Horner's rule: the sum of the terms
+# c_k a^(d-k) b^k over the nonzero coefficients.  The oracle of the
+# differential test below.
+def value_at_oracle(form, point):
+    a, b = point.a, point.b
+    total = 0
+    for k, c in enumerate(form.coeffs):
+        if c != 0:
+            total += c * a ** (form.degree - k) * b ** k
+    return total
+
+
+def test_horner_evaluation_matches_the_power_sum():
+    """Seeded forms with int and Fraction coefficients, zero forms and forms
+    of negative degree, at int, Fraction and infinite points: Horner's rule
+    gives the oracle's value and its type, which chart points keep as their
+    Cox values."""
+    rng = random.Random(1902)
+    pool = (0, 0, 1, -1, 3, -5, Fraction(1, 3), Fraction(-7, 2))
+    points = [ProjPoint.from_chart(z) for z in (0, 1, -2, 5, Fraction(1, 2), Fraction(-3, 4))]
+    points.append(ProjPoint.infinity())
+    seen = Counter()
+    for _ in range(400):
+        degree = rng.randint(-2, 5)
+        if degree < 0 or rng.random() < 0.1:
+            form = BinaryForm.zero(degree)
+        else:
+            form = BinaryForm(degree, [rng.choice(pool) for _ in range(degree + 1)])
+        for point in points:
+            value, expected = form.value_at(point), value_at_oracle(form, point)
+            assert value == expected and type(value) is type(expected), (form, point)
+            seen[point.is_infinity, type(point.b), type(value)] += 1
+    # every (point kind, value type) pair occurs: Fraction points give ints
+    # only on zero forms, and infinity gives a Fraction over an int top
+    # coefficient when another coefficient is one
+    assert len(seen) == 6 and min(seen.values()) >= 20, seen
 
 
 def test_shift_multiplies_and_divides_exactly():

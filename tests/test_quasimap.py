@@ -6,18 +6,19 @@ from math import prod
 import pytest
 
 from toriq.basepoint import INF, OrderVector, degree_at_point
-from toriq.classes import CurveClass, is_effective, wall_curve_classes
+from toriq.classes import CurveClass, effective_classes, is_effective, wall_curve_classes
 from toriq.contraction import contract, surjectivity_witness
 from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
 from toriq.fan import (is_connected, primitive_collections, product_fan,
                        projective_space_fan, require_valid)
 from toriq.forms import BinaryForm, Place, ProjPoint, common_zero_places
 from toriq.linalg import kernel_basis, primitive_vector
-from toriq.quasimap import (BasepointPlace, Quasimap, _chart, _chart_cone,
-                            _orthogonal_characters, _same_point, basepoint_length,
-                            basepoints, component_basepoints, degrees, equal_quasimaps,
-                            evaluate, regular_extension, same_morphism_sections,
-                            section_values, stability, validate_quasimap)
+from toriq.quasimap import (BasepointPlace, Quasimap, _absorbs, _chart, _chart_cone,
+                            _orders_at, _orthogonal_characters, _same_point, _twist_away,
+                            basepoint_length, basepoints, component_basepoints, degrees,
+                            equal_quasimaps, evaluate, extend_at, regular_extension,
+                            same_curve, same_morphism_sections, section_values, stability,
+                            validate_quasimap)
 
 from qmgen import random_quasimap, random_stable_quasimap
 
@@ -559,6 +560,144 @@ def test_cross_multiplied_morphism_check_agrees_with_the_ratio_oracle(
     assert tally[1, True] > 50 and tally[1, False] > 150
     assert tally[2, False] > 250 and tally[3, False] > 250
     assert sum(n for (_, outcome), n in tally.items() if type(outcome) is str) > 20
+
+
+# equal_quasimaps as it was before it compared section tuples by the torus
+# action: the theorem that a quasimap is determined by its regular extension
+# and its degree at each basepoint, used as the algorithm, with the
+# extensions compared by the ratio oracle above.  The oracle of the
+# differential test below.
+def equal_quasimaps_oracle(q1, q2):
+    if q1.fan != q2.fan:
+        raise ValueError("quasimaps to different targets are incomparable")
+    if not same_curve(q1, q2):
+        raise ValueError("quasimaps on different curves are incomparable")
+    bp1 = basepoints(q1)
+    bp2 = basepoints(q2)
+    if len(bp1) != len(bp2):
+        return False
+    for a, b in zip(bp1, bp2):
+        if a.component != b.component or a.place != b.place:
+            return False
+        if a.degree.pairings != b.degree.pairings:
+            return False
+    r1 = _twist_away(q1, bp1)
+    r2 = _twist_away(q2, bp2)
+    return all(same_morphism_sections_oracle(q1.fan, r1.sections(c), r2.sections(c))
+               for c in range(q1.n_components))
+
+
+def _scaled(q, factors):
+    """q with each component's sections scaled ray by ray by its factor tuple."""
+    return q.with_components([tuple(f.scale(c) for f, c in zip(secs, comp_factors))
+                              for secs, comp_factors in zip(q.components, factors)])
+
+
+def _retwisted(q, bp, place, beta):
+    """q with the basepoint ``bp`` twisted away and a basepoint of class
+    ``beta`` twisted in at ``place`` instead, or None when the sections there
+    do not absorb ``beta``."""
+    extension = extend_at(q, bp.component, bp.place, bp.degree)
+    if not _absorbs(_orders_at(extension, bp.component, place), beta):
+        return None
+    return extend_at(extension, bp.component, place, -1 * beta)
+
+
+def equality_pairs(fan, rng, bases):
+    """Seeded quasimap pairs on a common curve, from stable quasimaps and
+    random trees: the second is a torus rescaling of the first (by the
+    relations among the rays, on every component), a per-ray rescaling of one
+    component, a rescaling with one coefficient changed, or shares the first's
+    regular extension while one basepoint moves to another place or takes
+    another class (and, rescaled, the same one); a quasimap without
+    basepoints gets one first.  Every fourth pair has a component of one or
+    both quasimaps vanish on a primitive collection, and says so."""
+    scalars = (-1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+    relations = [primitive_vector(r) for r in kernel_basis([list(col) for col in zip(*fan.rays)])]
+    places = [Place.rational(z) for z in (-2, -1, Fraction(1, 2), 3, 7)]
+    places += [Place.infinity(), Place.finite((1, 0, 1)), Place.finite((-2, 0, 1))]
+    classes = [c for c in effective_classes(fan, 6) if not c.is_zero()]
+
+    def torus(q):
+        return _scaled(q, [[prod(x ** r[rho] for x, r in zip(s, relations))
+                            for rho in range(fan.n_rays)]
+                           for s in ([Fraction(rng.choice(scalars)) for _ in relations]
+                                     for _ in q.components)])
+
+    def per_ray(q):
+        factors = [[1] * fan.n_rays for _ in q.components]
+        factors[rng.randrange(q.n_components)] = [rng.choice(scalars) for _ in fan.rays]
+        return _scaled(q, factors)
+
+    def changed_coefficient(q):
+        comps = [list(secs) for secs in torus(q).components]
+        comp, rho = rng.randrange(q.n_components), rng.randrange(fan.n_rays)
+        f = comps[comp][rho]
+        if f.degree >= 0:
+            k = rng.randrange(f.degree + 1)
+            comps[comp][rho] = BinaryForm(f.degree, f.coeffs[:k] + (f.coeffs[k] + 1,)
+                                          + f.coeffs[k + 1:])
+        return q.with_components(comps)
+
+    def degenerate(q):
+        comps = [list(secs) for secs in q.components]
+        comp = rng.randrange(q.n_components)
+        for rho in rng.choice(primitive_collections(fan)):
+            comps[comp][rho] = BinaryForm.zero(comps[comp][rho].degree)
+        return q.with_components(comps)
+
+    def with_basepoint(q):
+        for _ in range(40):
+            comp, place, beta = rng.randrange(q.n_components), rng.choice(places), rng.choice(classes)
+            if _absorbs(_orders_at(q, comp, place), beta):
+                return extend_at(q, comp, place, -1 * beta)
+        return q
+
+    pairs = []
+    for i in range(bases):
+        q = (random_stable_quasimap if i % 2 else random_quasimap)(fan, rng, max_total_length=6)
+        bps = basepoints(q)
+        if not bps:
+            q = with_basepoint(q)
+            bps = basepoints(q)
+        seconds = [torus(q), per_ray(q), changed_coefficient(q)]
+        if bps:
+            bp = rng.choice(bps)
+            same = _retwisted(q, bp, bp.place, bp.degree)
+            moved = [_retwisted(q, bp, place, bp.degree) for place in places
+                     if place != bp.place]
+            changed = [_retwisted(q, bp, bp.place, c) for c in classes
+                       if c.pairings != bp.degree.pairings]
+            seconds.append(torus(same))
+            for options in (moved, changed):
+                options = [other for other in options if other is not None]
+                if options:
+                    seconds.append(rng.choice(options))
+        for j, second in enumerate(seconds):
+            first, broken = q, (i + j) % 4 == 0
+            if broken:
+                which = rng.randrange(3)
+                first = degenerate(q) if which != 1 else q
+                second = degenerate(second) if which != 0 else second
+            pairs.append((first, second, broken))
+    return pairs
+
+
+def test_equality_is_determined_by_extension_and_degrees(
+        p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
+    """Comparing section tuples by the torus action agrees with comparing
+    regular extensions, basepoint places and the degrees there, on every
+    conftest fan; each outcome, a degenerate input's ValueError included,
+    occurs at least 20 times per fan."""
+    rng = random.Random(1901)
+    for fan in (p1, p2, p3, bl0p2, p1xp1, p2xp1, f2, hexagon):
+        tally = {True: 0, False: 0, "raises": 0}
+        for first, second, degenerate in equality_pairs(fan, rng, 24):
+            expected = _outcome(equal_quasimaps_oracle, first, second)
+            assert _outcome(equal_quasimaps, first, second) == expected
+            assert not degenerate or type(expected) is str
+            tally[expected if type(expected) is bool else "raises"] += 1
+        assert min(tally.values()) >= 20, (fan, tally)
 
 
 def test_requests_leave_no_memo_on_their_inputs(p2, p1xp1, bl0p2):
