@@ -46,7 +46,11 @@ class EmbeddingSpec(Record):
             exponents=tuple(tuple(int(e) for e in exp) for exp in exponents))
 
     def monomial_support(self, tau):
-        return frozenset(i for i, e in enumerate(self.exponents[tau]) if e > 0)
+        return self._monomial_supports()[tau]
+
+    @memo
+    def _monomial_supports(self):
+        return tuple(frozenset(i for i, e in enumerate(exp) if e > 0) for exp in self.exponents)
 
 
 def _solve_character(fan, pairings):

@@ -6,11 +6,17 @@ canonical index order used everywhere downstream (pairing vectors, order
 vectors, section tuples), and the first maximal cone anchors the divisor
 class basis.
 
-``validate_fan`` reads smoothness off the dual bases (a cone is smooth exactly
-when its dual basis is integral) and decides the fan condition locally: each
-wall's two cones must lie strictly on opposite sides of it (one integer sign
-per wall), and the ray sum of cone 0 must lie in cone 0 alone (covering
-degree one).
+The dual bases of the maximal cones come from one walk over the facet graph
+(``_dual_bases``): a cone no walk has reached yet is inverted, and each cone
+across a facet of a smooth one, which differs from it by one ray, follows by
+one integer pivot whose value is the new cone's determinant up to sign (the
+basis exchange behind the wall criterion of Cox-Little-Schenck, Toric
+Varieties).  ``validate_fan`` reads
+smoothness off that table (a cone is smooth exactly when its dual basis is
+integral) and decides the fan condition locally: each wall's two cones must
+lie strictly on opposite sides of it (one integer sign per wall), and the ray
+sum of cone 0 must lie in cone 0 alone (covering degree one).  Its verdict is
+computed once per fan.
 
 All arithmetic is exact (ints and fractions).  Fans are immutable and every
 operation is a pure function.  Derived data is memoized on the instance
@@ -21,6 +27,7 @@ across threads stays safe, because memo writes are idempotent.
 from functools import wraps
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from .linalg import invert
 from .record import Record
@@ -70,11 +77,12 @@ class Fan(Record):
         return len(self.rays)
 
     def cone_complement(self, cone):
-        return tuple(i for i in range(self.n_rays) if i not in set(cone))
+        members = set(cone)
+        return tuple(i for i in range(self.n_rays) if i not in members)
 
     def pairing(self, m):
         """The pairings <m, u_rho> of a character with every ray, in ray order."""
-        return tuple(sum(mi * ui for mi, ui in zip(m, ray)) for ray in self.rays)
+        return tuple(sum(map(mul, m, ray)) for ray in self.rays)
 
     @memo
     def exponent_matrix(self, sigma):
@@ -96,7 +104,67 @@ def _is_primitive(ray):
     return g == 1
 
 
+_NON_UNIMODULAR = "non-unimodular cone has no integral dual basis"
+
+
 @memo
+def _dual_bases(fan):
+    """Per maximal cone, its dual basis or the message of its ValueError.
+
+    One walk over the facet graph.  Each unreached cone is inverted.  From a
+    unimodular cone sigma with dual basis m, crossing the facet sigma - {a}
+    into sigma' = sigma - {a} + {b} is one integer pivot: with p = <m_a, u_b>,
+    |det sigma'| = |p|, and for p = +-1 the dual basis of sigma' is
+    m'_b = p m_a and m'_k = m_k - <m_k, u_b> m'_b.  Cones without exactly dim
+    distinct rays are only inverted.
+    """
+    dim, rays, cones = fan.dim, fan.rays, fan.max_cones
+    incidence = _facet_incidence(fan) if dim > 0 else {}
+
+    def pivots(cone):
+        return len(set(cone)) == len(cone) == dim
+
+    table = {}
+    for start in cones:
+        if start in table:
+            continue
+        try:
+            inv = invert([[rays[j][i] for j in start] for i in range(dim)])
+        except ValueError as exc:
+            table[start] = str(exc)
+            continue
+        # the inverse of an integer matrix is integral exactly when |det| = 1
+        if any(type(x) is not int for row in inv for x in row):
+            table[start] = _NON_UNIMODULAR
+            continue
+        table[start] = tuple(map(tuple, inv))
+        stack = [start] if pivots(start) else []
+        while stack:  # every cone on the stack is unimodular
+            sigma = stack.pop()
+            basis = table[sigma]
+            for k, a in enumerate(sigma):
+                facet = sigma[:k] + sigma[k + 1:]
+                for idx in incidence[facet]:
+                    cone = cones[idx]
+                    if cone in table or not pivots(cone):
+                        continue
+                    (b,) = set(cone).difference(facet)
+                    u_b = rays[b]
+                    p = sum(map(mul, basis[k], u_b))
+                    if p * p != 1:  # p = 0 is the singular case of invert
+                        table[cone] = _NON_UNIMODULAR if p else "singular matrix"
+                        continue
+                    m_b = tuple(p * x for x in basis[k])
+                    rows = {b: m_b}
+                    for j, m in zip(sigma, basis):
+                        if j != a:
+                            c = sum(map(mul, m, u_b))
+                            rows[j] = tuple(x - c * y for x, y in zip(m, m_b))
+                    table[cone] = tuple(rows[j] for j in cone)
+                    stack.append(cone)
+    return table
+
+
 def dual_basis(fan, sigma):
     """Integer covectors m_1..m_n with <m_i, u_{rho_j}> = delta_ij on the cone's rays.
 
@@ -104,13 +172,13 @@ def dual_basis(fan, sigma):
     indices); smoothness makes the dual basis integral.
     """
     sigma = tuple(sorted(sigma))
-    if sigma not in fan.max_cones:
-        raise ValueError(f"{sigma} is not a maximal cone of the fan")
-    inv = invert([[fan.rays[j][i] for j in sigma] for i in range(fan.dim)])
-    # the inverse of an integer matrix is integral exactly when |det| = 1
-    if any(type(x) is not int for row in inv for x in row):
-        raise ValueError("non-unimodular cone has no integral dual basis")
-    return tuple(map(tuple, inv))
+    try:
+        basis = _dual_bases(fan)[sigma]
+    except KeyError:
+        raise ValueError(f"{sigma} is not a maximal cone of the fan") from None
+    if type(basis) is str:
+        raise ValueError(basis)
+    return basis
 
 
 def locate_cones(fan, u):
@@ -147,16 +215,24 @@ def _degenerate_collections(fan, rays):
 
 
 @memo
+def _facet_incidence(fan):
+    """Each (dim - 1)-subset of a maximal cone, mapped to the indices of the
+    maximal cones it lies in, in cone order."""
+    incidence = {}
+    for idx, cone in enumerate(fan.max_cones):
+        for facet in combinations(cone, fan.dim - 1):
+            incidence.setdefault(facet, []).append(idx)
+    return incidence
+
+
+@memo
 def walls(fan):
     """All walls as (ray index set, (cone index, cone index)) pairs.
 
     Each wall of a smooth complete fan is a facet shared by exactly two
     maximal cones; the ValueError raised otherwise names every other facet.
     """
-    incidence = {}
-    for idx, cone in enumerate(fan.max_cones):
-        for facet in combinations(cone, fan.dim - 1):
-            incidence.setdefault(facet, []).append(idx)
+    incidence = _facet_incidence(fan)
     bad = [f"wall {facet} lies in {len(owners)} maximal cones (expected 2)"
            for facet, owners in incidence.items() if len(owners) != 2]
     if bad:
@@ -191,6 +267,7 @@ def _fan_condition_violations(fan, fan_walls):
     interior vector of cone 0 lies in cone 0 alone.
     """
     cones = fan.max_cones
+    bases = _dual_bases(fan)
 
     def overlap(ci, cj):
         return (f"cones {cones[ci]} and {cones[cj]} intersect "
@@ -198,10 +275,11 @@ def _fan_condition_violations(fan, fan_walls):
 
     out = []
     for facet, (ci, cj) in fan_walls:
-        (a,) = set(cones[ci]) - set(facet)
-        (b,) = set(cones[cj]) - set(facet)
+        sigma = cones[ci]
+        (a,) = set(sigma).difference(facet)
+        (b,) = set(cones[cj]).difference(facet)
         # smoothness makes this pairing +-1; +1 puts both cones on a's side
-        if fan.exponent_matrix(cones[ci])[cones[ci].index(a)][b] >= 0:
+        if sum(map(mul, bases[sigma][sigma.index(a)], fan.rays[b])) >= 0:
             out.append(overlap(ci, cj))
     if out:
         return out
@@ -210,11 +288,17 @@ def _fan_condition_violations(fan, fan_walls):
 
 
 def validate_fan(fan):
-    """Check all fan invariants; returns the list of violations (empty if valid).
+    """Check all fan invariants; returns a fresh list of the violations (empty
+    if valid), computed once per fan.
 
     Malformed input (wrong vector lengths, bad indices) is rejected by the Fan
     constructor before this runs.
     """
+    return list(_violations(fan))
+
+
+@memo
+def _violations(fan):
     report = []
     if fan.dim < 1:
         return ["dimension must be positive"]
@@ -235,10 +319,10 @@ def validate_fan(fan):
             report.append(f"maximal cone {cone} does not have {fan.dim} rays")
     if report:
         return report
+    bases = _dual_bases(fan)
     for cone in fan.max_cones:
-        try:  # smooth (|det| = 1) exactly when the dual basis is integral
-            dual_basis(fan, cone)
-        except ValueError:
+        # smooth (|det| = 1) exactly when the dual basis is integral
+        if type(bases[cone]) is str:
             report.append(f"maximal cone {cone} is not smooth (determinant != +-1)")
     if report:
         return report

@@ -6,12 +6,13 @@ digits), so clarity beats asymptotics.  Values are ``int`` where integral.
 
 ``invert``, ``solve_square``, ``kernel_basis`` and
 ``lattice_map_is_surjective`` share one fraction-free elimination on integer
-rows.  ``invert`` builds the dual bases of ``fan``, ``solve_square`` the
-vertices of a non-nef class's polytope, ``kernel_basis`` and
-``primitive_vector`` the nef cone's extreme rays (the latter also the integer
-gcd of ``forms``), ``lattice_map_is_surjective`` the epic check of an
-embedding from the maximal minors, and ``int_or_frac`` the int-or-Fraction
-storage of classes, forms and embedding coefficients.
+rows.  ``invert`` builds the dual basis that starts each walk of ``fan``
+over its facet graph, ``solve_square`` the vertices of a non-nef class's
+polytope, ``kernel_basis`` and ``primitive_vector`` the nef cone's extreme
+rays (the latter also the integer gcd of ``forms``),
+``lattice_map_is_surjective`` the epic check of an embedding from the maximal
+minors, and ``int_or_frac`` the int-or-Fraction storage of classes, forms and
+embedding coefficients.
 """
 
 from fractions import Fraction

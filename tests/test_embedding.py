@@ -295,6 +295,24 @@ def test_chart_inversion_returns_only_a_checked_factorization(segre):
     assert off_quadric >= 20
 
 
+def test_chart_inversion_rejects_a_candidate_with_basepoints(segre, segre_pair, monkeypatch):
+    """A candidate that passes validation and the image test is still refused
+    when it has basepoints, and the fibre through it is then empty."""
+    import toriq.embedding
+
+    q1, _ = segre_pair
+    image = apply_ibar(segre, q1)
+    extension = regular_extension(image)
+    assert invert_through_charts(segre, extension) is not None
+    assert fibre_enumeration(segre, image, degrees(q1)[0])
+
+    def source_basepoints(q):
+        return ("a basepoint",) if q.fan == segre.source else basepoints(q)
+
+    monkeypatch.setattr(toriq.embedding, "basepoints", source_basepoints)
+    assert invert_through_charts(segre, extension) is None
+    assert fibre_enumeration(segre, image, degrees(q1)[0]) == ()
+
 CONFTEST_FANS = ["p1", "p2", "p3", "bl0p2", "p1xp1", "p2xp1", "f2", "hexagon"]
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from toriq.cases import fixture_path
 from toriq.classes import nef_hilbert_basis
 from toriq.fan import (Fan, dual_basis, locate_cones, primitive_collections, product_fan,
-                       projective_space_fan, validate_fan, walls)
+                       projective_space_fan, require_valid, validate_fan, walls)
 from toriq.io import load_embedding
-from toriq.linalg import frac, kernel_basis
+from toriq.linalg import frac, invert, kernel_basis
 
 
 def test_p2_is_valid(p2):
@@ -106,6 +107,21 @@ def test_dual_basis_examples(p2, bl0p2):
 def test_dual_basis_rejects_non_maximal(p2):
     with pytest.raises(ValueError):
         dual_basis(p2, (0,))
+
+
+def test_validate_fan_returns_a_fresh_list():
+    index_two = Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
+    report = validate_fan(index_two)
+    expected = list(report)
+    report.clear()
+    assert validate_fan(index_two) == expected
+    with pytest.raises(ValueError) as exc:
+        require_valid(index_two)
+    assert str(exc.value) == \
+        "invalid fan: maximal cone (0, 1) is not smooth (determinant != +-1)"
+    valid = projective_space_fan(2)
+    validate_fan(valid).append("not a violation")
+    assert validate_fan(valid) == [] and require_valid(valid) is valid
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,3 +307,48 @@ def test_smoothness_agrees_with_determinant_oracle(seeded_corpus):
         non_smooth += bool(expected)
     assert validate_fan(singular) == ["maximal cone (0, 1) is not smooth (determinant != +-1)"]
     assert checked >= 200 and non_smooth >= 30
+
+
+# Reference for the dual bases: each maximal cone inverted on its own, which
+# the walk over the facet graph replaces by one integer pivot per cone.
+
+def dual_basis_oracle(fan, sigma):
+    """The dual basis of a maximal cone by inverting its ray matrix."""
+    sigma = tuple(sorted(sigma))
+    if sigma not in fan.max_cones:
+        raise ValueError(f"{sigma} is not a maximal cone of the fan")
+    inv = invert([[fan.rays[j][i] for j in sigma] for i in range(fan.dim)])
+    # the inverse of an integer matrix is integral exactly when |det| = 1
+    if any(type(x) is not int for row in inv for x in row):
+        raise ValueError("non-unimodular cone has no integral dual basis")
+    return tuple(map(tuple, inv))
+
+
+def _outcome(fn, fan, sigma):
+    try:
+        return fn(fan, sigma)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_dual_basis_walk_agrees_with_inversion_oracle(seeded_corpus, p2, p3, hexagon):
+    p = projective_space_fan
+    products = [product_fan([p(a), p(b)])
+                for a in range(1, 5) for b in range(1, 6 - a)]
+    malformed = [
+        Fan(2, p2.rays, ((0, 0), (0, 2), (1, 2))),  # a repeated ray
+        Fan(2, p2.rays, ((0, 1), (0, 1), (0, 2), (1, 2))),  # a duplicated cone
+        Fan(2, ((1, 0), (-1, 0), (0, 1)), ((0, 1), (0, 2), (1, 2))),  # singular first cone
+        Fan(3, p3.rays, ((0, 1), (0, 1, 2), (0, 1, 2, 3), (1, 2, 3))),  # dim -+ 1 rays
+        DOUBLE_CYCLE,
+        Fan(2, hexagon.rays, ((0, 1), (1, 2), (3, 4), (4, 5))),  # two walks
+    ]
+    outcomes = Counter()
+    for fan in seeded_corpus + products + malformed:
+        for sigma in fan.max_cones + ((0,),):
+            expected = _outcome(dual_basis_oracle, fan, sigma)
+            assert _outcome(dual_basis, fan, sigma) == expected, (fan, sigma)
+            outcomes[expected if type(expected) is str else "basis"] += 1
+    assert outcomes["basis"] >= 1000
+    assert outcomes["singular matrix"] >= 20
+    assert outcomes["non-unimodular cone has no integral dual basis"] >= 20
