@@ -16,7 +16,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from qmgen import random_stable_quasimap  # noqa: E402
 
 from toriq.classes import length  # noqa: E402
-from toriq.contraction import contract, surjectivity_witness  # noqa: E402
+from toriq.contraction import StableMapTree, contract, surjectivity_witness  # noqa: E402
 from toriq.fan import Fan, product_fan, projective_space_fan  # noqa: E402
 from toriq.quasimap import basepoints, degrees, equal_quasimaps  # noqa: E402
 
@@ -42,6 +42,8 @@ def main():
         start = time.perf_counter()
         witness = surjectivity_witness(q)
         elapsed = time.perf_counter() - start
+        # the checks the witness holds by construction, outside the timing
+        assert StableMapTree(witness.quasimap) == witness
         assert equal_quasimaps(contract(witness), q)
         times[name].append(elapsed)
         grafts.append(witness.quasimap.n_components - q.n_components)

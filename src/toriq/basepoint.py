@@ -6,7 +6,7 @@ sections get the symbolic value ``INF``.  The degree of the point is the
 unique effective curve class whose twist removes the basepoint; it is found
 by locating the vector the orders sum the rays to among the maximal cones
 that contain all identically-vanishing directions.  Neither the scan's
-vectors (``OrderVector._scanned``; the scan rejects degenerate components
+vectors (``OrderVector._unchecked``; the scan rejects degenerate components
 itself) nor the degree, a class by construction, is checked again.
 """
 
@@ -89,13 +89,6 @@ class OrderVector(Record):
                 "degenerate order vector: the identically-vanishing rays "
                 f"contain the primitive collection {degenerate[0]}"
             )
-
-    @classmethod
-    def _scanned(cls, fan, orders):
-        """Unchecked: a scan's orders, ints >= 0 or INF, on a non-degenerate component."""
-        vec = cls.__new__(cls)
-        vec.__dict__.update(fan=fan, orders=orders)
-        return vec
 
     @property
     def vanishing(self):

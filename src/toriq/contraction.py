@@ -16,8 +16,8 @@ from .classes import (CurveClass, enumeration_degree, is_fano, length,
                       relaxed_surjectivity_condition)
 from .forms import BinaryForm, Place, ProjPoint, _quotient, poly_mul
 from .quasimap import (Quasimap, _absorbs, _chart_cone, _map_stable, _orders_at, _same_point,
-                       basepoints, component_basepoints, degrees, equal_quasimaps, extend_at,
-                       section_values, stability, validate_quasimap)
+                       basepoints, component_basepoints, degrees, extend_at, section_values,
+                       stability, validate_quasimap)
 from .record import Record
 
 
@@ -33,7 +33,7 @@ class StableMapTree(Record):
 
     Map stability is checked against ``stability``'s default polarization
     (with at least one marking the outcome does not depend on that choice);
-    pass ``ample`` to force one.
+    pass ``ample`` to force one.  ``surjectivity_witness`` skips the checks.
     """
 
     _fields = ("quasimap", "ample")
@@ -72,14 +72,12 @@ def rational_tails(q):
     hull = set()
     root = next(iter(marked))
     parent = {root: None}
-    order = [root]
     stack = [root]
     while stack:
         cur = stack.pop()
         for nxt, _ in adjacency[cur]:
             if nxt not in parent:
                 parent[nxt] = cur
-                order.append(nxt)
                 stack.append(nxt)
     for comp in marked:
         cur = comp
@@ -148,7 +146,7 @@ def _drop_components(q, dropped, twists):
         if a in renum and b in renum
     )
     markings = tuple((renum[c], p) for c, p in out.markings)
-    return Quasimap._rebuilt(q.fan, components, nodes, markings)
+    return Quasimap._unchecked(q.fan, components, nodes, markings)
 
 
 def contract(f):
@@ -208,8 +206,8 @@ def _attach(extended, component, point, tail_sections, attach_point):
     """The already twisted quasimap with the tail appended as a new component,
     noded to ``component`` at ``point``; the tail is a tuple of forms."""
     node = ((component, point), (extended.n_components, attach_point))
-    return Quasimap._rebuilt(extended.fan, extended.components + (tail_sections,),
-                             extended.nodes + (node,), extended.markings)
+    return Quasimap._unchecked(extended.fan, extended.components + (tail_sections,),
+                               extended.nodes + (node,), extended.markings)
 
 
 def prune(q, component):
@@ -262,12 +260,21 @@ def _deterministic_tail(values, beta, zero_start):
 
 
 def surjectivity_witness(q, length_bound=None):
-    """A stable map whose contraction is the given stable quasimap.
+    """A stable map whose contraction is the given valid stable quasimap.
 
     Grafts a deterministic rational tail at each basepoint (simple disjoint
     zeros away from the attaching point) until no basepoints remain; strict
     descent of the basepoint masses guarantees termination on Fano targets
-    and on targets passing the relaxed condition."""
+    and on targets passing the relaxed condition.
+
+    The result is certified by construction, not checked again: the loop's
+    empty list is a full scan; each tail takes its basepoint's class and, at
+    [1 : 0], the twisted host's values at the node; a component with under
+    three special points keeps a nonzero class (``q`` is stable, and a tail
+    grafted once loses all of it only at a basepoint of that class, which the
+    descent guard refuses); ``contract`` drops just the grafted trees (a
+    stable ``q`` has none) and twists each host back.
+    """
     fan = q.fan
     if not stability(q, "quasimap"):
         raise ValueError("the witness search needs a stable quasimap")
@@ -296,7 +303,7 @@ def surjectivity_witness(q, length_bound=None):
         bp = bps[0]
         point = bp.place.rational_point()
         # the tail is built to match the twist at [1:0], so graft's checks
-        # would hold by construction; the closing checks below still run
+        # hold by construction, as the result's do (see the docstring)
         extended = extend_at(work, bp.component, bp.place, bp.degree)
         values = section_values(extended, bp.component, point)
         tail, zero_counter = _deterministic_tail(values, bp.degree, zero_counter)
@@ -312,7 +319,4 @@ def surjectivity_witness(q, length_bound=None):
             )
         current = nxt
 
-    witness = StableMapTree(work)
-    if not equal_quasimaps(contract(witness), q):
-        raise RuntimeError("witness verification failed: contraction mismatch")
-    return witness
+    return StableMapTree._unchecked(work, None)

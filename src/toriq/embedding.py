@@ -294,7 +294,7 @@ def apply_ibar(emb, q):
                     poly = poly_mul(poly, f.poly)
             out.append(BinaryForm.from_poly(degree, poly))
         new_components.append(tuple(out))
-    return Quasimap._rebuilt(emb.target, tuple(new_components), q.nodes, q.markings)
+    return Quasimap._unchecked(emb.target, tuple(new_components), q.nodes, q.markings)
 
 
 def _factored_sections(emb, secs):
@@ -383,23 +383,28 @@ def _invert_component(emb, secs):
 
 
 def invert_through_charts(emb, extension):
-    """The source quasimap through which the given basepoint-free quasimap
-    factors, found by chart inversion: valid, basepoint-free and mapping to
-    ``extension``; None when no chart applies or the candidate fails a check."""
-    comps = []
-    for comp in range(extension.n_components):
-        secs = _invert_component(emb, extension.sections(comp))
-        if secs is None:
-            return None
-        comps.append(secs)
-    candidate = Quasimap._rebuilt(emb.source, tuple(comps), extension.nodes, extension.markings)
-    if validate_quasimap(candidate) or basepoints(candidate):
+    """The source quasimap through which the given valid basepoint-free
+    quasimap factors, found by chart inversion; None when no chart applies or
+    the candidate's image is another map.
+
+    The image check certifies the rest.  The candidate has the extension's
+    nodes and markings and its zero sections in a cone.  Its degrees are a
+    class: the image's are, and a chart's lifts pull back to a basis of the
+    characters.  If ``emb`` covers every source chart it is injective on
+    points, so the nodes glue, and a candidate basepoint of degree beta != 0
+    at a cone sigma would give the image one of degree iota_* beta != 0: a
+    ray off sigma with beta_rho > 0 lies in a monomial off a target cone
+    covering sigma, or the lifts would put it in sigma.  Other embeddings
+    keep the full check.
+    """
+    comps = tuple(_invert_component(emb, secs) for secs in extension.components)
+    if None in comps:
         return None
-    image = apply_ibar(emb, candidate)
-    if not all(same_morphism_sections(emb.target, image.sections(c), extension.sections(c))
-               for c in range(extension.n_components)):
+    candidate = Quasimap._unchecked(emb.source, comps, extension.nodes, extension.markings)
+    if not covers_all_charts(emb) and (validate_quasimap(candidate) or basepoints(candidate)):
         return None
-    return candidate
+    pairs = zip(apply_ibar(emb, candidate).components, extension.components)
+    return candidate if all(same_morphism_sections(emb.target, *p) for p in pairs) else None
 
 
 def _quasimap_sort_key(q):

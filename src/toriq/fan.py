@@ -115,16 +115,13 @@ def _dual_bases(fan):
     unimodular cone sigma with dual basis m, crossing the facet sigma - {a}
     into sigma' = sigma - {a} + {b} is one integer pivot: with p = <m_a, u_b>,
     |det sigma'| = |p|, and for p = +-1 the dual basis of sigma' is
-    m'_b = p m_a and m'_k = m_k - <m_k, u_b> m'_b.  Cones without exactly dim
-    distinct rays are only inverted.
+    m'_b = p m_a and m'_k = m_k - <m_k, u_b> m'_b.  A cone without exactly dim
+    distinct rays has no dual basis.
     """
     dim, rays, cones = fan.dim, fan.rays, fan.max_cones
     incidence = _facet_incidence(fan) if dim > 0 else {}
-
-    def pivots(cone):
-        return len(set(cone)) == len(cone) == dim
-
-    table = {}
+    table = {cone: f"maximal cone {cone} is not a set of {dim} distinct rays"
+             for cone in cones if not len(set(cone)) == len(cone) == dim}
     for start in cones:
         if start in table:
             continue
@@ -138,7 +135,7 @@ def _dual_bases(fan):
             table[start] = _NON_UNIMODULAR
             continue
         table[start] = tuple(map(tuple, inv))
-        stack = [start] if pivots(start) else []
+        stack = [start]
         while stack:  # every cone on the stack is unimodular
             sigma = stack.pop()
             basis = table[sigma]
@@ -146,7 +143,7 @@ def _dual_bases(fan):
                 facet = sigma[:k] + sigma[k + 1:]
                 for idx in incidence[facet]:
                     cone = cones[idx]
-                    if cone in table or not pivots(cone):
+                    if cone in table:
                         continue
                     (b,) = set(cone).difference(facet)
                     u_b = rays[b]

@@ -6,7 +6,7 @@ component's section tuples differ by an element of the torus G that the target
 is the quotient by, so equality needs no basepoint scan.  All comparisons stay
 inside rational arithmetic (node ends, and ratios of sections, are compared
 cross-multiplied).  The public constructor normalises its parts once; a
-quasimap rebuilt from a built one (``Quasimap._rebuilt``) reuses them.
+quasimap rebuilt from a built one (``Quasimap._unchecked``) reuses them.
 """
 
 from fractions import Fraction
@@ -43,14 +43,7 @@ class Quasimap(Record):
         return tuple(f.degree for f in self.components[comp])
 
     def with_components(self, components):
-        return Quasimap._rebuilt(self.fan, tuple(map(tuple, components)), self.nodes, self.markings)
-
-    @classmethod
-    def _rebuilt(cls, fan, components, nodes, markings):
-        """Unnormalised: section tuples, nodes and markings of a built quasimap."""
-        q = cls.__new__(cls)
-        q.__dict__.update(fan=fan, components=components, nodes=nodes, markings=markings)
-        return q
+        return Quasimap._unchecked(self.fan, tuple(map(tuple, components)), self.nodes, self.markings)
 
 
 class BasepointPlace(Record):
@@ -179,7 +172,7 @@ def component_basepoints(q, comp):
         places.update(common_zero_places([secs[i] for i in sorted(pc)]))
     out = []
     for place in sorted(places, key=lambda p: p.sort_key()):
-        orders = OrderVector._scanned(fan, _orders_at(q, comp, place))
+        orders = OrderVector._unchecked(fan, _orders_at(q, comp, place))
         beta, _ = _locate_degree(fan, orders.orders, orders.vanishing, first=True)
         out.append(BasepointPlace(comp, place, orders, beta))
     return tuple(out)

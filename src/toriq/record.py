@@ -6,7 +6,8 @@ checks each field once and stores it straight into the instance
 ``__dict__``; assignment and deletion are refused afterwards.  Instances are
 equal only to instances of the same class, and the hash is that of the tuple
 of compared fields, as a frozen dataclass's is (every subclass compares two
-or more fields, so ``attrgetter`` returns that tuple).
+or more fields, so ``attrgetter`` returns that tuple).  ``_unchecked(*values)``
+stores values the library built, in ``_fields`` order, skipping ``__init__``.
 """
 
 from operator import attrgetter
@@ -17,6 +18,12 @@ class Record:
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*getattr(cls, "_compare", cls._fields))
+
+    @classmethod
+    def _unchecked(cls, *values):
+        obj = cls.__new__(cls)
+        obj.__dict__.update(zip(cls._fields, values))
+        return obj
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -242,9 +242,10 @@ def test_witness_rejects_irrational_places(p1xp1):
         surjectivity_witness(q)
 
 
-def test_witness_closing_check_rejects_a_wrong_contraction(p2, monkeypatch):
-    """The closing comparison compares: a contraction with one section scaled
-    by a factor that no torus element undoes fails the witness."""
+def test_witness_closing_check_rejects_a_wrong_contraction(p2):
+    """The comparison that certifies a witness in the tests compares: a
+    contraction with one section scaled by a factor that no torus element
+    undoes is told apart from the input."""
     q = random_stable_quasimap(p2, random.Random(17), max_total_length=5)
     assert not any(f.is_zero for f in q.sections(0))
     real_contract = contraction.contract
@@ -256,9 +257,6 @@ def test_witness_closing_check_rejects_a_wrong_contraction(p2, monkeypatch):
 
     assert equal_quasimaps(real_contract(surjectivity_witness(q)), q)
     assert not equal_quasimaps(scaled_contract(surjectivity_witness(q)), q)
-    monkeypatch.setattr(contraction, "contract", scaled_contract)
-    with pytest.raises(RuntimeError, match="witness verification failed"):
-        surjectivity_witness(q)
 
 
 def test_stable_map_tree_validation(p2):
@@ -278,6 +276,21 @@ def _seeded_stable_quasimaps(fans, count, seed):
     names = sorted(fans)
     return [random_stable_quasimap(fans[names[i % len(names)]], rng, max_total_length=6)
             for i in range(count)]
+
+
+def test_witness_passes_the_checks_it_skips(p2, bl0p2, p1xp1, p3):
+    """Differential oracle for the checks the witness no longer runs: every
+    seeded witness passes ``StableMapTree``'s validation and contracts back
+    to its input, section for section."""
+    fans = _witness_targets(p2, bl0p2, p1xp1, p3)
+    grafts = 0
+    for q in _seeded_stable_quasimaps(fans, 300, 2110):
+        witness = surjectivity_witness(q)
+        assert StableMapTree(witness.quasimap) == witness
+        contracted = contract(witness)
+        assert equal_quasimaps(contracted, q) and contracted == q
+        grafts += witness.quasimap.n_components - q.n_components
+    assert grafts >= 300
 
 
 def test_carried_basepoints_match_fresh_scans(p2, bl0p2, p1xp1, p3):
@@ -391,9 +404,8 @@ def test_integer_tails_match_the_fraction_oracle(p2, bl0p2, p1xp1, p3, hexagon):
 
 
 def test_witness_scans_each_component_once(p2, bl0p2, p1xp1, p3, monkeypatch):
-    """A witness scans the input's components, the new tail of each graft and
-    the witness's components (its stable-map check); the closing comparison
-    of the contraction with the input scans nothing."""
+    """A witness scans the input's components and the new tail of each graft,
+    nothing more: the result is not scanned again."""
     fans = _witness_targets(p2, bl0p2, p1xp1, p3)
     real = quasimap.component_basepoints
     scans = []
@@ -409,6 +421,6 @@ def test_witness_scans_each_component_once(p2, bl0p2, p1xp1, p3, monkeypatch):
         scans.clear()
         witness = surjectivity_witness(q).quasimap
         grafts = witness.n_components - q.n_components
-        assert len(scans) == q.n_components + grafts + witness.n_components
+        assert len(scans) == q.n_components + grafts
         total_grafts += grafts
     assert total_grafts >= 20

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from toriq.cases import fixture_path
+from toriq.cases import fixture_path, projective_blocks
 from toriq.classes import (CurveClass, curve_class_from_anchor, divisor_class,
                            effective_classes, nef_hilbert_basis)
 from toriq.basepoint import INF, _locate_degree
@@ -17,8 +17,9 @@ from toriq.embedding import (EmbeddingSpec, _factored_sections, _invert_componen
                              fibre_class_pool, fibre_enumeration,
                              invert_through_charts, polytope_lattice_points,
                              pullback_pic, pushforward_curves, validate_embedding)
-from toriq.fan import Fan, dual_basis, product_fan, projective_space_fan
-from toriq.forms import BinaryForm, ProjPoint, poly_mul
+from toriq.fan import (Fan, dual_basis, primitive_collections, product_fan,
+                       projective_space_fan)
+from toriq.forms import BinaryForm, Place, ProjPoint, poly_mul
 from toriq.io import load_embedding
 from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps,
                             regular_extension, same_morphism_sections, stability,
@@ -296,22 +297,55 @@ def test_chart_inversion_returns_only_a_checked_factorization(segre):
 
 
 def test_chart_inversion_rejects_a_candidate_with_basepoints(segre, segre_pair, monkeypatch):
-    """A candidate that passes validation and the image test is still refused
-    when it has basepoints, and the fibre through it is then empty."""
+    """A valid candidate carrying a real basepoint is refused, and the fibre
+    through it is then empty: on an embedding that covers every chart, the
+    image check sees the basepoint, which no other check looks for."""
     import toriq.embedding
 
     q1, _ = segre_pair
     image = apply_ibar(segre, q1)
     extension = regular_extension(image)
+    assert covers_all_charts(segre)
     assert invert_through_charts(segre, extension) is not None
     assert fibre_enumeration(segre, image, degrees(q1)[0])
 
-    def source_basepoints(q):
-        return ("a basepoint",) if q.fan == segre.source else basepoints(q)
+    real = toriq.embedding._invert_component
+    collection = primitive_collections(segre.source)[0]
+    place = Place.rational(5)
 
-    monkeypatch.setattr(toriq.embedding, "basepoints", source_basepoints)
+    def with_basepoint(emb, secs):
+        return tuple(f.shift(place, 1) if rho in collection else f
+                     for rho, f in enumerate(real(emb, secs)))
+
+    candidate = Quasimap(segre.source, (with_basepoint(segre, extension.sections(0)),),
+                         extension.nodes, extension.markings)
+    assert validate_quasimap(candidate) == []
+    assert [bp.place for bp in basepoints(candidate)] == [place]
+    monkeypatch.setattr(toriq.embedding, "_invert_component", with_basepoint)
     assert invert_through_charts(segre, extension) is None
     assert fibre_enumeration(segre, image, degrees(q1)[0]) == ()
+
+
+def test_chart_inversion_checks_candidates_of_an_embedding_not_covering_every_chart():
+    """The blow-down of the point x0 = x1 = 0 of P2 covers only the charts
+    away from the exceptional curve, and is not injective on points.  Two
+    lines through that point with different slopes lift to lines meeting the
+    exceptional curve at different points: the image check passes, and the
+    full check that such embeddings keep refuses the candidate."""
+    blowup = Fan(2, ((1, 0), (0, 1), (-1, -1), (1, 1)), ((0, 3), (1, 3), (1, 2), (0, 2)))
+    emb = EmbeddingSpec(blowup, projective_space_fan(2), (1, 1, 1),
+                        ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 0)))
+    assert validate_embedding(emb) == [] and not covers_all_charts(emb)
+    node = ((0, ProjPoint(1, 0)), (1, ProjPoint(1, 0)))
+    lines = tuple((F(1, 0, slope), F(1, 0, 1), F(1, 1)) for slope in (1, 2))
+    extension = Quasimap(emb.target, lines, (node,), ((0, ProjPoint(1, 1)), (1, ProjPoint(1, 1))))
+    assert validate_quasimap(extension) == [] and basepoints(extension) == ()
+    candidate = Quasimap(blowup, [_invert_component(emb, secs) for secs in lines],
+                         extension.nodes, extension.markings)
+    assert equal_quasimaps(apply_ibar(emb, candidate), extension)
+    assert "does not glue" in validate_quasimap(candidate)[0]
+    assert invert_through_charts(emb, extension) is None
+
 
 CONFTEST_FANS = ["p1", "p2", "p3", "bl0p2", "p1xp1", "p2xp1", "f2", "hexagon"]
 
@@ -321,6 +355,50 @@ def embedding_named(request, name):
     if name.endswith(".json"):
         return load_embedding(str(fixture_path(name)))
     return build_epic_embedding(request.getfixturevalue(name))
+
+
+def _random_target_map(target, rng):
+    """A seeded one-component map to a product of projective spaces: per
+    factor a degree in 0..2, not all 0, and random forms of that degree; the
+    caller drops the ones with basepoints."""
+    blocks = projective_blocks(target)
+    per_factor = [0] * len(blocks)
+    while not any(per_factor):
+        per_factor = [rng.randint(0, 2) for _ in blocks]
+    secs = [None] * target.n_rays
+    for block, d in zip(blocks, per_factor):
+        for tau in block:
+            secs[tau] = BinaryForm(d, tuple(rng.randint(-2, 2) for _ in range(d + 1)))
+    return Quasimap(target, (tuple(secs),), markings=((0, ProjPoint(1, 7)),))
+
+
+def test_chart_inversion_passes_the_checks_it_skips(request):
+    """Differential oracle for the checks that chart inversion skips on an
+    embedding covering every chart: each candidate it returns is valid and
+    basepoint-free.  The inputs are regular extensions of images of seeded
+    source quasimaps and seeded basepoint-free maps to the target, which lie
+    off the image of the embeddings that are not onto."""
+    outcomes = Counter()
+    for name in CONFTEST_FANS + ["segre.json"]:
+        emb = embedding_named(request, name)
+        assert covers_all_charts(emb)
+        rng = random.Random(f"inversion oracle {name}")
+        extensions = []
+        for _ in range(30):
+            q = random_quasimap(emb.source, rng, max_components=3, max_total_length=5)
+            extensions.append(regular_extension(apply_ibar(emb, q)))
+        for _ in range(60):
+            q = _random_target_map(emb.target, rng)
+            if not validate_quasimap(q) and not basepoints(q):
+                extensions.append(q)
+        for extension in extensions:
+            candidate = invert_through_charts(emb, extension)
+            outcomes[name, candidate is None] += 1
+            if candidate is not None:
+                assert validate_quasimap(candidate) == []
+                assert basepoints(candidate) == ()
+    assert sum(n for (_, off), n in outcomes.items() if not off) >= 500
+    assert sum(n for (_, off), n in outcomes.items() if off) >= 150
 
 
 @pytest.mark.parametrize("name", CONFTEST_FANS + ["segre.json"])

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -317,6 +318,8 @@ def dual_basis_oracle(fan, sigma):
     sigma = tuple(sorted(sigma))
     if sigma not in fan.max_cones:
         raise ValueError(f"{sigma} is not a maximal cone of the fan")
+    if not len(set(sigma)) == len(sigma) == fan.dim:
+        raise ValueError(f"maximal cone {sigma} is not a set of {fan.dim} distinct rays")
     inv = invert([[fan.rays[j][i] for j in sigma] for i in range(fan.dim)])
     # the inverse of an integer matrix is integral exactly when |det| = 1
     if any(type(x) is not int for row in inv for x in row):
@@ -329,6 +332,22 @@ def _outcome(fn, fan, sigma):
         return fn(fan, sigma)
     except ValueError as exc:
         return str(exc)
+
+
+@pytest.mark.parametrize("bad", [(0, 1, 2, 3), (0, 1), (0, 0, 1)])
+def test_public_dual_basis_rejects_a_cone_without_dim_distinct_rays(p3, bad):
+    """``toriq.dual_basis`` and ``toriq.locate_cones`` raise on a maximal
+    cone that is not dim distinct rays, naming it, and still read the other
+    cones."""
+    import toriq
+
+    fan = Fan(3, p3.rays, ((1, 2, 3), bad))
+    message = re.escape(f"maximal cone {bad} is not a set of 3 distinct rays")
+    with pytest.raises(ValueError, match=message):
+        toriq.dual_basis(fan, bad)
+    with pytest.raises(ValueError, match=message):
+        toriq.locate_cones(fan, (1, 1, 1))
+    assert toriq.dual_basis(fan, (1, 2, 3)) == dual_basis_oracle(fan, (1, 2, 3))
 
 
 def test_dual_basis_walk_agrees_with_inversion_oracle(seeded_corpus, p2, p3, hexagon):
