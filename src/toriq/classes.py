@@ -12,10 +12,10 @@ The ray-relation check runs once, at the boundary, in the public
 
 import operator
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .fan import memo, require_valid, walls
-from .linalg import frac, int_or_frac, kernel_basis, primitive_vector
+from .linalg import box_points, frac, int_or_frac, kernel_basis, primitive_vector
 from .record import Record
 
 
@@ -288,14 +288,7 @@ def _truncated_cone_lattice_points(generators, is_member, functional, bound):
         if f <= 0:
             raise ValueError("functional is not positive on a cone generator")
         vertices.append(tuple(Fraction(bound, 1) * frac(x) / f for x in g))
-    lo = [min(v[i] for v in vertices) for i in range(rank)]
-    hi = [max(v[i] for v in vertices) for i in range(rank)]
-    ranges = [range(int(l.__ceil__()), int(h.__floor__()) + 1) for l, h in zip(lo, hi)]
-    points = []
-    for point in product(*ranges):
-        if functional(point) <= bound and is_member(point):
-            points.append(tuple(point))
-    return points
+    return list(box_points(vertices, lambda x: functional(x) <= bound and is_member(x)))
 
 
 def effective_classes(fan, bound):

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 domain error (invalid data, failed checks),
 2 usage error (unreadable or malformed input, in a file or an option).
-``--json`` switches every subcommand to machine-readable output; the
-TORIQ_MAX_LENGTH environment variable caps enumeration bounds where a length
-bound is needed and none is given.
+``--json`` switches every subcommand to machine-readable output.  The
+TORIQ_MAX_LENGTH environment variable caps the length bound of ``class
+factor`` and ``embed fibre`` when no ``--bound`` is given; no other command
+reads it.
 """
 
 import argparse
@@ -23,15 +24,15 @@ from .embedding import (apply_ibar, build_epic_embedding, epic_check,
                         fibre_enumeration, pushforward_curves, validate_embedding)
 from .fan import primitive_collections, validate_fan
 from .forms import Place
-from .quasimap import (_map_stable, _twist_away, basepoint_length, basepoints, degrees,
-                       stability, validate_quasimap)
+from .quasimap import (_map_stable, _twist_away, basepoints, degrees, stability,
+                       validate_quasimap)
 
 
 class DomainError(Exception):
     pass
 
 
-def _length_bound(given=None):
+def _length_bound(given):
     """The given ``--bound``, else the TORIQ_MAX_LENGTH cap, else None."""
     option, bound = "--bound", given
     if bound is None:
@@ -170,6 +171,7 @@ def _cmd_quasimap_analyze(args):
     ext = _twist_away(q, bps)
     qm_stable = stability(q, "quasimap")
     map_stable = None if bps else _map_stable(q, per_comp, None)
+    lengths = [length_at_point(q.fan, bp.orders) for bp in bps]
     payload = {
         "valid": True,
         "degree": list(total.pairings),
@@ -180,9 +182,9 @@ def _cmd_quasimap_analyze(args):
                 "place": ("inf" if bp.place.at_infinity
                           else [tio.scalar_to_json(c) for c in bp.place.coeffs]),
                 "degree": list(bp.degree.pairings),
-                "length": basepoint_length(q, bp),
+                "length": ell,
             }
-            for bp in bps
+            for bp, ell in zip(bps, lengths)
         ],
         "stable_quasimap": qm_stable,
         "stable_map": map_stable,
@@ -194,12 +196,12 @@ def _cmd_quasimap_analyze(args):
         f"component degrees: {[tuple(b.pairings) for b in per_comp]}",
         f"basepoints: {len(bps)}",
     ]
-    for bp in bps:
+    for bp, ell in zip(bps, lengths):
         coeffs = ", ".join(str(tio.scalar_to_json(c)) for c in bp.place.coeffs)
         place = "inf" if bp.place.at_infinity else f"({coeffs})"
         lines.append(
             f"  component {bp.component}, place {place}: degree {tuple(bp.degree.pairings)},"
-            f" length {basepoint_length(q, bp)}"
+            f" length {ell}"
         )
     lines.append(f"stable as quasimap: {qm_stable}")
     lines.append("stable as map: n/a (has basepoints)" if bps else f"stable as map: {map_stable}")
@@ -295,10 +297,10 @@ def _cmd_graft(args):
 def _cmd_witness(args):
     q = tio.load_quasimap(args.quasimap)
     _reject_invalid(args, validate_quasimap(q), "quasimap")
-    witness = surjectivity_witness(q, length_bound=_length_bound())
+    witness = surjectivity_witness(q)
     _emit_saved(args, tio.quasimap_to_dict(witness.quasimap), [
         f"witness stable map with {witness.quasimap.n_components} components",
-        "contraction verified equal to the input",
+        "contraction equal to the input by construction",
     ])
 
 

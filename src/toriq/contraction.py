@@ -14,6 +14,7 @@ from math import prod
 from .basepoint import degree_at_point
 from .classes import (CurveClass, enumeration_degree, is_fano, length,
                       relaxed_surjectivity_condition)
+from .fan import breadth_first
 from .forms import BinaryForm, Place, ProjPoint, _quotient, poly_mul
 from .quasimap import (Quasimap, _absorbs, _chart_cone, _map_stable, _orders_at, _same_point,
                        basepoints, component_basepoints, degrees, extend_at, section_values,
@@ -49,60 +50,36 @@ class StableMapTree(Record):
         if not _map_stable(q, degrees(q)[1], ample):
             raise ValueError("the map is not stable")
 
-    @property
-    def tails(self):
-        return rational_tails(self.quasimap)
-
 
 def _as_quasimap(f):
     return f.quasimap if isinstance(f, StableMapTree) else f
 
 
 def rational_tails(q):
-    """Maximal unmarked subtrees attached to the rest of the curve at one node."""
+    """Maximal unmarked subtrees attached to the rest of the curve at one node.
+
+    Walked from a marked component, a tail is the subtree of a child that
+    holds no marking, hanging off a parent whose subtree holds one."""
     marked = {c for c, _ in q.markings}
     if not marked:
         return ()
-    adjacency = {i: [] for i in range(q.n_components)}
-    for idx, ((a, pa), (b, pb)) in enumerate(q.nodes):
-        adjacency[a].append((b, idx))
-        adjacency[b].append((a, idx))
-
-    # hull: components on paths between marked components
-    hull = set()
-    root = next(iter(marked))
-    parent = {root: None}
-    stack = [root]
-    while stack:
-        cur = stack.pop()
-        for nxt, _ in adjacency[cur]:
-            if nxt not in parent:
-                parent[nxt] = cur
-                stack.append(nxt)
-    for comp in marked:
-        cur = comp
-        while cur is not None:
-            hull.add(cur)
-            cur = parent[cur]
-
+    edges = [(a, b) for (a, _), (b, _) in q.nodes]
+    order, reached = breadth_first(q.n_components, edges, min(marked))
+    parent = {v: sum(edges[reached[v]]) - v for v in order[1:]}  # the node's other end
+    holds_mark = set(marked)  # the components whose subtree holds a marking
+    for v in reversed(order[1:]):
+        if v in holds_mark:
+            holds_mark.add(parent[v])
+    top, groups = {}, {}  # per unmarked component the child rooting its tail
+    for v in order[1:]:
+        if v not in holds_mark:
+            top[v] = v if parent[v] in holds_mark else top[parent[v]]
+            groups.setdefault(top[v], set()).add(v)
     tails = []
-    seen = set()
-    for host in sorted(hull):
-        for nxt, node_idx in adjacency[host]:
-            if nxt in hull or nxt in seen:
-                continue
-            group = {nxt}
-            stack = [nxt]
-            while stack:
-                cur = stack.pop()
-                for other, _ in adjacency[cur]:
-                    if other not in hull and other not in group:
-                        group.add(other)
-                        stack.append(other)
-            seen |= group
-            (a, pa), (b, pb) = q.nodes[node_idx]
-            host_point = pa if a == host else pb
-            tails.append(Tail(frozenset(group), host, host_point))
+    for child, components in groups.items():
+        host = parent[child]
+        (a, pa), (_, pb) = q.nodes[reached[child]]
+        tails.append(Tail(frozenset(components), host, pa if a == host else pb))
     return tuple(sorted(tails, key=lambda t: (t.host, t.host_point.sort_key())))
 
 
@@ -259,7 +236,7 @@ def _deterministic_tail(values, beta, zero_start):
     return tuple(sections), counter
 
 
-def surjectivity_witness(q, length_bound=None):
+def surjectivity_witness(q):
     """A stable map whose contraction is the given valid stable quasimap.
 
     Grafts a deterministic rational tail at each basepoint (simple disjoint
@@ -278,12 +255,10 @@ def surjectivity_witness(q, length_bound=None):
     fan = q.fan
     if not stability(q, "quasimap"):
         raise ValueError("the witness search needs a stable quasimap")
-    if not is_fano(fan):
-        bound = length_bound if length_bound is not None else enumeration_degree(degrees(q)[0])
-        if not relaxed_surjectivity_condition(fan, bound):
-            raise ValueError(
-                "target is neither Fano nor passes the relaxed surjectivity condition"
-            )
+    # the relaxed condition is checked on every class the search can meet
+    if not (is_fano(fan) or relaxed_surjectivity_condition(
+            fan, enumeration_degree(degrees(q)[0]))):
+        raise ValueError("target is neither Fano nor passes the relaxed surjectivity condition")
     bps = basepoints(q)
     for bp in bps:
         if bp.place.rational_point() is None:

@@ -19,18 +19,17 @@ inverted.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
 
-from .basepoint import INF, _locate_degree
+from .basepoint import INF, _cone_table, _locate_degree
 from .classes import (CurveClass, DivisorClass, ample_functional, anchor_rays,
                       divisor_from_ray_coefficients, effective_classes,
                       enumeration_degree, nef_hilbert_basis)
 from .fan import (dual_basis, memo, primitive_collections, product_fan,
                   projective_space_fan, require_valid)
 from .forms import BinaryForm, _quotient, poly_mul
-from .linalg import int_or_frac, lattice_map_is_surjective, solve_square
-from .quasimap import (Quasimap, _absorbs, _orders_at, _twist_away, basepoints, degrees,
-                       extend_at, same_morphism_sections, validate_quasimap)
+from .linalg import box_points, int_or_frac, lattice_map_is_surjective, solve_square
+from .quasimap import (Quasimap, _absorbs, _first_cone, _orders_at, _twist_away, basepoints,
+                       degrees, extend_at, same_morphism_sections, validate_quasimap)
 from .record import Record
 
 
@@ -45,12 +44,14 @@ class EmbeddingSpec(Record):
             source=source, target=target, coeffs=tuple(map(int_or_frac, coeffs)),
             exponents=tuple(tuple(int(e) for e in exp) for exp in exponents))
 
-    def monomial_support(self, tau):
-        return self._monomial_supports()[tau]
 
-    @memo
-    def _monomial_supports(self):
-        return tuple(frozenset(i for i, e in enumerate(exp) if e > 0) for exp in self.exponents)
+@memo
+def _fixed_point_zeros(emb):
+    """Per source maximal cone, the target rays whose monomials vanish at its
+    fixed point: those whose exponent vector meets the cone."""
+    return tuple(frozenset(tau for tau, exp in enumerate(emb.exponents)
+                           if any(exp[rho] for rho in cone))
+                 for cone in emb.source.max_cones)
 
 
 def _solve_character(fan, pairings):
@@ -103,17 +104,17 @@ def validate_embedding(emb):
             return ["degree data is incompatible: a target character does not pull "
                     "back to a source character"]
 
-    # base-locus condition: no common zero of a target primitive collection
-    # outside the source unstable locus
-    for pc in primitive_collections(emb.target):
-        for cone in emb.source.max_cones:
-            cone_set = set(cone)
-            if not any(not (emb.monomial_support(tau) & cone_set) for tau in sorted(pc)):
-                report.append(
-                    f"monomials of the target primitive collection {tuple(sorted(pc))} "
-                    f"have a common zero on the chart of source cone {cone}"
-                )
-                break
+    # base-locus condition: at each source fixed point the vanishing monomials
+    # lie in a target cone; the target primitive collections only name a failure
+    bad = [(cone, zeros) for cone, zeros in zip(emb.source.max_cones, _fixed_point_zeros(emb))
+           if _first_cone(emb.target, zeros) is None]
+    for pc in primitive_collections(emb.target) if bad else ():
+        cone = next((cone for cone, zeros in bad if pc <= zeros), None)
+        if cone is not None:
+            report.append(
+                f"monomials of the target primitive collection {tuple(sorted(pc))} "
+                f"have a common zero on the chart of source cone {cone}"
+            )
     return report
 
 
@@ -176,19 +177,18 @@ def chart_cover(emb):
     src, tgt = emb.source, emb.target
     coordinates = [tuple(int(j == k) for j in range(src.dim)) for k in range(src.dim)]
     cover = {}
-    for si, scone in enumerate(src.max_cones):
-        scone_set = set(scone)
+    for si, (scone, zeros) in enumerate(zip(src.max_cones, _fixed_point_zeros(emb))):
         entries = []
-        for ti, tcone in enumerate(tgt.max_cones):
-            if any(emb.monomial_support(tau) & scone_set
-                   for tau in tgt.cone_complement(tcone)):
+        for ti, _, tcone_set, rows in _cone_table(tgt):
+            # the monomials off the target cone must be units at the fixed point
+            if not zeros <= tcone_set:
                 continue
             # each target character pulls back to a source character, as
             # require_valid_embedding checked; its pairings with the cone's
             # rays are its coordinates in the cone's dual basis, and they are
             # nonnegative: the monomials off the target cone miss those rays
             found = {}
-            for w in tgt.exponent_matrix(tcone):
+            for w in rows:
                 v = _pull_back_character(emb, w)
                 found.setdefault(tuple(v[i] for i in scone), w)
             lifts = tuple(found.get(e) for e in coordinates)
@@ -222,12 +222,7 @@ def polytope_lattice_points(fan, coeffs):
             sol = solve_square([fan.rays[i] for i in subset], [rhs[i] for i in subset])
             if sol is not None and inside(sol):
                 vertices.append(sol)
-        if not vertices:
-            return []
-    lo = [min(v[k] for v in vertices) for k in range(n)]
-    hi = [max(v[k] for v in vertices) for k in range(n)]
-    box = product(*[range(ceil(l), floor(h) + 1) for l, h in zip(lo, hi)])
-    return sorted(filter(inside, box))
+    return list(box_points(vertices, inside))
 
 
 def build_epic_embedding(fan, generators=None):

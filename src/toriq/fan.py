@@ -89,13 +89,6 @@ class Fan(Record):
         """E[k][rho] = <m_k, u_rho> for the dual basis m_k of a maximal cone."""
         return tuple(self.pairing(m) for m in dual_basis(self, sigma))
 
-    def to_dict(self):
-        return {
-            "dim": self.dim,
-            "rays": [list(r) for r in self.rays],
-            "max_cones": [list(c) for c in self.max_cones],
-        }
-
 
 def _is_primitive(ray):
     g = 0
@@ -237,20 +230,26 @@ def walls(fan):
     return tuple((facet, tuple(owners)) for facet, owners in sorted(incidence.items()))
 
 
+def breadth_first(n, edges, root=0):
+    """Breadth-first walk from ``root`` over the graph on vertices 0..n-1:
+    the vertices in visit order, and per visited vertex the index of the edge
+    that reached it (None at the root)."""
+    adjacency = [[] for _ in range(n)]
+    for idx, (a, b) in enumerate(edges):
+        adjacency[a].append((b, idx))
+        adjacency[b].append((a, idx))
+    order, reached = [root], {root: None}
+    for vertex in order:
+        for nxt, idx in adjacency[vertex]:
+            if nxt not in reached:
+                reached[nxt] = idx
+                order.append(nxt)
+    return order, reached
+
+
 def is_connected(n, edges):
     """Whether the graph on vertices 0..n-1 (n >= 1) with these edges is connected."""
-    adjacency = {i: set() for i in range(n)}
-    for a, b in edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == n
+    return len(breadth_first(n, edges)[0]) == n
 
 
 def _fan_condition_violations(fan, fan_walls):
@@ -312,8 +311,9 @@ def _violations(fan):
     if not fan.max_cones:
         return ["fan has no maximal cones"]
     for cone in fan.max_cones:
-        if len(cone) != fan.dim:
-            report.append(f"maximal cone {cone} does not have {fan.dim} rays")
+        if len(set(cone)) != fan.dim or len(cone) != fan.dim:
+            distinct = " distinct" if len(cone) == fan.dim else ""
+            report.append(f"maximal cone {cone} does not have {fan.dim}{distinct} rays")
     if report:
         return report
     bases = _dual_bases(fan)

@@ -64,7 +64,11 @@ def fan_from_dict(data):
 
 
 def fan_to_dict(fan):
-    return fan.to_dict()
+    return {
+        "dim": fan.dim,
+        "rays": [list(r) for r in fan.rays],
+        "max_cones": [list(c) for c in fan.max_cones],
+    }
 
 
 def _pair(data, shape):

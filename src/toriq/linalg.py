@@ -12,12 +12,13 @@ polytope, ``kernel_basis`` and ``primitive_vector`` the nef cone's extreme
 rays (the latter also the integer gcd of ``forms``),
 ``lattice_map_is_surjective`` the epic check of an embedding from the maximal
 minors, and ``int_or_frac`` the int-or-Fraction storage of classes, forms and
-embedding coefficients.
+embedding coefficients.  ``box_points`` enumerates the lattice points of a
+polytope and of a truncated cone from their vertices' bounding box.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from itertools import combinations, product
+from math import ceil, floor, gcd, lcm
 
 
 def frac(x):
@@ -112,6 +113,13 @@ def primitive_vector(vec):
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)
+
+
+def box_points(vertices, test):
+    """The integer points of the vertices' bounding box that pass ``test``, in
+    lexicographic order; no points for no vertices."""
+    ranges = [range(ceil(min(xs)), floor(max(xs)) + 1) for xs in zip(*vertices)]
+    return filter(test, product(*ranges)) if vertices else iter(())
 
 
 def lattice_map_is_surjective(mat):

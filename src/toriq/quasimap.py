@@ -11,7 +11,7 @@ quasimap rebuilt from a built one (``Quasimap._unchecked``) reuses them.
 
 from fractions import Fraction
 
-from .basepoint import INF, OrderVector, _cone_table, _locate_degree, length_at_point
+from .basepoint import INF, OrderVector, _cone_table, _locate_degree
 from .classes import CurveClass, _degree_functional
 from .fan import _degenerate_collections, is_connected, primitive_collections, require_valid
 from .forms import common_zero_places
@@ -422,8 +422,3 @@ def equal_quasimaps(q1, q2):
             _nondegenerate_sections(q, comp)
     return all(same_morphism_sections(q1.fan, first, second)
                for first, second in zip(q1.components, q2.components))
-
-
-def basepoint_length(q, bp):
-    """Length of the quasimap at a basepoint place."""
-    return length_at_point(q.fan, bp.orders)

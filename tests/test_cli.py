@@ -331,6 +331,15 @@ def test_malformed_max_length_env_is_usage_error(capsys, monkeypatch, raw):
     assert code == 2 and err.startswith("usage error: TORIQ_MAX_LENGTH")
 
 
+def test_witness_does_not_read_max_length_env(capsys, monkeypatch):
+    monkeypatch.delenv("TORIQ_MAX_LENGTH", raising=False)
+    expected = run(capsys, "witness", fx("section_line.json"))
+    assert expected[0] == 0
+    assert "contraction equal to the input by construction" in expected[1]
+    monkeypatch.setenv("TORIQ_MAX_LENGTH", "abc")
+    assert run(capsys, "witness", fx("section_line.json")) == expected
+
+
 FACTOR_P2 = ("class", "factor", fx("p2.json"), "--class", "2,2,2")
 FIBRE_SEGRE = ("embed", "fibre", fx("segre.json"), fx("segre_q1.json"), "--class", "2,2,2,2")
 

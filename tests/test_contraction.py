@@ -6,7 +6,7 @@ import pytest
 from toriq import contraction, quasimap
 from toriq.cases import family_contracted, family_map
 from toriq.classes import effective_classes, length
-from toriq.contraction import (StableMapTree, _deterministic_tail, contract,
+from toriq.contraction import (StableMapTree, Tail, _deterministic_tail, contract,
                                contraction_condition, graft, prune,
                                rational_tails, surjectivity_witness)
 from toriq.fan import product_fan, projective_space_fan
@@ -15,7 +15,7 @@ from toriq.quasimap import (Quasimap, basepoints, component_basepoints, degrees,
                             equal_quasimaps, extend_at, section_values, stability,
                             validate_quasimap)
 
-from qmgen import random_quasimap, random_stable_quasimap
+from qmgen import GiveUp, random_quasimap, random_stable_quasimap
 
 
 def F(deg, *coeffs):
@@ -424,3 +424,89 @@ def test_witness_scans_each_component_once(p2, bl0p2, p1xp1, p3, monkeypatch):
         assert len(scans) == q.n_components + grafts
         total_grafts += grafts
     assert total_grafts >= 20
+
+
+# Reference for the rational tails: the marked hull from one walk, then one
+# more walk per unmarked subtree hanging off it, which the single
+# breadth-first walk of rational_tails replaces.
+
+def rational_tails_oracle(q):
+    marked = {c for c, _ in q.markings}
+    if not marked:
+        return ()
+    adjacency = {i: [] for i in range(q.n_components)}
+    for idx, ((a, pa), (b, pb)) in enumerate(q.nodes):
+        adjacency[a].append((b, idx))
+        adjacency[b].append((a, idx))
+    hull = set()
+    root = next(iter(marked))
+    parent = {root: None}
+    stack = [root]
+    while stack:
+        cur = stack.pop()
+        for nxt, _ in adjacency[cur]:
+            if nxt not in parent:
+                parent[nxt] = cur
+                stack.append(nxt)
+    for comp in marked:
+        cur = comp
+        while cur is not None:
+            hull.add(cur)
+            cur = parent[cur]
+    tails = []
+    seen = set()
+    for host in sorted(hull):
+        for nxt, node_idx in adjacency[host]:
+            if nxt in hull or nxt in seen:
+                continue
+            group = {nxt}
+            stack = [nxt]
+            while stack:
+                cur = stack.pop()
+                for other, _ in adjacency[cur]:
+                    if other not in hull and other not in group:
+                        group.add(other)
+                        stack.append(other)
+            seen |= group
+            (a, pa), (b, pb) = q.nodes[node_idx]
+            tails.append(Tail(frozenset(group), host, pa if a == host else pb))
+    return tuple(sorted(tails, key=lambda t: (t.host, t.host_point.sort_key())))
+
+
+def _relabelled_tree(q, rng, size):
+    """q's first component on a random tree of ``size`` components with
+    shuffled labels and node ends: rational_tails reads only the tree and the
+    markings, so the sections need not glue."""
+    label = rng.sample(range(size), size)
+    nodes = []
+    for child in range(1, size):
+        ends = [(label[rng.randrange(child)], ProjPoint(1, 2 * child)),
+                (label[child], ProjPoint(1, 2 * child + 1))]
+        rng.shuffle(ends)
+        nodes.append(tuple(ends))
+    rng.shuffle(nodes)
+    return Quasimap._unchecked(q.fan, (q.components[0],) * size, tuple(nodes), ())
+
+
+def test_rational_tails_match_the_two_walk_oracle(p2, p1xp1, bl0p2, hexagon):
+    rng = random.Random(2211)
+    trees = tails = 0
+    for fan, max_length, count in ((p2, 12, 120), (p1xp1, 12, 120), (bl0p2, 12, 120),
+                                   (hexagon, 4, 40)):
+        for _ in range(count):
+            try:
+                q = random_quasimap(fan, rng, max_components=6, max_total_length=max_length)
+            except GiveUp:
+                continue
+            for tree in (q, _relabelled_tree(q, rng, rng.randint(2, 9))):
+                trees += tree.n_components > 2
+                n = tree.n_components
+                subsets = (range(n), [rng.randrange(n)], [], rng.sample(range(n), min(n, 2)),
+                           [c for c, _ in q.markings if c < n])
+                for comps in subsets:
+                    marks = tuple((c, ProjPoint(1, 50 + k)) for k, c in enumerate(comps))
+                    marked = Quasimap._unchecked(fan, tree.components, tree.nodes, marks)
+                    expected = rational_tails_oracle(marked)
+                    assert rational_tails(marked) == expected, marked
+                    tails += len(expected)
+    assert trees >= 400 and tails >= 2000

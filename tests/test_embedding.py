@@ -468,8 +468,8 @@ def _oracle_chart_cover(emb):
         duals_x = dual_basis(src, scone)
         entries = []
         for ti, tcone in enumerate(tgt.max_cones):
-            if any(emb.monomial_support(tau) & scone_set
-                   for tau in tgt.cone_complement(tcone)):
+            if any(emb.exponents[tau][rho] > 0 for tau in tgt.cone_complement(tcone)
+                   for rho in scone_set):
                 continue
             chars = []
             ok = True
@@ -674,6 +674,95 @@ def test_chart_cover_of_a_non_covering_embedding(p1):
     cover = assert_cover_matches_oracle(square)
     assert cover == {0: (), 1: ()}
     assert not covers_all_charts(square)
+
+
+# References for the fixed-point zero sets: the base-locus loop over the
+# target's primitive collections and the chart cover's test on the monomials
+# off each target cone, both reading the monomial supports, which
+# validate_embedding and chart_cover replace by one zero set per source cone.
+
+def _supports(emb):
+    return [frozenset(rho for rho, e in enumerate(exp) if e > 0) for exp in emb.exponents]
+
+
+def base_locus_oracle(emb):
+    supports = _supports(emb)
+    report = []
+    for pc in primitive_collections(emb.target):
+        for cone in emb.source.max_cones:
+            if not any(not (supports[tau] & set(cone)) for tau in sorted(pc)):
+                report.append(
+                    f"monomials of the target primitive collection {tuple(sorted(pc))} "
+                    f"have a common zero on the chart of source cone {cone}")
+                break
+    return report
+
+
+def chart_cover_support_oracle(emb):
+    src, tgt = emb.source, emb.target
+    supports = _supports(emb)
+    coordinates = [tuple(int(j == k) for j in range(src.dim)) for k in range(src.dim)]
+    cover = {}
+    for si, scone in enumerate(src.max_cones):
+        entries = []
+        for ti, tcone in enumerate(tgt.max_cones):
+            if any(supports[tau] & set(scone) for tau in tgt.cone_complement(tcone)):
+                continue
+            found = {}
+            for w in tgt.exponent_matrix(tcone):
+                v = _pull_back_character(emb, w)
+                found.setdefault(tuple(v[i] for i in scone), w)
+            lifts = tuple(found.get(e) for e in coordinates)
+            if None not in lifts:
+                entries.append({"target_cone": ti, "lifts": lifts})
+        cover[si] = tuple(entries)
+    return cover
+
+
+def _corrupted(emb, rng):
+    """One to three target rays take another exponent vector of the same
+    degree: another ray's, or their own shifted by a small source character,
+    which may turn negative; now and then a coefficient vanishes or an entry
+    moves by one, which the earlier checks catch."""
+    exps = [list(e) for e in emb.exponents]
+    coeffs = list(emb.coeffs)
+    for _ in range(rng.randint(1, 3)):
+        tau = rng.randrange(len(exps))
+        kind = rng.randrange(5)
+        if kind < 2:
+            same = [e for e in exps if _solve_character(
+                emb.source, tuple(a - b for a, b in zip(exps[tau], e))) is not None]
+            exps[tau] = list(rng.choice(same))
+        elif kind < 4:
+            m = [rng.randint(-1, 1) for _ in range(emb.source.dim)]
+            exps[tau] = [e + v for e, v in zip(exps[tau], emb.source.pairing(m))]
+        elif rng.random() < 0.5:
+            coeffs[tau] = 0
+        else:
+            exps[tau][rng.randrange(len(exps[tau]))] += rng.choice((-1, 1))
+    return EmbeddingSpec(emb.source, emb.target, coeffs, exps)
+
+
+def test_fixed_point_zero_sets_match_the_support_oracles(request, p1):
+    """validate_embedding's list and chart_cover's table equal the support
+    oracles' on the built embeddings, segre.json, t -> t^2 and seeded
+    corruptions of them."""
+    square = EmbeddingSpec(p1, p1, (1, 1), ((2, 0), (0, 2)))
+    bases = [embedding_named(request, name) for name in CONFTEST_FANS + ["segre.json"]]
+    bases.append(square)
+    rng = random.Random(2212)
+    corrupted = [_corrupted(rng.choice(bases), rng) for _ in range(300)]
+    reached = Counter()
+    for k, emb in enumerate(bases + corrupted):
+        report = validate_embedding(emb)
+        if any("common zero" not in line for line in report):
+            continue  # failed a check that runs before the base-locus condition
+        assert report == base_locus_oracle(emb), emb
+        if not report:
+            assert chart_cover(emb) == chart_cover_support_oracle(emb), emb
+        if k >= len(bases):
+            reached["invalid" if report else "valid"] += 1
+    assert reached["invalid"] >= 60 and reached["valid"] >= 20, reached
 
 
 def test_factored_units_are_ints_where_integral(request):

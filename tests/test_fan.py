@@ -261,6 +261,25 @@ def test_wall_test_agrees_with_all_pairs_oracle(seeded_corpus):
     assert stage_failures >= 30
 
 
+def test_size_check_names_repeated_rays(seeded_corpus, p2):
+    repeated = Fan(2, p2.rays, ((0, 0), (0, 2), (1, 2)))
+    assert validate_fan(repeated) == ["maximal cone (0, 0) does not have 2 distinct rays"]
+    too_long = Fan(2, p2.rays, ((0, 0, 1), (0, 2), (1, 2)))
+    assert validate_fan(too_long) == ["maximal cone (0, 0, 1) does not have 2 rays"]
+    repeats = 0
+    for fan in seeded_corpus:
+        report = validate_fan(fan)
+        if any(word in line for line in report
+               for word in ("not pairwise distinct", "is zero", "not primitive")):
+            continue  # failed a check that runs before the size check
+        expected = [f"maximal cone {cone} does not have {fan.dim}"
+                    f"{' distinct' if len(cone) == fan.dim else ''} rays"
+                    for cone in fan.max_cones if len(set(cone)) != fan.dim or len(cone) != fan.dim]
+        assert [line for line in report if "does not have" in line] == expected, fan
+        repeats += any(len(set(cone)) < len(cone) for cone in fan.max_cones)
+    assert repeats >= 4
+
+
 # Reference for smoothness: the determinant of each maximal cone's rays,
 # which validate_fan no longer computes (it asks for an integral dual basis).
 
@@ -293,8 +312,12 @@ BEFORE_SMOOTHNESS = ("not pairwise distinct", "is zero", "not primitive",
 def test_smoothness_agrees_with_determinant_oracle(seeded_corpus):
     singular = Fan(2, ((1, 0), (-1, 0), (0, 1)), ((0, 1), (0, 2), (1, 2)))
     index_two = Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
+    # the corpus's cones with a repeated ray stop at the size check; more
+    # perturbations of its named fans keep the floor of checked fans below
+    rng = random.Random(2207)
+    extra = [_perturbed(rng.choice(seeded_corpus[:7]), rng) for _ in range(20)]
     checked = non_smooth = 0
-    for fan in seeded_corpus + [singular, index_two]:
+    for fan in seeded_corpus + extra + [singular, index_two]:
         report = validate_fan(fan)
         if any(word in line for line in report for word in BEFORE_SMOOTHNESS):
             continue

@@ -1,6 +1,6 @@
-"""The integer elimination of ``linalg``, its surjectivity test and the
-cone-point vertices of ``polytope_lattice_points`` against the code they
-replaced."""
+"""The integer elimination of ``linalg``, its surjectivity test, its box walk
+and the cone-point vertices of ``polytope_lattice_points`` against the code
+they replaced."""
 
 import random
 from fractions import Fraction
@@ -12,7 +12,8 @@ from toriq.classes import divisor_from_ray_coefficients, is_nef, nef_hilbert_bas
 from toriq import embedding
 from toriq.embedding import polytope_lattice_points
 from toriq.fan import product_fan, projective_space_fan
-from toriq.linalg import frac, invert, kernel_basis, lattice_map_is_surjective, solve_square
+from toriq.linalg import (box_points, frac, invert, kernel_basis, lattice_map_is_surjective,
+                          solve_square)
 
 
 # Reference: rational Gauss-Jordan elimination, every entry a Fraction.
@@ -312,3 +313,27 @@ def test_polytope_points_agree_with_subset_oracle(polytope_fans, monkeypatch):
             else:
                 not_nef += 1
     assert nef > 250 and not_nef > 250
+
+
+def test_box_points_agree_with_product_oracle():
+    """The box walk keeps, in order, the points of a fixed wide grid that lie
+    between the vertices' least and greatest coordinates and pass the test."""
+    rng = random.Random(2213)
+    kept = 0
+    for _ in range(60):
+        dim = rng.randint(1, 3)
+        vertices = [tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(dim))
+                    for _ in range(rng.randint(1, 4))]
+        modulus = rng.randint(1, 3)
+
+        def test(point):
+            return sum(point) % modulus == 0
+
+        lo = [min(xs) for xs in zip(*vertices)]
+        hi = [max(xs) for xs in zip(*vertices)]
+        expected = [p for p in product(range(-9, 10), repeat=dim)
+                    if all(a <= x <= b for a, x, b in zip(lo, p, hi)) and test(p)]
+        assert list(box_points(vertices, test)) == expected, vertices
+        kept += len(expected)
+    assert list(box_points([], lambda p: True)) == []
+    assert kept >= 800

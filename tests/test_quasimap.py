@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from toriq.basepoint import INF, OrderVector, degree_at_point
+from toriq.basepoint import INF, OrderVector, degree_at_point, length_at_point
 from toriq.classes import CurveClass, effective_classes, is_effective, wall_curve_classes
 from toriq.contraction import contract, surjectivity_witness
 from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
@@ -15,7 +15,7 @@ from toriq.forms import BinaryForm, Place, ProjPoint, common_zero_places
 from toriq.linalg import kernel_basis, primitive_vector
 from toriq.quasimap import (BasepointPlace, Quasimap, _absorbs, _chart, _chart_cone,
                             _orders_at, _orthogonal_characters, _same_point, _twist_away,
-                            basepoint_length, basepoints, component_basepoints, degrees,
+                            basepoints, component_basepoints, degrees,
                             equal_quasimaps, evaluate, extend_at, regular_extension,
                             same_curve, same_morphism_sections, section_values, stability,
                             validate_quasimap)
@@ -71,7 +71,7 @@ def test_basepoints_section_line(section_line):
     bp, = basepoints(section_line)
     assert bp.place == Place.infinity()
     assert bp.degree.pairings == (1, 1, 1)
-    assert basepoint_length(section_line, bp) == 1
+    assert length_at_point(section_line.fan, bp.orders) == 1
 
 
 def test_basepoints_segre(segre_pair):
