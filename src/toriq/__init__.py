@@ -3,7 +3,7 @@ toric quasimaps: basepoint degrees, epic embeddings into products of
 projective spaces, the map-to-quasimap contraction and its surjectivity
 witnesses."""
 
-from .basepoint import INF, OrderVector, degree_at_point, length_at_point, twist_orders
+from .basepoint import INF, OrderVector, degree_at_point, length_at_point
 from .classes import (CurveClass, DivisorClass, beta_a_sigma, divisor_class,
                       factorizations, is_ample, is_effective, is_fano, is_nef,
                       length, nef_hilbert_basis, wall_curve_classes)

@@ -157,26 +157,3 @@ def length_at_point(fan, ord_vector):
     if not totals:
         raise ValueError("no maximal cone admits the order vector")
     return min(totals)
-
-
-def twist_orders(fan, ord_vector, beta):
-    """Orders after twisting by a curve class, or None when a value drops below 0.
-
-    Infinite entries stay infinite.  This is the brute-force oracle primitive:
-    ``beta`` is the degree at the point exactly when the twist succeeds and
-    the result is a non-basepoint vector.
-    """
-    if not isinstance(ord_vector, OrderVector):
-        ord_vector = OrderVector(fan, tuple(ord_vector))
-    if not isinstance(beta, CurveClass):
-        beta = CurveClass(fan, tuple(beta))
-    new = []
-    for o, d in zip(ord_vector.orders, beta.pairings):
-        if is_infinite(o):
-            new.append(INF)
-            continue
-        v = o - d
-        if v < 0:
-            return None
-        new.append(v)
-    return OrderVector(fan, tuple(new))

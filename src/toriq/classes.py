@@ -5,9 +5,11 @@ the toric boundary divisors; divisor classes in the anchor basis given by the
 boundary divisors away from the fan's first maximal cone.  Values are ints
 where integral, as on a smooth fan they usually are, and Fractions only where
 a class is rational.  Effectivity is membership in the rational cone spanned
-by the wall curve classes, decided exactly through the dual (nef) cone.
-The ray-relation check runs once, at the boundary, in the public
-``CurveClass`` constructor; sums, multiples and degrees at a point skip it.
+by the wall curve classes, decided exactly through the dual (nef) cone; one
+test (``_in_dual``) decides both cones.  The ray-relation check runs once, at
+the boundary, in the public ``CurveClass`` constructor; sums, multiples,
+degrees at a point, ``beta_a_sigma`` (so wall and anchor classes), a valid
+quasimap's degrees and pushforwards along a valid embedding skip it.
 """
 
 import operator
@@ -29,7 +31,7 @@ class CurveClass(Record):
         self.__post_init__(fan, pairings)
         if len(self.pairings) != fan.n_rays:
             raise ValueError("pairing vector length does not match the ray count")
-        if any(sum(map(operator.mul, self.pairings, column)) for column in zip(*fan.rays)):
+        if any(_dot(self.pairings, column) for column in zip(*fan.rays)):
             raise ValueError(f"pairing vector {self.pairings} is not a curve class "
                              "(it pairs inconsistently with the ray relations)")
 
@@ -81,8 +83,7 @@ class DivisorClass(Record):
 
     def pair(self, beta):
         """Intersection number with a curve class."""
-        anchor = anchor_rays(self.fan)
-        return sum(c * beta.pairings[i] for c, i in zip(self.coords, anchor))
+        return _dot(self.coords, beta.anchor_coords)
 
     def __add__(self, other):
         return DivisorClass(self.fan, tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -114,26 +115,23 @@ def picard_rank(fan):
 @memo
 def divisor_class(fan, rho):
     """The class of the boundary divisor attached to ray ``rho`` in the anchor basis."""
-    require_valid(fan)
-    anchor = anchor_rays(fan)
-    if rho in anchor:
-        return DivisorClass(fan, tuple(int(i == rho) for i in anchor))
-    sigma0 = fan.max_cones[0]
-    row = fan.exponent_matrix(sigma0)[sigma0.index(rho)]
-    return DivisorClass(fan, tuple(-row[i] for i in anchor))
+    return divisor_from_ray_coefficients(fan, tuple(int(i == rho) for i in range(fan.n_rays)))
 
 
 def divisor_from_ray_coefficients(fan, coeffs):
-    """Anchor-basis class of an integer combination of boundary divisors."""
-    total = None
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        term = c * divisor_class(fan, i)
-        total = term if total is None else total + term
-    if total is None:
-        return DivisorClass(fan, (0,) * len(anchor_rays(fan)))
-    return total
+    """Anchor-basis class of a combination sum c_rho D_rho of boundary divisors.
+
+    The divisor of the dual basis character m_k of the first cone sigma0 is
+    D_{sigma0_k} + sum_i <m_k, u_i> D_i over the anchor rays i, and it is
+    principal; so coordinate i is c_i - sum_k c_{sigma0_k} <m_k, u_i>.
+    """
+    require_valid(fan)
+    if len(coeffs) != fan.n_rays:
+        raise ValueError("one coefficient per ray is required")
+    sigma0 = fan.max_cones[0]
+    terms = [(coeffs[rho], row) for rho, row in zip(sigma0, fan.exponent_matrix(sigma0))]
+    return DivisorClass(fan, tuple(coeffs[i] - sum(c * row[i] for c, row in terms)
+                                   for i in anchor_rays(fan)))
 
 
 @memo
@@ -146,7 +144,8 @@ def beta_a_sigma(fan, a, sigma):
 
     ``a`` maps ray indices outside the maximal cone ``sigma`` to values
     (sequence indexed by rays, or a dict); rational values are allowed.  The
-    pairings on the cone's own rays are forced by the ray relations.
+    pairings on the cone's own rays are forced by the ray relations, so the
+    result is a class by construction and skips the check.
     """
     require_valid(fan)
     sigma = tuple(sorted(sigma))
@@ -158,7 +157,7 @@ def beta_a_sigma(fan, a, sigma):
         pairings[i] = int_or_frac(a[i])
     for rho, row in zip(sigma, fan.exponent_matrix(sigma)):
         pairings[rho] = -sum(pairings[i] * row[i] for i in complement)
-    return CurveClass(fan, tuple(pairings))
+    return CurveClass._derived(fan, pairings)
 
 
 def curve_class_from_anchor(fan, coords):
@@ -172,7 +171,8 @@ def curve_class_from_anchor(fan, coords):
 
 @memo
 def wall_curve_classes(fan):
-    """One curve class per wall, read off the relation between the adjacent cones.
+    """One curve class per wall: beta_{a,sigma} on one of its cones, with a
+    the indicator of the other cone's ray across the wall.
 
     The order matches ``fan.walls``; these classes generate the cone of
     effective curve classes.
@@ -180,17 +180,9 @@ def wall_curve_classes(fan):
     require_valid(fan)
     out = []
     for facet, (ci, cj) in walls(fan):
-        extra_i = next(iter(set(fan.max_cones[ci]) - set(facet)))
-        extra_j = next(iter(set(fan.max_cones[cj]) - set(facet)))
-        # u_extra_j = -u_extra_i + sum c_rho u_rho over the wall rays, so the
-        # relation u_extra_i + u_extra_j - sum c_rho u_rho = 0 gives the pairings.
-        pairings = [0] * fan.n_rays
-        pairings[extra_i] = 1
-        pairings[extra_j] = 1
-        for rho, row in zip(fan.max_cones[ci], fan.exponent_matrix(fan.max_cones[ci])):
-            if rho != extra_i:
-                pairings[rho] = -row[extra_j]
-        out.append(CurveClass(fan, tuple(pairings)))
+        b = next(rho for rho in fan.max_cones[cj] if rho not in facet)
+        out.append(beta_a_sigma(fan, tuple(int(i == b) for i in range(fan.n_rays)),
+                                fan.max_cones[ci]))
     return tuple(out)
 
 
@@ -210,7 +202,6 @@ def nef_extreme_rays(fan):
     require_valid(fan)
     gens = _mori_generators_anchor(fan)
     rank = picard_rank(fan)
-    candidates = set()
     if rank == 1:
         pool = [(1,), (-1,)]
     else:
@@ -221,26 +212,30 @@ def nef_extreme_rays(fan):
                 continue
             vec = primitive_vector(kern[0])
             pool.extend([vec, tuple(-x for x in vec)])
-    for vec in pool:
-        if all(sum(a * b for a, b in zip(vec, g)) >= 0 for g in gens):
-            candidates.add(vec)
+    candidates = {vec for vec in pool if _in_dual(gens, vec)}
     return tuple(DivisorClass(fan, c) for c in sorted(candidates))
+
+
+def _dot(u, v):
+    return sum(map(operator.mul, u, v))
+
+
+def _in_dual(rows, vec):
+    """Whether ``vec`` pairs nonnegatively with every row."""
+    return all(_dot(row, vec) >= 0 for row in rows)
 
 
 def is_effective(beta):
     """Membership of a curve class in the cone spanned by the wall classes."""
-    fan = beta.fan
-    return all(d.pair(beta) >= 0 for d in nef_extreme_rays(fan))
+    return _in_dual([d.coords for d in nef_extreme_rays(beta.fan)], beta.anchor_coords)
 
 
 def is_nef(divisor):
-    fan = divisor.fan
-    return all(divisor.pair(w) >= 0 for w in wall_curve_classes(fan))
+    return _in_dual(_mori_generators_anchor(divisor.fan), divisor.coords)
 
 
 def is_ample(divisor):
-    fan = divisor.fan
-    return all(divisor.pair(w) > 0 for w in wall_curve_classes(fan))
+    return all(_dot(g, divisor.coords) > 0 for g in _mori_generators_anchor(divisor.fan))
 
 
 @memo
@@ -272,23 +267,23 @@ def length(beta):
     return sum(beta.pairings)
 
 
-def _truncated_cone_lattice_points(generators, is_member, functional, bound):
-    """Lattice points x of a cone with functional(x) <= bound.
+def _truncated_cone_lattice_points(generators, inequalities, functional, bound):
+    """Lattice points x of a cone with <functional, x> <= bound.
 
-    ``generators`` span the cone (ints, anchor coordinates), ``is_member``
-    decides membership, ``functional`` is linear with integer values on the
-    lattice and positive on every generator.
+    ``generators`` span the cone (ints, anchor coordinates), which is the
+    dual of the ``inequalities`` rows; ``functional`` is an integer vector
+    positive on every generator.
     """
     if bound < 0:
         return []
-    rank = len(generators[0])
-    vertices = [tuple(Fraction(0) for _ in range(rank))]
+    vertices = [tuple(Fraction(0) for _ in generators[0])]
     for g in generators:
-        f = functional(g)
+        f = _dot(functional, g)
         if f <= 0:
             raise ValueError("functional is not positive on a cone generator")
         vertices.append(tuple(Fraction(bound, 1) * frac(x) / f for x in g))
-    return list(box_points(vertices, lambda x: functional(x) <= bound and is_member(x)))
+    return list(box_points(
+        vertices, lambda x: _dot(functional, x) <= bound and _in_dual(inequalities, x)))
 
 
 def effective_classes(fan, bound):
@@ -299,20 +294,9 @@ def effective_classes(fan, bound):
     either way the enumeration is finite and exact.
     """
     require_valid(fan)
-    gens = _mori_generators_anchor(fan)
-    nef = nef_extreme_rays(fan)
-    anchor = anchor_rays(fan)
-
-    functional = _degree_functional(fan)
-    fun_anchor = [functional.coords[i] for i in range(len(anchor))]
-
-    def fun(vec):
-        return sum(a * b for a, b in zip(fun_anchor, vec))
-
-    def member(vec):
-        return all(sum(c * v for c, v in zip(d.coords, vec)) >= 0 for d in nef)
-
-    pts = _truncated_cone_lattice_points([list(g) for g in gens], member, fun, bound)
+    pts = _truncated_cone_lattice_points(
+        _mori_generators_anchor(fan), [d.coords for d in nef_extreme_rays(fan)],
+        _degree_functional(fan).coords, bound)
     return [curve_class_from_anchor(fan, p) for p in sorted(pts)]
 
 
@@ -321,21 +305,14 @@ def nef_hilbert_basis(fan):
     """A minimal generating set of the semigroup of nef divisor classes."""
     require_valid(fan)
     gens = _mori_generators_anchor(fan)
-    rank = picard_rank(fan)
-    extremes = nef_extreme_rays(fan)
+    extremes = [d.coords for d in nef_extreme_rays(fan)]
     if not extremes:
         raise ValueError("nef cone has no extreme rays (fan not projective?)")
-
-    def fun(vec):
-        return sum(sum(g[i] * vec[i] for i in range(rank)) for g in gens)
-
-    def member(vec):
-        return all(sum(g[i] * vec[i] for i in range(rank)) >= 0 for g in gens)
-
-    cap = fun([sum(d.coords[i] for d in extremes) for i in range(rank)])
-    pts = [p for p in _truncated_cone_lattice_points(
-        [list(d.coords) for d in extremes], member, fun, cap) if any(x != 0 for x in p)]
-    values = {p: fun(p) for p in pts}
+    functional = tuple(map(sum, zip(*gens)))
+    cap = _dot(functional, map(sum, zip(*extremes)))
+    pts = [p for p in _truncated_cone_lattice_points(extremes, gens, functional, cap)
+           if any(x != 0 for x in p)]
+    values = {p: _dot(functional, p) for p in pts}
     basis = []
     for p in pts:
         reducible = False
@@ -343,7 +320,7 @@ def nef_hilbert_basis(fan):
             if values[q] >= values[p]:
                 continue
             rest = tuple(a - b for a, b in zip(p, q))
-            if any(x != 0 for x in rest) and member(rest):
+            if any(x != 0 for x in rest) and _in_dual(gens, rest):
                 reducible = True
                 break
         if not reducible:
@@ -364,21 +341,16 @@ def factorizations(fan, beta, bound=None):
     cap = enumeration_degree(beta) - 1
     if bound is not None:
         cap = min(cap, bound)
-    pairs = []
-    seen = set()
+    pairs = {}
     for part in effective_classes(fan, cap):
         if part.is_zero():
             continue
         rest = beta - part
         if rest.is_zero() or not is_effective(rest):
             continue
-        key = tuple(sorted([part.anchor_coords, rest.anchor_coords]))
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append((curve_class_from_anchor(fan, key[0]), curve_class_from_anchor(fan, key[1])))
-    pairs.sort(key=lambda pr: (pr[0].anchor_coords, pr[1].anchor_coords))
-    return pairs
+        pair = (part, rest) if part.anchor_coords <= rest.anchor_coords else (rest, part)
+        pairs.setdefault((pair[0].anchor_coords, pair[1].anchor_coords), pair)
+    return [pairs[key] for key in sorted(pairs)]
 
 
 def enumeration_degree(beta):

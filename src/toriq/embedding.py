@@ -54,17 +54,6 @@ def _fixed_point_zeros(emb):
                  for cone in emb.source.max_cones)
 
 
-def _solve_character(fan, pairings):
-    """Integer character m with <m, u_rho> = pairings[rho] for all rays, or None.
-
-    ``pairings`` are ints; the dual basis of the first cone fixes m from them."""
-    sigma0 = fan.max_cones[0]
-    duals = dual_basis(fan, sigma0)
-    m = tuple(sum(pairings[rho] * d[k] for rho, d in zip(sigma0, duals))
-              for k in range(fan.dim))
-    return m if fan.pairing(m) == tuple(pairings) else None
-
-
 def _pull_back_character(emb, w):
     """Pull back the target character with pairings ``w`` against the target
     rays: its pairings against the source rays, as a tuple."""
@@ -98,9 +87,10 @@ def validate_embedding(emb):
         return report
 
     # degree compatibility: target characters must pull back to source
-    # characters; checking the dual basis of one cone, a basis of them, suffices
+    # characters, that is to principal divisors sum v_rho D_rho (class zero);
+    # checking the dual basis of one cone, a basis of them, suffices
     for w in emb.target.exponent_matrix(emb.target.max_cones[0]):
-        if _solve_character(emb.source, _pull_back_character(emb, w)) is None:
+        if any(divisor_from_ray_coefficients(emb.source, _pull_back_character(emb, w)).coords):
             return ["degree data is incompatible: a target character does not pull "
                     "back to a source character"]
 
@@ -144,13 +134,15 @@ def pullback_pic(emb, tau):
 
 
 def pushforward_curves(emb, beta):
-    """Pushforward of a source curve class, by the projection formula."""
+    """Pushforward of a source curve class, by the projection formula.  It is a
+    class by construction, since a valid embedding pulls target characters
+    back to characters."""
     require_valid_embedding(emb)
     pairings = tuple(
         sum(e * d for e, d in zip(emb.exponents[tau], beta.pairings))
         for tau in range(emb.target.n_rays)
     )
-    return CurveClass(emb.target, pairings)
+    return CurveClass._derived(emb.target, pairings)
 
 
 def epic_check(emb):

@@ -270,9 +270,10 @@ def validate_quasimap(q):
 
 
 def degrees(q):
-    """Total and per-component curve classes of the quasimap."""
+    """Total and per-component curve classes of a valid quasimap, unchecked:
+    ``validate_quasimap`` has checked each component's class."""
     per_comp = tuple(
-        CurveClass(q.fan, q.component_degree_vector(c)) for c in range(q.n_components)
+        CurveClass._derived(q.fan, q.component_degree_vector(c)) for c in range(q.n_components)
     )
     total = per_comp[0]
     for beta in per_comp[1:]:

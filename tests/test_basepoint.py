@@ -6,13 +6,36 @@ from itertools import combinations, product
 import pytest
 
 from toriq.basepoint import (INF, OrderVector, _locate_degree, degree_at_point,
-                             length_at_point, twist_orders)
+                             is_infinite, length_at_point)
 from toriq.classes import CurveClass, beta_a_sigma, curve_class_from_anchor, is_effective
 from toriq.fan import (_degenerate_collections, primitive_collections, product_fan,
                        projective_space_fan, require_valid)
 from toriq.quasimap import _first_cone, component_basepoints, degrees
 
 from qmgen import random_order_vector, random_stable_quasimap
+
+
+def twist_orders(fan, ord_vector, beta):
+    """Orders after twisting by a curve class, or None when a value drops below 0.
+
+    Infinite entries stay infinite.  This is the brute-force oracle primitive:
+    ``beta`` is the degree at the point exactly when the twist succeeds and
+    the result is a non-basepoint vector.
+    """
+    if not isinstance(ord_vector, OrderVector):
+        ord_vector = OrderVector(fan, tuple(ord_vector))
+    if not isinstance(beta, CurveClass):
+        beta = CurveClass(fan, tuple(beta))
+    new = []
+    for o, d in zip(ord_vector.orders, beta.pairings):
+        if is_infinite(o):
+            new.append(INF)
+            continue
+        v = o - d
+        if v < 0:
+            return None
+        new.append(v)
+    return OrderVector(fan, tuple(new))
 
 
 def _eligible_cones(fan, vanishing):

@@ -11,7 +11,7 @@ from toriq.classes import (CurveClass, curve_class_from_anchor, divisor_class,
                            effective_classes, nef_hilbert_basis)
 from toriq.basepoint import INF, _locate_degree
 from toriq.embedding import (EmbeddingSpec, _factored_sections, _invert_component,
-                             _pull_back_character, _solve_character,
+                             _pull_back_character,
                              apply_ibar, build_epic_embedding,
                              chart_cover, covers_all_charts, epic_check,
                              fibre_class_pool, fibre_enumeration,
@@ -26,6 +26,17 @@ from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps,
                             validate_quasimap)
 
 from qmgen import GiveUp, _section_tuple, random_quasimap
+
+
+def _solve_character(fan, pairings):
+    """Integer character m with <m, u_rho> = pairings[rho] for all rays, or None.
+
+    ``pairings`` are ints; the dual basis of the first cone fixes m from them."""
+    sigma0 = fan.max_cones[0]
+    duals = dual_basis(fan, sigma0)
+    m = tuple(sum(pairings[rho] * d[k] for rho, d in zip(sigma0, duals))
+              for k in range(fan.dim))
+    return m if fan.pairing(m) == tuple(pairings) else None
 
 
 def F(deg, *coeffs):
