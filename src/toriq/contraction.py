@@ -144,13 +144,11 @@ def contract(f):
 
 
 def graft(q, component, place, tail_sections, attach_point):
-    """Attach a fresh rational component at a basepoint, extending there only.
+    """Attach a fresh rational component at a basepoint ``Place``, extending there only.
 
     The tail sections must have degrees matching the basepoint class and
     evaluate at the attaching point to the same target point as the extended
     sections at the basepoint."""
-    if isinstance(place, ProjPoint):
-        place = Place.of_point(place)
     beta = None
     if 0 <= component < q.n_components:
         beta, _ = degree_at_point(q.fan, _orders_at(q, component, place))

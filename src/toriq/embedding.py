@@ -3,8 +3,10 @@
 The data is the exponent multi-index and a nonzero rational coefficient for
 each ray of the target fan.  The module computes the induced maps on divisor
 and curve classes, decides epicness exactly, builds epic embeddings into
-products of projective spaces from nef generating sets, transports quasimaps
-along an embedding, and enumerates fibres of that transport.
+products of projective spaces from the nef Hilbert basis (valid, epic and
+covering every chart by construction, so the builder checks none of it),
+transports quasimaps along an embedding, and enumerates fibres of that
+transport.
 
 The chart-cover test below is the workhorse: a source chart is covered by a
 target chart when the monomials away from the target cone are invertible on
@@ -21,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .basepoint import INF, _cone_table, _locate_degree
-from .classes import (CurveClass, DivisorClass, ample_functional, anchor_rays,
+from .classes import (CurveClass, ample_functional, anchor_rays,
                       divisor_from_ray_coefficients, effective_classes,
                       enumeration_degree, nef_hilbert_basis)
 from .fan import (dual_basis, memo, primitive_collections, product_fan,
@@ -217,47 +219,36 @@ def polytope_lattice_points(fan, coeffs):
     return list(box_points(vertices, inside))
 
 
-def build_epic_embedding(fan, generators=None):
-    """Epic closed embedding into a product of projective spaces.
+def build_epic_embedding(fan):
+    """Epic closed embedding into a product of projective spaces: per class D
+    of the nef Hilbert basis, with lift d, one factor whose coordinates are
+    the lattice points m of D's polytope, the monomial of exponents d + <m, u>.
 
-    Uses the nef Hilbert basis (or the supplied nef generating set of the
-    Picard group); when the charts are not covered, a canonical ample class is
-    appended, after which coverage is guaranteed.
+    It is valid, epic and covers every chart by construction (Cox-Little-
+    Schenck, ch. 6): the polytope's vertex at a cone sigma is m_sigma, its
+    edge from there along the dual basis vector m_k has length D.C for the
+    wall curve C opposite sigma_k, and a nonzero nef class has two or more
+    lattice points.
+    - Valid: each exponent is >= 0, and two of them differ by a character.
+      At sigma's fixed point only y_{m_sigma} is nonzero in each factor, so
+      the zero set lies in a target cone.
+    - Covers every chart: the coordinate dual to sigma_k is y_{m_sigma+m_k} /
+      y_{m_sigma} in any factor whose class meets C; the basis sums to
+      ``ample_functional``, which meets every wall curve.
+    - Epic: a factor's target divisors pull back to its class, and the basis
+      generates Pic, because the nef cone is full-dimensional.
     """
     require_valid(fan)
-    ample = ample_functional(fan)  # raises on non-projective input
-    gens = list(generators) if generators is not None else list(nef_hilbert_basis(fan))
-    gens = [g if isinstance(g, DivisorClass) else DivisorClass(fan, tuple(g)) for g in gens]
-
-    def assemble(classes):
-        factors = []
-        coeffs = []
-        exponents = []
-        for d in classes:
-            lift = d.ray_coefficients()
-            points = polytope_lattice_points(fan, lift)
-            if len(points) < 2:
-                raise ValueError(
-                    f"nef class {d.coords} has fewer than two sections; cannot "
-                    "build a projective-space factor"
-                )
-            factors.append(projective_space_fan(len(points) - 1))
-            for m in points:
-                exponents.append(tuple(c + p for c, p in zip(lift, fan.pairing(m))))
-                coeffs.append(1)
-        target = product_fan(factors)
-        return EmbeddingSpec(fan, target, tuple(coeffs), tuple(exponents))
-
-    emb = assemble(gens)
-    require_valid_embedding(emb)
-    if not covers_all_charts(emb):
-        emb = assemble(gens + [ample])
-        require_valid_embedding(emb)
-        if not covers_all_charts(emb):
-            raise RuntimeError("chart cover failed even with an ample factor; bug")
-    if not epic_check(emb):
-        raise ValueError("the supplied generators do not generate the Picard group")
-    return emb
+    ample_functional(fan)  # raises on non-projective input
+    factors, coeffs, exponents = [], [], []
+    for d in nef_hilbert_basis(fan):
+        lift = d.ray_coefficients()
+        points = polytope_lattice_points(fan, lift)
+        factors.append(projective_space_fan(len(points) - 1))
+        for m in points:
+            exponents.append(tuple(c + p for c, p in zip(lift, fan.pairing(m))))
+            coeffs.append(1)
+    return EmbeddingSpec(fan, product_fan(factors), tuple(coeffs), tuple(exponents))
 
 
 def apply_ibar(emb, q):

@@ -241,7 +241,8 @@ class BinaryForm(Record):
                 raise ValueError("negative-degree forms must be zero")
             coeffs = ()
         elif len(coeffs) != degree + 1:
-            raise ValueError(f"a degree-{degree} form needs {degree + 1} coefficients")
+            raise ValueError(f"a degree-{degree} form needs {degree + 1} coefficients, "
+                             f"got {len(coeffs)}")
         # poly, the trimmed dehomogenization, stays out of == and hash
         self.__dict__.update(degree=degree, coeffs=coeffs, poly=_trim(coeffs))
 

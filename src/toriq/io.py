@@ -7,6 +7,7 @@ the data bit-exact.
 
 import json
 import os
+import re
 from fractions import Fraction
 
 from .basepoint import INF
@@ -22,16 +23,20 @@ class MalformedInput(ValueError):
     integer or a 'p/q' string."""
 
 
+_SCALAR = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def parse_scalar(value):
+    """An int, or a string of an integer or a fraction p/q in decimal digits."""
     if isinstance(value, bool):
         raise MalformedInput("booleans are not numbers")
     if isinstance(value, float):
         raise MalformedInput("floats are not accepted; use integers or 'p/q' strings")
-    if not isinstance(value, (int, str)):
-        raise MalformedInput(f"cannot parse scalar {value!r}")
+    if not isinstance(value, int) and not (isinstance(value, str) and _SCALAR.fullmatch(value)):
+        raise MalformedInput(f"cannot parse scalar {value!r}; use an integer or a 'p/q' string")
     try:
-        return Fraction(value.strip() if isinstance(value, str) else value)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:  # p/0, or past int's digit limit
         raise MalformedInput(f"cannot parse scalar {value!r} ({exc})") from exc
 
 
@@ -94,12 +99,10 @@ def point_to_json(point):
 def form_from_dict(data):
     degree = parse_int(data["degree"])
     coeffs = tuple(parse_scalar(c) for c in data["coeffs"])
-    if degree < 0:
-        return BinaryForm.zero(degree)
-    if len(coeffs) != degree + 1:
-        raise MalformedInput(f"a degree-{degree} form needs {degree + 1} coefficients, "
-                             f"got {len(coeffs)}")
-    return BinaryForm(degree, coeffs)
+    try:
+        return BinaryForm(degree, coeffs)
+    except ValueError as exc:  # a wrong count, or a negative degree's nonzero coefficient
+        raise MalformedInput(str(exc)) from exc
 
 
 def form_to_dict(form):

@@ -302,6 +302,39 @@ def test_malformed_quasimap_shape_is_usage_error(tmp_path, capsys, field, value)
     assert code == 2 and err.startswith("usage error")
 
 
+@pytest.mark.parametrize("scalar", ["1.5", "1e3", "1_000", "1e200000", " 2 2 "])
+def test_scalars_outside_the_grammar_are_usage_errors(tmp_path, capsys, scalar):
+    """A scalar is an integer or a 'p/q' string of decimal digits, as a
+    quasimap coefficient, an --orders entry and a --class entry alike."""
+    data = json.loads(fixture_path("section_line.json").read_text())
+    data["components"][0][2]["coeffs"][0] = scalar
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for argv in [("quasimap", "analyze", str(bad)),
+                 ("basepoint-degree", "--fan", fx("bl0p2.json"), "--orders", f"{scalar},0,inf,1"),
+                 ("class", "length", fx("bl0p2.json"), "--class", f"{scalar},1,1,0")]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("usage error"), argv
+
+
+def test_negative_degree_form_with_nonzero_coefficients_is_usage_error(tmp_path, capsys):
+    # on the blow-up, (0, 1, 1, -1) is the class of a line through the centre;
+    # its ray-3 section has negative degree, so it must be zero
+    data = {"fan": json.loads(fixture_path("bl0p2.json").read_text()),
+            "components": [[{"degree": 0, "coeffs": [1]}, {"degree": 1, "coeffs": [1, 0]},
+                            {"degree": 1, "coeffs": [0, 1]}, {"degree": -1, "coeffs": [7, 7]}]],
+            "markings": [[0, [1, 1]], [0, [1, 2]], [0, [1, 3]]]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for command in (("quasimap", "analyze"), ("contract", "apply")):
+        code, _, err = run(capsys, *command, str(bad))
+        assert code == 2 and "negative-degree forms must be zero" in err, command
+    data["components"][0][3]["coeffs"] = []
+    bad.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "--json", "quasimap", "analyze", str(bad))
+    assert code == 0 and json.loads(out)["degree"] == [0, 1, 1, -1]
+
+
 def test_witness_rejects_invalid_quasimap(tmp_path, capsys):
     data = json.loads(fixture_path("section_line.json").read_text())
     data["nodes"] = [[[0, [1, 3]], [1, [1, 0]]]]  # component 1 does not exist

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from toriq.cases import fixture_path, projective_blocks
-from toriq.classes import (CurveClass, curve_class_from_anchor, divisor_class,
-                           effective_classes, nef_hilbert_basis)
+from toriq.classes import (CurveClass, DivisorClass, ample_functional,
+                           curve_class_from_anchor, divisor_class, effective_classes,
+                           nef_hilbert_basis, wall_curve_classes)
 from toriq.basepoint import INF, _locate_degree
 from toriq.embedding import (EmbeddingSpec, _factored_sections, _invert_component,
                              _pull_back_character,
@@ -16,9 +17,10 @@ from toriq.embedding import (EmbeddingSpec, _factored_sections, _invert_componen
                              chart_cover, covers_all_charts, epic_check,
                              fibre_class_pool, fibre_enumeration,
                              invert_through_charts, polytope_lattice_points,
-                             pullback_pic, pushforward_curves, validate_embedding)
+                             pullback_pic, pushforward_curves, require_valid_embedding,
+                             validate_embedding)
 from toriq.fan import (Fan, dual_basis, primitive_collections, product_fan,
-                       projective_space_fan)
+                       projective_space_fan, require_valid)
 from toriq.forms import BinaryForm, Place, ProjPoint, poly_mul
 from toriq.io import load_embedding
 from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps,
@@ -152,12 +154,98 @@ def test_build_epic_embedding_hexagon(hexagon):
     assert epic_check(emb)
 
 
+# The builder as it was before it was certified by construction, kept as the
+# oracle of test_builder_matches_its_checked_oracle: any nef generating set of
+# the Picard group, a canonical ample class appended when the charts are not
+# covered, and every property checked.
+
+def _assemble_oracle(fan, classes):
+    factors = []
+    coeffs = []
+    exponents = []
+    for d in classes:
+        lift = d.ray_coefficients()
+        points = polytope_lattice_points(fan, lift)
+        if len(points) < 2:
+            raise ValueError(
+                f"nef class {d.coords} has fewer than two sections; cannot "
+                "build a projective-space factor"
+            )
+        factors.append(projective_space_fan(len(points) - 1))
+        for m in points:
+            exponents.append(tuple(c + p for c, p in zip(lift, fan.pairing(m))))
+            coeffs.append(1)
+    target = product_fan(factors)
+    return EmbeddingSpec(fan, target, tuple(coeffs), tuple(exponents))
+
+
+def build_epic_embedding_oracle(fan, generators=None):
+    require_valid(fan)
+    ample = ample_functional(fan)  # raises on non-projective input
+    gens = list(generators) if generators is not None else list(nef_hilbert_basis(fan))
+    gens = [g if isinstance(g, DivisorClass) else DivisorClass(fan, tuple(g)) for g in gens]
+    emb = _assemble_oracle(fan, gens)
+    require_valid_embedding(emb)
+    if not covers_all_charts(emb):
+        emb = _assemble_oracle(fan, gens + [ample])
+        require_valid_embedding(emb)
+        if not covers_all_charts(emb):
+            raise RuntimeError("chart cover failed even with an ample factor; bug")
+    if not epic_check(emb):
+        raise ValueError("the supplied generators do not generate the Picard group")
+    return emb
+
+
+def _hirzebruch(a):
+    return Fan(2, ((1, 0), (0, 1), (-1, a), (0, -1)), ((0, 1), (1, 2), (2, 3), (3, 0)))
+
+
+def _plane_bundle(a):
+    """P(O + O(a)) over the plane: the plane's rays lifted, the last with
+    height a, and the two fibre rays."""
+    rays = ((1, 0, 0), (0, 1, 0), (-1, -1, a), (0, 0, 1), (0, 0, -1))
+    return Fan(3, rays, tuple((i, j, k) for i, j in ((0, 1), (0, 2), (1, 2)) for k in (3, 4)))
+
+
+@pytest.fixture(scope="module")
+def builder_fans(request):
+    """Every conftest fan, F0-F4, products up to hexagon x P1 and P2 x P3,
+    P(O + O(a)) over P2 for a = 0..2 and the benchmark's fan shapes, then 20
+    seeded relabellings of them."""
+    from test_classes import _relabelled  # test_classes imports this module
+
+    p = projective_space_fan
+    hexagon = request.getfixturevalue("hexagon")
+    fans = [request.getfixturevalue(name) for name in CONFTEST_FANS]
+    fans += [_hirzebruch(a) for a in range(5)]
+    fans += [product_fan(f) for f in ([p(1), p(2)], [p(1)] * 3, [p(2), p(2)], [p(2), p(3)],
+                                      [request.getfixturevalue("bl0p2"), p(1)], [hexagon, p(1)])]
+    fans += [_plane_bundle(a) for a in range(3)]
+    rng = random.Random(2403)
+    return fans + [_relabelled(rng.choice(fans), rng) for _ in range(20)]
+
+
+def test_builder_matches_its_checked_oracle(builder_fans):
+    """The builder, which checks nothing it certifies by construction, against
+    the one that checked everything: the same embedding, with no ample factor
+    needed, valid, covering every chart and epic.  The cover argument's
+    premise holds too: every wall curve meets some class of the basis."""
+    for fan in builder_fans:
+        basis = nef_hilbert_basis(fan)
+        emb = build_epic_embedding(fan)
+        assert emb == build_epic_embedding_oracle(fan), fan
+        assert covers_all_charts(_assemble_oracle(fan, basis)), fan
+        assert validate_embedding(emb) == [], fan
+        assert covers_all_charts(emb) and epic_check(emb), fan
+        assert all(any(d.pair(w) > 0 for d in basis) for w in wall_curve_classes(fan)), fan
+
+
 def test_build_with_generator_choice(bl0p2):
     # the generating set {S, S+L} gives a line times a 4-space, with the five
     # quadratic monomials on the big factor
     S = divisor_class(bl0p2, 2)
     L = divisor_class(bl0p2, 0)
-    emb = build_epic_embedding(bl0p2, generators=[S, S + L])
+    emb = build_epic_embedding_oracle(bl0p2, generators=[S, S + L])
     blocks = []
     start = 0
     for factor_rays in (2, 5):

@@ -84,3 +84,11 @@ def test_zero_form_serialization():
     data = tio.form_to_dict(zero)
     assert data == {"degree": -2, "coeffs": []}
     assert tio.form_from_dict(data) == zero
+
+
+def test_form_shape_errors_come_from_the_form():
+    with pytest.raises(tio.MalformedInput, match="needs 3 coefficients, got 2"):
+        tio.form_from_dict({"degree": 2, "coeffs": [1, 2]})
+    with pytest.raises(tio.MalformedInput, match="negative-degree forms must be zero"):
+        tio.form_from_dict({"degree": -2, "coeffs": [7, 7]})
+    assert tio.form_from_dict({"degree": -2, "coeffs": [0, 0]}) == BinaryForm.zero(-2)
