@@ -10,13 +10,18 @@ vectors (``OrderVector._unchecked``; the scan rejects degenerate components
 itself) nor the degree, a class by construction, is checked again.
 """
 
+from functools import total_ordering
+from operator import index
+
 from .classes import CurveClass
 from .fan import _degenerate_collections, memo, require_valid
 from .record import Record
 
 
+@total_ordering
 class _Infinity:
-    """Order of the zero section: absorbs addition, dominates every integer."""
+    """Order of the zero section: absorbs addition and lies above every
+    integer; the one instance equals only itself, and inf - inf raises."""
 
     __slots__ = ()
     _instance = None
@@ -39,23 +44,8 @@ class _Infinity:
             raise ArithmeticError("inf - inf is undefined")
         return self
 
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("toriq-infinity")
-
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
 
 
 INF = _Infinity()
@@ -71,18 +61,12 @@ class OrderVector(Record):
     _fields = ("fan", "orders")
 
     def __init__(self, fan, orders):
-        vals = []
-        for x in orders:
-            if is_infinite(x):
-                vals.append(INF)
-            else:
-                v = int(x)
-                if v < 0:
-                    raise ValueError("vanishing orders must be nonnegative")
-                vals.append(v)
+        vals = tuple(x if x is INF else index(x) for x in orders)
+        if any(v < 0 for v in vals):
+            raise ValueError("vanishing orders must be nonnegative")
         if len(vals) != fan.n_rays:
             raise ValueError("order vector length does not match the ray count")
-        self.__dict__.update(fan=fan, orders=tuple(vals))
+        self.__dict__.update(fan=fan, orders=vals)
         degenerate = _degenerate_collections(fan, self.vanishing)
         if degenerate:
             raise ValueError(

@@ -18,20 +18,9 @@ from .quasimap import (Quasimap, _twist_away, basepoints, degrees, equal_quasima
                        stability, validate_quasimap)
 from . import io as tio
 
+
 def fixture_path(name):
     return resources.files("toriq.fixtures").joinpath(name)
-
-
-def load_fixture_fan(name):
-    return tio.load_fan(fixture_path(name))
-
-
-def load_fixture_quasimap(name):
-    return tio.load_quasimap(fixture_path(name))
-
-
-def load_fixture_embedding(name):
-    return tio.load_embedding(fixture_path(name))
 
 
 def _form(deg, *coeffs):
@@ -64,7 +53,7 @@ def family_map(t):
     """Two-component stable map to the blow-up of the plane, degree 2L,
     component classes 2S and 2E, glued at the origins; the parameter moves
     the order of contact at the node."""
-    fan = load_fixture_fan("bl0p2.json")
+    fan = tio.load_fan(fixture_path("bl0p2.json"))
     t = Fraction(t)
     c1 = (_form(2, 1), BinaryForm.zero(0), _form(0, 2), _form(2, 0, -t, 1))
     c2 = (_form(0, 1), _form(2, 0, 1), _form(2, 2, -3, 1), BinaryForm.zero(-2))
@@ -78,7 +67,7 @@ def family_map(t):
 
 def family_contracted():
     """The hand-computed contraction of the degenerate family member."""
-    fan = load_fixture_fan("bl0p2.json")
+    fan = tio.load_fan(fixture_path("bl0p2.json"))
     comp = (_form(2, 1), BinaryForm.zero(2), _form(2, 0, 0, 2), _form(0, 1))
     return Quasimap(fan, (comp,),
                     markings=((0, ProjPoint(1, 1)), (0, ProjPoint(1, 3))))
@@ -105,7 +94,7 @@ class CaseReport:
 
 
 def _case_table1():
-    fan = load_fixture_fan("bl0p2.json")
+    fan = tio.load_fan(fixture_path("bl0p2.json"))
     checks = []
     for row, (orders, exp_beta, exp_cones) in enumerate(blowup_order_table(), start=1):
         beta, witnesses = degree_at_point(fan, orders)
@@ -116,9 +105,9 @@ def _case_table1():
 
 
 def _case_segre():
-    emb = load_fixture_embedding("segre.json")
-    q1 = load_fixture_quasimap("segre_q1.json")
-    q2 = load_fixture_quasimap("segre_q2.json")
+    emb = tio.load_embedding(fixture_path("segre.json"))
+    q1 = tio.load_quasimap(fixture_path("segre_q1.json"))
+    q2 = tio.load_quasimap(fixture_path("segre_q2.json"))
     checks = [("embedding is epic", epic_check(emb), False)]
     image1 = apply_ibar(emb, q1)
     image2 = apply_ibar(emb, q2)
@@ -137,7 +126,7 @@ def _case_segre():
 
 
 def _case_blowup_embeddings():
-    fan = load_fixture_fan("bl0p2.json")
+    fan = tio.load_fan(fixture_path("bl0p2.json"))
     emb = build_epic_embedding(fan)
     blocks = projective_blocks(emb.target)
     factor_dims = [len(b) - 1 for b in blocks]
@@ -194,7 +183,7 @@ def _case_family_t():
 
 
 def _case_extension_degree():
-    q = load_fixture_quasimap("section_line.json")
+    q = tio.load_quasimap(fixture_path("section_line.json"))
     checks = [("quasimap is valid", validate_quasimap(q), [])]
     total = degrees(q)[0]
     checks.append(("degree", total.pairings, (1, 1, 1)))
@@ -209,7 +198,7 @@ def _case_extension_degree():
 
 
 def _case_witness_demo():
-    q = load_fixture_quasimap("section_line.json")
+    q = tio.load_quasimap(fixture_path("section_line.json"))
     witness = surjectivity_witness(q)
     checks = [
         ("witness is a two-component map", witness.quasimap.n_components, 2),

@@ -22,14 +22,10 @@ from .classes import (CurveClass, anticanonical_class, curve_class_from_anchor,
 from .contraction import StableMapTree, contract, contraction_condition, graft, surjectivity_witness
 from .embedding import (apply_ibar, build_epic_embedding, epic_check,
                         fibre_enumeration, pushforward_curves, validate_embedding)
-from .fan import primitive_collections, validate_fan
+from .fan import primitive_collections, require_valid, validate_fan
 from .forms import Place
 from .quasimap import (_map_stable, _twist_away, basepoints, degrees, stability,
                        validate_quasimap)
-
-
-class DomainError(Exception):
-    pass
 
 
 def _length_bound(given):
@@ -59,7 +55,7 @@ def _reject_invalid(args, violations, what):
     if violations:
         _emit(args, {"valid": False, "violations": violations},
               [f"invalid: {v}" for v in violations])
-        raise DomainError(f"{what} is invalid")
+        raise ValueError(f"{what} is invalid")
 
 
 def _emit_saved(args, data, lines):
@@ -117,7 +113,7 @@ def _load_class(fan, text):
 
 
 def _cmd_class_length(args):
-    fan = tio.load_fan(args.fan)
+    fan = require_valid(tio.load_fan(args.fan))
     beta = _load_class(fan, args.curve_class)
     lam = length(beta)
     _emit(args, {"length": lam}, [f"length {lam}"])
@@ -268,7 +264,7 @@ def _cmd_contract_check(args):
     lines.append(f"contraction condition: {'holds' if overall else 'fails'}")
     _emit(args, payload, lines)
     if not overall:
-        raise DomainError("contraction condition fails")
+        raise ValueError("contraction condition fails")
 
 
 def _cmd_contract_apply(args):
@@ -316,7 +312,7 @@ def _cmd_reproduce(args):
     }
     _emit(args, payload, report.lines())
     if not report.passed:
-        raise DomainError(f"case {report.name} failed")
+        raise ValueError(f"case {report.name} failed")
 
 
 def build_parser():
@@ -419,7 +415,7 @@ def main(argv=None):
         # the decode and shape errors are ValueErrors, so they are caught first
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -25,9 +25,6 @@ from .record import Record
 class Tail(Record):
     _fields = ("components", "host", "host_point")
 
-    def __init__(self, components, host, host_point):
-        self.__dict__.update(components=components, host=host, host_point=host_point)
-
 
 class StableMapTree(Record):
     """A basepoint-free, map-stable quasimap, validated on construction.

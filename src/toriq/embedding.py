@@ -21,6 +21,7 @@ inverted.
 
 from fractions import Fraction
 from itertools import combinations, product
+from operator import index
 
 from .basepoint import INF, _cone_table, _locate_degree
 from .classes import (CurveClass, ample_functional, anchor_rays,
@@ -44,7 +45,7 @@ class EmbeddingSpec(Record):
     def __init__(self, source, target, coeffs, exponents):
         self.__dict__.update(
             source=source, target=target, coeffs=tuple(map(int_or_frac, coeffs)),
-            exponents=tuple(tuple(int(e) for e in exp) for exp in exponents))
+            exponents=tuple(tuple(map(index, exp)) for exp in exponents))
 
 
 @memo
@@ -294,10 +295,7 @@ def _invert_component(emb, secs):
     src, tgt = emb.source, emb.target
     factored = _factored_sections(emb, secs)
     zeros = [tau for tau, fac in enumerate(factored) if fac is None]
-    all_places = sorted(
-        {p for fac in factored if fac for p in fac[1]},
-        key=lambda p: p.sort_key(),
-    )
+    all_places = {p for fac in factored if fac for p in fac[1]}
     for si, scone in enumerate(src.max_cones):
         for entry in chart_cover(emb)[si]:
             tcone = tgt.max_cones[entry["target_cone"]]
@@ -344,18 +342,13 @@ def _invert_component(emb, secs):
                             poly = poly_mul(poly, p.coeffs)
                 sections[rho] = BinaryForm.from_poly(degree, tuple(units[rho] * c for c in poly))
 
-            if vanishing:
-                consistent = True
-                for rho, row in zip(scone, src.exponent_matrix(scone)):
-                    coord = -sum(sections[r].degree * row[r]
-                                 for r in range(src.n_rays) if r not in vanishing)
-                    if rho in vanishing:
-                        sections[rho] = BinaryForm.zero(coord)
-                    elif coord != 0:
-                        consistent = False
-                        break
-                if not consistent:
-                    continue
+            # a zero section takes the degree its cone's relation forces; at the
+            # cone's other rays it holds, as the lifts and the shifts are classes
+            for rho, row in zip(scone, src.exponent_matrix(scone)):
+                if rho in vanishing:
+                    coord = sum(sections[r].degree * row[r] for r in range(src.n_rays)
+                                if r not in vanishing)
+                    sections[rho] = BinaryForm.zero(-coord)
             return tuple(sections)
     return None
 
@@ -416,6 +409,8 @@ def fibre_enumeration(emb, q, beta, length_cap=None):
     class exceeds, so a smaller cap may leave preimages out.
     """
     require_valid_embedding(emb)
+    if q.fan != emb.target:
+        raise ValueError("quasimap target does not match the embedding target")
     if pushforward_curves(emb, beta).pairings != degrees(q)[0].pairings:
         raise ValueError("the quasimap's degree is not the pushforward of the class")
     bps = basepoints(q)

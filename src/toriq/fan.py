@@ -27,7 +27,7 @@ across threads stays safe, because memo writes are idempotent.
 from functools import wraps
 from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from .linalg import invert
 from .record import Record
@@ -61,8 +61,8 @@ class Fan(Record):
     _fields = ("dim", "rays", "max_cones")
 
     def __init__(self, dim, rays, max_cones):
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
-        max_cones = tuple(tuple(sorted(int(i) for i in c)) for c in max_cones)
+        rays = tuple(tuple(map(index, r)) for r in rays)
+        max_cones = tuple(tuple(sorted(map(index, c))) for c in max_cones)
         for ray in rays:
             if len(ray) != dim:
                 raise ValueError(f"ray {ray} does not have length {dim}")

@@ -60,12 +60,12 @@ def parse_order(value):
 
 def fan_from_dict(data):
     dim = parse_int(data["dim"])
-    rays = [[parse_int(x) for x in ray] for ray in data["rays"]]
-    for ray in rays:
-        if len(ray) != dim:
-            raise MalformedInput(f"ray {ray} does not have length {dim}")
-    cones = [[parse_int(i) for i in cone] for cone in data["max_cones"]]
-    return Fan(dim, tuple(tuple(r) for r in rays), tuple(tuple(c) for c in cones))
+    rays = tuple(tuple(parse_int(x) for x in ray) for ray in data["rays"])
+    cones = tuple(tuple(parse_int(i) for i in cone) for cone in data["max_cones"])
+    try:
+        return Fan(dim, rays, cones)
+    except ValueError as exc:  # a ray of the wrong length, or a cone's unknown ray
+        raise MalformedInput(str(exc)) from exc
 
 
 def fan_to_dict(fan):

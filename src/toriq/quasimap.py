@@ -10,6 +10,7 @@ quasimap rebuilt from a built one (``Quasimap._unchecked``) reuses them.
 """
 
 from fractions import Fraction
+from operator import index
 
 from .basepoint import INF, OrderVector, _cone_table, _locate_degree
 from .classes import CurveClass, _degree_functional
@@ -28,8 +29,8 @@ class Quasimap(Record):
         self.__dict__.update(
             fan=fan,
             components=tuple(tuple(sec) for sec in components),
-            nodes=tuple(((int(a), pa), (int(b), pb)) for (a, pa), (b, pb) in nodes),
-            markings=tuple((int(c), p) for c, p in markings),
+            nodes=tuple(((index(a), pa), (index(b), pb)) for (a, pa), (b, pb) in nodes),
+            markings=tuple((index(c), p) for c, p in markings),
         )
 
     @property
@@ -49,9 +50,6 @@ class Quasimap(Record):
 class BasepointPlace(Record):
     _fields = ("component", "place", "orders", "degree")
 
-    def __init__(self, component, place, orders, degree):
-        self.__dict__.update(component=component, place=place, orders=orders, degree=degree)
-
     def sort_key(self):
         return (self.component,) + self.place.sort_key()
 
@@ -68,9 +66,6 @@ class XPoint(Record):
 
     _fields = ("cone", "coords", "cox")
     _compare = ("cone", "coords")
-
-    def __init__(self, cone, coords, cox):
-        self.__dict__.update(cone=cone, coords=coords, cox=cox)
 
 
 def section_values(q, comp, point):

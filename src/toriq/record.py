@@ -1,13 +1,14 @@
 """Immutable values with field-wise equality and hash.
 
 A subclass names its fields in ``_fields`` and, when equality should see only
-some of them, that subset in ``_compare``.  Its ``__init__`` normalises and
-checks each field once and stores it straight into the instance
-``__dict__``; assignment and deletion are refused afterwards.  Instances are
-equal only to instances of the same class, and the hash is that of the tuple
-of compared fields, as a frozen dataclass's is (every subclass compares two
-or more fields, so ``attrgetter`` returns that tuple).  ``_unchecked(*values)``
-stores values the library built, in ``_fields`` order, skipping ``__init__``.
+some of them, that subset in ``_compare``.  ``__init__`` stores its arguments
+in ``_fields`` order; a subclass that normalises or checks them defines its own,
+storing each into the instance ``__dict__``.  Assignment and deletion are
+refused afterwards.  Instances are equal only to instances of the same class,
+and the hash is that of the tuple of compared fields, as a frozen dataclass's
+is (every subclass compares two or more fields, so ``attrgetter`` returns that
+tuple).  ``_unchecked(*values)`` stores values the library built, in
+``_fields`` order, skipping ``__init__``.
 """
 
 from operator import attrgetter
@@ -18,6 +19,9 @@ class Record:
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*getattr(cls, "_compare", cls._fields))
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values, strict=True))
 
     @classmethod
     def _unchecked(cls, *values):

@@ -152,6 +152,21 @@ def test_infinity_sentinel_arithmetic():
         INF - INF
 
 
+def test_infinity_sentinel_order_and_identity():
+    """The order derived from ``__lt__``: INF is above every integer and
+    equal only to itself, from either side, and a usable key."""
+    assert INF <= INF and INF >= INF and INF == INF and not INF != INF
+    assert not INF < INF and not INF > INF
+    for n in (-5, 0, 3, 10 ** 30):
+        assert INF > n and INF >= n and not INF <= n and not INF < n
+        assert n < INF and n <= INF and not n > INF and not n >= INF
+        assert INF != n and n != INF
+    assert sorted([3, INF, 0]) == [0, 3, INF] and max(INF, 7) is INF
+    table = {INF: "inf", 0: "zero"}
+    assert table[INF] == "inf" and table[type(INF)()] == "inf"
+    assert {INF, INF, 0} == {0, INF}
+
+
 def oracle_box(fan, ov):
     """Box certainly containing the degree: the class is built from the finite
     orders through dual-basis pairings, so their magnitudes bound it."""

@@ -123,6 +123,35 @@ def test_embed_commands(tmp_path, capsys):
     assert code == 1  # q1 itself has the wrong degree for the pushforward
 
 
+def test_embed_fibre_rejects_a_quasimap_to_the_source(capsys):
+    code, out, err = run(capsys, "embed", "fibre", fx("segre.json"), fx("segre_q1.json"),
+                         "--class", "1,1")
+    assert code == 1 and out == ""
+    assert err == "error: quasimap target does not match the embedding target\n"
+
+
+def test_class_length_validates_the_fan(tmp_path, capsys):
+    # cone (0, 1) has determinant 2; the pairing form used to skip validation
+    path = tmp_path / "nonsmooth.json"
+    path.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [1, 2], [-1, -1]],
+                                "max_cones": [[0, 1], [1, 2], [0, 2]]}))
+    message = "error: invalid fan: maximal cone (0, 1) is not smooth (determinant != +-1)\n"
+    for argv in (("class", "length", str(path), "--class", "1,1,2"),
+                 ("class", "length", str(path), "--class", "1"),
+                 ("class", "factor", str(path), "--class", "1,1,2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", message), argv
+
+
+def test_cone_with_an_unknown_ray_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "badcone.json"
+    path.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                                "max_cones": [[0, 1], [1, 5], [0, 2]]}))
+    code, out, err = run(capsys, "fan", "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "usage error: cone (1, 5) references unknown ray 5\n"
+
+
 def test_embed_ibar_and_fibre(tmp_path, capsys):
     image = tmp_path / "image.json"
     code, _, _ = run(capsys, "embed", "ibar", fx("segre.json"), fx("segre_q1.json"),

@@ -339,6 +339,16 @@ def test_fibre_rejects_wrong_degree(segre, segre_pair):
         fibre_enumeration(segre, image, curve_class_from_anchor(segre.source, (1, 0)))
 
 
+def test_fibre_rejects_a_quasimap_to_another_fan(segre, segre_pair):
+    # q1 maps to the source; its degree (2, 2, 2, 2) equals the pushforward's
+    # pairings of (1, 1), so only the fan tells it from a target quasimap
+    q1, _ = segre_pair
+    beta = curve_class_from_anchor(segre.source, (1, 1))
+    assert pushforward_curves(segre, beta).pairings == degrees(q1)[0].pairings
+    with pytest.raises(ValueError, match="does not match the embedding target"):
+        fibre_enumeration(segre, q1, beta)
+
+
 def test_pushforward_of_basepoint_degrees_random(segre, bl0p2):
     rng = random.Random(13)
     emb_bl = build_epic_embedding(bl0p2)
@@ -914,3 +924,97 @@ def test_fan_and_embedding_are_freed_with_their_derived_data():
     del fan, emb
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def _invert_component_checked(emb, secs, rejected):
+    """Chart inversion as it was before its consistency check and place sort
+    were dropped, kept as the oracle of
+    test_inversion_matches_its_checked_oracle; each chart the check rejects
+    is counted in ``rejected``."""
+    src, tgt = emb.source, emb.target
+    factored = _factored_sections(emb, secs)
+    zeros = [tau for tau, fac in enumerate(factored) if fac is None]
+    all_places = sorted(
+        {p for fac in factored if fac for p in fac[1]},
+        key=lambda p: p.sort_key(),
+    )
+    for si, scone in enumerate(src.max_cones):
+        for entry in chart_cover(emb)[si]:
+            tcone = tgt.max_cones[entry["target_cone"]]
+            if any(row[tau] < 0 for row in tgt.exponent_matrix(tcone) for tau in zeros):
+                continue
+            orders = {p: [0] * src.n_rays for p in all_places}
+            units = [1] * src.n_rays
+            vanishing = set()
+            for rho, lift in zip(scone, entry["lifts"]):
+                if any(lift[tau] > 0 for tau in zeros):
+                    vanishing.add(rho)
+                    continue
+                for tau, e in enumerate(lift):
+                    if e:
+                        u, places = factored[tau]
+                        units[rho] *= u ** e if e > 0 else Fraction(u) ** e
+                        for p, mult in places.items():
+                            orders[p][rho] += e * mult
+
+            shifts = []
+            for vec in orders.values():
+                for rho in vanishing:
+                    vec[rho] = INF
+                beta_p, _ = _locate_degree(src, tuple(vec), frozenset(vanishing), first=True)
+                shifts.append(beta_p.pairings)
+
+            sections = [None] * src.n_rays
+            for rho in range(src.n_rays):
+                if rho in vanishing:
+                    continue
+                poly = (1,)
+                degree = 0
+                for (p, vec), shift in zip(orders.items(), shifts):
+                    e = vec[rho] - shift[rho]
+                    degree += e * p.degree
+                    if not p.at_infinity:
+                        for _ in range(e):
+                            poly = poly_mul(poly, p.coeffs)
+                sections[rho] = BinaryForm.from_poly(degree, tuple(units[rho] * c for c in poly))
+
+            if vanishing:
+                consistent = True
+                for rho, row in zip(scone, src.exponent_matrix(scone)):
+                    coord = -sum(sections[r].degree * row[r]
+                                 for r in range(src.n_rays) if r not in vanishing)
+                    if rho in vanishing:
+                        sections[rho] = BinaryForm.zero(coord)
+                    elif coord != 0:
+                        consistent = False
+                        break
+                if not consistent:
+                    rejected[emb] += 1
+                    continue
+            return tuple(sections)
+    return None
+
+
+def test_inversion_matches_its_checked_oracle(request):
+    """The consistency check chart inversion dropped never rejects a chart:
+    off the vanishing rays the lifts' target divisors and the shifts are
+    classes.  Nor does the order of the places change a section.  The inputs
+    are seeded one-component target tuples with zero sections and the
+    components of regular extensions of images of seeded source quasimaps."""
+    rejected, seen = Counter(), Counter()
+    for name in CONFTEST_FANS + ["segre.json"]:
+        emb = embedding_named(request, name)
+        rng = random.Random(f"checked inversion/{name}")
+        tuples = _target_tuples(emb, rng, 30)
+        for _ in range(15):
+            q = random_quasimap(emb.source, rng, max_components=3, max_total_length=5)
+            tuples += regular_extension(apply_ibar(emb, q)).components
+        for secs in tuples:
+            got = _invert_component(emb, secs)
+            assert got == _invert_component_checked(emb, secs, rejected), (name, secs)
+            if got is None:
+                seen["none"] += 1
+            else:
+                seen["vanishing" if any(f.is_zero for f in got) else "plain"] += 1
+    assert not rejected, rejected
+    assert seen["vanishing"] >= 200 and seen["plain"] >= 100, seen

@@ -86,6 +86,15 @@ def test_zero_form_serialization():
     assert tio.form_from_dict(data) == zero
 
 
+def test_fan_shape_errors_come_from_the_fan():
+    data = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}
+    assert tio.fan_from_dict(data).max_cones == ((0, 1), (1, 2), (0, 2))
+    with pytest.raises(tio.MalformedInput, match=r"cone \(1, 5\) references unknown ray 5"):
+        tio.fan_from_dict({**data, "max_cones": [[0, 1], [1, 5], [0, 2]]})
+    with pytest.raises(tio.MalformedInput, match=r"ray \(0, 1, 0\) does not have length 2"):
+        tio.fan_from_dict({**data, "rays": [[1, 0], [0, 1, 0], [-1, -1]]})
+
+
 def test_form_shape_errors_come_from_the_form():
     with pytest.raises(tio.MalformedInput, match="needs 3 coefficients, got 2"):
         tio.form_from_dict({"degree": 2, "coeffs": [1, 2]})

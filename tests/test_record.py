@@ -162,6 +162,26 @@ def test_keyword_and_default_constructor_arguments():
     assert CurveClass(fan=fan, pairings=(1, 1)) == CurveClass(fan, (1, 1))
 
 
+def test_constructors_take_exact_integers():
+    """Rays, cone and order entries, exponents and special-point components
+    must be integers; a float or a Fraction is refused, not truncated."""
+    bl0p2 = Fan(2, ((0, -1), (1, 0), (-1, 1), (0, 1)), ((1, 3), (2, 3), (0, 2), (0, 1)))
+    p1 = projective_space_fan(1)
+    comps = ((BinaryForm(1, (0, 1)), BinaryForm(1, (1, 0))),)
+    bad = [
+        lambda: Fan(2, ((1.9, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2))),
+        lambda: Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1.0), (1, 2), (0, 2))),
+        lambda: OrderVector(bl0p2, (Fraction(3, 2), 1, 1, 0)),
+        lambda: EmbeddingSpec(p1, p1, (1, 1), ((1.5, 0), (0, 1))),
+        lambda: Quasimap(p1, comps, markings=((0.0, ProjPoint(1, 1)),)),
+        lambda: Quasimap(p1, comps + comps, nodes=(((0, ProjPoint(1, 0)), (Fraction(1), ProjPoint(1, 0))),)),
+    ]
+    for make in bad:
+        with pytest.raises(TypeError):
+            make()
+    assert OrderVector(bl0p2, (True, 1, 1, 0)).orders == (1, 1, 1, 0)
+
+
 def test_case_report_is_a_plain_mutable_record():
     checks = [("a", 1, 1), ("b", 2, 3)]
     report = CaseReport("demo", checks)
