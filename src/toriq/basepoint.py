@@ -14,7 +14,7 @@ from functools import total_ordering
 from operator import index
 
 from .classes import CurveClass
-from .fan import _degenerate_collections, memo, require_valid
+from .fan import _cone_sets, _degenerate_collections, memo, require_valid
 from .record import Record
 
 
@@ -82,8 +82,8 @@ class OrderVector(Record):
 @memo
 def _cone_table(fan):
     """Per maximal cone: its index, rays, ray set and exponent matrix rows."""
-    return tuple((idx, sigma, frozenset(sigma), fan.exponent_matrix(sigma))
-                 for idx, sigma in enumerate(fan.max_cones))
+    return tuple((idx, sigma, cone_set, fan.exponent_matrix(sigma))
+                 for idx, (sigma, cone_set) in enumerate(zip(fan.max_cones, _cone_sets(fan))))
 
 
 def _locate_degree(fan, orders, vanishing, first=False):

@@ -28,15 +28,20 @@ from .quasimap import (_map_stable, _twist_away, basepoints, degrees, stability,
                        validate_quasimap)
 
 
+def _int_option(option, raw):
+    """An integer option or variable, read in the scalar grammar of the files."""
+    try:
+        return tio.parse_int(raw)
+    except tio.MalformedInput as exc:
+        raise tio.MalformedInput(f"{option}: {exc}") from exc
+
+
 def _length_bound(given):
     """The given ``--bound``, else the TORIQ_MAX_LENGTH cap, else None."""
-    option, bound = "--bound", given
-    if bound is None:
-        option, raw = "TORIQ_MAX_LENGTH", os.environ.get("TORIQ_MAX_LENGTH")
-        try:
-            bound = tio.parse_int(raw) if raw else None
-        except tio.MalformedInput as exc:
-            raise tio.MalformedInput(f"{option}: {exc}") from exc
+    option, raw = "--bound", given
+    if raw is None:
+        option, raw = "TORIQ_MAX_LENGTH", os.environ.get("TORIQ_MAX_LENGTH") or None
+    bound = None if raw is None else _int_option(option, raw)
     if bound is not None and bound < 0:
         raise tio.MalformedInput(f"{option}: a length bound must be nonnegative, got {bound}")
     return bound
@@ -285,7 +290,7 @@ def _cmd_graft(args):
         place = Place.infinity()
     else:
         place = Place.rational(tio.parse_scalar(args.place))
-    out = graft(q, args.component, place, sections, attach)
+    out = graft(q, _int_option("--component", args.component), place, sections, attach)
     _emit_saved(args, tio.quasimap_to_dict(out),
                 [f"grafted quasimap with {out.n_components} components"])
 
@@ -336,7 +341,7 @@ def build_parser():
     p = cls.add_parser("factor")
     p.add_argument("fan")
     p.add_argument("--class", dest="curve_class", required=True)
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound")
     p.set_defaults(func=_cmd_class_factor)
     p = cls.add_parser("push")
     p.add_argument("embedding")
@@ -374,7 +379,7 @@ def build_parser():
     p.add_argument("embedding")
     p.add_argument("quasimap")
     p.add_argument("--class", dest="curve_class", required=True)
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound")
     p.set_defaults(func=_cmd_embed_fibre)
 
     con = sub.add_parser("contract").add_subparsers(dest="sub", required=True)
@@ -388,7 +393,7 @@ def build_parser():
 
     p = sub.add_parser("graft")
     p.add_argument("quasimap")
-    p.add_argument("--component", type=int, required=True)
+    p.add_argument("--component", required=True)
     p.add_argument("--place", required=True, help="chart coordinate of the place, or 'inf'")
     p.add_argument("--tail", required=True, help="JSON file with sections and attach point")
     p.add_argument("-o", "--output")

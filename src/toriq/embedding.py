@@ -20,6 +20,7 @@ inverted.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from operator import index
 
@@ -208,9 +209,8 @@ def polytope_lattice_points(fan, coeffs):
     def inside(m):
         return all(p >= r for p, r in zip(fan.pairing(m), rhs))
 
-    vertices = [tuple(sum(rhs[i] * m[k] for i, m in zip(sigma, dual_basis(fan, sigma)))
-                      for k in range(n))
-                for sigma in fan.max_cones]
+    vertices = [tuple(sum(rhs[i] * m[k] for i, m in zip(sigma, basis)) for k in range(n))
+                for sigma in fan.max_cones for basis in (dual_basis(fan, sigma),)]
     if any(type(r) is not int for r in rhs) or not all(map(inside, vertices)):
         vertices = []
         for subset in combinations(range(fan.n_rays), n):
@@ -238,14 +238,17 @@ def build_epic_embedding(fan):
       ``ample_functional``, which meets every wall curve.
     - Epic: a factor's target divisors pull back to its class, and the basis
       generates Pic, because the nef cone is full-dimensional.
+    The target's tables (verdict, dual bases, primitive collections) are
+    stored by ``product_fan`` and ``projective_space_fan`` as it is built.
     """
     require_valid(fan)
     ample_functional(fan)  # raises on non-projective input
+    space = cache(projective_space_fan)  # one P^n per n, so each is validated once
     factors, coeffs, exponents = [], [], []
     for d in nef_hilbert_basis(fan):
         lift = d.ray_coefficients()
         points = polytope_lattice_points(fan, lift)
-        factors.append(projective_space_fan(len(points) - 1))
+        factors.append(space(len(points) - 1))
         for m in points:
             exponents.append(tuple(c + p for c, p in zip(lift, fan.pairing(m))))
             coeffs.append(1)

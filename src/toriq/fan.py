@@ -20,14 +20,16 @@ computed once per fan.
 
 All arithmetic is exact (ints and fractions).  Fans are immutable and every
 operation is a pure function.  Derived data is memoized on the instance
-(``memo``), so it is computed once per fan and freed with it.  Sharing a fan
-across threads stays safe, because memo writes are idempotent.
+(``memo``), so it is computed once per fan and freed with it; products of
+valid fans and projective spaces get their tables at construction instead
+(``remember``).  Sharing a fan across threads stays safe, because memo
+writes are idempotent.
 """
 
 from functools import wraps
 from itertools import combinations
 from math import gcd
-from operator import index, mul
+from operator import index, mul, sub
 
 from .linalg import invert
 from .record import Record
@@ -53,6 +55,12 @@ def memo(fn):
             return value
 
     return memoized
+
+
+def remember(obj, name, value):
+    """Store ``value`` under ``memo``'s key for this module's ``name(obj)``; by
+    name, as traced runs rebind module functions to wrappers."""
+    obj.__dict__.setdefault("_memo", {})[(f"{__name__}.{name}",)] = value
 
 
 class Fan(Record):
@@ -178,12 +186,16 @@ def locate_cones(fan, u):
 
 
 @memo
+def _cone_sets(fan):
+    """The ray sets of the maximal cones, in cone order."""
+    return tuple(map(frozenset, fan.max_cones))
+
+
+@memo
 def primitive_collections(fan):
     """Minimal ray sets contained in no cone of the fan, sorted canonically."""
-    cones = [frozenset(c) for c in fan.max_cones]
-
     def is_face(subset):
-        return any(subset <= cone for cone in cones)
+        return any(subset <= cone for cone in _cone_sets(fan))
 
     non_faces = []
     for size in range(1, fan.n_rays + 1):
@@ -350,26 +362,45 @@ def require_valid(fan):
 
 
 def product_fan(factors):
-    """Product of fans, ray blocks concatenated in factor order."""
+    """Product of fans, ray blocks concatenated in factor order.
+
+    A product of valid fans is valid, with block-diagonal dual bases and its
+    factors' primitive collections (Cox-Little-Schenck §3.1; Batyrev 1991);
+    so when every factor passes ``validate_fan`` these are stored at
+    construction.  Otherwise the product is validated from scratch.
+    """
     dim = sum(f.dim for f in factors)
-    rays = []
-    offsets = []
-    pos = 0
+    valid = bool(factors) and not any(validate_fan(f) for f in factors)
+    rays, cones, collections, pos = [], [((), ())], [], 0  # cones: (rays, dual basis)
     for f in factors:
-        offsets.append(len(rays))
-        before = pos
-        after = dim - pos - f.dim
-        for ray in f.rays:
-            rays.append((0,) * before + tuple(ray) + (0,) * after)
+        off, before, after = len(rays), (0,) * pos, (0,) * (dim - pos - f.dim)
+        rays += [before + ray + after for ray in f.rays]
+        table = _dual_bases(f) if valid else {}  # no bases to carry over
+        cones = [(c + tuple(i + off for i in mc),
+                  rows + tuple(before + m + after for m in table.get(mc, ())))
+                 for c, rows in cones for mc in f.max_cones]
+        if valid:
+            collections += [frozenset(i + off for i in pc) for pc in primitive_collections(f)]
         pos += f.dim
-    cones = [()]
-    for f, off in zip(factors, offsets):
-        cones = [c + tuple(i + off for i in mc) for c in cones for mc in f.max_cones]
-    return Fan(dim, tuple(rays), tuple(cones))
+    fan = Fan(dim, tuple(rays), tuple(c for c, _ in cones))
+    if valid:  # the blocks' indices increase, so the collections stay in canonical order
+        remember(fan, "_violations", [])
+        remember(fan, "_dual_bases", dict(cones))
+        remember(fan, "primitive_collections", tuple(collections))
+    return fan
 
 
 def projective_space_fan(n):
-    """The fan of n-dimensional projective space: e_1..e_n and -(e_1+...+e_n)."""
+    """The fan of n-dimensional projective space: e_1..e_n and -(e_1+...+e_n).
+
+    Its dual bases are stored in closed form: the cone without ray j has the
+    covector e_i* - e_j* at each of its rays i, reading e_{n+1} (the sum ray's
+    index) as 0.
+    """
     rays = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [tuple([-1] * n)]
     cones = list(combinations(range(n + 1), n))
-    return Fan(n, tuple(rays), tuple(cones))
+    fan = Fan(n, tuple(rays), tuple(cones))
+    e = rays[:n] + [(0,) * n]  # cones[k] leaves out ray n - k
+    remember(fan, "_dual_bases", {cone: tuple(tuple(map(sub, e[i], e[j])) for i in cone)
+                                  for j, cone in zip(range(n, -1, -1), cones)})
+    return fan

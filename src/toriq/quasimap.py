@@ -14,7 +14,8 @@ from operator import index
 
 from .basepoint import INF, OrderVector, _cone_table, _locate_degree
 from .classes import CurveClass, _degree_functional
-from .fan import _degenerate_collections, is_connected, primitive_collections, require_valid
+from .fan import (_cone_sets, _degenerate_collections, is_connected, primitive_collections,
+                  require_valid)
 from .forms import common_zero_places
 from .linalg import int_or_frac
 from .record import Record
@@ -74,7 +75,7 @@ def section_values(q, comp, point):
 
 def _first_cone(fan, rays):
     """Index of the first maximal cone that holds the ray set, or None."""
-    return next((idx for idx, _, cone, _ in _cone_table(fan) if rays <= cone), None)
+    return next((idx for idx, cone in enumerate(_cone_sets(fan)) if rays <= cone), None)
 
 
 def _chart_cone(fan, values):

@@ -415,6 +415,25 @@ def test_negative_length_bound_is_usage_error(capsys, monkeypatch, argv):
     assert code == 2 and err.startswith("usage error: TORIQ_MAX_LENGTH") and out == ""
 
 
+@pytest.mark.parametrize("raw", ["1_0", "٣", "1.5", ""])
+def test_integer_options_use_the_scalar_grammar(tmp_path, capsys, raw):
+    """--bound and --component are read as TORIQ_MAX_LENGTH is: underscores,
+    non-ASCII digits and floats are usage errors naming the option."""
+    for argv in [("class", "factor", fx("p2.json"), "--class", "2", "--bound", raw),
+                 FIBRE_SEGRE + ("--bound", raw),
+                 ("graft", fx("section_line.json"), "--component", raw, "--place", "inf",
+                  "--tail", _line_tail(tmp_path))]:
+        code, out, err = run(capsys, *argv)
+        option = argv[-2] if argv[-2] == "--bound" else "--component"
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"usage error: {option}: cannot parse scalar {raw!r}"), err
+
+
+def test_integer_options_accept_scalar_integers(capsys):
+    code, out, _ = run(capsys, "--json", *FACTOR_P2, "--bound", " 2/2 ")
+    assert code == 0 and json.loads(out) == {"irreducible": None, "factorizations": []}
+
+
 def test_factor_search_cut_by_the_bound_is_not_irreducible(capsys):
     code, out, _ = run(capsys, *FACTOR_P2)
     assert code == 0 and out.splitlines()[0] == "factorizations:"

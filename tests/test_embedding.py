@@ -10,7 +10,7 @@ from toriq.cases import fixture_path, projective_blocks
 from toriq.classes import (CurveClass, DivisorClass, ample_functional,
                            curve_class_from_anchor, divisor_class, effective_classes,
                            nef_hilbert_basis, wall_curve_classes)
-from toriq.basepoint import INF, _locate_degree
+from toriq.basepoint import INF, _cone_table, _locate_degree
 from toriq.embedding import (EmbeddingSpec, _factored_sections, _invert_component,
                              _pull_back_character,
                              apply_ibar, build_epic_embedding,
@@ -19,8 +19,8 @@ from toriq.embedding import (EmbeddingSpec, _factored_sections, _invert_componen
                              invert_through_charts, polytope_lattice_points,
                              pullback_pic, pushforward_curves, require_valid_embedding,
                              validate_embedding)
-from toriq.fan import (Fan, dual_basis, primitive_collections, product_fan,
-                       projective_space_fan, require_valid)
+from toriq.fan import (Fan, _dual_bases, dual_basis, primitive_collections, product_fan,
+                       projective_space_fan, require_valid, validate_fan, walls)
 from toriq.forms import BinaryForm, Place, ProjPoint, poly_mul
 from toriq.io import load_embedding
 from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps,
@@ -238,6 +238,71 @@ def test_builder_matches_its_checked_oracle(builder_fans):
         assert validate_embedding(emb) == [], fan
         assert covers_all_charts(emb) and epic_check(emb), fan
         assert all(any(d.pair(w) > 0 for d in basis) for w in wall_curve_classes(fan)), fan
+
+
+CONSTRUCTED = {"toriq.fan._violations", "toriq.fan._dual_bases",
+               "toriq.fan.primitive_collections"}
+
+
+def _memo_names(fan):
+    return {key[0] for key in fan.__dict__.get("_memo", {})}
+
+
+def _assert_tables_match_a_fresh_copy(fan):
+    """The fan's tables, stored at construction or not, against those of a
+    memo-free copy that computes every one from scratch."""
+    copy = Fan(fan.dim, fan.rays, fan.max_cones)
+    assert validate_fan(fan) == validate_fan(copy) == [], fan
+    assert primitive_collections(fan) == primitive_collections(copy), fan
+    assert _dual_bases(fan) == _dual_bases(copy), fan
+    assert walls(fan) == walls(copy) and _cone_table(fan) == _cone_table(copy), fan
+    assert all(fan.exponent_matrix(c) == copy.exponent_matrix(c) for c in fan.max_cones), fan
+
+
+def test_constructed_tables_match_a_fresh_copy(builder_fans):
+    """Products of valid fans are given their verdict, dual bases and
+    primitive collections at construction, and projective spaces their dual
+    bases in closed form; each stored table is the one read later, and each
+    equals what a copy built from the same data computes."""
+    fans = list(builder_fans)
+    for fan in builder_fans:
+        target = build_epic_embedding(fan).target
+        assert _memo_names(target) == CONSTRUCTED, fan
+        validate_fan(target)
+        primitive_collections(target)
+        for cone in target.max_cones:
+            dual_basis(target, cone)
+        assert _memo_names(target) == CONSTRUCTED, fan
+        fans.append(target)
+    for n in range(1, 7):
+        space = projective_space_fan(n)
+        assert _memo_names(space) == {"toriq.fan._dual_bases"}
+        fans.append(space)
+    for fan in fans:
+        _assert_tables_match_a_fresh_copy(fan)
+
+
+@pytest.mark.parametrize("factor", [
+    Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (0, 2))),  # cone (0, 1) not smooth
+    Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2))),  # not complete
+])
+def test_products_with_an_invalid_factor_are_validated_from_scratch(factor):
+    for factors in ([factor, projective_space_fan(1)], [projective_space_fan(2), factor]):
+        fan = product_fan(factors)
+        assert _memo_names(fan) == set()
+        copy = Fan(fan.dim, fan.rays, fan.max_cones)
+        assert validate_fan(fan) == validate_fan(copy) != []
+    assert _memo_names(product_fan([])) == set()
+    assert validate_fan(product_fan([])) == ["dimension must be positive"]
+
+
+def test_the_epic_check_builds_no_target_cone_table(builder_fans):
+    """Validating a built embedding reads the target's cone ray sets, not its
+    exponent matrices."""
+    for fan in builder_fans:
+        emb = build_epic_embedding(fan)
+        assert epic_check(emb), fan
+        assert "toriq.basepoint._cone_table" not in _memo_names(emb.target), fan
 
 
 def test_build_with_generator_choice(bl0p2):
