@@ -113,7 +113,7 @@ def _locate_degree(fan, orders, vanishing, first=False):
     for rho, ck in zip(sigma, c):
         pairings[rho] = (0 if rho in vanishing else orders[rho]) - ck
     # a class for any integer orders: sum a_rho u_rho = v = sum c_k u_sigma_k
-    return CurveClass._derived(fan, pairings), tuple(idx for idx, _, _ in hits)
+    return CurveClass._derived(fan, tuple(pairings)), tuple(idx for idx, _, _ in hits)
 
 
 def degree_at_point(fan, ord_vector):

@@ -2,22 +2,22 @@
 
 Curve classes are stored as their full intersection pairing vector against
 the toric boundary divisors; divisor classes in the anchor basis given by the
-boundary divisors away from the fan's first maximal cone.  Values are ints
-where integral, as on a smooth fan they usually are, and Fractions only where
-a class is rational.  Effectivity is membership in the rational cone spanned
-by the wall curve classes, decided exactly through the dual (nef) cone; one
-test (``_in_dual``) decides both cones.  The ray-relation check runs once, at
-the boundary, in the public ``CurveClass`` constructor; sums, multiples,
-degrees at a point, ``beta_a_sigma`` (so wall and anchor classes), a valid
-quasimap's degrees and pushforwards along a valid embedding skip it.
+boundary divisors away from the fan's first maximal cone.  Both lattices are
+free, so the public constructors, ``beta_a_sigma`` and the multiples take
+ints only (``operator.index``).  Effectivity is membership in the rational
+cone spanned by the wall curve classes, decided exactly through the dual
+(nef) cone; one test (``_in_dual``) decides both cones.  The ray-relation
+check runs once, at the boundary, in the public ``CurveClass`` constructor;
+sums, multiples, degrees at a point, ``beta_a_sigma`` (so wall and anchor
+classes), a valid quasimap's degrees and pushforwards along a valid
+embedding skip it.
 """
 
 import operator
-from fractions import Fraction
 from itertools import combinations
 
 from .fan import memo, require_valid, walls
-from .linalg import box_points, frac, int_or_frac, kernel_basis, primitive_vector
+from .linalg import box_points, kernel_basis, primitive_vector
 from .record import Record
 
 
@@ -28,7 +28,7 @@ class CurveClass(Record):
     _fields = ("fan", "pairings")
 
     def __init__(self, fan, pairings):
-        self.__post_init__(fan, pairings)
+        self.__post_init__(fan, tuple(map(operator.index, pairings)))
         if len(self.pairings) != fan.n_rays:
             raise ValueError("pairing vector length does not match the ray count")
         if any(_dot(self.pairings, column) for column in zip(*fan.rays)):
@@ -43,7 +43,7 @@ class CurveClass(Record):
 
     def __post_init__(self, fan, pairings):
         # every construction passes here, so wrapping this method counts them all
-        self.__dict__.update(fan=fan, pairings=tuple(map(int_or_frac, pairings)))
+        self.__dict__.update(fan=fan, pairings=pairings)
 
     @property
     def anchor_coords(self):
@@ -65,6 +65,7 @@ class CurveClass(Record):
         return self._combine(operator.sub, other)
 
     def __mul__(self, k):
+        k = operator.index(k)
         return CurveClass._derived(self.fan, tuple(k * a for a in self.pairings))
 
     __rmul__ = __mul__
@@ -76,7 +77,7 @@ class DivisorClass(Record):
     _fields = ("fan", "coords")
 
     def __init__(self, fan, coords):
-        vals = tuple(map(int_or_frac, coords))
+        vals = tuple(map(operator.index, coords))
         if len(vals) != len(anchor_rays(fan)):
             raise ValueError("coordinate length does not match the Picard rank")
         self.__dict__.update(fan=fan, coords=vals)
@@ -89,6 +90,7 @@ class DivisorClass(Record):
         return DivisorClass(self.fan, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __mul__(self, k):
+        k = operator.index(k)
         return DivisorClass(self.fan, tuple(k * a for a in self.coords))
 
     __rmul__ = __mul__
@@ -142,8 +144,8 @@ def anticanonical_class(fan):
 def beta_a_sigma(fan, a, sigma):
     """The unique curve class pairing as prescribed with the divisors off a cone.
 
-    ``a`` maps ray indices outside the maximal cone ``sigma`` to values
-    (sequence indexed by rays, or a dict); rational values are allowed.  The
+    ``a`` maps ray indices outside the maximal cone ``sigma`` to integers
+    (a sequence indexed by rays, or a dict).  The
     pairings on the cone's own rays are forced by the ray relations, so the
     result is a class by construction and skips the check.
     """
@@ -154,10 +156,10 @@ def beta_a_sigma(fan, a, sigma):
     complement = fan.cone_complement(sigma)
     pairings = [0] * fan.n_rays
     for i in complement:
-        pairings[i] = int_or_frac(a[i])
+        pairings[i] = operator.index(a[i])
     for rho, row in zip(sigma, fan.exponent_matrix(sigma)):
         pairings[rho] = -sum(pairings[i] * row[i] for i in complement)
-    return CurveClass._derived(fan, pairings)
+    return CurveClass._derived(fan, tuple(pairings))
 
 
 def curve_class_from_anchor(fan, coords):
@@ -188,12 +190,7 @@ def wall_curve_classes(fan):
 
 @memo
 def _mori_generators_anchor(fan):
-    seen = []
-    for beta in wall_curve_classes(fan):
-        vec = beta.anchor_coords
-        if vec not in seen:
-            seen.append(vec)
-    return tuple(seen)
+    return tuple(dict.fromkeys(beta.anchor_coords for beta in wall_curve_classes(fan)))
 
 
 @memo
@@ -272,18 +269,20 @@ def _truncated_cone_lattice_points(generators, inequalities, functional, bound):
 
     ``generators`` span the cone (ints, anchor coordinates), which is the
     dual of the ``inequalities`` rows; ``functional`` is an integer vector
-    positive on every generator.
+    positive on every generator.  The box of the vertices 0 and each
+    bound * g / <functional, g> has its corners rounded inwards to integers.
     """
     if bound < 0:
         return []
-    vertices = [tuple(Fraction(0) for _ in generators[0])]
+    lo = hi = (0,) * len(generators[0])
     for g in generators:
         f = _dot(functional, g)
         if f <= 0:
             raise ValueError("functional is not positive on a cone generator")
-        vertices.append(tuple(Fraction(bound, 1) * frac(x) / f for x in g))
+        lo = tuple(min(a, -(-bound * x // f)) for a, x in zip(lo, g))
+        hi = tuple(max(b, bound * x // f) for b, x in zip(hi, g))
     return list(box_points(
-        vertices, lambda x: _dot(functional, x) <= bound and _in_dual(inequalities, x)))
+        (lo, hi), lambda x: _dot(functional, x) <= bound and _in_dual(inequalities, x)))
 
 
 def effective_classes(fan, bound):

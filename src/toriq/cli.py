@@ -28,10 +28,10 @@ from .quasimap import (_map_stable, _twist_away, basepoints, degrees, stability,
                        validate_quasimap)
 
 
-def _int_option(option, raw):
-    """An integer option or variable, read in the scalar grammar of the files."""
+def _int_option(option, raw, parse=tio.parse_int):
+    """An integer option or variable, or a list by ``parse``, in the files' scalar grammar."""
     try:
-        return tio.parse_int(raw)
+        return parse(raw)
     except tio.MalformedInput as exc:
         raise tio.MalformedInput(f"{option}: {exc}") from exc
 
@@ -49,7 +49,7 @@ def _length_bound(given):
 
 def _emit(args, payload, text_lines):
     if args.json:
-        print(json.dumps(payload, indent=2, default=str))
+        print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
             print(line)
@@ -109,12 +109,12 @@ def _cmd_fan_info(args):
 
 
 def _load_class(fan, text):
-    """Accept a curve class as a full pairing vector or as anchor coordinates."""
-    parts = [p.strip() for p in text.split(",")]
+    """An integral curve class, as a full pairing vector or anchor coordinates."""
     rank = picard_rank(fan)
-    if len(parts) == rank and rank != fan.n_rays:
-        return curve_class_from_anchor(fan, tio.parse_pairing_list(text, rank))
-    return CurveClass(fan, tio.parse_pairing_list(text, fan.n_rays))
+    anchor = len(text.split(",")) == rank != fan.n_rays
+    n = rank if anchor else fan.n_rays
+    values = _int_option("--class", text, lambda raw: tio.parse_pairing_list(raw, n))
+    return curve_class_from_anchor(fan, values) if anchor else CurveClass(fan, values)
 
 
 def _cmd_class_length(args):

@@ -21,7 +21,7 @@ inverted.
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import product
 from operator import index
 
 from .basepoint import INF, _cone_table, _locate_degree
@@ -31,7 +31,7 @@ from .classes import (CurveClass, ample_functional, anchor_rays,
 from .fan import (dual_basis, memo, primitive_collections, product_fan,
                   projective_space_fan, require_valid)
 from .forms import BinaryForm, _quotient, poly_mul
-from .linalg import box_points, int_or_frac, lattice_map_is_surjective, solve_square
+from .linalg import box_points, int_or_frac, lattice_map_is_surjective
 from .quasimap import (Quasimap, _absorbs, _first_cone, _orders_at, _twist_away, basepoints,
                        degrees, extend_at, same_morphism_sections, validate_quasimap)
 from .record import Record
@@ -199,24 +199,22 @@ def covers_all_charts(emb):
 
 
 def polytope_lattice_points(fan, coeffs):
-    """Lattice points of {m : <m, u_rho> >= -coeffs[rho]}, sorted, on a valid
-    smooth complete fan.  A nef class (integral, every cone point m_sigma in the
-    polytope) has the m_sigma as vertices (Cox-Little-Schenck, Thm 6.1.7, Prop
-    6.1.10); for any other, every set of dim rays is solved for a vertex."""
+    """Lattice points of {m : <m, u_rho> >= -coeffs[rho]}, sorted, for an
+    integral lift on a valid smooth complete fan.  It is nef exactly when each
+    cone point m_sigma lies in the polytope, and then the m_sigma are the
+    vertices (Cox-Little-Schenck, Thm 6.1.7, Prop 6.1.10); else it raises."""
     n = fan.dim
-    rhs = [-int_or_frac(c) for c in coeffs]
+    rhs = [-index(c) for c in coeffs]
 
     def inside(m):
         return all(p >= r for p, r in zip(fan.pairing(m), rhs))
 
     vertices = [tuple(sum(rhs[i] * m[k] for i, m in zip(sigma, basis)) for k in range(n))
                 for sigma in fan.max_cones for basis in (dual_basis(fan, sigma),)]
-    if any(type(r) is not int for r in rhs) or not all(map(inside, vertices)):
-        vertices = []
-        for subset in combinations(range(fan.n_rays), n):
-            sol = solve_square([fan.rays[i] for i in subset], [rhs[i] for i in subset])
-            if sol is not None and inside(sol):
-                vertices.append(sol)
+    for sigma, m in zip(fan.max_cones, vertices):
+        if not inside(m):
+            raise ValueError(f"lift {tuple(coeffs)} is not nef: the cone point of {sigma} "
+                             "lies outside its polytope")
     return list(box_points(vertices, inside))
 
 

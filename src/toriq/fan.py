@@ -395,7 +395,7 @@ def projective_space_fan(n):
 
     Its dual bases are stored in closed form: the cone without ray j has the
     covector e_i* - e_j* at each of its rays i, reading e_{n+1} (the sum ray's
-    index) as 0.
+    index) as 0.  So is its one primitive collection, all n + 1 rays.
     """
     rays = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [tuple([-1] * n)]
     cones = list(combinations(range(n + 1), n))
@@ -403,4 +403,5 @@ def projective_space_fan(n):
     e = rays[:n] + [(0,) * n]  # cones[k] leaves out ray n - k
     remember(fan, "_dual_bases", {cone: tuple(tuple(map(sub, e[i], e[j])) for i in cone)
                                   for j, cone in zip(range(n, -1, -1), cones)})
+    remember(fan, "primitive_collections", (frozenset(range(n + 1)),))
     return fan

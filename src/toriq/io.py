@@ -211,7 +211,7 @@ def _parse_list(text, n, parse):
 
 
 def parse_pairing_list(text, n):
-    return _parse_list(text, n, parse_scalar)
+    return _parse_list(text, n, parse_int)
 
 
 def parse_order_list(text, n):

@@ -7,13 +7,14 @@ digits), so clarity beats asymptotics.  Values are ``int`` where integral.
 ``invert``, ``solve_square``, ``kernel_basis`` and
 ``lattice_map_is_surjective`` share one fraction-free elimination on integer
 rows.  ``invert`` builds the dual basis that starts each walk of ``fan``
-over its facet graph, ``solve_square`` the vertices of a non-nef class's
-polytope, ``kernel_basis`` and ``primitive_vector`` the nef cone's extreme
-rays (the latter also the integer gcd of ``forms``),
+over its facet graph, ``kernel_basis`` and ``primitive_vector`` the nef
+cone's extreme rays (the latter also the integer gcd of ``forms``),
 ``lattice_map_is_surjective`` the epic check of an embedding from the maximal
-minors, and ``int_or_frac`` the int-or-Fraction storage of classes, forms and
-embedding coefficients.  ``box_points`` enumerates the lattice points of a
-polytope and of a truncated cone from their vertices' bounding box.
+minors, and ``int_or_frac`` the int-or-Fraction values of forms, chart
+points and embedding coefficients.  ``solve_square`` has no library caller;
+it stays because perfbench's traced runs wrap it by name.  ``box_points``
+walks the bounding box of a polytope's vertices, and of a truncated cone
+between integer corners.
 """
 
 from fractions import Fraction

@@ -345,9 +345,8 @@ def test_derived_values_match_the_checked_constructors(name, request):
                 derived.append(_locate_degree(fan, bp.orders.orders, bp.orders.vanishing,
                                               first=first)[0])
             gamma = bp.degree
-            k = rng.choice((-2, -1, 0, 3, Fraction(1, 2), Fraction(-4, 3)))
-            derived += [beta + gamma, beta - gamma, gamma - beta, k * gamma, gamma * k,
-                        Fraction(2) * beta]
+            k = rng.choice((-2, -1, 0, 3))
+            derived += [beta + gamma, beta - gamma, gamma - beta, k * gamma, gamma * k]
         cone = rng.choice(fan.max_cones)
         vanishing = frozenset(rng.sample(cone, rng.randint(0, fan.dim - 1)))
         orders = tuple(INF if i in vanishing else rng.randint(-4, 4)

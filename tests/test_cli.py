@@ -8,7 +8,10 @@ import pytest
 
 import toriq
 from toriq.cases import CASE_NAMES, fixture_path
+from toriq.classes import wall_curve_classes
 from toriq.cli import main
+from toriq.io import load_embedding, load_fan, load_quasimap
+from toriq.quasimap import degrees
 
 
 def fx(name):
@@ -282,6 +285,85 @@ def test_reproduce_unknown_case_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "nonsense"])
     assert exc.value.code == 2
+
+
+FAN_FIXTURES = ("p2.json", "p3.json", "p1xp1.json", "bl0p2.json")
+QUASIMAP_FIXTURES = ("section_line.json", "segre_q1.json", "segre_q2.json")
+EMBEDDING_FIXTURES = ("segre.json", "bl0p2_product.json")
+
+
+def _listed(values):
+    return ",".join(map(str, values))
+
+
+def _json_runs(tmp_path, capsys):
+    """Every subcommand on each fixture of the kind it reads, with options it
+    accepts: a wall class of the fan, zero orders, each quasimap's witness
+    for ``contract``, the p2 line tail for ``graft``, and each source
+    quasimap of an embedding with its image."""
+    runs = []
+    for name in FAN_FIXTURES:
+        fan = load_fan(fx(name))
+        wall = _listed(wall_curve_classes(fan)[0].pairings)
+        runs += [("fan", "validate", fx(name)), ("fan", "info", fx(name)),
+                 ("class", "length", fx(name), "--class", wall),
+                 ("class", "factor", fx(name), "--class", wall),
+                 ("basepoint-degree", "--fan", fx(name), "--orders", _listed([0] * fan.n_rays)),
+                 ("embed", "build", fx(name))]
+    for name in QUASIMAP_FIXTURES:
+        stable = tmp_path / f"witness_{name}"
+        assert run(capsys, "witness", fx(name), "-o", str(stable))[0] == 0
+        runs += [("quasimap", "analyze", fx(name)), ("witness", fx(name)),
+                 ("contract", "check", str(stable)), ("contract", "apply", str(stable))]
+    runs.append(("graft", fx("section_line.json"), "--component", "0", "--place", "inf",
+                 "--tail", _line_tail(tmp_path)))
+    for name in EMBEDDING_FIXTURES:
+        emb = load_embedding(fx(name))
+        wall = _listed(wall_curve_classes(emb.source)[0].pairings)
+        runs += [("embed", "check", fx(name)), ("class", "push", fx(name), "--class", wall),
+                 ("embed", "push", fx(name), "--class", wall)]
+        for q_name in QUASIMAP_FIXTURES:
+            q = load_quasimap(fx(q_name))
+            if q.fan != emb.source:
+                continue
+            image = tmp_path / f"image_{q_name}"
+            assert run(capsys, "embed", "ibar", fx(name), fx(q_name), "-o", str(image))[0] == 0
+            runs += [("embed", "ibar", fx(name), fx(q_name)),
+                     ("embed", "fibre", fx(name), str(image),
+                      "--class", _listed(degrees(q)[0].pairings))]
+    return runs + [("reproduce", case) for case in CASE_NAMES]
+
+
+def test_every_json_output_is_json(tmp_path, capsys):
+    """The ``--json`` form of each subcommand prints one JSON document, with no
+    fallback for values JSON has no type for."""
+    runs = _json_runs(tmp_path, capsys)
+    assert {argv[0] if argv[0] in ("basepoint-degree", "graft", "witness", "reproduce")
+            else argv[:2] for argv in runs} == {
+        ("fan", "validate"), ("fan", "info"), ("class", "length"), ("class", "factor"),
+        ("class", "push"), "basepoint-degree", ("quasimap", "analyze"), ("embed", "build"),
+        ("embed", "check"), ("embed", "push"), ("embed", "ibar"), ("embed", "fibre"),
+        ("contract", "check"), ("contract", "apply"), "graft", "witness", "reproduce"}
+    for argv in runs:
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0, argv
+        assert isinstance(json.loads(out), dict), argv
+
+
+@pytest.mark.parametrize("argv,pairing,anchor", [
+    (("class", "length", fx("p2.json")), "1,1/2,1", "1/2"),
+    (("class", "factor", fx("bl0p2.json")), "1,1/2,1,0", "1/2,1"),
+    (("class", "push", fx("segre.json")), "1,1/2,0,0", "1/2,0"),
+    (("embed", "push", fx("segre.json")), "1,1/2,0,0", "1/2,0"),
+    (("embed", "fibre", fx("segre.json"), fx("segre_q1.json")), "2,1/2,2,2", "1/2,2"),
+])
+def test_rational_classes_are_usage_errors(capsys, argv, pairing, anchor):
+    """Curve classes are integral: a rational ``--class``, as a pairing vector
+    or as anchor coordinates, exits 2 naming the option and the value."""
+    for text in (pairing, anchor):
+        code, out, err = run(capsys, *argv, "--class", text)
+        assert (code, out) == (2, ""), text
+        assert err == "usage error: --class: expected an integer, got '1/2'\n", text
 
 
 def test_unreadable_file_is_usage_error(capsys):

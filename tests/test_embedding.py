@@ -262,7 +262,7 @@ def _assert_tables_match_a_fresh_copy(fan):
 def test_constructed_tables_match_a_fresh_copy(builder_fans):
     """Products of valid fans are given their verdict, dual bases and
     primitive collections at construction, and projective spaces their dual
-    bases in closed form; each stored table is the one read later, and each
+    bases and primitive collection in closed form; each stored table is the one read later, and each
     equals what a copy built from the same data computes."""
     fans = list(builder_fans)
     for fan in builder_fans:
@@ -276,7 +276,7 @@ def test_constructed_tables_match_a_fresh_copy(builder_fans):
         fans.append(target)
     for n in range(1, 7):
         space = projective_space_fan(n)
-        assert _memo_names(space) == {"toriq.fan._dual_bases"}
+        assert _memo_names(space) == {"toriq.fan._dual_bases", "toriq.fan.primitive_collections"}
         fans.append(space)
     for fan in fans:
         _assert_tables_match_a_fresh_copy(fan)

@@ -3,13 +3,13 @@ and the cone-point vertices of ``polytope_lattice_points`` against the code
 they replaced."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 from toriq.classes import divisor_from_ray_coefficients, is_nef, nef_hilbert_basis
-from toriq import embedding
 from toriq.embedding import polytope_lattice_points
 from toriq.fan import product_fan, projective_space_fan
 from toriq.linalg import (box_points, frac, invert, kernel_basis, lattice_map_is_surjective,
@@ -289,30 +289,29 @@ def random_coefficients(rng, fan):
     return [Fraction(rng.randint(-4, 6), rng.randint(1, 3)) for _ in range(fan.n_rays)]
 
 
-def test_polytope_points_agree_with_subset_oracle(polytope_fans, monkeypatch):
-    solves = []
-
-    def counted_solve(mat, rhs):
-        solves.append(mat)
-        return solve_square(mat, rhs)
-
-    monkeypatch.setattr(embedding, "solve_square", counted_solve)
+def test_polytope_points_agree_with_subset_oracle(polytope_fans):
+    """On a nef lift the cone points are the vertices, and the points are the
+    oracle's, which solves every set of dim rays for them; any other integral
+    lift raises naming it not nef, and a rational one raises a TypeError."""
     rng = random.Random("polytope")
-    nef = not_nef = 0
+    nef = not_nef = rational = 0
     for i in range(1200):
         fan = polytope_fans[i % len(polytope_fans)]
         coeffs = random_coefficients(rng, fan)
-        solves.clear()
-        got = polytope_lattice_points(fan, coeffs)
-        assert got == polytope_lattice_points_oracle(fan, coeffs), (fan, coeffs)
-        assert all(type(x) is int for pt in got for x in pt)
-        if all(type(c) is int for c in coeffs):
-            if is_nef(divisor_from_ray_coefficients(fan, coeffs)):
-                nef += 1
-                assert not solves  # the cone points are the vertices
-            else:
-                not_nef += 1
-    assert nef > 250 and not_nef > 250
+        if any(type(c) is not int for c in coeffs):
+            rational += 1
+            with pytest.raises(TypeError):
+                polytope_lattice_points(fan, coeffs)
+        elif is_nef(divisor_from_ray_coefficients(fan, coeffs)):
+            nef += 1
+            got = polytope_lattice_points(fan, coeffs)
+            assert got == polytope_lattice_points_oracle(fan, coeffs), (fan, coeffs)
+            assert all(type(x) is int for pt in got for x in pt)
+        else:
+            not_nef += 1
+            with pytest.raises(ValueError, match=f"^lift {re.escape(str(tuple(coeffs)))} is not nef"):
+                polytope_lattice_points(fan, coeffs)
+    assert nef > 250 and not_nef > 250 and rational > 250
 
 
 def test_box_points_agree_with_product_oracle():
