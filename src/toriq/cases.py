@@ -13,6 +13,7 @@ from .classes import curve_class_from_anchor
 from .contraction import contract, contraction_condition, surjectivity_witness
 from .embedding import (apply_ibar, build_epic_embedding, epic_check, fibre_enumeration,
                         pushforward_curves)
+from .fan import primitive_collections
 from .forms import BinaryForm, ProjPoint
 from .quasimap import (Quasimap, _twist_away, basepoints, degrees, equal_quasimaps,
                        stability, validate_quasimap)
@@ -149,15 +150,9 @@ def _case_blowup_embeddings():
 
 
 def projective_blocks(target):
-    """Ray index blocks of a product-of-projective-spaces target fan."""
-    blocks = []
-    current = []
-    for idx, ray in enumerate(target.rays):
-        current.append(idx)
-        if all(x <= 0 for x in ray):  # the -sum ray closes a factor block
-            blocks.append(current)
-            current = []
-    return blocks
+    """Ray index blocks of a product-of-projective-spaces target fan: its
+    primitive collections, which ``product_fan`` stores when it builds one."""
+    return [sorted(pc) for pc in primitive_collections(target)]
 
 
 def factor_degrees(emb, beta):

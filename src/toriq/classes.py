@@ -255,7 +255,7 @@ def ample_functional(fan):
 @memo
 def _degree_functional(fan):
     """The anticanonical class on a Fano fan, else ``ample_functional``: a
-    degree that makes enumeration finite, and map stability's polarization."""
+    degree that makes enumeration finite."""
     return anticanonical_class(fan) if is_fano(fan) else ample_functional(fan)
 
 

@@ -171,7 +171,7 @@ def _cmd_quasimap_analyze(args):
     bps = basepoints(q)
     ext = _twist_away(q, bps)
     qm_stable = stability(q, "quasimap")
-    map_stable = None if bps else _map_stable(q, per_comp, None)
+    map_stable = None if bps else _map_stable(q, per_comp)
     lengths = [length_at_point(q.fan, bp.orders) for bp in bps]
     payload = {
         "valid": True,

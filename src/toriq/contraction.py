@@ -27,24 +27,20 @@ class Tail(Record):
 
 
 class StableMapTree(Record):
-    """A basepoint-free, map-stable quasimap, validated on construction.
+    """A basepoint-free, map-stable quasimap, validated on construction;
+    ``surjectivity_witness`` skips the checks."""
 
-    Map stability is checked against ``stability``'s default polarization
-    (with at least one marking the outcome does not depend on that choice);
-    pass ``ample`` to force one.  ``surjectivity_witness`` skips the checks.
-    """
+    _fields = ("quasimap",)
 
-    _fields = ("quasimap", "ample")
-
-    def __init__(self, quasimap, ample=None):
+    def __init__(self, quasimap):
         q = quasimap
         violations = validate_quasimap(q)
         if violations:
             raise ValueError("invalid map data: " + "; ".join(violations))
         if basepoints(q):
             raise ValueError("a stable map cannot have basepoints")
-        self.__dict__.update(quasimap=q, ample=ample)
-        if not _map_stable(q, degrees(q)[1], ample):
+        self.__dict__["quasimap"] = q
+        if not _map_stable(q, degrees(q)[1]):
             raise ValueError("the map is not stable")
 
 
@@ -289,4 +285,4 @@ def surjectivity_witness(q):
             )
         current = nxt
 
-    return StableMapTree._unchecked(work, None)
+    return StableMapTree._unchecked(work)

@@ -28,7 +28,7 @@ from .basepoint import INF, _cone_table, _locate_degree
 from .classes import (CurveClass, ample_functional, anchor_rays,
                       divisor_from_ray_coefficients, effective_classes,
                       enumeration_degree, nef_hilbert_basis)
-from .fan import (dual_basis, memo, primitive_collections, product_fan,
+from .fan import (_cone_sets, dual_basis, memo, primitive_collections, product_fan,
                   projective_space_fan, require_valid)
 from .forms import BinaryForm, _quotient, poly_mul
 from .linalg import box_points, int_or_frac, lattice_map_is_surjective
@@ -295,12 +295,15 @@ def _invert_component(emb, secs):
     tuple on one component, or None when no chart inversion applies."""
     src, tgt = emb.source, emb.target
     factored = _factored_sections(emb, secs)
-    zeros = [tau for tau, fac in enumerate(factored) if fac is None]
+    zeros = frozenset(tau for tau, fac in enumerate(factored) if fac is None)
     all_places = {p for fac in factored if fac for p in fac[1]}
     for si, scone in enumerate(src.max_cones):
         for entry in chart_cover(emb)[si]:
-            tcone = tgt.max_cones[entry["target_cone"]]
-            if any(row[tau] < 0 for row in tgt.exponent_matrix(tcone) for tau in zeros):
+            # a target chart's coordinates carry a zero section to a negative
+            # power exactly when that section's ray is off the chart's cone: a
+            # ray off a cone of a simplicial fan pairs negatively with some
+            # vector of the cone's dual basis, and a ray in it with none
+            if not zeros <= _cone_sets(tgt)[entry["target_cone"]]:
                 continue
             # unit and per-place orders of each source chart coordinate, read
             # off the target sections through its lift; a lift positive at a

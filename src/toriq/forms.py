@@ -55,31 +55,21 @@ def poly_mul(a, b):
     return _trim(out)
 
 
-def poly_divmod(a, b):
-    """Quotient and remainder of a by b; b's leading coefficient is nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    n = len(b) - 1
-    lead = b[-1]
-    inv = None if lead == 1 else Fraction(1) / lead
-    a = list(a)
-    q = [0] * max(len(a) - n, 0)
-    for shift in range(len(a) - 1 - n, -1, -1):
-        coef = a[shift + n]
-        if coef:
-            if inv is not None:
-                coef *= inv
-            q[shift] = coef
-            for i in range(n):
-                a[shift + i] -= coef * b[i]
-    return _trim(q), _trim(a[:n])
-
-
 def _divide_by_place(poly, coeffs):
     """Quotient and remainder (falsy when zero) of a nonzero polynomial by a
-    monic place polynomial; by z - r, synthetic division at the root r."""
-    if len(coeffs) != 2:
-        return poly_divmod(poly, coeffs)
+    monic place polynomial: long division, and by z - r synthetic division at
+    the root r."""
+    n = len(coeffs) - 1
+    if n > 1:
+        rem = list(poly)
+        quo = [0] * max(len(rem) - n, 0)
+        for shift in range(len(rem) - 1 - n, -1, -1):
+            coef = rem[shift + n]
+            if coef:
+                quo[shift] = coef
+                for i in range(n):
+                    rem[shift + i] -= coef * coeffs[i]
+        return _trim(quo), _trim(rem[:n])
     root = -coeffs[0]
     if not root:
         return poly[1:], poly[0]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import index
 
 from .basepoint import INF, OrderVector, _cone_table, _locate_degree
-from .classes import CurveClass, _degree_functional
+from .classes import CurveClass
 from .fan import (_cone_sets, _degenerate_collections, is_connected, primitive_collections,
                   require_valid)
 from .forms import common_zero_places
@@ -307,15 +307,13 @@ def special_point_count(q, comp):
     return count
 
 
-def stability(q, mode="quasimap", ample=None):
+def stability(q, mode="quasimap"):
     """Stability of the quasimap (all components rational, genus zero).
 
     In quasimap mode a component with fewer than two special points fails and
     one with exactly two needs nonzero degree.  In map mode the input must be
-    basepoint-free and each component needs
-    2g-2 + #special + 2 * (ample degree) > 0; by default the polarization is
-    the anticanonical class on Fano targets and ``ample_functional`` otherwise
-    (``_degree_functional``).
+    basepoint-free and the stability is Kontsevich's: a component of class
+    zero needs at least three special points.
     """
     _, per_comp = degrees(q)
     if mode == "quasimap":
@@ -329,20 +327,16 @@ def stability(q, mode="quasimap", ample=None):
     if mode == "map":
         if basepoints(q):
             raise ValueError("map-mode stability needs a basepoint-free quasimap")
-        return _map_stable(q, per_comp, ample)
+        return _map_stable(q, per_comp)
     raise ValueError(f"unknown stability mode {mode!r}")
 
 
-def _map_stable(q, per_comp, ample):
-    """The map-mode stability inequality on every component of a quasimap
-    already known to be basepoint-free, with component classes ``per_comp``."""
-    if ample is None:
-        ample = _degree_functional(q.fan)
-    for comp in range(q.n_components):
-        k = -2 + special_point_count(q, comp)
-        if k + 2 * ample.pair(per_comp[comp]) <= 0:
-            return False
-    return True
+def _map_stable(q, per_comp):
+    """Kontsevich stability of a quasimap already known to be basepoint-free,
+    with component classes ``per_comp``: every component has a nonzero class
+    or at least three special points."""
+    return all(not per_comp[comp].is_zero() or special_point_count(q, comp) >= 3
+               for comp in range(q.n_components))
 
 
 def _orthogonal_characters(fan, rays):

@@ -6,9 +6,9 @@ in ``_fields`` order; a subclass that normalises or checks them defines its own,
 storing each into the instance ``__dict__``.  Assignment and deletion are
 refused afterwards.  Instances are equal only to instances of the same class,
 and the hash is that of the tuple of compared fields, as a frozen dataclass's
-is (every subclass compares two or more fields, so ``attrgetter`` returns that
-tuple).  ``_unchecked(*values)`` stores values the library built, in
-``_fields`` order, skipping ``__init__``.
+is (``attrgetter`` returns that tuple for two or more fields; a one-field key
+wraps its value in a 1-tuple).  ``_unchecked(*values)`` stores values the
+library built, in ``_fields`` order, skipping ``__init__``.
 """
 
 from operator import attrgetter
@@ -18,7 +18,9 @@ class Record:
     _fields = ()
 
     def __init_subclass__(cls):
-        cls._key = attrgetter(*getattr(cls, "_compare", cls._fields))
+        names = getattr(cls, "_compare", cls._fields)
+        key = attrgetter(*names)
+        cls._key = key if len(names) > 1 else staticmethod(lambda obj: (key(obj),))
 
     def __init__(self, *values):
         self.__dict__.update(zip(self._fields, values, strict=True))

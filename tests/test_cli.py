@@ -94,7 +94,8 @@ def test_quasimap_analyze_text_places(capsys):
 
 def test_quasimap_analyze_of_a_non_fano_stable_map(tmp_path, capsys):
     """A basepoint-free quasimap to F2 of the rigid section's class, which
-    ``contract check`` takes as a stable map: ``analyze`` agrees."""
+    ``contract check`` takes as a stable map: ``analyze`` agrees.  So do both
+    on an unmarked curve of anticanonical degree 1."""
     form = {"degree": 1, "coeffs": [1, 0]}
     path = tmp_path / "rigid.json"
     path.write_text(json.dumps({
@@ -111,6 +112,23 @@ def test_quasimap_analyze_of_a_non_fano_stable_map(tmp_path, capsys):
     assert data["basepoints"] == [] and data["stable_map"] is True
     code, out, _ = run(capsys, "--json", "contract", "check", str(path))
     assert code == 0 and json.loads(out)["admissible"] is True
+
+    # the unmarked exceptional curve (0, 1, 1, -1) on bl0p2 has anticanonical
+    # degree 1 and a nonzero class: both take it as a stable map
+    path = tmp_path / "exceptional.json"
+    path.write_text(json.dumps({
+        "fan": json.loads(Path(fx("bl0p2.json")).read_text()),
+        "components": [[{"degree": 0, "coeffs": [1]}, form,
+                        {"degree": 1, "coeffs": [0, 1]}, {"degree": -1, "coeffs": []}]],
+        "nodes": [],
+        "markings": [],
+    }))
+    code, out, _ = run(capsys, "--json", "quasimap", "analyze", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["basepoints"] == [] and data["stable_map"] is True
+    code, out, _ = run(capsys, "--json", "contract", "check", str(path))
+    assert code == 0
 
 
 def test_embed_commands(tmp_path, capsys):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from toriq import classes
-from toriq.classes import (ample_functional, anticanonical_class, curve_class_from_anchor,
+from toriq.classes import (ample_functional, curve_class_from_anchor,
                            effective_classes, enumeration_degree, factorizations,
                            is_ample, is_fano, length, nef_hilbert_basis,
                            relaxed_surjectivity_condition, wall_curve_classes)
@@ -84,7 +84,7 @@ def test_f2_witness_via_relaxed_condition(f2):
     assert stability(q, "quasimap")
     assert len(basepoints(q)) == 1
     witness = surjectivity_witness(q)
-    assert stability(witness.quasimap, "map", ample=ample_functional(f2))
+    assert stability(witness.quasimap, "map")
     assert equal_quasimaps(contract(witness), q)
 
 
@@ -107,29 +107,23 @@ MARKS = ((0, ProjPoint(1, 1)), (0, ProjPoint(1, 2)))
 
 def rigid_section_map(f2):
     """A basepoint-free map of the rigid section's class (1, -2, 1, 0) with
-    two markings: its anticanonical degree is 0, so its map stability turns
-    on the polarization."""
+    two markings: its anticanonical degree is 0, but its class is not."""
     return Quasimap(f2, ((BinaryForm.from_poly(1, (1,)), BinaryForm.zero(-2),
                           BinaryForm.from_poly(1, (0, 1)), BinaryForm.constant(1)),),
                     markings=MARKS)
 
 
 def test_f2_map_stability_defaults_to_the_ample_functional(f2):
-    """Map mode and ``StableMapTree`` take the same default polarization on a
-    non-Fano target: the ample functional, not the anticanonical class."""
+    """Map mode and ``StableMapTree`` agree on a non-Fano target: a component
+    of nonzero class is stable even where its anticanonical degree is 0."""
     q = rigid_section_map(f2)
     assert validate_quasimap(q) == [] and basepoints(q) == ()
     assert stability(q, "map") is True
-    assert stability(q, "map", ample=ample_functional(f2)) is True
-    assert stability(q, "map", ample=anticanonical_class(f2)) is False
     assert StableMapTree(q).quasimap == q
-    with pytest.raises(ValueError, match="not stable"):
-        StableMapTree(q, ample=anticanonical_class(f2))
 
-    # a constant map with two markings fails under every polarization
+    # a constant map needs three special points, and has two
     point = Quasimap(f2, ((BinaryForm.constant(1),) * 4,), markings=MARKS)
     assert validate_quasimap(point) == [] and basepoints(point) == ()
     assert stability(point, "map") is False
-    assert stability(point, "map", ample=ample_functional(f2)) is False
     with pytest.raises(ValueError, match="not stable"):
         StableMapTree(point)

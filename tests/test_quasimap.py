@@ -7,7 +7,7 @@ import pytest
 
 from toriq.basepoint import INF, OrderVector, degree_at_point, length_at_point
 from toriq.classes import CurveClass, effective_classes, is_effective, wall_curve_classes
-from toriq.contraction import contract, surjectivity_witness
+from toriq.contraction import StableMapTree, contract, surjectivity_witness
 from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
 from toriq.fan import (is_connected, primitive_collections, product_fan,
                        projective_space_fan, require_valid)
@@ -110,12 +110,18 @@ def test_degrees(section_line, segre_pair):
     assert degrees(constant)[0].pairings == (0, 0, 0)
 
 
-def test_stability_modes(p2, section_line):
+def test_stability_modes(p2, bl0p2, section_line):
     assert stability(section_line, "quasimap")
     ext = regular_extension(section_line)
     assert not stability(ext, "map")
     line = Quasimap(p2, ((F(1, 1), F(1, 0, 1), F(1, 1, 1)),))
-    assert stability(line, "map")  # no marks, degree 3 against the anticanonical
+    assert stability(line, "map")  # no marks, but a nonzero class
+    # the exceptional curve (0, 1, 1, -1), unmarked and of anticanonical degree
+    # 1: Kontsevich-stable, as every component of nonzero class is
+    exceptional = Quasimap(bl0p2, ((F(0, 1), F(1, 1), F(1, 0, 1), BinaryForm.zero(-1)),))
+    assert basepoints(exceptional) == ()
+    assert stability(exceptional, "map") is True
+    assert StableMapTree(exceptional).quasimap == exceptional
     degree_zero = Quasimap(p2, ((F(0, 1), F(0, 2), F(0, 3)),), markings=MARKS)
     assert not stability(degree_zero, "quasimap")
     with pytest.raises(ValueError):

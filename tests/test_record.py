@@ -34,7 +34,7 @@ FIELDS = {
     BasepointPlace: ("component", "place", "orders", "degree"),
     XPoint: ("cone", "coords", "cox"),
     Tail: ("components", "host", "host_point"),
-    StableMapTree: ("quasimap", "ample"),
+    StableMapTree: ("quasimap",),
     EmbeddingSpec: ("source", "target", "coeffs", "exponents"),
 }
 UNCOMPARED = {XPoint: ("cox",)}
@@ -157,8 +157,7 @@ def test_keyword_and_default_constructor_arguments():
     q = Quasimap(fan=fan, components=comps)
     assert q.nodes == () and q.markings == ()
     assert q == Quasimap(fan, comps, (), ())
-    assert StableMapTree(q).ample is None
-    assert StableMapTree(quasimap=q, ample=None) == StableMapTree(q)
+    assert StableMapTree(quasimap=q) == StableMapTree(q)
     assert CurveClass(fan=fan, pairings=(1, 1)) == CurveClass(fan, (1, 1))
 
 
