@@ -6,7 +6,7 @@ module and are also the CLI's example inputs.
 """
 
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 
 from .basepoint import INF, degree_at_point
 from .classes import curve_class_from_anchor
@@ -21,7 +21,7 @@ from . import io as tio
 
 
 def fixture_path(name):
-    return resources.files("toriq.fixtures").joinpath(name)
+    return Path(__file__).parent / "fixtures" / name
 
 
 def _form(deg, *coeffs):

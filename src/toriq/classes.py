@@ -17,7 +17,7 @@ import operator
 from itertools import combinations
 
 from .fan import memo, require_valid, walls
-from .linalg import box_points, kernel_basis, primitive_vector
+from .linalg import box_points, kernel_basis
 from .record import Record
 
 
@@ -199,16 +199,11 @@ def nef_extreme_rays(fan):
     require_valid(fan)
     gens = _mori_generators_anchor(fan)
     rank = picard_rank(fan)
-    if rank == 1:
-        pool = [(1,), (-1,)]
-    else:
-        pool = []
-        for subset in combinations(gens, rank - 1):
-            kern = kernel_basis([list(v) for v in subset])
-            if len(kern) != 1:
-                continue
-            vec = primitive_vector(kern[0])
-            pool.extend([vec, tuple(-x for x in vec)])
+    pool = []
+    for subset in combinations(gens, rank - 1):
+        kern = kernel_basis(subset, rank)
+        if len(kern) == 1:
+            pool.extend([kern[0], tuple(-x for x in kern[0])])
     candidates = {vec for vec in pool if _in_dual(gens, vec)}
     return tuple(DivisorClass(fan, c) for c in sorted(candidates))
 

@@ -29,7 +29,7 @@ from .classes import (CurveClass, ample_functional, anchor_rays,
                       divisor_from_ray_coefficients, effective_classes,
                       enumeration_degree, nef_hilbert_basis)
 from .fan import (_cone_sets, dual_basis, memo, primitive_collections, product_fan,
-                  projective_space_fan, require_valid)
+                  projective_space_fan, remember, require_valid)
 from .forms import BinaryForm, _quotient, poly_mul
 from .linalg import box_points, int_or_frac, lattice_map_is_surjective
 from .quasimap import (Quasimap, _absorbs, _first_cone, _orders_at, _twist_away, basepoints,
@@ -236,8 +236,8 @@ def build_epic_embedding(fan):
       ``ample_functional``, which meets every wall curve.
     - Epic: a factor's target divisors pull back to its class, and the basis
       generates Pic, because the nef cone is full-dimensional.
-    The target's tables (verdict, dual bases, primitive collections) are
-    stored by ``product_fan`` and ``projective_space_fan`` as it is built.
+    Its verdict is stored here, and the target's tables (verdict, dual bases,
+    primitive collections) by ``product_fan`` and ``projective_space_fan``.
     """
     require_valid(fan)
     ample_functional(fan)  # raises on non-projective input
@@ -250,7 +250,9 @@ def build_epic_embedding(fan):
         for m in points:
             exponents.append(tuple(c + p for c, p in zip(lift, fan.pairing(m))))
             coeffs.append(1)
-    return EmbeddingSpec(fan, product_fan(factors), tuple(coeffs), tuple(exponents))
+    emb = EmbeddingSpec(fan, product_fan(factors), tuple(coeffs), tuple(exponents))
+    remember(emb, f"{__name__}.require_valid_embedding", emb)
+    return emb
 
 
 def apply_ibar(emb, q):

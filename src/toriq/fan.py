@@ -57,10 +57,10 @@ def memo(fn):
     return memoized
 
 
-def remember(obj, name, value):
-    """Store ``value`` under ``memo``'s key for this module's ``name(obj)``; by
-    name, as traced runs rebind module functions to wrappers."""
-    obj.__dict__.setdefault("_memo", {})[(f"{__name__}.{name}",)] = value
+def remember(obj, qualname, value):
+    """Store ``value`` under ``memo``'s key for ``qualname(obj)``, given with its
+    module; by name, as traced runs rebind module functions to wrappers."""
+    obj.__dict__.setdefault("_memo", {})[(qualname,)] = value
 
 
 class Fan(Record):
@@ -129,11 +129,7 @@ def _dual_bases(fan):
         try:
             inv = invert([[rays[j][i] for j in start] for i in range(dim)])
         except ValueError as exc:
-            table[start] = str(exc)
-            continue
-        # the inverse of an integer matrix is integral exactly when |det| = 1
-        if any(type(x) is not int for row in inv for x in row):
-            table[start] = _NON_UNIMODULAR
+            table[start] = _NON_UNIMODULAR if "unimodular" in str(exc) else str(exc)
             continue
         table[start] = tuple(map(tuple, inv))
         stack = [start]
@@ -384,9 +380,9 @@ def product_fan(factors):
         pos += f.dim
     fan = Fan(dim, tuple(rays), tuple(c for c, _ in cones))
     if valid:  # the blocks' indices increase, so the collections stay in canonical order
-        remember(fan, "_violations", [])
-        remember(fan, "_dual_bases", dict(cones))
-        remember(fan, "primitive_collections", tuple(collections))
+        remember(fan, f"{__name__}._violations", [])
+        remember(fan, f"{__name__}._dual_bases", dict(cones))
+        remember(fan, f"{__name__}.primitive_collections", tuple(collections))
     return fan
 
 
@@ -401,7 +397,8 @@ def projective_space_fan(n):
     cones = list(combinations(range(n + 1), n))
     fan = Fan(n, tuple(rays), tuple(cones))
     e = rays[:n] + [(0,) * n]  # cones[k] leaves out ray n - k
-    remember(fan, "_dual_bases", {cone: tuple(tuple(map(sub, e[i], e[j])) for i in cone)
-                                  for j, cone in zip(range(n, -1, -1), cones)})
-    remember(fan, "primitive_collections", (frozenset(range(n + 1)),))
+    remember(fan, f"{__name__}._dual_bases",
+             {cone: tuple(tuple(map(sub, e[i], e[j])) for i in cone)
+              for j, cone in zip(range(n, -1, -1), cones)})
+    remember(fan, f"{__name__}.primitive_collections", (frozenset(range(n + 1)),))
     return fan

@@ -340,9 +340,7 @@ def _factor_poly_cached(poly):
     expr = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(poly)],
                       sympy.Symbol("z"), domain="QQ")
     unit, factors = expr.factor_list()
-    unit = Fraction(sympy.Integer(unit.p), sympy.Integer(unit.q)) if unit.is_Rational else None
-    if unit is None:
-        raise RuntimeError("unexpected non-rational unit from factorization")
+    unit = Fraction(int(unit.p), int(unit.q))  # a rational content over QQ
     out = []
     for fac, mult in factors:
         coeffs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]

@@ -193,13 +193,9 @@ def load_tail(path):
     return _load(path, tail_from_dict)
 
 
-def dump(data, path=None):
-    text = json.dumps(data, indent=2)
-    if path is None:
-        return text
+def dump(data, path):
     with open(path, "w") as handle:
-        handle.write(text + "\n")
-    return text
+        handle.write(json.dumps(data, indent=2) + "\n")
 
 
 def _parse_list(text, n, parse):

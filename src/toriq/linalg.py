@@ -1,25 +1,26 @@
-"""Small exact linear algebra helpers over the rationals and the integers.
+"""Small exact linear algebra helpers over the integers and the rationals.
 
-Everything here works on plain lists/tuples of ints or fractions.Fraction;
-matrices are lists of rows.  Sizes are tiny (lattice rank in the single
-digits), so clarity beats asymptotics.  Values are ``int`` where integral.
+Matrices are lists of rows.  Sizes are tiny (lattice rank in the single
+digits), so clarity beats asymptotics.
 
-``invert``, ``solve_square``, ``kernel_basis`` and
-``lattice_map_is_surjective`` share one fraction-free elimination on integer
-rows.  ``invert`` builds the dual basis that starts each walk of ``fan``
-over its facet graph, ``kernel_basis`` and ``primitive_vector`` the nef
-cone's extreme rays (the latter also the integer gcd of ``forms``),
+The lattice functions take integer matrices, as the lattices of a smooth fan
+are integral.  ``invert``, ``solve_square``, ``kernel_basis`` and
+``lattice_map_is_surjective`` share one fraction-free elimination.  ``invert``
+builds the dual basis that starts each walk of ``fan`` over its facet graph,
+``kernel_basis`` the nef cone's extreme rays, and
 ``lattice_map_is_surjective`` the epic check of an embedding from the maximal
-minors, and ``int_or_frac`` the int-or-Fraction values of forms, chart
-points and embedding coefficients.  ``solve_square`` has no library caller;
-it stays because perfbench's traced runs wrap it by name.  ``box_points``
-walks the bounding box of a polytope's vertices, and of a truncated cone
-between integer corners.
+minors.  ``solve_square`` has no library caller; it stays because perfbench's
+traced runs wrap it by name.  ``box_points`` walks the box between integer
+corners: of a polytope's vertices, and of a truncated cone.
+
+``int_or_frac``, ``frac`` and ``primitive_vector`` serve the rational
+coefficients of ``forms``, chart points and embedding coefficients: values are
+``int`` where integral.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 
 
 def frac(x):
@@ -37,15 +38,12 @@ def int_or_frac(x):
 
 
 def _gauss_jordan(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), pivoting in the
-    first ``ncols`` columns; each row is first scaled by the lcm of its
-    denominators.  Returns the integer rows, the pivot columns and the common
-    pivot d (the determinant up to sign): row i holds d at the i-th pivot
-    column and 0 at the others, and the rows past the rank are 0 there."""
-    a = []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (scale // x.denominator) for x in row])
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows,
+    pivoting in the first ``ncols`` columns.  Returns the rows, the pivot
+    columns and the common pivot d (the determinant up to sign): row i holds d
+    at the i-th pivot column and 0 at the others, and the rows past the rank
+    are 0 there."""
+    a = list(rows)
     pivots = []
     prev = 1
     for c in range(ncols):
@@ -65,43 +63,45 @@ def _gauss_jordan(rows, ncols):
     return a, pivots, prev
 
 
-def _divided(row, d):
-    return [x // d if x % d == 0 else Fraction(x, d) for x in row]
-
-
 def invert(mat):
-    """Exact inverse of a square rational matrix; raises on singular input."""
+    """The integer inverse of a square unimodular integer matrix; raises
+    ValueError on a singular or a non-unimodular one."""
     n = len(mat)
     rows, pivots, d = _gauss_jordan(
         [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)], n)
     if len(pivots) < n:
         raise ValueError("singular matrix")
-    return [_divided(row[n:], d) for row in rows]
+    if d * d != 1:
+        raise ValueError("non-unimodular matrix has no integer inverse")
+    return [[d * x for x in row[n:]] for row in rows]
 
 
 def solve_square(mat, rhs):
-    """Solve mat @ x = rhs for square mat; returns None when singular."""
+    """Solve mat @ x = rhs for a square integer mat and integer rhs; returns
+    None when singular, and int-or-Fraction entries."""
     n = len(mat)
     rows, pivots, d = _gauss_jordan([list(row) + [b] for row, b in zip(mat, rhs)], n)
     if len(pivots) < n:
         return None
-    return tuple(_divided([row[n] for row in rows], d))
+    return tuple(Fraction(row[n], d) if row[n] % d else row[n] // d for row in rows)
 
 
-def kernel_basis(mat):
-    """Basis of the rational kernel {x : mat @ x = 0} (mat rows = equations)."""
-    if not mat:
-        return []
-    ncols = len(mat[0])
+def kernel_basis(mat, ncols):
+    """Primitive integer vectors spanning the kernel {x : mat @ x = 0} of an
+    integer matrix with ``ncols`` columns (rows = equations): one per free
+    column, positive there and 0 at the other free columns.  With no rows it
+    is the standard basis."""
     rows, pivots, d = _gauss_jordan(mat, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         vec = [0] * ncols
         vec[f] = d
         for row, c in zip(rows, pivots):
             vec[c] = -row[f]
-        basis.append(tuple(_divided(vec, d)))
+        g = gcd(*vec) if d > 0 else -gcd(*vec)  # the sign of d makes vec[f] positive
+        basis.append(tuple(x // g for x in vec))
     return basis
 
 
@@ -117,9 +117,9 @@ def primitive_vector(vec):
 
 
 def box_points(vertices, test):
-    """The integer points of the vertices' bounding box that pass ``test``, in
-    lexicographic order; no points for no vertices."""
-    ranges = [range(ceil(min(xs)), floor(max(xs)) + 1) for xs in zip(*vertices)]
+    """The integer points of the integer vertices' bounding box that pass
+    ``test``, in lexicographic order; no points for no vertices."""
+    ranges = [range(min(xs), max(xs) + 1) for xs in zip(*vertices)]
     return filter(test, product(*ranges)) if vertices else iter(())
 
 

@@ -51,9 +51,6 @@ class Quasimap(Record):
 class BasepointPlace(Record):
     _fields = ("component", "place", "orders", "degree")
 
-    def sort_key(self):
-        return (self.component,) + self.place.sort_key()
-
 
 class XPoint(Record):
     """A point of the target in a torus chart: chosen cone, chart coordinates,

@@ -6,9 +6,9 @@ in ``_fields`` order; a subclass that normalises or checks them defines its own,
 storing each into the instance ``__dict__``.  Assignment and deletion are
 refused afterwards.  Instances are equal only to instances of the same class,
 and the hash is that of the tuple of compared fields, as a frozen dataclass's
-is (``attrgetter`` returns that tuple for two or more fields; a one-field key
-wraps its value in a 1-tuple).  ``_unchecked(*values)`` stores values the
-library built, in ``_fields`` order, skipping ``__init__``.
+is; each subclass gets its own ``==`` and ``hash`` over that tuple.
+``_unchecked(*values)`` stores values the library built, in ``_fields``
+order, skipping ``__init__``.
 """
 
 from operator import attrgetter
@@ -19,8 +19,11 @@ class Record:
 
     def __init_subclass__(cls):
         names = getattr(cls, "_compare", cls._fields)
-        key = attrgetter(*names)
-        cls._key = key if len(names) > 1 else staticmethod(lambda obj: (key(obj),))
+        get = attrgetter(*names)  # a tuple for two or more names, so wrap one in a 1-tuple
+        key = get if len(names) > 1 else lambda obj: (get(obj),)
+        cls.__eq__ = lambda self, other: (key(self) == key(other)
+                                          if other.__class__ is self.__class__ else NotImplemented)
+        cls.__hash__ = lambda self: hash(key(self))
 
     def __init__(self, *values):
         self.__dict__.update(zip(self._fields, values, strict=True))
@@ -30,14 +33,6 @@ class Record:
         obj = cls.__new__(cls)
         obj.__dict__.update(zip(cls._fields, values))
         return obj
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

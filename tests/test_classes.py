@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from toriq.classes import (CurveClass, DivisorClass, _degree_functional, _dot, _
 from toriq.embedding import (EmbeddingSpec, _pull_back_character, apply_ibar,
                              build_epic_embedding, pushforward_curves, validate_embedding)
 from toriq.fan import Fan, locate_cones, product_fan, projective_space_fan, walls
-from toriq.linalg import box_points
 from toriq.quasimap import degrees
 
 from qmgen import random_quasimap
@@ -261,7 +262,8 @@ def _closure_cone_points(generators, is_member, functional, bound):
     vertices = [tuple(Fraction(0) for _ in generators[0])]
     for g in generators:
         vertices.append(tuple(Fraction(bound) * x / functional(g) for x in g))
-    return list(box_points(vertices, lambda x: functional(x) <= bound and is_member(x)))
+    ranges = [range(ceil(min(xs)), floor(max(xs)) + 1) for xs in zip(*vertices)]
+    return [x for x in product(*ranges) if functional(x) <= bound and is_member(x)]
 
 
 def _mori_oracle(fan):

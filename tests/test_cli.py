@@ -565,6 +565,14 @@ for name in ("dataclasses", "inspect"):
     assert name not in sys.modules, f"a bundled case loaded {name}"
 """
 
+# run without site, whose .pth files may import these modules themselves
+NO_SITE_START = """
+import sys
+import toriq.cli
+for name in ("importlib.resources", "tempfile"):
+    assert name not in sys.modules, f"importing toriq.cli loaded {name}"
+"""
+
 
 def test_cli_starts_and_runs_cases_without_sympy():
     # the bundled cases factor only linear and quadratic forms, which need no
@@ -572,5 +580,9 @@ def test_cli_starts_and_runs_cases_without_sympy():
     src = str(Path(toriq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    # the fixtures are found by path, without importlib.resources and tempfile
+    result = subprocess.run([sys.executable, "-S", "-c", NO_SITE_START], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -240,6 +240,27 @@ def test_builder_matches_its_checked_oracle(builder_fans):
         assert all(any(d.pair(w) > 0 for d in basis) for w in wall_curve_classes(fan)), fan
 
 
+def test_a_built_embedding_carries_its_verdict(builder_fans, monkeypatch):
+    """The builder stores the verdict it certifies, so pushing classes forward
+    and the epic check never validate a built embedding; the answers equal
+    those on a copy that is validated."""
+    def refuse(emb):
+        raise AssertionError("a built embedding was validated")
+
+    monkeypatch.setattr("toriq.embedding.validate_embedding", refuse)
+    built = []
+    for fan in builder_fans:
+        emb = build_epic_embedding(fan)
+        walls_pushed = [pushforward_curves(emb, w) for w in wall_curve_classes(fan)]
+        built.append((emb, walls_pushed, epic_check(emb)))
+    monkeypatch.undo()
+    for emb, walls_pushed, epic in built:
+        copy = EmbeddingSpec(emb.source, emb.target, emb.coeffs, emb.exponents)
+        assert walls_pushed == [pushforward_curves(copy, w)
+                                for w in wall_curve_classes(emb.source)]
+        assert epic is epic_check(copy) is True
+
+
 CONSTRUCTED = {"toriq.fan._violations", "toriq.fan._dual_bases",
                "toriq.fan.primitive_collections"}
 

@@ -13,7 +13,9 @@ from toriq.classes import nef_hilbert_basis
 from toriq.fan import (Fan, dual_basis, locate_cones, primitive_collections, product_fan,
                        projective_space_fan, require_valid, validate_fan, walls)
 from toriq.io import load_embedding
-from toriq.linalg import frac, invert, kernel_basis
+from toriq.linalg import frac, kernel_basis
+
+from test_linalg import invert_oracle
 
 
 def test_p2_is_valid(p2):
@@ -185,7 +187,7 @@ def _intersection_extreme_ray_candidates(fan, ci, cj):
         subsets = combinations(range(len(rows)), n - 1)
     for subset in subsets:
         sub = [rows[i] for i in subset]
-        kern = kernel_basis(sub) if sub else [tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))]
+        kern = kernel_basis(sub, n) if sub else [tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))]
         if len(kern) != 1:
             continue
         for vec in (kern[0], tuple(-x for x in kern[0])):
@@ -343,11 +345,11 @@ def dual_basis_oracle(fan, sigma):
         raise ValueError(f"{sigma} is not a maximal cone of the fan")
     if not len(set(sigma)) == len(sigma) == fan.dim:
         raise ValueError(f"maximal cone {sigma} is not a set of {fan.dim} distinct rays")
-    inv = invert([[fan.rays[j][i] for j in sigma] for i in range(fan.dim)])
+    inv = invert_oracle([[fan.rays[j][i] for j in sigma] for i in range(fan.dim)])
     # the inverse of an integer matrix is integral exactly when |det| = 1
-    if any(type(x) is not int for row in inv for x in row):
+    if any(x.denominator != 1 for row in inv for x in row):
         raise ValueError("non-unimodular cone has no integral dual basis")
-    return tuple(map(tuple, inv))
+    return tuple(tuple(map(int, row)) for row in inv)
 
 
 def _outcome(fn, fan, sigma):

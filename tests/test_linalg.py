@@ -6,6 +6,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
 
@@ -110,28 +111,30 @@ def polytope_lattice_points_oracle(fan, coeffs):
     return sorted(points)
 
 
+def primitive_oracle(vec):
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    scale = lcm(*(x.denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    return tuple(x // gcd(*ints) for x in ints)
+
+
 def assert_int_or_proper_fraction(values):
     for x in values:
         assert type(x) is int or (type(x) is Fraction and x.denominator != 1), repr(x)
 
 
-def random_scalar(rng, kind):
-    if kind == "int":
-        return rng.randint(-3, 3) if rng.random() < 0.9 else rng.randint(-60, 60)
-    if kind == "integral fraction":
-        return Fraction(rng.randint(-3, 3))
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+def random_scalar(rng):
+    return rng.randint(-3, 3) if rng.random() < 0.9 else rng.randint(-60, 60)
 
 
 def random_matrix(rng, m, n):
-    """An m x n matrix of one kind of entries; in about half the cases a row
-    is a multiple of another, a row is zero or two columns are equal."""
-    kind = rng.choice(["int", "int", "rational", "integral fraction"])
-    mat = [[random_scalar(rng, kind) for _ in range(n)] for _ in range(m)]
+    """An m x n integer matrix; in about half the cases a row is a multiple
+    of another, a row is zero or two columns are equal."""
+    mat = [[random_scalar(rng) for _ in range(n)] for _ in range(m)]
     shape = rng.randrange(6)
     if shape == 1 and m > 1:
         i, j = rng.sample(range(m), 2)
-        k = random_scalar(rng, kind)
+        k = random_scalar(rng)
         mat[i] = [k * x for x in mat[j]]
     elif shape == 2:
         mat[rng.randrange(m)] = [0] * n
@@ -142,37 +145,61 @@ def random_matrix(rng, m, n):
     return mat
 
 
+def random_unimodular(rng, n):
+    """An n x n integer matrix of determinant +-1: a signed identity under
+    random row additions, with its rows shuffled."""
+    mat = [[rng.choice((1, -1)) * int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        k = rng.randint(-2, 2)
+        mat[i] = [x + k * y for x, y in zip(mat[i], mat[j])]
+    rng.shuffle(mat)
+    return mat
+
+
 def test_elimination_agrees_with_rational_oracle():
+    """On integer matrices: ``invert`` is the oracle's inverse when that is
+    integral and raises otherwise, ``solve_square`` is the oracle's solution,
+    and ``kernel_basis`` is the oracle's kernel scaled to primitive vectors."""
     rng = random.Random("linalg")
-    singular = rank_deficient = 0
+    singular = non_unimodular = unimodular = rank_deficient = 0
     for _ in range(2000):
         n = rng.randint(1, 7)
-        mat = random_matrix(rng, n, n)
+        mat = random_unimodular(rng, n) if rng.random() < 0.25 else random_matrix(rng, n, n)
         try:
             expected = invert_oracle(mat)
         except ValueError:
             expected = None
         if expected is None:
             singular += 1
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^singular matrix$"):
+                invert(mat)
+        elif any(x.denominator != 1 for row in expected for x in row):
+            non_unimodular += 1
+            with pytest.raises(ValueError, match="non-unimodular"):
                 invert(mat)
         else:
+            unimodular += 1
             got = invert(mat)
             assert got == expected
-            assert_int_or_proper_fraction(x for row in got for x in row)
+            assert all(type(x) is int for row in got for x in row)
 
-        rhs = [random_scalar(rng, rng.choice(["int", "rational"])) for _ in range(n)]
+        rhs = [random_scalar(rng) for _ in range(n)]
         got = solve_square(mat, rhs)
         assert got == (None if expected is None else mat_vec(expected, rhs))
         if got is not None:
             assert_int_or_proper_fraction(got)
 
         rect = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        got = kernel_basis(rect)
-        assert got == kernel_basis_oracle(rect)
-        assert_int_or_proper_fraction(x for vec in got for x in vec)
+        got = kernel_basis(rect, len(rect[0]))
+        assert got == [primitive_oracle(vec) for vec in kernel_basis_oracle(rect)]
+        assert all(type(x) is int for vec in got for x in vec)
         rank_deficient += len(got) > max(0, len(rect[0]) - len(rect))
     assert 300 < singular < 1700 and rank_deficient > 300
+    assert non_unimodular > 300 and unimodular > 300
+    with pytest.raises(ValueError, match="non-unimodular"):
+        invert([[2, 0], [0, 1]])
+    assert kernel_basis([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 # Reference: surjectivity read off a diagonal form under unimodular row and
@@ -261,7 +288,7 @@ def test_surjectivity_agrees_with_diagonal_form_oracle():
         assert lattice_map_is_surjective(mat) == expected, mat
         verdicts[expected] += 1
         tall += m > n
-        rank = m - len(kernel_basis([list(col) for col in zip(*mat)]))
+        rank = m - len(kernel_basis([list(col) for col in zip(*mat)], m))
         deficient += rank < min(m, n)
     assert min(verdicts.values()) > 1500 and tall > 700 and deficient > 400
 
@@ -321,7 +348,7 @@ def test_box_points_agree_with_product_oracle():
     kept = 0
     for _ in range(60):
         dim = rng.randint(1, 3)
-        vertices = [tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(dim))
+        vertices = [tuple(rng.randint(-8, 8) for _ in range(dim))
                     for _ in range(rng.randint(1, 4))]
         modulus = rng.randint(1, 3)
 

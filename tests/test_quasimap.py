@@ -515,7 +515,7 @@ def morphism_pairs(fan, rng, count):
         coeffs[rng.randrange(degree + 1)] = rng.choice(scalars)
         return BinaryForm(degree, coeffs)
 
-    relations = [primitive_vector(r) for r in kernel_basis([list(col) for col in zip(*fan.rays)])]
+    relations = [primitive_vector(r) for r in kernel_basis([list(col) for col in zip(*fan.rays)], fan.n_rays)]
     pairs = []
     while len(pairs) < count:
         if rng.random() < 0.03:
@@ -619,7 +619,7 @@ def equality_pairs(fan, rng, bases):
     basepoints gets one first.  Every fourth pair has a component of one or
     both quasimaps vanish on a primitive collection, and says so."""
     scalars = (-1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
-    relations = [primitive_vector(r) for r in kernel_basis([list(col) for col in zip(*fan.rays)])]
+    relations = [primitive_vector(r) for r in kernel_basis([list(col) for col in zip(*fan.rays)], fan.n_rays)]
     places = [Place.rational(z) for z in (-2, -1, Fraction(1, 2), 3, 7)]
     places += [Place.infinity(), Place.finite((1, 0, 1)), Place.finite((-2, 0, 1))]
     classes = [c for c in effective_classes(fan, 6) if not c.is_zero()]
