@@ -4,9 +4,9 @@ projective spaces, the map-to-quasimap contraction and its surjectivity
 witnesses."""
 
 from .basepoint import INF, OrderVector, degree_at_point, length_at_point
-from .classes import (CurveClass, DivisorClass, beta_a_sigma, divisor_class,
-                      factorizations, is_ample, is_effective, is_fano, is_nef,
-                      length, nef_hilbert_basis, wall_curve_classes)
+from .classes import (CurveClass, DivisorClass, beta_a_sigma, factorizations,
+                      is_ample, is_effective, is_fano, is_nef, length,
+                      nef_hilbert_basis, wall_curve_classes)
 from .contraction import (StableMapTree, contract, contraction_condition, graft,
                           prune, rational_tails, surjectivity_witness)
 from .embedding import (EmbeddingSpec, apply_ibar, build_epic_embedding,
@@ -15,7 +15,7 @@ from .embedding import (EmbeddingSpec, apply_ibar, build_epic_embedding,
 from .fan import Fan, dual_basis, locate_cones, primitive_collections, validate_fan
 from .forms import BinaryForm, Place, ProjPoint
 from .quasimap import (BasepointPlace, Quasimap, basepoints, degrees,
-                       equal_quasimaps, evaluate, regular_extension, stability,
+                       equal_quasimaps, regular_extension, stability,
                        validate_quasimap)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -129,7 +129,7 @@ def _case_segre():
 def _case_blowup_embeddings():
     fan = tio.load_fan(fixture_path("bl0p2.json"))
     emb = build_epic_embedding(fan)
-    blocks = projective_blocks(emb.target)
+    blocks = primitive_collections(emb.target)
     factor_dims = [len(b) - 1 for b in blocks]
     monomial_sets = {frozenset(emb.exponents[i] for i in block) for block in blocks}
     expected_sets = {
@@ -149,17 +149,11 @@ def _case_blowup_embeddings():
     return CaseReport("blowup-embeddings", checks)
 
 
-def projective_blocks(target):
-    """Ray index blocks of a product-of-projective-spaces target fan: its
-    primitive collections, which ``product_fan`` stores when it builds one."""
-    return [sorted(pc) for pc in primitive_collections(target)]
-
-
 def factor_degrees(emb, beta):
     """Degrees of a pushed-forward class on each target factor, largest first."""
     pushed = pushforward_curves(emb, beta)
-    blocks = projective_blocks(emb.target)
-    pairs = sorted(((len(b) - 1, pushed.pairings[b[0]]) for b in blocks), reverse=True)
+    blocks = primitive_collections(emb.target)
+    pairs = sorted(((len(b) - 1, pushed.pairings[min(b)]) for b in blocks), reverse=True)
     return tuple(d for _, d in pairs)
 
 

@@ -114,12 +114,6 @@ def picard_rank(fan):
     return fan.n_rays - fan.dim
 
 
-@memo
-def divisor_class(fan, rho):
-    """The class of the boundary divisor attached to ray ``rho`` in the anchor basis."""
-    return divisor_from_ray_coefficients(fan, tuple(int(i == rho) for i in range(fan.n_rays)))
-
-
 def divisor_from_ray_coefficients(fan, coeffs):
     """Anchor-basis class of a combination sum c_rho D_rho of boundary divisors.
 

@@ -129,14 +129,16 @@ def _cmd_class_factor(args):
     beta = _load_class(fan, args.curve_class)
     bound = _length_bound(args.bound)
     pairs = factorizations(fan, beta, bound=bound)
-    # no split below a bound that cut the search says nothing about irreducibility
-    cut = not pairs and bound is not None and bound < enumeration_degree(beta) - 1
-    payload = {"irreducible": None if cut else not pairs,
+    # the smaller summand of any split has at most half the class's degree
+    complete = bound is None or bound >= enumeration_degree(beta) // 2
+    payload = {"irreducible": not pairs if complete or pairs else None, "complete": complete,
                "factorizations": [[list(a.pairings), list(b.pairings)] for a, b in pairs]}
-    if cut:
-        lines = [f"no factorization with summands of degree <= {bound}"]
+    if complete:
+        lines = ["factorizations:" if pairs else "irreducible"]
+    elif pairs:
+        lines = [f"factorizations with summands of degree <= {bound}:"]
     else:
-        lines = ["irreducible" if not pairs else "factorizations:"]
+        lines = [f"no factorization with summands of degree <= {bound}"]
     for a, b in pairs:
         lines.append(f"  {_class_text(a)}  +  {_class_text(b)}")
     _emit(args, payload, lines)

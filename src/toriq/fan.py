@@ -18,7 +18,7 @@ lie strictly on opposite sides of it (one integer sign per wall), and the ray
 sum of cone 0 must lie in cone 0 alone (covering degree one).  Its verdict is
 computed once per fan.
 
-All arithmetic is exact (ints and fractions).  Fans are immutable and every
+All arithmetic is over the integers.  Fans are immutable and every
 operation is a pure function.  Derived data is memoized on the instance
 (``memo``), so it is computed once per fan and freed with it; products of
 valid fans and projective spaces get their tables at construction instead

@@ -277,9 +277,6 @@ class BinaryForm(Record):
         top = self.coeffs[-1] if self.coeffs else 0
         return Fraction(top) if any(type(c) is Fraction for c in self.poly) else top
 
-    def scale(self, factor):
-        return BinaryForm(self.degree, tuple(factor * c for c in self.coeffs))
-
     def ord_at(self, place):
         """Vanishing order at a place; infinite for the zero form (returns None)."""
         if self.is_zero:

@@ -3,13 +3,14 @@
 A quasimap is a tuple of exact binary forms per ray on each component, plus
 nodes and markings.  Two quasimaps on one curve are equal exactly when each
 component's section tuples differ by an element of the torus G that the target
-is the quotient by, so equality needs no basepoint scan.  All comparisons stay
-inside rational arithmetic (node ends, and ratios of sections, are compared
-cross-multiplied).  The public constructor normalises its parts once; a
-quasimap rebuilt from a built one (``Quasimap._unchecked``) reuses them.
+is the quotient by, so equality needs no basepoint scan.  Points of the target
+are compared as Cox values up to G, never charted: node ends, and ratios of
+sections, are compared cross-multiplied, as products of powers with integer
+exponents, so no value is inverted.  The public constructor normalises its
+parts once; a quasimap rebuilt from a built one (``Quasimap._unchecked``)
+reuses them.
 """
 
-from fractions import Fraction
 from operator import index
 
 from .basepoint import INF, OrderVector, _cone_table, _locate_degree
@@ -17,7 +18,6 @@ from .classes import CurveClass
 from .fan import (_cone_sets, _degenerate_collections, is_connected, primitive_collections,
                   require_valid)
 from .forms import common_zero_places
-from .linalg import int_or_frac
 from .record import Record
 
 
@@ -52,20 +52,6 @@ class BasepointPlace(Record):
     _fields = ("component", "place", "orders", "degree")
 
 
-class XPoint(Record):
-    """A point of the target in a torus chart: chosen cone, chart coordinates,
-    and the raw section values it came from.
-
-    ``==`` is equality of points of the target.  ``_chart`` charts a point in
-    the first cone that contains its zero set (``_chart_cone``), so equal
-    points share the cone and the chart coordinates; the Cox values of one
-    point differ by the torus action and stay out of the comparison.
-    """
-
-    _fields = ("cone", "coords", "cox")
-    _compare = ("cone", "coords")
-
-
 def section_values(q, comp, point):
     return tuple(f.value_at(point) for f in q.sections(comp))
 
@@ -79,20 +65,6 @@ def _chart_cone(fan, values):
     """Index of the first maximal cone that holds the zero set of the Cox
     values, or None when there is none: the values are taken at a basepoint."""
     return _first_cone(fan, {i for i, v in enumerate(values) if v == 0})
-
-
-def _chart(fan, cone_index, values):
-    """The point with the given Cox values in the chart of a cone that holds
-    their zero set.  A zero ray pairs with exponent 0 or 1 there, so only
-    nonzero values are inverted."""
-    coords = []
-    for exps in fan.exponent_matrix(fan.max_cones[cone_index]):
-        val = 1
-        for v, e in zip(values, exps):
-            if e:
-                val *= v ** e if e > 0 else Fraction(v) ** e
-        coords.append(int_or_frac(val))
-    return XPoint(cone_index, tuple(coords), tuple(values))
 
 
 def _cross_equal(rows, pairs):
@@ -111,19 +83,12 @@ def _cross_equal(rows, pairs):
 
 
 def _same_point(fan, idx, v, other_idx, w):
-    """``_chart`` equality of two ends, each a cone index holding the zero set
-    of its Cox values, in integers: zero values have exponent 0 or 1 there."""
+    """Whether two ends, each a cone index holding the zero set of its Cox
+    values, are one point of the target: the cones agree and so do the chart
+    coordinates there, compared cross-multiplied (zero values have exponent 0
+    or 1 in that chart).  A ``None`` cone, a basepoint, is no point."""
     return idx is not None and idx == other_idx and \
         _cross_equal(_cone_table(fan)[idx][3], list(zip(v, w)))
-
-
-def evaluate(q, comp, point):
-    """Evaluate the quasimap at a non-basepoint: a cone and its chart coordinates."""
-    values = section_values(q, comp, point)
-    cone = _chart_cone(q.fan, values)
-    if cone is None:
-        raise ValueError(f"cannot evaluate at {point}: the point is a basepoint")
-    return _chart(q.fan, cone, values)
 
 
 def _zero_rays(secs):

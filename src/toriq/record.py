@@ -1,12 +1,12 @@
 """Immutable values with field-wise equality and hash.
 
-A subclass names its fields in ``_fields`` and, when equality should see only
-some of them, that subset in ``_compare``.  ``__init__`` stores its arguments
-in ``_fields`` order; a subclass that normalises or checks them defines its own,
-storing each into the instance ``__dict__``.  Assignment and deletion are
-refused afterwards.  Instances are equal only to instances of the same class,
-and the hash is that of the tuple of compared fields, as a frozen dataclass's
-is; each subclass gets its own ``==`` and ``hash`` over that tuple.
+A subclass names its fields in ``_fields``.  ``__init__`` stores its
+arguments in ``_fields`` order; a subclass that normalises or checks them
+defines its own, storing each into the instance ``__dict__``.  Assignment and
+deletion are refused afterwards.  Instances are equal only to instances of the
+same class with equal fields, and the hash is that of the tuple of fields, as a
+frozen dataclass's is; each subclass gets its own ``==`` and ``hash`` over that
+tuple.
 ``_unchecked(*values)`` stores values the library built, in ``_fields``
 order, skipping ``__init__``.
 """
@@ -18,9 +18,8 @@ class Record:
     _fields = ()
 
     def __init_subclass__(cls):
-        names = getattr(cls, "_compare", cls._fields)
-        get = attrgetter(*names)  # a tuple for two or more names, so wrap one in a 1-tuple
-        key = get if len(names) > 1 else lambda obj: (get(obj),)
+        get = attrgetter(*cls._fields)  # a tuple for two or more names, so wrap one in a 1-tuple
+        key = get if len(cls._fields) > 1 else lambda obj: (get(obj),)
         cls.__eq__ = lambda self, other: (key(self) == key(other)
                                           if other.__class__ is self.__class__ else NotImplemented)
         cls.__hash__ = lambda self: hash(key(self))

@@ -1,4 +1,5 @@
-"""Random generators for fans' quasimaps used across the test suite.
+"""Random generators for fans' quasimaps used across the test suite, and the
+reference chart evaluator that point comparisons are tested against.
 
 Everything is driven by a seeded random.Random so failures reproduce; the
 generators retry until the produced data passes validate_quasimap, which
@@ -6,15 +7,48 @@ keeps them honest about the invariants rather than constructing around them.
 """
 
 from fractions import Fraction
+from itertools import count
+from math import prod
 
 from toriq.classes import effective_classes, length
 from toriq.forms import BinaryForm, Place, ProjPoint, poly_mul
 from toriq.quasimap import (Quasimap, basepoints, extend_at, point_is_basepoint,
-                            validate_quasimap)
+                            section_values, validate_quasimap)
+
+# where random_quasimap may put a node end besides the integral points: off
+# the integers, where Cox values are Fractions, and at infinity
+NODE_POINTS = (ProjPoint(2, 1), ProjPoint(3, -2), ProjPoint.infinity())
 
 
 class GiveUp(Exception):
     pass
+
+
+def scaled(form, factor):
+    """The form with every coefficient multiplied by ``factor``."""
+    return BinaryForm(form.degree, tuple(factor * c for c in form.coeffs))
+
+
+def chart_point(fan, cone, values):
+    """The point with the given Cox values in the chart of maximal cone
+    ``cone``, which must hold their zero set, as ``(cone, coordinates)``: the
+    coordinates are the dual basis characters prod v^e, as Fractions.  Charted
+    in one cone, two tuples are one point of the target exactly when these
+    pairs are equal."""
+    rows = fan.exponent_matrix(fan.max_cones[cone])
+    return cone, tuple(prod(Fraction(v) ** e for v, e in zip(values, exps) if e) for exps in rows)
+
+
+def evaluate(q, comp, point):
+    """The target point of a quasimap at a point of one component, charted in
+    the first maximal cone that holds the zero set of its Cox values;
+    ValueError at a basepoint, where no cone holds it."""
+    values = section_values(q, comp, point)
+    zero = {i for i, v in enumerate(values) if v == 0}
+    cone = next((i for i, c in enumerate(q.fan.max_cones) if zero <= set(c)), None)
+    if cone is None:
+        raise ValueError(f"cannot evaluate at {point}: the point is a basepoint")
+    return chart_point(q.fan, cone, values)
 
 
 _POOLS = {}  # (fan, max_len, allow_zero) -> the classes a draw picks from
@@ -56,6 +90,8 @@ def random_form(rng, degree, value=None, at=None, span=2):
     rest = [Fraction(rng.randint(-span, span)) for _ in range(degree)]
     if value == 0 and all(x == 0 for x in rest):
         rest[rng.randrange(degree)] = Fraction(1)
+    if c is None:  # the value at infinity is the top coefficient
+        return BinaryForm.from_poly(degree, tuple(rest) + (value,))
     # f = value + (z - c) * g
     poly = tuple([value]) if not rest else tuple(
         [value - c * rest[0]]
@@ -114,7 +150,7 @@ def random_quasimap(fan, rng, max_components=3, max_total_length=8, markings=2,
                 if budget < 0:
                     raise GiveUp("length budget exceeded")
             parents = [None] + [rng.randrange(i) for i in range(1, k)]
-            fresh = iter(range(0, 40))
+            fresh = count()
 
             comps = [None] * k
             comps[0] = _section_tuple(fan, rng, classes[0])
@@ -124,8 +160,7 @@ def random_quasimap(fan, rng, max_components=3, max_total_length=8, markings=2,
             for child in range(1, k):
                 parent = parents[child]
                 for _ in range(20):
-                    zc = next(fresh)
-                    ppoint = ProjPoint(1, zc)
+                    ppoint = rng.choice(NODE_POINTS + (ProjPoint(1, next(fresh)),))
                     if ppoint not in used_points.get(parent, set()):
                         break
                 parent_tuple = comps[parent]
@@ -135,7 +170,7 @@ def random_quasimap(fan, rng, max_components=3, max_total_length=8, markings=2,
 
                 if any(set(pc) <= zero for pc in primitive_collections(fan)):
                     raise GiveUp("node lands on a basepoint of the parent")
-                cpoint = ProjPoint(1, next(fresh))
+                cpoint = rng.choice(NODE_POINTS + (ProjPoint(1, next(fresh)),))
                 comps[child] = _section_tuple(fan, rng, classes[child],
                                               prescribed=(cpoint, values))
                 used_points.setdefault(parent, set()).add(ppoint)

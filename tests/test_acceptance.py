@@ -8,13 +8,13 @@ import random
 import time
 
 from toriq.basepoint import INF, degree_at_point, length_at_point
-from toriq.cases import blowup_order_table, projective_blocks
+from toriq.cases import blowup_order_table
 from toriq.classes import curve_class_from_anchor
 from toriq.contraction import (_deterministic_tail, contract, contraction_condition,
                                graft, prune, surjectivity_witness)
 from toriq.embedding import (EmbeddingSpec, apply_ibar, build_epic_embedding,
                              epic_check, fibre_enumeration, pushforward_curves)
-from toriq.fan import product_fan, projective_space_fan
+from toriq.fan import primitive_collections, product_fan, projective_space_fan
 from toriq.forms import BinaryForm, ProjPoint
 from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps,
                             extend_at, regular_extension, section_values,
@@ -165,7 +165,7 @@ def test_criterion_7_segre_non_injectivity():
 
 def test_criterion_8_epic_builder(bl0p2):
     emb = build_epic_embedding(bl0p2)
-    ray_blocks = projective_blocks(emb.target)
+    ray_blocks = primitive_collections(emb.target)
     sizes = [len(block) for block in ray_blocks]
     blocks = [frozenset(emb.exponents[i] for i in block) for block in ray_blocks]
     assert sorted(sizes) == [2, 3]

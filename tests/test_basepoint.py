@@ -1,6 +1,5 @@
 import random
 import re
-from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -12,7 +11,7 @@ from toriq.fan import (_degenerate_collections, primitive_collections, product_f
                        projective_space_fan, require_valid)
 from toriq.quasimap import _first_cone, component_basepoints, degrees
 
-from qmgen import random_order_vector, random_stable_quasimap
+from qmgen import random_order_vector, random_stable_quasimap, scaled
 
 
 def twist_orders(fan, ord_vector, beta):
@@ -396,7 +395,7 @@ def test_scan_rejects_degenerate_components(name, request):
     rng = random.Random(f"degenerate/{name}")
     q = random_stable_quasimap(fan, rng, max_total_length=5)
     for pc in primitive_collections(fan):
-        secs = tuple(f.scale(0) if rho in pc else f for rho, f in enumerate(q.sections(0)))
+        secs = tuple(scaled(f, 0) if rho in pc else f for rho, f in enumerate(q.sections(0)))
         vanishing = {rho for rho, f in enumerate(secs) if f.is_zero}
         first = next(c for c in primitive_collections(fan) if c <= vanishing)
         message = f"component 0 vanishes on the primitive collection {tuple(sorted(first))}"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from toriq.classes import (CurveClass, DivisorClass, _degree_functional, _dot, _in_dual,
                            _truncated_cone_lattice_points, ample_functional, anchor_rays,
                            anticanonical_class, beta_a_sigma, curve_class_from_anchor,
-                           divisor_class, divisor_from_ray_coefficients,
+                           divisor_from_ray_coefficients,
                            effective_classes, enumeration_degree, factorizations,
                            is_ample, is_effective, is_fano, is_irreducible, is_nef,
                            length, nef_extreme_rays, nef_hilbert_basis, picard_rank,
@@ -77,11 +77,11 @@ def test_rational_values_and_scalars_are_type_errors(bl0p2):
 
 
 def test_divisor_class_examples(p2, bl0p2):
-    assert divisor_class(p2, 2).coords == (1,)
-    assert divisor_class(p2, 0).coords == (1,)
+    assert divisor_from_ray_coefficients(p2, (0, 0, 1)).coords == (1,)
+    assert divisor_from_ray_coefficients(p2, (1, 0, 0)).coords == (1,)
     # basis ([D0], [D2]) on the blow-up: [D1] = S, [D3] = L - S
-    assert divisor_class(bl0p2, 1).coords == (0, 1)
-    assert divisor_class(bl0p2, 3).coords == (1, -1)
+    assert divisor_from_ray_coefficients(bl0p2, (0, 1, 0, 0)).coords == (0, 1)
+    assert divisor_from_ray_coefficients(bl0p2, (0, 0, 0, 1)).coords == (1, -1)
 
 
 def test_beta_a_sigma_examples(p2, bl0p2):
@@ -105,7 +105,7 @@ def test_wall_classes(p2, bl0p2, p1xp1):
 
 def test_cone_tests(bl0p2):
     assert is_fano(bl0p2)
-    s_div = divisor_class(bl0p2, 2)
+    s_div = divisor_from_ray_coefficients(bl0p2, (0, 0, 1, 0))
     assert is_nef(s_div) and not is_ample(s_div)
     assert is_effective(CurveClass(bl0p2, (0, 0, 0, 0)))
     assert relaxed_surjectivity_condition(bl0p2, 8)
@@ -154,7 +154,7 @@ def test_duality_pairing_consistency(bl0p2):
     # the anchor contraction agrees with the full pairing expansion
     for beta in wall_curve_classes(bl0p2):
         for rho in range(bl0p2.n_rays):
-            d = divisor_class(bl0p2, rho)
+            d = divisor_from_ray_coefficients(bl0p2, tuple(int(i == rho) for i in range(4)))
             assert d.pair(beta) == beta.pairings[rho]
 
 
@@ -367,8 +367,6 @@ def test_divisor_map_and_wall_classes_match_their_oracles(oracle_fans):
         for v in vectors:
             d = divisor_from_ray_coefficients(fan, v)
             assert d.coords == _term_sum_oracle(fan, v).coords and _ints(d.coords)
-        for rho in range(fan.n_rays):
-            assert divisor_class(fan, rho).coords == _divisor_class_oracle(fan, rho).coords
         with pytest.raises(ValueError, match="one coefficient per ray"):
             divisor_from_ray_coefficients(fan, (1,) * (fan.n_rays + 1))
 
@@ -377,7 +375,8 @@ def test_cone_tests_match_their_oracles(oracle_fans):
     rng = random.Random(72)
     for fan in oracle_fans:
         rank = picard_rank(fan)
-        divisors = [divisor_class(fan, rho) for rho in range(fan.n_rays)]
+        units = [tuple(int(i == rho) for i in range(fan.n_rays)) for rho in range(fan.n_rays)]
+        divisors = [divisor_from_ray_coefficients(fan, unit) for unit in units]
         divisors += [anticanonical_class(fan)] + list(nef_hilbert_basis(fan))
         divisors += [DivisorClass(fan, tuple(rng.randint(-2, 3) for _ in range(rank)))
                      for _ in range(8)]

@@ -531,7 +531,8 @@ def test_integer_options_use_the_scalar_grammar(tmp_path, capsys, raw):
 
 def test_integer_options_accept_scalar_integers(capsys):
     code, out, _ = run(capsys, "--json", *FACTOR_P2, "--bound", " 2/2 ")
-    assert code == 0 and json.loads(out) == {"irreducible": None, "factorizations": []}
+    assert code == 0
+    assert json.loads(out) == {"irreducible": None, "complete": False, "factorizations": []}
 
 
 def test_factor_search_cut_by_the_bound_is_not_irreducible(capsys):
@@ -540,16 +541,36 @@ def test_factor_search_cut_by_the_bound_is_not_irreducible(capsys):
     code, out, _ = run(capsys, *FACTOR_P2, "--bound", "1")
     assert code == 0 and out == "no factorization with summands of degree <= 1\n"
     code, out, _ = run(capsys, "--json", *FACTOR_P2, "--bound", "1")
-    assert json.loads(out) == {"irreducible": None, "factorizations": []}
-    # a bound at the class's own cap (degree 6, less one) does not cut the search
-    code, out, _ = run(capsys, "--json", *FACTOR_P2, "--bound", "5")
-    assert json.loads(out) == {"irreducible": False,
+    assert json.loads(out) == {"irreducible": None, "complete": False, "factorizations": []}
+    # a bound at half the class's degree 6 does not cut the search
+    code, out, _ = run(capsys, "--json", *FACTOR_P2, "--bound", "3")
+    assert json.loads(out) == {"irreducible": False, "complete": True,
                                "factorizations": [[[1, 1, 1], [1, 1, 1]]]}
-    line = ("class", "factor", fx("p2.json"), "--class", "1,1,1")
-    code, out, _ = run(capsys, *line, "--bound", "2")
-    assert code == 0 and out == "irreducible\n"
-    code, out, _ = run(capsys, "--json", *line, "--bound", "1")
-    assert json.loads(out)["irreducible"] is None
+
+
+BL0P2_SPLITS = [[[0, 1, 1, -1], [2, 1, 1, 1]], [[0, 2, 2, -2], [2, 0, 0, 2]],
+                [[1, 0, 0, 1], [1, 2, 2, -1]]]
+LINE_SPLIT = [[[1, 1, 1, 0], [1, 1, 1, 0]]]  # L + L, of degree 3 + 3
+
+
+@pytest.mark.parametrize("argv, head, payload", [
+    # bound 2 is below half the degree 6, so the L + L split may be missing
+    (("bl0p2.json", "2,2,2,0", "2"), "factorizations with summands of degree <= 2:",
+     {"irreducible": False, "complete": False, "factorizations": BL0P2_SPLITS}),
+    (("bl0p2.json", "2,2,2,0", "3"), "factorizations:",
+     {"irreducible": False, "complete": True, "factorizations": BL0P2_SPLITS + LINE_SPLIT}),
+    # a line has degree 3: a split would have a summand of degree <= 1
+    (("p2.json", "1,1,1", "1"), "irreducible",
+     {"irreducible": True, "complete": True, "factorizations": []}),
+])
+def test_factor_reports_whether_the_bound_cut_the_search(capsys, argv, head, payload):
+    name, values, bound = argv
+    argv = ("class", "factor", fx(name), "--class", values, "--bound", bound)
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == head and len(lines) == 1 + len(payload["factorizations"])
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0 and json.loads(out) == payload
 
 
 COLD_START = """

@@ -5,17 +5,19 @@ import pytest
 
 from toriq import contraction, quasimap
 from toriq.cases import family_contracted, family_map
-from toriq.classes import effective_classes, length
+from toriq.classes import effective_classes, length, wall_curve_classes
 from toriq.contraction import (StableMapTree, Tail, _deterministic_tail, contract,
                                contraction_condition, graft, prune,
                                rational_tails, surjectivity_witness)
 from toriq.fan import product_fan, projective_space_fan
 from toriq.forms import BinaryForm, Place, ProjPoint, poly_mul
 from toriq.quasimap import (Quasimap, basepoints, component_basepoints, degrees,
-                            equal_quasimaps, extend_at, section_values, stability,
-                            validate_quasimap)
+                            equal_quasimaps, extend_at, regular_extension, section_values,
+                            stability, validate_quasimap)
 
-from qmgen import GiveUp, random_quasimap, random_stable_quasimap
+from qmgen import (NODE_POINTS, GiveUp, _section_tuple, evaluate, random_quasimap,
+                   random_stable_quasimap, scaled)
+from test_quasimap import validate_quasimap_oracle
 
 
 def F(deg, *coeffs):
@@ -253,7 +255,7 @@ def test_witness_closing_check_rejects_a_wrong_contraction(p2):
     def scaled_contract(f):
         c = real_contract(f)
         first, *rest = c.sections(0)
-        return c.with_components(((first.scale(3), *rest),) + c.components[1:])
+        return c.with_components(((scaled(first, 3), *rest),) + c.components[1:])
 
     assert equal_quasimaps(real_contract(surjectivity_witness(q)), q)
     assert not equal_quasimaps(scaled_contract(surjectivity_witness(q)), q)
@@ -312,6 +314,51 @@ def test_carried_basepoints_match_fresh_scans(p2, bl0p2, p1xp1, p3):
             steps += 1
         assert work == surjectivity_witness(q).quasimap
     assert steps >= 200
+
+
+def test_graft_glues_as_the_reference_evaluator_does(p2, bl0p2, p1xp1, p3):
+    """Basepoints at [2 : 1], [3 : -2] and infinity, and tails attached there
+    or at 0 whose values are the extension's, a torus rescaling of them, or
+    them with one value changed: ``graft`` accepts a tail exactly when the
+    reference evaluator puts both node ends at one target point, and what it
+    builds passes validation and its oracle."""
+    rng = random.Random(3001)
+    tally = {True: 0, False: 0}
+    for fan in (p2, bl0p2, p1xp1, p3):
+        relations = [beta.pairings for beta in wall_curve_classes(fan)]
+        twists = [c for c in effective_classes(fan, 4)
+                  if not c.is_zero() and min(c.pairings) >= 0]
+        for _ in range(12):
+            base = regular_extension(random_stable_quasimap(fan, rng, max_total_length=5))
+            point = rng.choice(NODE_POINTS)
+            place = Place.of_point(point)
+            q = extend_at(base, 0, place, -1 * rng.choice(twists))
+            bp = next(bp for bp in basepoints(q) if bp.place == place)
+            extended = extend_at(q, 0, place, bp.degree)
+            values = list(section_values(extended, 0, point))
+            kind = rng.randrange(3)
+            if kind == 1:
+                t = rng.choice((2, -3, Fraction(1, 2)))
+                values = [x * t ** a for x, a in zip(values, rng.choice(relations))]
+            elif kind == 2:
+                values[rng.randrange(fan.n_rays)] = rng.choice((0, 1, -2, Fraction(3, 4)))
+            attach = rng.choice(NODE_POINTS + (ProjPoint(1, 0),))
+            try:
+                tail = _section_tuple(fan, rng, bp.degree, prescribed=(attach, values))
+            except GiveUp:  # a value the class forces to vanish was changed
+                continue
+            try:
+                glued = evaluate(Quasimap(fan, (tail,)), 0, attach) == evaluate(extended, 0, point)
+            except ValueError:  # the tail's values are a basepoint
+                glued = False
+            if glued:
+                grafted = graft(q, 0, place, tail, attach)
+                assert validate_quasimap(grafted) == validate_quasimap_oracle(grafted) == []
+            else:
+                with pytest.raises(ValueError, match="do not match the extension"):
+                    graft(q, 0, place, tail, attach)
+            tally[glued] += 1
+    assert min(tally.values()) >= 10, tally
 
 
 def _scan_lookup(q, component, place):

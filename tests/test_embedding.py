@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from toriq.cases import fixture_path, projective_blocks
+from toriq.cases import fixture_path
 from toriq.classes import (CurveClass, DivisorClass, ample_functional,
-                           curve_class_from_anchor, divisor_class, effective_classes,
+                           curve_class_from_anchor, divisor_from_ray_coefficients,
+                           effective_classes,
                            nef_hilbert_basis, wall_curve_classes)
 from toriq.basepoint import INF, _cone_table, _locate_degree
 from toriq.embedding import (EmbeddingSpec, _factored_sections, _invert_component,
@@ -27,7 +28,7 @@ from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps,
                             regular_extension, same_morphism_sections, stability,
                             validate_quasimap)
 
-from qmgen import GiveUp, _section_tuple, random_quasimap
+from qmgen import GiveUp, _section_tuple, random_quasimap, scaled
 
 
 def _solve_character(fan, pairings):
@@ -109,7 +110,8 @@ def test_pullback_matches_monomial_exponents(segre):
         expected = None
         for rho, e in enumerate(segre.exponents[tau]):
             if e:
-                term = e * divisor_class(segre.source, rho)
+                unit = tuple(int(i == rho) for i in range(segre.source.n_rays))
+                term = e * divisor_from_ray_coefficients(segre.source, unit)
                 expected = term if expected is None else expected + term
         assert pulled.coords == expected.coords
 
@@ -329,8 +331,8 @@ def test_the_epic_check_builds_no_target_cone_table(builder_fans):
 def test_build_with_generator_choice(bl0p2):
     # the generating set {S, S+L} gives a line times a 4-space, with the five
     # quadratic monomials on the big factor
-    S = divisor_class(bl0p2, 2)
-    L = divisor_class(bl0p2, 0)
+    S = divisor_from_ray_coefficients(bl0p2, (0, 0, 1, 0))
+    L = divisor_from_ray_coefficients(bl0p2, (1, 0, 0, 0))
     emb = build_epic_embedding_oracle(bl0p2, generators=[S, S + L])
     blocks = []
     start = 0
@@ -556,7 +558,7 @@ def _random_target_map(target, rng):
     """A seeded one-component map to a product of projective spaces: per
     factor a degree in 0..2, not all 0, and random forms of that degree; the
     caller drops the ones with basepoints."""
-    blocks = projective_blocks(target)
+    blocks = primitive_collections(target)
     per_factor = [0] * len(blocks)
     while not any(per_factor):
         per_factor = [rng.randint(0, 2) for _ in blocks]
@@ -968,8 +970,8 @@ def test_factored_units_are_ints_where_integral(request):
     for name in CONFTEST_FANS + ["segre.json"]:
         emb = embedding_named(request, name)
         for secs in _target_tuples(emb, random.Random(f"units/{name}"), 20):
-            scaled = [f.scale(Fraction(2, 3)) for f in secs]
-            for fac in _factored_sections(emb, secs) + _factored_sections(emb, scaled):
+            rescaled = [scaled(f, Fraction(2, 3)) for f in secs]
+            for fac in _factored_sections(emb, secs) + _factored_sections(emb, rescaled):
                 if fac is not None:
                     unit = fac[0]
                     assert type(unit) is int or unit.denominator != 1, (name, unit)

@@ -1,8 +1,11 @@
-"""Every module-level function and class of the library is named somewhere
-other than its own definition: in the library's code, the benchmark or the
-scripts.  A re-export from the package or a word in a library string is no
-use.  Code that only the tests reach gets deleted, or moves into the tests,
-unless it is listed below with the reason it stays."""
+"""Every module-level function and class of the library, and every method and
+property of its classes other than dunders, is named somewhere other than its
+own definition: in the library's code, the benchmark or the scripts.  A
+re-export from the package or a word in a library string is no use.  Code
+that only the tests reach gets deleted, or moves into the tests, unless it is
+listed below with the reason it stays.  No module of the library, the tests or
+the scripts imports a name it never uses; the package's re-exports are
+exempt."""
 
 import ast
 import re
@@ -18,11 +21,8 @@ PACKAGE_INIT = Path("src", "toriq", "__init__.py")
 # Public API that only the package exports and the tests call, each with the
 # reason it stays.
 EXPORTED_ONLY = {
-    "divisor_class": "the class of one boundary divisor, the basis the divisor class map "
-                     "is defined on",
     "is_nef": "the nef test of a divisor class, next to is_ample and is_effective",
     "prune": "the paper's inverse of grafting",
-    "evaluate": "the value of a quasimap at a point away from its basepoints",
 }
 
 
@@ -68,9 +68,38 @@ def test_every_library_definition_is_used_outside_itself():
             if top != "src":
                 continue
             for node in tree.body:
-                if isinstance(node, DEFS):
-                    own = _names(node, docstrings, strings=False)[node.name]
-                    definitions.append((rel, node.name, own))
-    assert len(definitions) > 100
+                if not isinstance(node, DEFS):
+                    continue
+                members = node.body if isinstance(node, ast.ClassDef) else ()
+                for defn in [node, *members]:
+                    if isinstance(defn, DEFS) and not _is_dunder(defn.name):
+                        own = _names(defn, docstrings, strings=False)[defn.name]
+                        definitions.append((rel, defn.name, own))
+    assert len(definitions) > 200
     unused = {name for path, name, own in definitions if uses[name] <= own}
     assert unused == set(EXPORTED_ONLY)
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _unused_imports(tree):
+    """The names a module imports and never refers to, sorted."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {}
+    for top in ("src", "tests", "scripts"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            rel = path.relative_to(ROOT)
+            names = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+            if names and rel != PACKAGE_INIT:
+                unused[str(rel)] = names
+    assert unused == {}

@@ -2,12 +2,10 @@
 
 import pytest
 
-from toriq.cases import projective_blocks
-from toriq.classes import (anticanonical_class, curve_class_from_anchor,
-                           effective_classes, is_ample, is_fano, length,
+from toriq.classes import (anticanonical_class, effective_classes, is_fano, length,
                            nef_hilbert_basis, picard_rank)
 from toriq.embedding import build_epic_embedding, epic_check, polytope_lattice_points
-from toriq.fan import Fan, product_fan, projective_space_fan, validate_fan
+from toriq.fan import primitive_collections, product_fan, projective_space_fan, validate_fan
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +47,7 @@ def test_product_with_blowup_factor(blxp1):
 def test_builder_factor_sizes_match_polytope_counts(p2, bl0p2, p1xp1):
     for fan in (p2, bl0p2, p1xp1):
         emb = build_epic_embedding(fan)
-        sizes = [len(block) for block in projective_blocks(emb.target)]
+        sizes = [len(block) for block in primitive_collections(emb.target)]
         expected = [
             len(polytope_lattice_points(fan, d.ray_coefficients()))
             for d in nef_hilbert_basis(fan)

@@ -7,7 +7,7 @@ values.
 """
 
 import random
-from dataclasses import field, make_dataclass
+from dataclasses import make_dataclass
 from fractions import Fraction
 
 import pytest
@@ -20,7 +20,7 @@ from toriq.contraction import StableMapTree, Tail, surjectivity_witness
 from toriq.embedding import EmbeddingSpec, build_epic_embedding
 from toriq.fan import Fan, product_fan, projective_space_fan
 from toriq.forms import BinaryForm, Place, ProjPoint
-from toriq.quasimap import BasepointPlace, Quasimap, XPoint, basepoints
+from toriq.quasimap import BasepointPlace, Quasimap, basepoints
 
 FIELDS = {
     ProjPoint: ("a", "b"),
@@ -32,22 +32,14 @@ FIELDS = {
     OrderVector: ("fan", "orders"),
     Quasimap: ("fan", "components", "nodes", "markings"),
     BasepointPlace: ("component", "place", "orders", "degree"),
-    XPoint: ("cone", "coords", "cox"),
     Tail: ("components", "host", "host_point"),
     StableMapTree: ("quasimap",),
     EmbeddingSpec: ("source", "target", "coeffs", "exponents"),
 }
-UNCOMPARED = {XPoint: ("cox",)}
 CUSTOM_REPR = (ProjPoint, Place, BinaryForm)
 
 
-def _twin_class(cls):
-    specs = [(name, object, field(compare=False)) if name in UNCOMPARED.get(cls, ())
-             else (name, object) for name in FIELDS[cls]]
-    return make_dataclass(cls.__name__, specs, frozen=True)
-
-
-TWINS = {cls: _twin_class(cls) for cls in FIELDS}
+TWINS = {cls: make_dataclass(cls.__name__, names, frozen=True) for cls, names in FIELDS.items()}
 
 
 def values(obj):
@@ -95,9 +87,6 @@ def samples(seed):
                         for d in (0, 1, 1, 2, 3)]
     out[BinaryForm].append(BinaryForm(-1, ()))
     points = out[ProjPoint]
-    for _ in range(4):
-        coords = (rng.randint(0, 2), _rational(rng))
-        out[XPoint].append(XPoint(rng.randint(0, 2), coords, (1, rng.randint(1, 3), 2)))
     out[Tail] += [Tail(frozenset(rng.sample(range(4), 2)), rng.randint(0, 1), rng.choice(points))
                   for _ in range(4)]
     for cls, objs in out.items():
@@ -141,14 +130,6 @@ def test_never_equal_to_another_class_with_the_same_fields():
             other = twin(obj)
             assert obj != other and not obj == other and other != obj
             assert obj.__eq__(other) is NotImplemented
-
-
-def test_xpoints_differing_only_in_cox_are_equal():
-    a = XPoint(1, (0, Fraction(1, 2)), (1, 2, 3))
-    b = XPoint(1, (0, Fraction(1, 2)), (2, 4, 6))
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != XPoint(0, (0, Fraction(1, 2)), (1, 2, 3))
-    assert twin(a) == twin(b) and hash(twin(a)) == hash(a)
 
 
 def test_keyword_and_default_constructor_arguments():
