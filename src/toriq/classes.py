@@ -258,7 +258,10 @@ def _truncated_cone_lattice_points(generators, inequalities, functional, bound):
 
     ``generators`` span the cone (ints, anchor coordinates), which is the
     dual of the ``inequalities`` rows; ``functional`` is an integer vector
-    positive on every generator.  The box of the vertices 0 and each
+    positive on every generator, which both callers guarantee: the degree
+    functional is ample or anticanonical on a Fano fan, so positive on every
+    Mori generator, and the sum of the Mori generators is positive on every
+    nonzero nef class.  The box of the vertices 0 and each
     bound * g / <functional, g> has its corners rounded inwards to integers.
     """
     if bound < 0:
@@ -266,8 +269,6 @@ def _truncated_cone_lattice_points(generators, inequalities, functional, bound):
     lo = hi = (0,) * len(generators[0])
     for g in generators:
         f = _dot(functional, g)
-        if f <= 0:
-            raise ValueError("functional is not positive on a cone generator")
         lo = tuple(min(a, -(-bound * x // f)) for a, x in zip(lo, g))
         hi = tuple(max(b, bound * x // f) for b, x in zip(hi, g))
     return list(box_points(
@@ -322,11 +323,13 @@ def factorizations(fan, beta, bound=None):
     Deeper factorizations follow by recursion; the empty answer characterizes
     irreducible classes.  On non-Fano projective fans the search is bounded by
     an ample degree, so it stays finite either way; ``bound`` optionally caps
-    the functional value of the candidate summands.
+    the functional value of the candidate summands.  The degree is positive
+    on nonzero effective classes and additive, so the smaller summand of a
+    split of degree d has degree at most d // 2, and the walk stops there.
     """
     if not is_effective(beta) or beta.is_zero():
         raise ValueError("factorizations are defined for nonzero effective classes")
-    cap = enumeration_degree(beta) - 1
+    cap = enumeration_degree(beta) // 2
     if bound is not None:
         cap = min(cap, bound)
     pairs = {}

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (invalid data, failed checks),
-2 usage error (unreadable or malformed input, in a file or an option).
+2 usage error (unreadable or malformed input, in a file or an option).  A
+reader that closes stdout early ends the command quietly with exit code 1,
+as Python does on a broken pipe.
 ``--json`` switches every subcommand to machine-readable output.  The
 TORIQ_MAX_LENGTH environment variable caps the length bound of ``class
 factor`` and ``embed fibre`` when no ``--bound`` is given; no other command
@@ -418,6 +420,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit's flush
+    except BrokenPipeError:
+        # the reader closed stdout early: no message, and stdout points at
+        # devnull for the interpreter's final flush (the note on SIGPIPE in
+        # Python's signal documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, json.JSONDecodeError, KeyError, tio.MalformedInput) as exc:
         # the decode and shape errors are ValueErrors, so they are caught first
         print(f"usage error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ sections until the quasimap becomes a stable map again.
 from math import prod
 
 from .basepoint import degree_at_point
-from .classes import (CurveClass, enumeration_degree, is_fano, length,
+from .classes import (CurveClass, _degree_functional, is_fano,
                       relaxed_surjectivity_condition)
 from .fan import breadth_first
 from .forms import BinaryForm, Place, ProjPoint, _quotient, poly_mul
@@ -231,9 +231,13 @@ def surjectivity_witness(q):
     """A stable map whose contraction is the given valid stable quasimap.
 
     Grafts a deterministic rational tail at each basepoint (simple disjoint
-    zeros away from the attaching point) until no basepoints remain; strict
-    descent of the basepoint masses guarantees termination on Fano targets
-    and on targets passing the relaxed condition.
+    zeros away from the attaching point) until no basepoints remain.  Each
+    graft must lower the sum of the squared degrees of the open basepoints,
+    under the functional of ``enumeration_degree``: the anticanonical degree
+    on a Fano target, where descent is proven, and a fixed ample degree
+    otherwise, which is positive on every nonzero effective class, so the
+    measure is a positive integer and the loop ends.  A graft that does not
+    lower it raises ValueError.
 
     The result is certified by construction, not checked again: the loop's
     empty list is a full scan; each tail takes its basepoint's class and, at
@@ -246,9 +250,10 @@ def surjectivity_witness(q):
     fan = q.fan
     if not stability(q, "quasimap"):
         raise ValueError("the witness search needs a stable quasimap")
+    functional = _degree_functional(fan)  # the descent measure's degree
     # the relaxed condition is checked on every class the search can meet
     if not (is_fano(fan) or relaxed_surjectivity_condition(
-            fan, enumeration_degree(degrees(q)[0]))):
+            fan, functional.pair(degrees(q)[0]))):
         raise ValueError("target is neither Fano nor passes the relaxed surjectivity condition")
     bps = basepoints(q)
     for bp in bps:
@@ -262,7 +267,7 @@ def surjectivity_witness(q):
     zero_counter = 0
 
     def measure(places):
-        return sum(length(bp.degree) ** 2 for bp in places)
+        return sum(functional.pair(bp.degree) ** 2 for bp in places)
 
     current = measure(bps)
     while bps:
@@ -279,10 +284,10 @@ def surjectivity_witness(q):
         bps = bps[1:] + component_basepoints(work, work.n_components - 1)
         nxt = measure(bps)
         if nxt >= current:
-            raise RuntimeError(
-                "witness search failed to descend; the target violates the "
-                "surjectivity hypotheses or this is a bug"
-            )
+            raise ValueError(
+                f"witness search failed to descend at the basepoint {bp.place!r} of "
+                f"component {bp.component}, of class {bp.degree.pairings}: the measure "
+                f"went from {current} to {nxt}")
         current = nxt
 
     return StableMapTree._unchecked(work)

@@ -17,11 +17,21 @@ us invert it on section data exactly.  The chart data is integral and free
 of the coefficients: they act as a torus automorphism of the target, applied
 by ``apply_ibar`` and divided out of each target section when a chart is
 inverted.
+
+An inversion is certified on the chart that made it, with no transport back:
+the zero rays and the degrees of the candidate's image must be the
+extension's, and so must the values of the chart's characters that are not
+lifts and pair to 0 with the zero rays.  The candidate is basepoint-free by
+construction, the lifts agree by construction, and with them those rows span
+the characters of the orbit that the extension's generic point lies in, so
+the two are one morphism of one degree: G-related (see
+``invert_through_charts``).
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import prod
 from operator import index
 
 from .basepoint import INF, _cone_table, _locate_degree
@@ -32,8 +42,8 @@ from .fan import (_cone_sets, dual_basis, memo, primitive_collections, product_f
                   projective_space_fan, remember, require_valid)
 from .forms import BinaryForm, _quotient, poly_mul
 from .linalg import box_points, int_or_frac, lattice_map_is_surjective
-from .quasimap import (Quasimap, _absorbs, _first_cone, _orders_at, _twist_away, basepoints,
-                       degrees, extend_at, same_morphism_sections, validate_quasimap)
+from .quasimap import (Quasimap, _absorbs, _first_cone, _orders_at, _twist_away, _zero_rays,
+                       basepoints, degrees, extend_at, validate_quasimap)
 from .record import Record
 
 
@@ -255,26 +265,39 @@ def build_epic_embedding(fan):
     return emb
 
 
+@memo
+def _sparse_exponents(emb):
+    """Per target ray, the (source ray, exponent) pairs of its monomial with
+    a positive exponent."""
+    return tuple(tuple((rho, e) for rho, e in enumerate(exp) if e) for exp in emb.exponents)
+
+
+def _power_product(c, factors):
+    """The polynomial c * prod p^e over the (polynomial, exponent) pairs; a
+    coefficient of 1 is not multiplied in."""
+    poly = None if c == 1 else (c,)
+    for p, e in factors:
+        for _ in range(e):
+            poly = p if poly is None else poly_mul(poly, p)
+    return (1,) if poly is None else poly
+
+
 def apply_ibar(emb, q):
     """Transport a quasimap along the embedding (same curve, monomial sections)."""
     require_valid_embedding(emb)
     if q.fan != emb.source:
         raise ValueError("quasimap target does not match the embedding source")
+    table = _sparse_exponents(emb)
     new_components = []
-    for comp in range(q.n_components):
-        secs = q.sections(comp)
+    for secs in q.components:
         out = []
-        for tau in range(emb.target.n_rays):
-            exp = emb.exponents[tau]
-            degree = sum(e * f.degree for e, f in zip(exp, secs))
-            if any(e > 0 and f.is_zero for e, f in zip(exp, secs)):
+        for c, row in zip(emb.coeffs, table):
+            degree = sum(e * secs[rho].degree for rho, e in row)
+            if any(secs[rho].is_zero for rho, _ in row):
                 out.append(BinaryForm.zero(degree))
-                continue
-            poly = (emb.coeffs[tau],)
-            for e, f in zip(exp, secs):
-                for _ in range(e):
-                    poly = poly_mul(poly, f.poly)
-            out.append(BinaryForm.from_poly(degree, poly))
+            else:
+                poly = _power_product(c, [(secs[rho].poly, e) for rho, e in row])
+                out.append(BinaryForm.from_poly(degree, poly))
         new_components.append(tuple(out))
     return Quasimap._unchecked(emb.target, tuple(new_components), q.nodes, q.markings)
 
@@ -292,71 +315,130 @@ def _factored_sections(emb, secs):
     return out
 
 
+@memo
+def _chart(emb, zeros):
+    """The chart that inverts a target section tuple with zero rays ``zeros``:
+    the first source cone with a covering target chart whose cone holds
+    ``zeros``, as (source cone, lifts, free rows), or None.  The free rows
+    are the rows of the target cone's exponent matrix that are not lifts and
+    pair to 0 with ``zeros``, each with its pullback to the source rays and
+    the numerator and denominator of c^row = prod c_tau^row_tau over the
+    monomial coefficients.
+
+    A target chart's coordinates carry a zero section to a negative power
+    exactly when that section's ray is off the chart's cone: a ray off a cone
+    of a simplicial fan pairs negatively with some vector of the cone's dual
+    basis, and a ray in it with none."""
+    tgt = emb.target
+    for si, scone in enumerate(emb.source.max_cones):
+        for entry in chart_cover(emb)[si]:
+            ti, lifts = entry["target_cone"], entry["lifts"]
+            if zeros <= _cone_sets(tgt)[ti]:
+                free = []
+                for row in _cone_table(tgt)[ti][3]:
+                    if row not in lifts and not any(row[tau] for tau in zeros):
+                        scale = prod(Fraction(c) ** e for c, e in zip(emb.coeffs, row))
+                        free.append((row, _pull_back_character(emb, row),
+                                     scale.numerator, scale.denominator))
+                return scone, lifts, tuple(free)
+    return None
+
+
 def _invert_component(emb, secs):
     """Source section tuple whose image is the given basepoint-free target
     tuple on one component, or None when no chart inversion applies."""
-    src, tgt = emb.source, emb.target
+    src = emb.source
     factored = _factored_sections(emb, secs)
     zeros = frozenset(tau for tau, fac in enumerate(factored) if fac is None)
+    chart = _chart(emb, zeros)
+    if chart is None:
+        return None
+    scone, lifts, _ = chart
+    # numerator, denominator and per-place orders of each source chart
+    # coordinate, read off the target sections through its lift; a lift
+    # positive at a zero section makes the coordinate vanish
     all_places = {p for fac in factored if fac for p in fac[1]}
-    for si, scone in enumerate(src.max_cones):
-        for entry in chart_cover(emb)[si]:
-            # a target chart's coordinates carry a zero section to a negative
-            # power exactly when that section's ray is off the chart's cone: a
-            # ray off a cone of a simplicial fan pairs negatively with some
-            # vector of the cone's dual basis, and a ray in it with none
-            if not zeros <= _cone_sets(tgt)[entry["target_cone"]]:
-                continue
-            # unit and per-place orders of each source chart coordinate, read
-            # off the target sections through its lift; a lift positive at a
-            # zero section makes the coordinate vanish
-            orders = {p: [0] * src.n_rays for p in all_places}
-            units = [1] * src.n_rays
-            vanishing = set()
-            for rho, lift in zip(scone, entry["lifts"]):
-                if any(lift[tau] > 0 for tau in zeros):
-                    vanishing.add(rho)
-                    continue
-                for tau, e in enumerate(lift):
-                    if e:
-                        u, places = factored[tau]
-                        units[rho] *= u ** e if e > 0 else Fraction(u) ** e
-                        for p, mult in places.items():
-                            orders[p][rho] += e * mult
+    orders = {p: [0] * src.n_rays for p in all_places}
+    nums = [1] * src.n_rays
+    dens = [1] * src.n_rays
+    vanishing = set()
+    for rho, lift in zip(scone, lifts):
+        if any(lift[tau] > 0 for tau in zeros):
+            vanishing.add(rho)
+            continue
+        for tau, e in enumerate(lift):
+            if e:
+                u, places = factored[tau]
+                n, d = (u.numerator, u.denominator) if e > 0 else (u.denominator, u.numerator)
+                nums[rho] *= n ** abs(e)
+                dens[rho] *= d ** abs(e)
+                for p, mult in places.items():
+                    orders[p][rho] += e * mult
 
-            # the vanishing rays lie in the source cone, so they are not
-            # degenerate and every place's orders have a witnessing cone
-            shifts = []
-            for vec in orders.values():
-                for rho in vanishing:
-                    vec[rho] = INF
-                beta_p, _ = _locate_degree(src, tuple(vec), frozenset(vanishing), first=True)
-                shifts.append(beta_p.pairings)
+    # the vanishing rays lie in the source cone, so they are not degenerate
+    # and every place's orders have a witnessing cone
+    shifts = []
+    for vec in orders.values():
+        for rho in vanishing:
+            vec[rho] = INF
+        beta_p, _ = _locate_degree(src, tuple(vec), frozenset(vanishing), first=True)
+        shifts.append(beta_p.pairings)
 
-            # the orders less the shift are the c_k >= 0 of the witnessing cone
-            sections = [None] * src.n_rays
-            for rho in range(src.n_rays):
-                if rho in vanishing:
-                    continue
-                poly = (1,)
-                degree = 0
-                for (p, vec), shift in zip(orders.items(), shifts):
-                    e = vec[rho] - shift[rho]
-                    degree += e * p.degree
-                    if not p.at_infinity:
-                        for _ in range(e):
-                            poly = poly_mul(poly, p.coeffs)
-                sections[rho] = BinaryForm.from_poly(degree, tuple(units[rho] * c for c in poly))
+    # the orders less the shift are the c_k >= 0 of the witnessing cone
+    sections = [None] * src.n_rays
+    for rho in range(src.n_rays):
+        if rho in vanishing:
+            continue
+        poly = (1,)
+        degree = 0
+        for (p, vec), shift in zip(orders.items(), shifts):
+            e = vec[rho] - shift[rho]
+            degree += e * p.degree
+            if not p.at_infinity:
+                for _ in range(e):
+                    poly = poly_mul(poly, p.coeffs)
+        num, den = nums[rho], dens[rho]
+        if (num, den) != (1, 1):
+            poly = tuple(_quotient(num * c, den) for c in poly)
+        sections[rho] = BinaryForm.from_poly(degree, poly)
 
-            # a zero section takes the degree its cone's relation forces; at the
-            # cone's other rays it holds, as the lifts and the shifts are classes
-            for rho, row in zip(scone, src.exponent_matrix(scone)):
-                if rho in vanishing:
-                    coord = sum(sections[r].degree * row[r] for r in range(src.n_rays)
-                                if r not in vanishing)
-                    sections[rho] = BinaryForm.zero(-coord)
-            return tuple(sections)
-    return None
+    # a zero section takes the degree its cone's relation forces; at the
+    # cone's other rays it holds, as the lifts and the shifts are classes
+    for rho, row in zip(scone, src.exponent_matrix(scone)):
+        if rho in vanishing:
+            coord = sum(sections[r].degree * row[r] for r in range(src.n_rays)
+                        if r not in vanishing)
+            sections[rho] = BinaryForm.zero(-coord)
+    return tuple(sections)
+
+
+def _agrees_on_chart(emb, candidate, secs):
+    """Whether the image of a source tuple that ``_invert_component`` built
+    from the target tuple ``secs`` is G-related to it, tested on the chart of
+    the inversion: (i) the monomials that meet a zero candidate section are
+    the zero sections, (ii) the degrees agree, and (iii) so does each free
+    row of the target cone that pairs to 0 with the zero rays.  A free row
+    compares prod_tau (c_tau x^e_tau)^row_tau with prod_tau secs_tau^row_tau,
+    the left side as c^row times the candidate to the row's pullback, the
+    negative powers moved across; by (i) the pullback pairs to 0 with the
+    zero candidate sections, and by (ii) both sides have one degree, so the
+    dehomogenizations are compared, the left scaled by c^row's numerator and
+    the right by its denominator."""
+    zeros = _zero_rays(secs)
+    for row, g in zip(_sparse_exponents(emb), secs):
+        if any(candidate[rho].is_zero for rho, _ in row) != g.is_zero:
+            return False
+        if sum(e * candidate[rho].degree for rho, e in row) != g.degree:
+            return False
+    for row, pulled, num, den in _chart(emb, zeros)[2]:
+        lhs = [(f.poly, e) for f, e in zip(candidate, pulled) if e > 0]
+        lhs += [(g.poly, -e) for g, e in zip(secs, row) if e < 0]
+        rhs = [(f.poly, -e) for f, e in zip(candidate, pulled) if e < 0]
+        rhs += [(g.poly, e) for g, e in zip(secs, row) if e > 0]
+        lhs, rhs = _power_product(1, lhs), _power_product(1, rhs)
+        if len(lhs) != len(rhs) or any(a * num != b * den for a, b in zip(lhs, rhs)):
+            return False
+    return True
 
 
 def invert_through_charts(emb, extension):
@@ -364,15 +446,25 @@ def invert_through_charts(emb, extension):
     quasimap factors, found by chart inversion; None when no chart applies or
     the candidate's image is another map.
 
-    The image check certifies the rest.  The candidate has the extension's
-    nodes and markings and its zero sections in a cone.  Its degrees are a
-    class: the image's are, and a chart's lifts pull back to a basis of the
-    characters.  If ``emb`` covers every source chart it is injective on
-    points, so the nodes glue, and a candidate basepoint of degree beta != 0
-    at a cone sigma would give the image one of degree iota_* beta != 0: a
-    ray off sigma with beta_rho > 0 lies in a monomial off a target cone
-    covering sigma, or the lifts would put it in sigma.  Other embeddings
-    keep the full check.
+    The candidate has the extension's nodes and markings, and on each
+    component it is basepoint-free by construction: at each place the shift
+    leaves nonzero orders only on a witnessing cone, which holds the
+    vanishing rays.  Its degrees are a class: the image's are, and a chart's
+    lifts pull back to a basis of the characters.  Its image is then
+    basepoint-free too, as the embedding is valid, and ``_agrees_on_chart``
+    certifies that it is G-related to the extension.  With equal zero rays
+    (i), the generic points of both lie in the orbit of the cone that the
+    zero rays span, inside the chart of the inversion; the rows of that
+    chart's exponent matrix that pair to 0 with the zero rays are a basis of
+    the orbit's characters, so when they agree as rational functions the two
+    are one morphism.  The lifts among them agree by construction, since a
+    character pairs to 0 with every class, which leaves the free rows (iii).
+    Two basepoint-free tuples of one morphism with equal degrees (ii) are
+    G-related.  Were the candidate to carry a basepoint of degree beta != 0,
+    its image's degrees would exceed the extension's by iota_* beta != 0,
+    so (ii) refuses it.  If ``emb`` covers every source chart it is
+    injective on points, so the nodes glue; other embeddings keep the full
+    check of the candidate.
     """
     comps = tuple(_invert_component(emb, secs) for secs in extension.components)
     if None in comps:
@@ -380,8 +472,8 @@ def invert_through_charts(emb, extension):
     candidate = Quasimap._unchecked(emb.source, comps, extension.nodes, extension.markings)
     if not covers_all_charts(emb) and (validate_quasimap(candidate) or basepoints(candidate)):
         return None
-    pairs = zip(apply_ibar(emb, candidate).components, extension.components)
-    return candidate if all(same_morphism_sections(emb.target, *p) for p in pairs) else None
+    pairs = zip(comps, extension.components)
+    return candidate if all(_agrees_on_chart(emb, *p) for p in pairs) else None
 
 
 def _quasimap_sort_key(q):

@@ -36,9 +36,14 @@ def _trim(coeffs):
 
 
 def _quotient(x, y):
-    """x / y for nonzero y, an int when integral."""
+    """x / y for nonzero y, an int when integral; ints that divide exactly
+    build no Fraction."""
     if y == 1:
         return int_or_frac(x)
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        if not r:
+            return q
     q = Fraction(x, y)
     return q.numerator if q.denominator == 1 else q
 

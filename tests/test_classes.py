@@ -150,6 +150,40 @@ def test_factorizations(bl0p2, p2):
         factorizations(p2, CurveClass(p2, (0, 0, 0)))
 
 
+def _factorizations_to_d_minus_1(fan, beta, bound=None):
+    """``factorizations`` as it was when it walked the candidate summands up
+    to degree d - 1; the oracle of the test below."""
+    cap = enumeration_degree(beta) - 1
+    if bound is not None:
+        cap = min(cap, bound)
+    pairs = {}
+    for part in effective_classes(fan, cap):
+        rest = beta - part
+        if part.is_zero() or rest.is_zero() or not is_effective(rest):
+            continue
+        pair = (part, rest) if part.anchor_coords <= rest.anchor_coords else (rest, part)
+        pairs.setdefault((pair[0].anchor_coords, pair[1].anchor_coords), pair)
+    return [pairs[key] for key in sorted(pairs)]
+
+
+def test_factorizations_stop_at_half_the_degree(request):
+    """Walking the summands only to degree d // 2 finds the same splits as
+    the walk to d - 1, for every bound, on seeded classes over the conftest
+    fans: the smaller summand of a split has at most half the degree."""
+    rng = random.Random(3107)
+    splits = 0
+    for name in CONFTEST_FANS:
+        fan = request.getfixturevalue(name)
+        pool = [beta for beta in effective_classes(fan, 6 if picard_rank(fan) <= 2 else 5)
+                if not beta.is_zero()]
+        for beta in rng.sample(pool, min(8, len(pool))):
+            for bound in (None, *range(8)):
+                got = factorizations(fan, beta, bound)
+                assert got == _factorizations_to_d_minus_1(fan, beta, bound), (name, beta, bound)
+                splits += len(got)
+    assert splits >= 200, splits
+
+
 def test_duality_pairing_consistency(bl0p2):
     # the anchor contraction agrees with the full pairing expansion
     for beta in wall_curve_classes(bl0p2):

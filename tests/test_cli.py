@@ -607,3 +607,21 @@ def test_cli_starts_and_runs_cases_without_sympy():
     result = subprocess.run([sys.executable, "-S", "-c", NO_SITE_START], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_a_closed_stdout_pipe_is_not_a_usage_error():
+    """A child whose stdout is a pipe with its read end already closed gets
+    EPIPE on its first write: it exits 1 with nothing on stderr, neither a
+    usage error nor the interpreter's complaint at its final flush."""
+    src = str(Path(toriq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "toriq.cli", "--json", "class", "factor", fx("bl0p2.json"),
+             "--class", "4,4,4,0"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "")

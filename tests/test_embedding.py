@@ -523,15 +523,21 @@ def test_chart_inversion_rejects_a_candidate_with_basepoints(segre, segre_pair, 
     assert fibre_enumeration(segre, image, degrees(q1)[0]) == ()
 
 
+def blow_down():
+    """The blow-down of P2 at x0 = x1 = 0, as an embedding into P2."""
+    blowup = Fan(2, ((1, 0), (0, 1), (-1, -1), (1, 1)), ((0, 3), (1, 3), (1, 2), (0, 2)))
+    return EmbeddingSpec(blowup, projective_space_fan(2), (1, 1, 1),
+                         ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 0)))
+
+
 def test_chart_inversion_checks_candidates_of_an_embedding_not_covering_every_chart():
     """The blow-down of the point x0 = x1 = 0 of P2 covers only the charts
     away from the exceptional curve, and is not injective on points.  Two
     lines through that point with different slopes lift to lines meeting the
     exceptional curve at different points: the image check passes, and the
     full check that such embeddings keep refuses the candidate."""
-    blowup = Fan(2, ((1, 0), (0, 1), (-1, -1), (1, 1)), ((0, 3), (1, 3), (1, 2), (0, 2)))
-    emb = EmbeddingSpec(blowup, projective_space_fan(2), (1, 1, 1),
-                        ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 0)))
+    emb = blow_down()
+    blowup = emb.source
     assert validate_embedding(emb) == [] and not covers_all_charts(emb)
     node = ((0, ProjPoint(1, 0)), (1, ProjPoint(1, 0)))
     lines = tuple((F(1, 0, slope), F(1, 0, 1), F(1, 1)) for slope in (1, 2))
@@ -596,6 +602,50 @@ def test_chart_inversion_passes_the_checks_it_skips(request):
                 assert basepoints(candidate) == ()
     assert sum(n for (_, off), n in outcomes.items() if not off) >= 500
     assert sum(n for (_, off), n in outcomes.items() if off) >= 150
+
+
+def _invert_through_charts_oracle(emb, extension):
+    """``invert_through_charts`` as it was before its chart-local check: the
+    candidate's image under ``apply_ibar`` is compared with the extension by
+    ``same_morphism_sections`` on every target ray."""
+    comps = tuple(_invert_component(emb, secs) for secs in extension.components)
+    if None in comps:
+        return None
+    candidate = Quasimap(emb.source, comps, extension.nodes, extension.markings)
+    if not covers_all_charts(emb) and (validate_quasimap(candidate) or basepoints(candidate)):
+        return None
+    pairs = zip(apply_ibar(emb, candidate).components, extension.components)
+    return candidate if all(same_morphism_sections(emb.target, *p) for p in pairs) else None
+
+
+def test_chart_local_check_matches_the_image_oracle(request):
+    """The chart-local check returns what the transport and comparison on
+    every target ray returned, None included, on every conftest fan's built
+    embedding, segre.json and the blow-down.  The inputs are regular
+    extensions of images of seeded source quasimaps, seeded maps to the
+    target, and seeded one-component tuples, images and not, with
+    identically zero sections."""
+    outcomes = Counter()
+    embeddings = [embedding_named(request, name) for name in CONFTEST_FANS + ["segre.json"]]
+    for emb in embeddings + [blow_down()]:
+        rng = random.Random(f"chart-local check {emb.target.n_rays} {emb.source.rays}")
+        extensions = []
+        for _ in range(30):
+            q = random_quasimap(emb.source, rng, max_components=3, max_total_length=5)
+            extensions.append(regular_extension(apply_ibar(emb, q)))
+        for _ in range(80):
+            q = _random_target_map(emb.target, rng)
+            if not validate_quasimap(q) and not basepoints(q):
+                extensions.append(q)
+        extensions += [Quasimap(emb.target, (secs,)) for secs in _target_tuples(emb, rng, 50)]
+        for extension in extensions:
+            got = invert_through_charts(emb, extension)
+            assert got == _invert_through_charts_oracle(emb, extension), extension
+            zero = any(f.is_zero for secs in extension.components for f in secs)
+            outcomes["off" if got is None else "on", "zero" if zero else "nonzero"] += 1
+    assert sum(outcomes.values()) >= 1000, outcomes
+    assert outcomes["off", "zero"] + outcomes["off", "nonzero"] >= 300, outcomes
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 @pytest.mark.parametrize("name", CONFTEST_FANS + ["segre.json"])

@@ -194,6 +194,23 @@ def test_poly_helpers():
     assert poly_mul(b, (Fraction(1), Fraction(1))) == (-1, 0, 1)
 
 
+def test_quotient_is_an_int_exactly_when_integral():
+    """The quotient's value, type and repr are those of the reduced Fraction,
+    an int when its denominator is 1, over ints and Fractions of both signs."""
+    values = [0, 1, -1, 2, -3, 6, -12, 35, Fraction(1, 2), Fraction(-9, 4), Fraction(6, 3)]
+    types = Counter()
+    for x in values:
+        for y in values:
+            if y == 0:
+                continue
+            exact = Fraction(x, y)
+            expected = exact.numerator if exact.denominator == 1 else exact
+            got = _quotient(x, y)
+            assert type(got) is type(expected) and repr(got) == repr(expected), (x, y)
+            types[type(got)] += 1
+    assert types[int] >= 40 and types[Fraction] >= 40, types
+
+
 def test_place_normalization():
     p = Place.rational(Fraction(3, 2))
     assert p.rational_point() == ProjPoint(2, 3)
