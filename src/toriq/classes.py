@@ -350,29 +350,3 @@ def enumeration_degree(beta):
     otherwise.  Every effective summand of ``beta``, and so every basepoint
     class of a quasimap of class ``beta``, has at most this degree."""
     return _degree_functional(beta.fan).pair(beta)
-
-
-def is_irreducible(fan, beta):
-    return not factorizations(fan, beta)
-
-
-@memo
-def relaxed_surjectivity_condition(fan, length_bound=None):
-    """Check the surjectivity hypothesis that replaces Fano.
-
-    Every effective, nonzero, non-irreducible class with some pairing equal
-    to 1 must pair positively with a second divisor.  Enumeration runs over
-    all effective classes up to the given length bound (anticanonical degree
-    in the Fano case, a fixed ample degree otherwise).
-    """
-    if length_bound is None:
-        raise ValueError("relaxed-condition query requires a length bound")
-    for beta in effective_classes(fan, length_bound):
-        if beta.is_zero():
-            continue
-        positive = [i for i, d in enumerate(beta.pairings) if d > 0]
-        if len(positive) == 1 and beta.pairings[positive[0]] == 1:
-            if not is_irreducible(fan, beta):
-                return False
-    return True
-

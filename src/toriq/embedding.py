@@ -463,14 +463,14 @@ def invert_through_charts(emb, extension):
     G-related.  Were the candidate to carry a basepoint of degree beta != 0,
     its image's degrees would exceed the extension's by iota_* beta != 0,
     so (ii) refuses it.  If ``emb`` covers every source chart it is
-    injective on points, so the nodes glue; other embeddings keep the full
-    check of the candidate.
+    injective on points, so the nodes glue; on other embeddings the
+    candidate's gluing is checked by ``validate_quasimap``.
     """
     comps = tuple(_invert_component(emb, secs) for secs in extension.components)
     if None in comps:
         return None
     candidate = Quasimap._unchecked(emb.source, comps, extension.nodes, extension.markings)
-    if not covers_all_charts(emb) and (validate_quasimap(candidate) or basepoints(candidate)):
+    if not covers_all_charts(emb) and validate_quasimap(candidate):
         return None
     pairs = zip(comps, extension.components)
     return candidate if all(_agrees_on_chart(emb, *p) for p in pairs) else None

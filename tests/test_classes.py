@@ -12,9 +12,9 @@ from toriq.classes import (CurveClass, DivisorClass, _degree_functional, _dot, _
                            anticanonical_class, beta_a_sigma, curve_class_from_anchor,
                            divisor_from_ray_coefficients,
                            effective_classes, enumeration_degree, factorizations,
-                           is_ample, is_effective, is_fano, is_irreducible, is_nef,
+                           is_ample, is_effective, is_fano, is_nef,
                            length, nef_extreme_rays, nef_hilbert_basis, picard_rank,
-                           relaxed_surjectivity_condition, wall_curve_classes)
+                           wall_curve_classes)
 from toriq.embedding import (EmbeddingSpec, _pull_back_character, apply_ibar,
                              build_epic_embedding, pushforward_curves, validate_embedding)
 from toriq.fan import Fan, locate_cones, product_fan, projective_space_fan, walls
@@ -108,9 +108,6 @@ def test_cone_tests(bl0p2):
     s_div = divisor_from_ray_coefficients(bl0p2, (0, 0, 1, 0))
     assert is_nef(s_div) and not is_ample(s_div)
     assert is_effective(CurveClass(bl0p2, (0, 0, 0, 0)))
-    assert relaxed_surjectivity_condition(bl0p2, 8)
-    with pytest.raises(ValueError):
-        relaxed_surjectivity_condition(bl0p2, None)
 
 
 def test_anticanonical_bl0p2(bl0p2):
@@ -139,8 +136,8 @@ def test_factorizations(bl0p2, p2):
     pairs = factorizations(bl0p2, L)
     assert [(a.pairings, b.pairings) for a, b in pairs] == \
         [((0, 1, 1, -1), (1, 0, 0, 1))]
-    assert is_irreducible(bl0p2, S(bl0p2))
-    assert is_irreducible(bl0p2, E(bl0p2))
+    assert factorizations(bl0p2, S(bl0p2)) == []
+    assert factorizations(bl0p2, E(bl0p2)) == []
     line = beta_a_sigma(p2, {2: 1}, (0, 1))
     assert factorizations(p2, line) == []
     two = 2 * line
