@@ -29,7 +29,6 @@ the two are one morphism of one degree: G-related (see
 """
 
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import prod
 from operator import index
@@ -246,17 +245,16 @@ def build_epic_embedding(fan):
       ``ample_functional``, which meets every wall curve.
     - Epic: a factor's target divisors pull back to its class, and the basis
       generates Pic, because the nef cone is full-dimensional.
-    Its verdict is stored here, and the target's tables (verdict, dual bases,
-    primitive collections) by ``product_fan`` and ``projective_space_fan``.
+    Its verdict is stored here, so a built embedding is never validated; its
+    target computes its own tables on first use, like any fan.
     """
     require_valid(fan)
     ample_functional(fan)  # raises on non-projective input
-    space = cache(projective_space_fan)  # one P^n per n, so each is validated once
     factors, coeffs, exponents = [], [], []
     for d in nef_hilbert_basis(fan):
         lift = d.ray_coefficients()
         points = polytope_lattice_points(fan, lift)
-        factors.append(space(len(points) - 1))
+        factors.append(projective_space_fan(len(points) - 1))
         for m in points:
             exponents.append(tuple(c + p for c, p in zip(lift, fan.pairing(m))))
             coeffs.append(1)

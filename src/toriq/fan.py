@@ -20,16 +20,14 @@ computed once per fan.
 
 All arithmetic is over the integers.  Fans are immutable and every
 operation is a pure function.  Derived data is memoized on the instance
-(``memo``), so it is computed once per fan and freed with it; products of
-valid fans and projective spaces get their tables at construction instead
-(``remember``).  Sharing a fan across threads stays safe, because memo
-writes are idempotent.
+(``memo``), so it is computed once per fan, on first use, and freed with it.
+Sharing a fan across threads stays safe, because memo writes are idempotent.
 """
 
 from functools import wraps
 from itertools import combinations
 from math import gcd
-from operator import index, mul, sub
+from operator import index, mul
 
 from .linalg import invert
 from .record import Record
@@ -59,7 +57,8 @@ def memo(fn):
 
 def remember(obj, qualname, value):
     """Store ``value`` under ``memo``'s key for ``qualname(obj)``, given with its
-    module; by name, as traced runs rebind module functions to wrappers."""
+    module; by name, as traced runs rebind module functions to wrappers.  It
+    stores a built embedding's verdict (``build_epic_embedding``)."""
     obj.__dict__.setdefault("_memo", {})[(qualname,)] = value
 
 
@@ -69,6 +68,7 @@ class Fan(Record):
     _fields = ("dim", "rays", "max_cones")
 
     def __init__(self, dim, rays, max_cones):
+        dim = index(dim)
         rays = tuple(tuple(map(index, r)) for r in rays)
         max_cones = tuple(tuple(sorted(map(index, c))) for c in max_cones)
         for ray in rays:
@@ -358,47 +358,19 @@ def require_valid(fan):
 
 
 def product_fan(factors):
-    """Product of fans, ray blocks concatenated in factor order.
-
-    A product of valid fans is valid, with block-diagonal dual bases and its
-    factors' primitive collections (Cox-Little-Schenck §3.1; Batyrev 1991);
-    so when every factor passes ``validate_fan`` these are stored at
-    construction.  Otherwise the product is validated from scratch.
-    """
+    """Product of fans, ray blocks concatenated in factor order; the empty
+    product is the zero-dimensional fan with one empty cone."""
     dim = sum(f.dim for f in factors)
-    valid = bool(factors) and not any(validate_fan(f) for f in factors)
-    rays, cones, collections, pos = [], [((), ())], [], 0  # cones: (rays, dual basis)
+    rays, cones, pos = [], [()], 0
     for f in factors:
         off, before, after = len(rays), (0,) * pos, (0,) * (dim - pos - f.dim)
         rays += [before + ray + after for ray in f.rays]
-        table = _dual_bases(f) if valid else {}  # no bases to carry over
-        cones = [(c + tuple(i + off for i in mc),
-                  rows + tuple(before + m + after for m in table.get(mc, ())))
-                 for c, rows in cones for mc in f.max_cones]
-        if valid:
-            collections += [frozenset(i + off for i in pc) for pc in primitive_collections(f)]
+        cones = [c + tuple(i + off for i in mc) for c in cones for mc in f.max_cones]
         pos += f.dim
-    fan = Fan(dim, tuple(rays), tuple(c for c, _ in cones))
-    if valid:  # the blocks' indices increase, so the collections stay in canonical order
-        remember(fan, f"{__name__}._violations", [])
-        remember(fan, f"{__name__}._dual_bases", dict(cones))
-        remember(fan, f"{__name__}.primitive_collections", tuple(collections))
-    return fan
+    return Fan(dim, tuple(rays), tuple(cones))
 
 
 def projective_space_fan(n):
-    """The fan of n-dimensional projective space: e_1..e_n and -(e_1+...+e_n).
-
-    Its dual bases are stored in closed form: the cone without ray j has the
-    covector e_i* - e_j* at each of its rays i, reading e_{n+1} (the sum ray's
-    index) as 0.  So is its one primitive collection, all n + 1 rays.
-    """
+    """The fan of n-dimensional projective space: e_1..e_n and -(e_1+...+e_n)."""
     rays = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [tuple([-1] * n)]
-    cones = list(combinations(range(n + 1), n))
-    fan = Fan(n, tuple(rays), tuple(cones))
-    e = rays[:n] + [(0,) * n]  # cones[k] leaves out ray n - k
-    remember(fan, f"{__name__}._dual_bases",
-             {cone: tuple(tuple(map(sub, e[i], e[j])) for i in cone)
-              for j, cone in zip(range(n, -1, -1), cones)})
-    remember(fan, f"{__name__}.primitive_collections", (frozenset(range(n + 1)),))
-    return fan
+    return Fan(n, tuple(rays), tuple(combinations(range(n + 1), n)))

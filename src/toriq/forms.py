@@ -23,6 +23,7 @@ imported on first use so that the library and CLI start without it.
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 from .linalg import int_or_frac, primitive_vector
 from .record import Record
@@ -230,6 +231,7 @@ class BinaryForm(Record):
     _fields = ("degree", "coeffs")
 
     def __init__(self, degree, coeffs):
+        degree = index(degree)
         coeffs = tuple(map(int_or_frac, coeffs))
         if degree < 0:
             if any(x != 0 for x in coeffs):

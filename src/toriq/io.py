@@ -84,7 +84,10 @@ def _pair(data, shape):
 
 def point_from_json(data):
     a, b = _pair(data, "a point is a list [a, b] of two scalars")
-    return ProjPoint(parse_scalar(a), parse_scalar(b))
+    try:
+        return ProjPoint(parse_scalar(a), parse_scalar(b))
+    except ValueError as exc:  # [0, 0]
+        raise MalformedInput(str(exc)) from exc
 
 
 def _special_point(data):

@@ -283,6 +283,7 @@ def test_graft_at_a_missing_component_is_a_domain_error(tmp_path, capsys):
     {"sections": [], "attach": 3},
     {"sections": [], "attach": [1, 0, 3]},
     {"sections": [{"degree": 1, "coeffs": ["1"]}], "attach": [1, 0]},
+    {"sections": [], "attach": [0, 0]},
 ])
 def test_malformed_graft_tail_is_usage_error(tmp_path, capsys, tail):
     bad = tmp_path / "tail.json"
@@ -421,6 +422,7 @@ def test_malformed_cli_values_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize("field, value", [
     ("nodes", [[[0, [1, 3]]]]),
     ("markings", [[0, [1, 3], 5]]),
+    ("markings", [[0, [0, 0]]]),
 ])
 def test_malformed_quasimap_shape_is_usage_error(tmp_path, capsys, field, value):
     data = json.loads(fixture_path("section_line.json").read_text())

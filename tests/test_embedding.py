@@ -11,7 +11,7 @@ from toriq.classes import (CurveClass, DivisorClass, ample_functional,
                            curve_class_from_anchor, divisor_from_ray_coefficients,
                            effective_classes,
                            nef_hilbert_basis, wall_curve_classes)
-from toriq.basepoint import INF, _cone_table, _locate_degree
+from toriq.basepoint import INF, _locate_degree
 from toriq.embedding import (EmbeddingSpec, _factored_sections, _invert_component,
                              _pull_back_character,
                              apply_ibar, build_epic_embedding,
@@ -20,8 +20,8 @@ from toriq.embedding import (EmbeddingSpec, _factored_sections, _invert_componen
                              invert_through_charts, polytope_lattice_points,
                              pullback_pic, pushforward_curves, require_valid_embedding,
                              validate_embedding)
-from toriq.fan import (Fan, _dual_bases, dual_basis, primitive_collections, product_fan,
-                       projective_space_fan, require_valid, validate_fan, walls)
+from toriq.fan import (Fan, dual_basis, primitive_collections, product_fan,
+                       projective_space_fan, require_valid, validate_fan)
 from toriq.forms import BinaryForm, Place, ProjPoint, poly_mul
 from toriq.io import load_embedding
 from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps,
@@ -263,46 +263,8 @@ def test_a_built_embedding_carries_its_verdict(builder_fans, monkeypatch):
         assert epic is epic_check(copy) is True
 
 
-CONSTRUCTED = {"toriq.fan._violations", "toriq.fan._dual_bases",
-               "toriq.fan.primitive_collections"}
-
-
 def _memo_names(fan):
     return {key[0] for key in fan.__dict__.get("_memo", {})}
-
-
-def _assert_tables_match_a_fresh_copy(fan):
-    """The fan's tables, stored at construction or not, against those of a
-    memo-free copy that computes every one from scratch."""
-    copy = Fan(fan.dim, fan.rays, fan.max_cones)
-    assert validate_fan(fan) == validate_fan(copy) == [], fan
-    assert primitive_collections(fan) == primitive_collections(copy), fan
-    assert _dual_bases(fan) == _dual_bases(copy), fan
-    assert walls(fan) == walls(copy) and _cone_table(fan) == _cone_table(copy), fan
-    assert all(fan.exponent_matrix(c) == copy.exponent_matrix(c) for c in fan.max_cones), fan
-
-
-def test_constructed_tables_match_a_fresh_copy(builder_fans):
-    """Products of valid fans are given their verdict, dual bases and
-    primitive collections at construction, and projective spaces their dual
-    bases and primitive collection in closed form; each stored table is the one read later, and each
-    equals what a copy built from the same data computes."""
-    fans = list(builder_fans)
-    for fan in builder_fans:
-        target = build_epic_embedding(fan).target
-        assert _memo_names(target) == CONSTRUCTED, fan
-        validate_fan(target)
-        primitive_collections(target)
-        for cone in target.max_cones:
-            dual_basis(target, cone)
-        assert _memo_names(target) == CONSTRUCTED, fan
-        fans.append(target)
-    for n in range(1, 7):
-        space = projective_space_fan(n)
-        assert _memo_names(space) == {"toriq.fan._dual_bases", "toriq.fan.primitive_collections"}
-        fans.append(space)
-    for fan in fans:
-        _assert_tables_match_a_fresh_copy(fan)
 
 
 @pytest.mark.parametrize("factor", [
@@ -320,12 +282,16 @@ def test_products_with_an_invalid_factor_are_validated_from_scratch(factor):
 
 
 def test_the_epic_check_builds_no_target_cone_table(builder_fans):
-    """Validating a built embedding reads the target's cone ray sets, not its
-    exponent matrices."""
+    """Pushing the wall classes forward and the epic check read no table of a
+    built target but its anchor rays, so the target computes nothing else;
+    its verdict, asked for afterwards, is computed on first use."""
     for fan in builder_fans:
         emb = build_epic_embedding(fan)
+        for w in wall_curve_classes(fan):
+            pushforward_curves(emb, w)
         assert epic_check(emb), fan
-        assert "toriq.basepoint._cone_table" not in _memo_names(emb.target), fan
+        assert _memo_names(emb.target) <= {"toriq.classes.anchor_rays"}, fan
+        assert validate_fan(emb.target) == [], fan
 
 
 def test_build_with_generator_choice(bl0p2):

@@ -143,14 +143,17 @@ def test_keyword_and_default_constructor_arguments():
 
 
 def test_constructors_take_exact_integers():
-    """Rays, cone and order entries, exponents and special-point components
-    must be integers; a float or a Fraction is refused, not truncated."""
+    """A fan's dimension, rays and cone entries, a form's degree, order
+    entries, exponents and special-point components must be integers; a
+    float or a Fraction is refused, not truncated."""
     bl0p2 = Fan(2, ((0, -1), (1, 0), (-1, 1), (0, 1)), ((1, 3), (2, 3), (0, 2), (0, 1)))
     p1 = projective_space_fan(1)
     comps = ((BinaryForm(1, (0, 1)), BinaryForm(1, (1, 0))),)
     bad = [
         lambda: Fan(2, ((1.9, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2))),
         lambda: Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1.0), (1, 2), (0, 2))),
+        lambda: Fan(2.0, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2))),
+        lambda: BinaryForm(Fraction(2), (1, 0, 3)),
         lambda: OrderVector(bl0p2, (Fraction(3, 2), 1, 1, 0)),
         lambda: EmbeddingSpec(p1, p1, (1, 1), ((1.5, 0), (0, 1))),
         lambda: Quasimap(p1, comps, markings=((0.0, ProjPoint(1, 1)),)),
