@@ -92,6 +92,7 @@ def _locate_degree(fan, orders, vanishing, first=False):
     With v the sum of a_rho u_rho over the rays off Z = ``vanishing``, a
     maximal cone sigma containing Z is a witness iff c_k = <m_k, v> >= 0 at
     each ray sigma_k off Z; the degree is a - c on sigma (a as 0 on Z), a off it.
+    A cone's c_k are computed in turn, up to the first negative one off Z.
     With ``first`` the scan stops at the first witness, the only one returned.
     """
     require_valid(fan)
@@ -99,8 +100,13 @@ def _locate_degree(fan, orders, vanishing, first=False):
     hits = []
     for idx, sigma, cone_set, rows in _cone_table(fan):
         if vanishing <= cone_set:
-            c = [sum(o * row[i] for i, o in finite) for row in rows]
-            if all(ck >= 0 for rho, ck in zip(sigma, c) if rho not in vanishing):
+            c = []
+            for rho, row in zip(sigma, rows):
+                ck = sum(o * row[i] for i, o in finite)
+                if ck < 0 and rho not in vanishing:
+                    break
+                c.append(ck)
+            else:
                 hits.append((idx, sigma, c))
                 if first:
                     break

@@ -24,7 +24,7 @@ from .classes import (CurveClass, anticanonical_class, curve_class_from_anchor,
 from .contraction import StableMapTree, contract, contraction_condition, graft, surjectivity_witness
 from .embedding import (apply_ibar, build_epic_embedding, epic_check,
                         fibre_enumeration, pushforward_curves, validate_embedding)
-from .fan import primitive_collections, require_valid, validate_fan
+from .fan import _sorted_collections, require_valid, validate_fan
 from .forms import Place
 from .quasimap import (_map_stable, _twist_away, basepoints, degrees, stability,
                        validate_quasimap)
@@ -86,7 +86,7 @@ def _cmd_fan_info(args):
     _reject_invalid(args, validate_fan(fan), "fan")
     mori = [tuple(w.pairings) for w in wall_curve_classes(fan)]
     hilb = [tuple(d.coords) for d in nef_hilbert_basis(fan)]
-    pcs = [tuple(sorted(pc)) for pc in primitive_collections(fan)]
+    pcs = list(_sorted_collections(fan))
     anti = anticanonical_class(fan)
     payload = {
         "dim": fan.dim,
@@ -427,7 +427,7 @@ def main(argv=None):
         # Python's signal documentation)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, tio.MalformedInput) as exc:
+    except (OSError, json.JSONDecodeError, tio.MalformedInput) as exc:
         # the decode and shape errors are ValueErrors, so they are caught first
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -39,7 +39,7 @@ from .classes import (CurveClass, ample_functional, anchor_rays,
                       enumeration_degree, nef_hilbert_basis)
 from .fan import (_cone_sets, dual_basis, memo, primitive_collections, product_fan,
                   projective_space_fan, remember, require_valid)
-from .forms import BinaryForm, _quotient, poly_mul
+from .forms import BinaryForm, _multiply_in, _quotient, poly_mul
 from .linalg import box_points, int_or_frac, lattice_map_is_surjective
 from .quasimap import (Quasimap, _absorbs, _first_cone, _orders_at, _twist_away, _zero_rays,
                        basepoints, degrees, extend_at, validate_quasimap)
@@ -393,8 +393,7 @@ def _invert_component(emb, secs):
             e = vec[rho] - shift[rho]
             degree += e * p.degree
             if not p.at_infinity:
-                for _ in range(e):
-                    poly = poly_mul(poly, p.coeffs)
+                poly = _multiply_in(poly, p.coeffs, e)
         num, den = nums[rho], dens[rho]
         if (num, den) != (1, 1):
             poly = tuple(_quotient(num * c, den) for c in poly)

@@ -205,11 +205,17 @@ def primitive_collections(fan):
     return tuple(sorted(non_faces, key=lambda s: tuple(sorted(s))))
 
 
+@memo
+def _sorted_collections(fan):
+    """The primitive collections as sorted ray tuples, in canonical order."""
+    return tuple(tuple(sorted(pc)) for pc in primitive_collections(fan))
+
+
 def _degenerate_collections(fan, rays):
     """The primitive collections inside a ray set, each sorted, in canonical
     order: empty exactly when the rays lie in one cone, since a smooth fan is
     simplicial and every non-face holds a minimal one."""
-    return [tuple(sorted(pc)) for pc in primitive_collections(fan) if pc <= rays]
+    return [pc for pc in _sorted_collections(fan) if rays.issuperset(pc)]
 
 
 @memo

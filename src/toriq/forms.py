@@ -10,14 +10,19 @@ the zero section of the corresponding line bundle.
 Places are monic irreducible polynomials in z, plus the place at infinity.
 Coefficients, place coefficients and point coordinates are stored as ints
 where integral and as Fractions only where not, and the polynomial
-arithmetic works on such mixed lists directly: division by a monic place
-never leaves the integers of an integral form (by a rational place z - r it
-is synthetic division, Horner's rule at r), and gcds run over the integers
-as primitive pseudo-remainder sequences, except where the answer is read off:
-1 for a constant input, and for a linear input whether the other one vanishes
-at its root.  Polynomials of degree at most two are factored over the
-rationals here; factoring degree three and up is delegated to sympy, which is
-imported on first use so that the library and CLI start without it.
+arithmetic works on such mixed lists directly.  Two kernels hold the place
+arithmetic that ``ord_at`` and ``shift`` use: ``_divide_out`` divides by a
+place as often as it divides, up to a limit, and ``_multiply_in`` multiplies
+by a power of it.  At a rational place z - r a division step is synthetic
+division (Horner's rule at r) and a multiplication a shift-and-add, each
+written inline; other places use long division and ``poly_mul``.  Division by
+a monic place never leaves the integers of an integral form.  gcds run as
+primitive pseudo-remainder sequences, and before each remainder the answer is
+read off where it can be: 1 for a constant, and for a linear polynomial
+whether the other one vanishes at its root.  Polynomials of degree at most
+two are factored over the rationals here; factoring degree three and up is
+delegated to sympy, which is imported on first use so that the library and
+CLI start without it.
 """
 
 import math
@@ -61,34 +66,58 @@ def poly_mul(a, b):
     return _trim(out)
 
 
-def _divide_by_place(poly, coeffs):
-    """Quotient and remainder (falsy when zero) of a nonzero polynomial by a
-    monic place polynomial: long division, and by z - r synthetic division at
-    the root r."""
+def _divide_out(poly, coeffs, limit=None):
+    """Quotient of a nonzero polynomial by the highest power of a monic place
+    polynomial that divides it, at most ``limit`` times, and that power.  By
+    z - r each step is synthetic division (Horner's rule at the root r), by a
+    place of higher degree long division; a monic divisor leaves the leading
+    coefficient of each quotient, so none needs trimming."""
+    count = 0
+    if len(coeffs) == 2:
+        root = -coeffs[0]
+        while count != limit:
+            acc, out = 0, []
+            for c in reversed(poly):
+                acc = c + root * acc
+                out.append(acc)
+            if out.pop():
+                break
+            out.reverse()
+            poly = tuple(out)
+            count += 1
+        return poly, count
     n = len(coeffs) - 1
-    if n > 1:
+    while count != limit and len(poly) > n:
         rem = list(poly)
-        quo = [0] * max(len(rem) - n, 0)
-        for shift in range(len(rem) - 1 - n, -1, -1):
-            coef = rem[shift + n]
+        quo = [0] * (len(rem) - n)
+        for k in range(len(quo) - 1, -1, -1):
+            coef = rem[k + n]
             if coef:
-                quo[shift] = coef
+                quo[k] = coef
                 for i in range(n):
-                    rem[shift + i] -= coef * coeffs[i]
-        return _trim(quo), _trim(rem[:n])
-    root = -coeffs[0]
-    if not root:
-        return poly[1:], poly[0]
-    acc, out = 0, []
-    for c in reversed(poly):
-        acc = c + root * acc
-        out.append(acc)
-    rem = out.pop()
-    return tuple(reversed(out)), rem
+                    rem[k + i] -= coef * coeffs[i]
+        if any(rem[:n]):
+            break
+        poly = tuple(quo)
+        count += 1
+    return poly, count
+
+
+def _multiply_in(poly, coeffs, times):
+    """A nonzero polynomial times the monic place polynomial to the power
+    ``times`` >= 0: by z - r a shift-and-add per factor."""
+    if len(coeffs) != 2:
+        for _ in range(times):
+            poly = poly_mul(poly, coeffs)
+        return poly
+    c = coeffs[0]
+    for _ in range(times):
+        poly = (c * poly[0], *[x + c * y for x, y in zip(poly, poly[1:])], poly[-1])
+    return poly
 
 
 def _primitive_remainder(a, b):
-    """Primitive part of the pseudo-remainder of integer polynomials a by b."""
+    """Primitive integer part of the pseudo-remainder of polynomials a by b."""
     a = list(a)
     n = len(b) - 1
     lead = b[-1]
@@ -108,28 +137,25 @@ def poly_gcd(a, b):
     """Monic gcd over the rationals (empty when both vanish).
 
     1 for a constant input; a linear input is tested at its root.  Otherwise
-    the gcd runs over the integers: both inputs are scaled to primitive integer
-    polynomials, each pseudo-remainder is reduced to its primitive part, and
-    only the last nonzero one is made monic."""
+    the gcd is taken by pseudo-remainders, each reduced to a primitive integer
+    polynomial and put to the same two tests, and only the last nonzero one
+    is made monic."""
     a, b = _trim(a), _trim(b)
-    if len(a) == 1 or len(b) == 1:
-        return (1,)
-    if len(b) == 2:
-        a, b = b, a
-    if len(a) == 2:  # b vanishes at -a0/a1 iff its homogenization does at [a1 : -a0]
-        x, y = -a[0], a[1]
-        value, x_power = 0, 1
-        for c in b:
-            value = value * y + c * x_power
-            x_power *= x
-        return (1,) if value else (_quotient(a[0], y), 1)
-    a = primitive_vector(a) if a else a
-    b = primitive_vector(b) if b else b
-    while b:
+    while True:
+        if len(a) == 1 or len(b) == 1:
+            return (1,)
+        if len(b) == 2:
+            a, b = b, a
+        if len(a) == 2:  # b vanishes at -a0/a1 iff its homogenization does at [a1 : -a0]
+            x, y = -a[0], a[1]
+            value, x_power = 0, 1
+            for c in b:
+                value = value * y + c * x_power
+                x_power *= x
+            return (1,) if value else (_quotient(a[0], y), 1)
+        if not b:
+            return a if not a or a[-1] == 1 else tuple(_quotient(x, a[-1]) for x in a)
         a, b = b, _primitive_remainder(a, b)
-    if a and a[-1] != 1:
-        a = tuple(_quotient(x, a[-1]) for x in a)
-    return a
 
 
 class ProjPoint(Record):
@@ -254,11 +280,14 @@ class BinaryForm(Record):
     @classmethod
     def from_poly(cls, degree, poly_coeffs):
         """Form of the given degree whose dehomogenization is the polynomial,
-        built in one pass: each value normalized once, the polynomial trimmed
-        and padded."""
-        poly = _trim(map(int_or_frac, poly_coeffs))
+        built in one pass: each value that is not an int normalized once, the
+        polynomial trimmed in place and padded."""
+        poly = [c if type(c) is int else int_or_frac(c) for c in poly_coeffs]
+        while poly and poly[-1] == 0:
+            poly.pop()
         if len(poly) > degree + 1:
             raise ValueError("polynomial degree exceeds the form degree")
+        poly = tuple(poly)
         form = cls.__new__(cls)
         form.__dict__.update(degree=degree, coeffs=poly + (0,) * (degree + 1 - len(poly)),
                              poly=poly)
@@ -290,12 +319,7 @@ class BinaryForm(Record):
             return None
         if place.at_infinity:
             return self.degree - self.poly_degree
-        count, rem = 0, self.poly
-        while True:
-            rem, r = _divide_by_place(rem, place.coeffs)
-            if r:
-                return count
-            count += 1
+        return _divide_out(self.poly, place.coeffs)[1]
 
     def shift(self, place, exponent):
         """Multiply by place^exponent (divide exactly for negative exponents)."""
@@ -308,15 +332,12 @@ class BinaryForm(Record):
             if exponent < 0 and self.degree - self.poly_degree < -exponent:
                 raise ValueError("form is not divisible by the place at infinity")
             return BinaryForm.from_poly(new_degree, self.poly)
-        poly = self.poly
         if exponent > 0:
-            for _ in range(exponent):
-                poly = poly_mul(poly, place.coeffs)
+            poly = _multiply_in(self.poly, place.coeffs, exponent)
         else:
-            for _ in range(-exponent):
-                poly, r = _divide_by_place(poly, place.coeffs)
-                if r:
-                    raise ValueError("form is not divisible by the given place")
+            poly, count = _divide_out(self.poly, place.coeffs, -exponent)
+            if count != -exponent:
+                raise ValueError("form is not divisible by the given place")
         return BinaryForm.from_poly(new_degree, poly)
 
     def factor(self):

@@ -169,6 +169,8 @@ def _load(path, from_dict, *args):
         return from_dict(data, *args)
     except TypeError as exc:  # e.g. a number where a list of rays belongs
         raise MalformedInput(f"{path}: malformed input ({exc})") from exc
+    except KeyError as exc:
+        raise MalformedInput(f"{path}: missing key {exc.args[0]!r}") from exc
 
 
 def _reject_float(text):

@@ -15,7 +15,9 @@ corners: of a polytope's vertices, and of a truncated cone.
 
 ``int_or_frac``, ``frac`` and ``primitive_vector`` serve the rational
 coefficients of ``forms``, chart points and embedding coefficients: values are
-``int`` where integral.
+``int`` where integral.  So ``primitive_vector`` reads an all-int vector, the
+pseudo-remainders of ``forms``'s gcds, as it is, and clears denominators only
+when a Fraction is present.
 """
 
 from fractions import Fraction
@@ -107,9 +109,11 @@ def kernel_basis(mat, ncols):
 
 def primitive_vector(vec):
     """Scale a nonzero rational vector by a positive rational to a primitive
-    integer vector."""
-    denom = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (denom // x.denominator) for x in vec]
+    integer vector; an all-int vector is read as it is."""
+    ints = vec
+    if any(type(x) is not int for x in vec):
+        denom = lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (denom // x.denominator) for x in vec]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")

@@ -15,7 +15,7 @@ from operator import index
 
 from .basepoint import INF, OrderVector, _cone_table, _locate_degree
 from .classes import CurveClass
-from .fan import (_cone_sets, _degenerate_collections, is_connected, primitive_collections,
+from .fan import (_cone_sets, _degenerate_collections, _sorted_collections, is_connected,
                   require_valid)
 from .forms import common_zero_places
 from .record import Record
@@ -107,13 +107,13 @@ def _absorbs(orders, beta):
     return all(o is INF or o + d >= 0 for o, d in zip(orders, beta.pairings))
 
 
-def _nondegenerate_sections(q, comp):
-    """The sections of one component; ValueError when they are degenerate."""
-    secs = q.sections(comp)
-    degenerate = _degenerate_collections(q.fan, _zero_rays(secs))
+def _nondegenerate_zero_rays(q, comp):
+    """The zero rays of one component; ValueError when they are degenerate."""
+    zeros = _zero_rays(q.sections(comp))
+    degenerate = _degenerate_collections(q.fan, zeros)
     if degenerate:
         raise ValueError(f"component {comp} vanishes on the primitive collection {degenerate[0]}")
-    return secs
+    return zeros
 
 
 def component_basepoints(q, comp):
@@ -124,15 +124,18 @@ def component_basepoints(q, comp):
     the place degree.
     """
     fan = q.fan
-    secs = _nondegenerate_sections(q, comp)
+    zeros = _nondegenerate_zero_rays(q, comp)
+    secs = q.sections(comp)
     places = set()
-    for pc in primitive_collections(fan):
-        places.update(common_zero_places([secs[i] for i in sorted(pc)]))
+    for pc in _sorted_collections(fan):
+        places.update(common_zero_places([secs[i] for i in pc]))
+    if not places:
+        return ()
     out = []
     for place in sorted(places, key=lambda p: p.sort_key()):
-        orders = OrderVector._unchecked(fan, _orders_at(q, comp, place))
-        beta, _ = _locate_degree(fan, orders.orders, orders.vanishing, first=True)
-        out.append(BasepointPlace(comp, place, orders, beta))
+        orders = _orders_at(q, comp, place)
+        beta, _ = _locate_degree(fan, orders, zeros, first=True)
+        out.append(BasepointPlace(comp, place, OrderVector._unchecked(fan, orders), beta))
     return tuple(out)
 
 
@@ -372,6 +375,6 @@ def equal_quasimaps(q1, q2):
         raise ValueError("quasimaps on different curves are incomparable")
     for q in (q1, q2):
         for comp in range(q.n_components):
-            _nondegenerate_sections(q, comp)
+            _nondegenerate_zero_rays(q, comp)
     return all(same_morphism_sections(q1.fan, first, second)
                for first, second in zip(q1.components, q2.components))

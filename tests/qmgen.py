@@ -1,5 +1,6 @@
-"""Random generators for fans' quasimaps used across the test suite, and the
-reference chart evaluator that point comparisons are tested against.
+"""Random generators for fans' quasimaps used across the test suite, the
+reference chart evaluator that point comparisons are tested against, and the
+oracles of the place arithmetic (division, gcds, vanishing orders).
 
 Everything is driven by a seeded random.Random so failures reproduce; the
 generators retry until the produced data passes validate_quasimap, which
@@ -11,7 +12,9 @@ from itertools import count
 from math import prod
 
 from toriq.classes import effective_classes, length
-from toriq.forms import BinaryForm, Place, ProjPoint, poly_mul
+from toriq.forms import (BinaryForm, Place, ProjPoint, _primitive_remainder, _quotient, _trim,
+                         poly_mul)
+from toriq.linalg import primitive_vector
 from toriq.quasimap import (Quasimap, basepoints, extend_at, point_is_basepoint,
                             section_values, validate_quasimap)
 
@@ -289,3 +292,66 @@ def random_order_vector(fan, rng, max_order=4, inf_prob=0.25):
         if any(set(pc) <= vanishing for pc in primitive_collections(fan)):
             continue
         return OrderVector(fan, orders)
+
+
+# Oracles of the place arithmetic of ``forms``: its differential tests and the
+# reference basepoint scan of test_quasimap check it against these.  Euclid
+# over the rationals, as forms did it before its gcd ran over the integers.
+def poly_divmod_oracle(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    inv = Fraction(1) / b[-1]
+    while len(a) >= len(b) and any(x != 0 for x in a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        shift = len(a) - len(b)
+        coef = a[-1] * inv
+        q[shift] = coef
+        for i, x in enumerate(b):
+            a[shift + i] -= coef * x
+        a.pop()
+    return _trim(q), _trim(a)
+
+
+def poly_gcd_oracle(a, b):
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, poly_divmod_oracle(a, b)[1]
+    if a:
+        inv = Fraction(1) / a[-1]
+        a = tuple(x * inv for x in a)
+    return a
+
+
+# The gcd as forms took it before its constant and linear fast paths: the
+# primitive pseudo-remainder sequence on every pair.
+def poly_gcd_prs_oracle(a, b):
+    a, b = _trim(a), _trim(b)
+    a = primitive_vector(a) if a else a
+    b = primitive_vector(b) if b else b
+    while b:
+        a, b = b, _primitive_remainder(a, b)
+    if a and a[-1] != 1:
+        a = tuple(_quotient(x, a[-1]) for x in a)
+    return a
+
+
+# The vanishing order at a place as forms took it before division by a
+# rational place went synthetic: repeated long division by the place
+# polynomial.
+def ord_at_oracle(form, place):
+    if form.is_zero:
+        return None
+    if place.at_infinity:
+        return form.degree - form.poly_degree
+    count = 0
+    rem = form.poly
+    while True:
+        q, r = poly_divmod_oracle(rem, place.coeffs)
+        if r:
+            return count
+        count += 1
+        rem = q

@@ -293,6 +293,43 @@ def test_malformed_graft_tail_is_usage_error(tmp_path, capsys, tail):
     assert code == 2 and err.startswith("usage error")
 
 
+@pytest.mark.parametrize("kind, key", [
+    ("fan", "max_cones"),
+    ("quasimap", "components"),
+    ("embedding", "monomials"),
+    ("tail", "attach"),
+])
+def test_a_missing_key_is_a_usage_error_naming_it(tmp_path, capsys, kind, key):
+    """A fan, quasimap, embedding or graft-tail file without one of its keys
+    exits 2, and the message names the file and the key."""
+    files = {"fan": fx("p2.json"), "quasimap": fx("section_line.json"),
+             "embedding": fx("segre.json"), "tail": _line_tail(tmp_path)}
+    data = json.loads(Path(files[kind]).read_text())
+    del data[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    files[kind] = str(bad)
+    argv = {"fan": ("fan", "validate", files["fan"]),
+            "quasimap": ("quasimap", "analyze", files["quasimap"]),
+            "embedding": ("embed", "check", files["embedding"]),
+            "tail": ("graft", files["quasimap"], "--component", "0", "--place", "inf",
+                     "--tail", files["tail"])}[kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {bad}: missing key '{key}'\n"
+
+
+def test_a_key_error_inside_a_command_is_not_a_usage_error(capsys, monkeypatch):
+    """Only reading a file maps a missing key to a usage error: a KeyError
+    raised by the library propagates instead of exiting 2."""
+    def broken(fan):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("toriq.cli.validate_fan", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["fan", "validate", fx("p2.json")])
+
+
 def test_reproduce_all(capsys):
     for case in CASE_NAMES:
         code, out, _ = run(capsys, "reproduce", case)

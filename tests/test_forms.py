@@ -6,44 +6,13 @@ import pytest
 
 from toriq.contraction import surjectivity_witness
 from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
-from toriq.forms import (BinaryForm, Place, ProjPoint, _divide_by_place, _factor_poly,
-                         _factor_poly_cached, _primitive_remainder, _quotient, _trim,
-                         common_zero_places, poly_gcd, poly_mul)
-from toriq.linalg import primitive_vector
+from toriq.forms import (BinaryForm, Place, ProjPoint, _divide_out, _factor_poly,
+                         _factor_poly_cached, _multiply_in, _quotient, _trim, common_zero_places,
+                         poly_gcd, poly_mul)
 from toriq.quasimap import basepoints, degrees, regular_extension
 
-from qmgen import random_stable_quasimap
-
-
-# Euclid over the rationals, as forms did it before its gcd ran over the
-# integers; the oracles of the differential test below.
-def poly_divmod_oracle(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = Fraction(1) / b[-1]
-    while len(a) >= len(b) and any(x != 0 for x in a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        coef = a[-1] * inv
-        q[shift] = coef
-        for i, x in enumerate(b):
-            a[shift + i] -= coef * x
-        a.pop()
-    return _trim(q), _trim(a)
-
-
-def poly_gcd_oracle(a, b):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, poly_divmod_oracle(a, b)[1]
-    if a:
-        inv = Fraction(1) / a[-1]
-        a = tuple(x * inv for x in a)
-    return a
+from qmgen import (ord_at_oracle, poly_divmod_oracle, poly_gcd_oracle, poly_gcd_prs_oracle,
+                   random_stable_quasimap)
 
 
 def F(deg, *coeffs):
@@ -188,8 +157,7 @@ def test_common_zero_places():
 def test_poly_helpers():
     a = (Fraction(-1), Fraction(0), Fraction(1))  # z^2 - 1
     b = (Fraction(-1), Fraction(1))  # z - 1
-    q, r = _divide_by_place(a, b)
-    assert q == (1, 1) and not r
+    assert _divide_out(a, b) == ((1, 1), 1)
     assert poly_gcd(a, b) == (-1, 1)
     assert poly_mul(b, (Fraction(1), Fraction(1))) == (-1, 0, 1)
 
@@ -283,27 +251,13 @@ def test_integer_gcd_and_divmod_agree_with_euclid_oracles():
         assert poly_gcd(a, b) == poly_gcd_oracle(a, b), (a, b)
         assert poly_gcd(b, a) == poly_gcd_oracle(b, a), (a, b)
         if a and len(b) > 1:
-            # division by a place: the divisor made monic; by z - r the
-            # remainder is a scalar
+            # one division by a place, the divisor made monic: the quotient
+            # when it divides, else the polynomial as it was
             m = tuple(_quotient(x, b[-1]) for x in b)
-            q, r = _divide_by_place(a, m)
-            assert (q, r if len(m) > 2 else _trim((r,))) == poly_divmod_oracle(a, m), (a, b)
+            q, r = poly_divmod_oracle(a, m)
+            assert _divide_out(a, m, 1) == ((a, 0) if r else (q, 1)), (a, b)
     assert poly_gcd((), ()) == poly_gcd_oracle((), ()) == ()
     assert sum(len(poly_gcd(a, b)) > 1 for a, b in pairs) > 300
-
-
-# The gcd as forms took it before its constant and linear fast paths: the
-# primitive pseudo-remainder sequence on every pair.  The oracle of the
-# differential test below.
-def poly_gcd_prs_oracle(a, b):
-    a, b = _trim(a), _trim(b)
-    a = primitive_vector(a) if a else a
-    b = primitive_vector(b) if b else b
-    while b:
-        a, b = b, _primitive_remainder(a, b)
-    if a and a[-1] != 1:
-        a = tuple(_quotient(x, a[-1]) for x in a)
-    return a
 
 
 def small_degree_corpus(rng, count):
@@ -372,24 +326,9 @@ def test_common_zero_places_stops_at_the_first_constant_gcd(monkeypatch):
     assert common_zero_places([F(2, -2, 2), F(2, 1, -1), F(2, 0, -1, 1)]) == [Place.rational(1)]
 
 
-# Division by a place as forms did it before division by a rational place
-# went synthetic: repeated long division by the place polynomial.  The oracles
-# of the differential test below.
-def ord_at_oracle(form, place):
-    if form.is_zero:
-        return None
-    if place.at_infinity:
-        return form.degree - form.poly_degree
-    count = 0
-    rem = form.poly
-    while True:
-        q, r = poly_divmod_oracle(rem, place.coeffs)
-        if r:
-            return count
-        count += 1
-        rem = q
-
-
+# The shift as forms took it before division by a rational place went
+# synthetic: repeated long division by the place polynomial, as qmgen's
+# ``ord_at_oracle`` counts orders.  The oracles of the differential test below.
 def shift_oracle(form, place, exponent):
     if exponent == 0:
         return form
@@ -473,6 +412,33 @@ def test_place_division_agrees_with_divmod_oracle():
                 elif exponent < 0 and not form.is_zero:
                     divided[place] += 1
     assert min(divided.values()) > 20 and refused > 5000
+
+
+def test_place_kernels_agree_with_divmod_and_product_loops():
+    """``_divide_out`` at each limit against a loop of the divmod oracle that
+    stops at the first nonzero remainder or at the limit, with the count where
+    the division stops early, and ``_multiply_in`` at each power against a
+    loop of ``poly_mul``: on every finite division place, rational, Fraction
+    and quadratic."""
+    forms = [f for f in division_corpus(random.Random(33), 200) if not f.is_zero]
+    early = Counter()
+    for form in forms:
+        for place in DIVISION_PLACES[:-1]:
+            for limit in (0, 1, 2, 3, None):
+                poly, count = form.poly, 0
+                while count != limit:
+                    q, r = poly_divmod_oracle(poly, place.coeffs)
+                    if r:
+                        early[place] += count > 0
+                        break
+                    poly, count = q, count + 1
+                got = _divide_out(form.poly, place.coeffs, limit)
+                assert got == (poly, count), (form, place, limit)
+            product = form.poly
+            for times in range(4):
+                assert _multiply_in(form.poly, place.coeffs, times) == product, (form, place, times)
+                product = poly_mul(product, place.coeffs)
+    assert not DIVISION_PLACES[-1].coeffs and len(early) == 8 and min(early.values()) > 10, early
 
 
 def test_stored_poly_leaves_equality_hash_and_repr_alone():

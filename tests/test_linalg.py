@@ -14,7 +14,7 @@ from toriq.classes import divisor_from_ray_coefficients, is_nef, nef_hilbert_bas
 from toriq.embedding import polytope_lattice_points
 from toriq.fan import product_fan, projective_space_fan
 from toriq.linalg import (box_points, frac, invert, kernel_basis, lattice_map_is_surjective,
-                          solve_square)
+                          primitive_vector, solve_square)
 
 
 # Reference: rational Gauss-Jordan elimination, every entry a Fraction.
@@ -363,3 +363,25 @@ def test_box_points_agree_with_product_oracle():
         kept += len(expected)
     assert list(box_points([], lambda p: True)) == []
     assert kept >= 800
+
+
+def test_primitive_vector_reads_ints_and_fractions_alike():
+    """An all-int vector and the same vector as Fractions give one primitive
+    tuple of ints, the oracle's, and so does the vector scaled by a rational;
+    a vector mixing ints and Fractions gives the oracle's tuple, and the zero
+    vector raises either way."""
+    rng = random.Random(2214)
+    for _ in range(400):
+        vec = [rng.randint(-12, 12) for _ in range(rng.randint(1, 5))]
+        if not any(vec):
+            continue
+        got = primitive_vector(vec)
+        assert type(got) is tuple and all(type(x) is int for x in got), vec
+        assert got == primitive_oracle(vec), vec
+        assert primitive_vector([Fraction(x) for x in vec]) == got, vec
+        assert primitive_vector([Fraction(x, 6) for x in vec]) == got, vec
+        mixed = [x if i % 2 == 0 else Fraction(x, 2) for i, x in enumerate(vec)]
+        assert primitive_vector(mixed) == primitive_oracle(mixed), mixed
+    for zero in ([0, 0], [Fraction(0), 0], [Fraction(0, 3)]):
+        with pytest.raises(ValueError, match="zero vector"):
+            primitive_vector(zero)

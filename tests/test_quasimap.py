@@ -11,7 +11,7 @@ from toriq.contraction import StableMapTree, contract, surjectivity_witness
 from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
 from toriq.fan import (is_connected, primitive_collections, product_fan,
                        projective_space_fan, require_valid)
-from toriq.forms import BinaryForm, Place, ProjPoint, common_zero_places
+from toriq.forms import BinaryForm, Place, ProjPoint
 from toriq.linalg import kernel_basis, primitive_vector
 from toriq.quasimap import (BasepointPlace, Quasimap, _absorbs, _chart_cone, _orders_at,
                             _orthogonal_characters, _same_point, _twist_away, basepoints,
@@ -20,7 +20,8 @@ from toriq.quasimap import (BasepointPlace, Quasimap, _absorbs, _chart_cone, _or
                             same_morphism_sections, section_values, stability,
                             validate_quasimap)
 
-from qmgen import chart_point, evaluate, random_quasimap, random_stable_quasimap, scaled
+from qmgen import (chart_point, evaluate, ord_at_oracle, poly_gcd_oracle, random_quasimap,
+                   random_stable_quasimap, scaled)
 
 
 def F(deg, *coeffs):
@@ -423,17 +424,38 @@ def test_orthogonal_characters_of_every_face(p1, p2, p3, bl0p2, p1xp1, p2xp1, f2
                     assert all(row[rho] == 0 for row in rows for rho in face)
 
 
+def _places_oracle(poly):
+    """The places of a polynomial's monic irreducible factors over the
+    rationals, by sympy; none for a constant."""
+    import sympy
+
+    z = sympy.Symbol("z")
+    coeffs = [sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in poly]
+    _, factors = sympy.Poly(coeffs[::-1], z, domain="QQ").factor_list()
+    return {Place.finite([Fraction(int(c.p), int(c.q)) for c in f.monic().all_coeffs()[::-1]])
+            for f, _ in factors}
+
+
 def _reference_component_basepoints(q, comp):
-    """The basepoint scan of one component, each degree read off public
-    ``degree_at_point`` (which tries every maximal cone)."""
+    """The basepoint scan of one component from the test oracles: per
+    primitive collection, the places of Euclid's gcd over the rationals of its
+    nonzero sections, and infinity when each vanishes there; orders by
+    repeated long division; each degree read off public ``degree_at_point``
+    (which tries every maximal cone)."""
     secs = q.sections(comp)
     places = set()
     for pc in primitive_collections(q.fan):
-        places.update(common_zero_places([secs[i] for i in sorted(pc)]))
+        nonzero = [secs[i] for i in pc if not secs[i].is_zero]
+        common = ()
+        for f in nonzero:
+            common = poly_gcd_oracle(common, f.poly)
+        places |= _places_oracle(common)
+        if all(f.degree > f.poly_degree for f in nonzero):
+            places.add(Place.infinity())
     out = []
     for place in sorted(places, key=lambda p: p.sort_key()):
         orders = OrderVector(q.fan, tuple(INF if o is None else o
-                                          for o in (f.ord_at(place) for f in secs)))
+                                          for o in (ord_at_oracle(f, place) for f in secs)))
         beta, _ = degree_at_point(q.fan, orders)
         out.append(BasepointPlace(comp, place, orders, beta))
     return tuple(out)
