@@ -14,7 +14,7 @@ from functools import total_ordering
 from operator import index
 
 from .classes import CurveClass
-from .fan import _cone_sets, _degenerate_collections, memo, require_valid
+from .fan import _cone_sets, _cone_table, _degenerate_collections, require_valid
 from .record import Record
 
 
@@ -79,13 +79,6 @@ class OrderVector(Record):
         return frozenset(i for i, x in enumerate(self.orders) if is_infinite(x))
 
 
-@memo
-def _cone_table(fan):
-    """Per maximal cone: its index, rays, ray set and exponent matrix rows."""
-    return tuple((idx, sigma, cone_set, fan.exponent_matrix(sigma))
-                 for idx, (sigma, cone_set) in enumerate(zip(fan.max_cones, _cone_sets(fan))))
-
-
 def _locate_degree(fan, orders, vanishing, first=False):
     """Degree and witnesses of ``orders``, which may hold negative integers.
 
@@ -141,9 +134,9 @@ def length_at_point(fan, ord_vector):
     if not isinstance(ord_vector, OrderVector):
         ord_vector = OrderVector(fan, tuple(ord_vector))
     require_valid(fan)
-    vanishing = ord_vector.vanishing
-    totals = [sum(ord_vector.orders[i] for i in fan.cone_complement(cone))
-              for cone in fan.max_cones if vanishing <= set(cone)]
+    vanishing, orders = ord_vector.vanishing, ord_vector.orders
+    totals = [sum(o for i, o in enumerate(orders) if i not in cone)
+              for cone in _cone_sets(fan) if vanishing <= cone]
     if not totals:
         raise ValueError("no maximal cone admits the order vector")
     return min(totals)

@@ -431,7 +431,7 @@ def main(argv=None):
         # the decode and shape errors are ValueErrors, so they are caught first
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

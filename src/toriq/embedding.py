@@ -33,15 +33,15 @@ from itertools import product
 from math import prod
 from operator import index
 
-from .basepoint import INF, _cone_table, _locate_degree
+from .basepoint import INF, _locate_degree
 from .classes import (CurveClass, ample_functional, anchor_rays,
                       divisor_from_ray_coefficients, effective_classes,
                       enumeration_degree, nef_hilbert_basis)
-from .fan import (_cone_sets, dual_basis, memo, primitive_collections, product_fan,
-                  projective_space_fan, remember, require_valid)
+from .fan import (_cone_sets, _cone_table, dual_basis, memo, primitive_collections,
+                  product_fan, projective_space_fan, remember, require_valid)
 from .forms import BinaryForm, _multiply_in, _quotient, poly_mul
 from .linalg import box_points, int_or_frac, lattice_map_is_surjective
-from .quasimap import (Quasimap, _absorbs, _first_cone, _orders_at, _twist_away, _zero_rays,
+from .quasimap import (Quasimap, _absorbs, _orders_at, _twist_away, _zero_rays,
                        basepoints, degrees, extend_at, validate_quasimap)
 from .record import Record
 
@@ -108,11 +108,10 @@ def validate_embedding(emb):
                     "back to a source character"]
 
     # base-locus condition: at each source fixed point the vanishing monomials
-    # lie in a target cone; the target primitive collections only name a failure
-    bad = [(cone, zeros) for cone, zeros in zip(emb.source.max_cones, _fixed_point_zeros(emb))
-           if _first_cone(emb.target, zeros) is None]
-    for pc in primitive_collections(emb.target) if bad else ():
-        cone = next((cone for cone, zeros in bad if pc <= zeros), None)
+    # lie in a target cone, that is they hold no target primitive collection
+    fixed_points = list(zip(emb.source.max_cones, _fixed_point_zeros(emb)))
+    for pc in primitive_collections(emb.target):
+        cone = next((cone for cone, zeros in fixed_points if pc <= zeros), None)
         if cone is not None:
             report.append(
                 f"monomials of the target primitive collection {tuple(sorted(pc))} "

@@ -11,12 +11,14 @@ The dual bases of the maximal cones come from one walk over the facet graph
 across a facet of a smooth one, which differs from it by one ray, follows by
 one integer pivot whose value is the new cone's determinant up to sign (the
 basis exchange behind the wall criterion of Cox-Little-Schenck, Toric
-Varieties).  ``validate_fan`` reads
-smoothness off that table (a cone is smooth exactly when its dual basis is
-integral) and decides the fan condition locally: each wall's two cones must
-lie strictly on opposite sides of it (one integer sign per wall), and the ray
-sum of cone 0 must lie in cone 0 alone (covering degree one).  Its verdict is
-computed once per fan.
+Varieties).  ``validate_fan`` reads smoothness off that table (a cone is
+smooth exactly when its dual basis is integral) and decides the fan condition
+locally: each wall's two cones must lie strictly on opposite sides of it (one
+integer sign per wall), and the ray sum of cone 0 must lie in cone 0 alone
+(covering degree one).  Its verdict is computed once per fan.
+
+A ray set lies in no cone exactly when it meets every maximal cone's complement,
+so the primitive collections are the minimal transversals of the complements.
 
 All arithmetic is over the integers.  Fans are immutable and every
 operation is a pure function.  Derived data is memoized on the instance
@@ -188,21 +190,30 @@ def _cone_sets(fan):
 
 
 @memo
-def primitive_collections(fan):
-    """Minimal ray sets contained in no cone of the fan, sorted canonically."""
-    def is_face(subset):
-        return any(subset <= cone for cone in _cone_sets(fan))
+def _cone_table(fan):
+    """Per maximal cone: its index, rays, ray set and exponent matrix rows."""
+    return tuple((idx, sigma, cone_set, fan.exponent_matrix(sigma))
+                 for idx, (sigma, cone_set) in enumerate(zip(fan.max_cones, _cone_sets(fan))))
 
-    non_faces = []
-    for size in range(1, fan.n_rays + 1):
-        for subset in combinations(range(fan.n_rays), size):
-            fs = frozenset(subset)
-            if is_face(fs):
-                continue
-            if any(nf <= fs for nf in non_faces):
-                continue
-            non_faces.append(fs)
-    return tuple(sorted(non_faces, key=lambda s: tuple(sorted(s))))
+
+def _first_cone(fan, rays):
+    """Index of the first maximal cone that holds the ray set, or None."""
+    return next((idx for idx, cone in enumerate(_cone_sets(fan)) if rays <= cone), None)
+
+
+@memo
+def primitive_collections(fan):
+    """Minimal ray sets in no cone, sorted canonically: the minimal transversals
+    of the cones' complements (Berge, Hypergraphs), grown one cone at a time."""
+    rays = frozenset(range(fan.n_rays))
+    family = [frozenset()] if fan.max_cones else [frozenset((i,)) for i in rays]
+    for cone in _cone_sets(fan):
+        complement = rays - cone
+        kept = [s for s in family if not complement.isdisjoint(s)]
+        grown = [s | {i} for s in family if complement.isdisjoint(s) for i in complement]
+        # the family stays an antichain: only a kept set can lie in a grown one
+        family = kept + [g for g in grown if not any(s <= g for s in kept)]
+    return tuple(sorted(family, key=lambda s: tuple(sorted(s))))
 
 
 @memo

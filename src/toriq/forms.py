@@ -55,8 +55,6 @@ def _quotient(x, y):
 
 
 def poly_mul(a, b):
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:

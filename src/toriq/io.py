@@ -164,7 +164,10 @@ def embedding_to_dict(emb):
 
 def _load(path, from_dict, *args):
     with open(path) as handle:
-        data = json.load(handle, parse_float=_reject_float)
+        try:
+            data = json.load(handle, parse_float=_reject_float)
+        except RecursionError as exc:
+            raise MalformedInput(f"{path}: JSON nested too deeply to read") from exc
     try:
         return from_dict(data, *args)
     except TypeError as exc:  # e.g. a number where a list of rays belongs

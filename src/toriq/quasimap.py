@@ -13,10 +13,10 @@ reuses them.
 
 from operator import index
 
-from .basepoint import INF, OrderVector, _cone_table, _locate_degree
+from .basepoint import INF, OrderVector, _locate_degree
 from .classes import CurveClass
-from .fan import (_cone_sets, _degenerate_collections, _sorted_collections, is_connected,
-                  require_valid)
+from .fan import (_cone_table, _degenerate_collections, _first_cone, _sorted_collections,
+                  is_connected, require_valid)
 from .forms import common_zero_places
 from .record import Record
 
@@ -54,11 +54,6 @@ class BasepointPlace(Record):
 
 def section_values(q, comp, point):
     return tuple(f.value_at(point) for f in q.sections(comp))
-
-
-def _first_cone(fan, rays):
-    """Index of the first maximal cone that holds the ray set, or None."""
-    return next((idx for idx, cone in enumerate(_cone_sets(fan)) if rays <= cone), None)
 
 
 def _chart_cone(fan, values):

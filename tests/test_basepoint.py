@@ -7,9 +7,9 @@ import pytest
 from toriq.basepoint import (INF, OrderVector, _locate_degree, degree_at_point,
                              is_infinite, length_at_point)
 from toriq.classes import CurveClass, beta_a_sigma, curve_class_from_anchor, is_effective
-from toriq.fan import (_degenerate_collections, primitive_collections, product_fan,
-                       projective_space_fan, require_valid)
-from toriq.quasimap import _first_cone, component_basepoints, degrees
+from toriq.fan import (_degenerate_collections, _first_cone, primitive_collections,
+                       product_fan, projective_space_fan, require_valid)
+from toriq.quasimap import component_basepoints, degrees
 
 from qmgen import random_order_vector, random_stable_quasimap, scaled
 

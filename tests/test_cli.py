@@ -330,6 +330,25 @@ def test_a_key_error_inside_a_command_is_not_a_usage_error(capsys, monkeypatch):
         main(["fan", "validate", fx("p2.json")])
 
 
+def test_a_runtime_error_inside_a_command_propagates(monkeypatch):
+    """The library raises no RuntimeError, so one is a bug, not a domain error."""
+    def broken(fan):
+        raise RuntimeError("internal")
+
+    monkeypatch.setattr("toriq.cli.validate_fan", broken)
+    with pytest.raises(RuntimeError, match="internal"):
+        main(["fan", "validate", fx("p2.json")])
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
+    """JSON nested past the parser's recursion limit exits 2, naming the file."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "fan", "validate", str(deep))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {deep}: JSON nested too deeply to read\n"
+
+
 def test_reproduce_all(capsys):
     for case in CASE_NAMES:
         code, out, _ = run(capsys, "reproduce", case)

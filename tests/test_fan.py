@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 
 from toriq.cases import fixture_path
 from toriq.classes import nef_hilbert_basis
+from toriq.embedding import build_epic_embedding
 from toriq.fan import (Fan, dual_basis, locate_cones, primitive_collections, product_fan,
                        projective_space_fan, require_valid, validate_fan, walls)
 from toriq.io import load_embedding
 from toriq.linalg import frac, kernel_basis
 
+from test_classes import _relabelled
+from test_embedding import CONFTEST_FANS
+from test_hirzebruch import S6
 from test_linalg import invert_oracle
 
 
@@ -64,18 +68,16 @@ def test_malformed_ray_length_rejected_early():
 
 
 def brute_force_primitive_collections(fan):
-    cones = [set(c) for c in fan.max_cones]
-    non_faces = [
-        set(sub)
-        for size in range(1, fan.n_rays + 1)
-        for sub in combinations(range(fan.n_rays), size)
-        if not any(set(sub) <= cone for cone in cones)
-    ]
-    minimal = [
-        frozenset(nf) for nf in non_faces
-        if not any(other < nf for other in map(set, non_faces) if other != nf)
-    ]
-    return sorted(set(minimal), key=sorted)
+    """The ray sets in no cone whose one-smaller subsets all lie in one, found
+    by testing every subset of up to one ray more than the largest cone."""
+    faces = {frozenset(face) for cone in [()] + list(fan.max_cones)
+             for size in range(len(cone) + 1) for face in combinations(cone, size)}
+    largest = max(map(len, faces))
+    minimal = [frozenset(sub) for size in range(1, largest + 2)
+               for sub in combinations(range(fan.n_rays), size)
+               if frozenset(sub) not in faces
+               and all(frozenset(sub) - {i} in faces for i in sub)]
+    return tuple(sorted(minimal, key=sorted))
 
 
 def test_primitive_collections_p2(p2):
@@ -88,10 +90,32 @@ def test_primitive_collections_bl0p2(bl0p2):
     ]
 
 
-def test_primitive_collections_match_bruteforce(p2, bl0p2, p1xp1, p3, p2xp1):
-    for fan in (p2, bl0p2, p1xp1, p3, p2xp1):
-        assert sorted(primitive_collections(fan), key=sorted) == \
-            brute_force_primitive_collections(fan)
+def test_primitive_collections_match_bruteforce(request, hexagon):
+    """The minimal transversals equal the subset search, order included, on
+    the conftest fans, two surfaces, two products, two built targets, the
+    fans without cones or without rays, an invalid fan and seeded
+    relabellings of them."""
+    p = projective_space_fan
+    hexagon_p1 = product_fan([hexagon, p(1)])
+    coneless = Fan(2, ((1, 0), (0, 1), (-1, -1)), ())
+    fans = [request.getfixturevalue(name) for name in CONFTEST_FANS]
+    fans += [S6, hexagon_p1, product_fan([p(2), p(3)]),
+             build_epic_embedding(hexagon).target, build_epic_embedding(hexagon_p1).target,
+             coneless, product_fan([]), Fan(2, coneless.rays, ((0, 1), (1, 2)))]
+    rng = random.Random(3501)
+    fans += [_relabelled(rng.choice(fans), rng) for _ in range(20)]
+    for fan in fans:
+        assert primitive_collections(fan) == brute_force_primitive_collections(fan), fan
+    assert primitive_collections(coneless) == (frozenset({0}), frozenset({1}), frozenset({2}))
+    assert primitive_collections(product_fan([])) == ()
+
+
+def test_disconnected_cones_are_reported():
+    """Two planes in one lattice: every cone is smooth and every wall has two
+    cones, but no wall joins the two triangles."""
+    fan = Fan(2, ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)),
+              ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    assert validate_fan(fan) == ["maximal-cone adjacency graph is not connected"]
 
 
 def test_locate_cones_examples(p2, bl0p2):

@@ -155,6 +155,22 @@ def test_equal_quasimaps_incomparable(section_line, segre_pair):
         equal_quasimaps(section_line, segre_pair[0])
 
 
+def test_equal_quasimaps_on_different_curves_are_incomparable(segre_pair):
+    """Another component count, other nodes or other markings make another
+    curve; the ends of a node may come in either order."""
+    q = segre_pair[0]
+    node = ((0, ProjPoint(0, 1)), (1, ProjPoint(1, 0)))
+    two = Quasimap(q.fan, q.components * 2, nodes=(node,), markings=MARKS)
+    swapped = Quasimap(q.fan, q.components * 2, nodes=(node[::-1],), markings=MARKS)
+    moved = Quasimap(q.fan, q.components * 2, nodes=((node[0], (1, ProjPoint(1, 1))),),
+                     markings=MARKS)
+    remarked = Quasimap(q.fan, q.components, markings=MARKS[:1])
+    for first, second in ((q, two), (two, moved), (q, remarked)):
+        with pytest.raises(ValueError, match="quasimaps on different curves are incomparable"):
+            equal_quasimaps(first, second)
+    assert equal_quasimaps(two, swapped)
+
+
 def test_degree_decomposition_random(p2, bl0p2, p1xp1):
     rng = random.Random(101)
     for fan in (p2, bl0p2, p1xp1):
