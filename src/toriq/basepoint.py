@@ -95,7 +95,9 @@ def _locate_degree(fan, orders, vanishing, first=False):
         if vanishing <= cone_set:
             c = []
             for rho, row in zip(sigma, rows):
-                ck = sum(o * row[i] for i, o in finite)
+                ck = 0
+                for i, o in finite:
+                    ck += o * row[i]
                 if ck < 0 and rho not in vanishing:
                     break
                 c.append(ck)

@@ -11,18 +11,21 @@ Places are monic irreducible polynomials in z, plus the place at infinity.
 Coefficients, place coefficients and point coordinates are stored as ints
 where integral and as Fractions only where not, and the polynomial
 arithmetic works on such mixed lists directly.  Two kernels hold the place
-arithmetic that ``ord_at`` and ``shift`` use: ``_divide_out`` divides by a
-place as often as it divides, up to a limit, and ``_multiply_in`` multiplies
-by a power of it.  At a rational place z - r a division step is synthetic
-division (Horner's rule at r) and a multiplication a shift-and-add, each
-written inline; other places use long division and ``poly_mul``.  Division by
-a monic place never leaves the integers of an integral form.  gcds run as
-primitive pseudo-remainder sequences, and before each remainder the answer is
-read off where it can be: 1 for a constant, and for a linear polynomial
-whether the other one vanishes at its root.  Polynomials of degree at most
-two are factored over the rationals here; factoring degree three and up is
-delegated to sympy, which is imported on first use so that the library and
-CLI start without it.
+arithmetic of ``shift`` and of the basepoint scan's orders: ``_divide_out``
+divides by a place as often as it divides, up to a limit, and
+``_multiply_in`` multiplies by a power of it.  At a rational place z - r a
+division step is synthetic division (Horner's rule at r) and a
+multiplication a shift-and-add, each written inline; other places use long
+division and ``poly_mul``.  Division by a monic place never leaves the
+integers of an integral form.  gcds run as primitive pseudo-remainder
+sequences, and before each remainder the answer is read off where it can
+be: 1 for a constant, and for a linear polynomial whether the other one
+vanishes at its root.  ``common_zero_places`` takes one pass over its forms,
+with no gcd once the running one is constant, and reads a monic linear gcd
+as its place unfactored.  Polynomials of degree at most two are factored
+over the rationals here; factoring degree three and up is delegated to
+sympy, which is imported on first use so that the library and CLI start
+without it.
 """
 
 import math
@@ -138,7 +141,8 @@ def poly_gcd(a, b):
     the gcd is taken by pseudo-remainders, each reduced to a primitive integer
     polynomial and put to the same two tests, and only the last nonzero one
     is made monic."""
-    a, b = _trim(a), _trim(b)
+    a = _trim(a) if a and a[-1] == 0 else a
+    b = _trim(b) if b and b[-1] == 0 else b
     while True:
         if len(a) == 1 or len(b) == 1:
             return (1,)
@@ -213,7 +217,7 @@ class Place(Record):
 
     @classmethod
     def infinity(cls):
-        return cls(True, ())
+        return _INFINITY
 
     @classmethod
     def finite(cls, coeffs):
@@ -246,6 +250,9 @@ class Place(Record):
         if self.at_infinity:
             return "Place(inf)"
         return f"Place({self.coeffs})"
+
+
+_INFINITY = Place._unchecked(True, ())
 
 
 class BinaryForm(Record):
@@ -310,14 +317,6 @@ class BinaryForm(Record):
             return total
         top = self.coeffs[-1] if self.coeffs else 0
         return Fraction(top) if any(type(c) is Fraction for c in self.poly) else top
-
-    def ord_at(self, place):
-        """Vanishing order at a place; infinite for the zero form (returns None)."""
-        if self.is_zero:
-            return None
-        if place.at_infinity:
-            return self.degree - self.poly_degree
-        return _divide_out(self.poly, place.coeffs)[1]
 
     def shift(self, place, exponent):
         """Multiply by place^exponent (divide exactly for negative exponents)."""
@@ -410,22 +409,29 @@ def _factor_poly(poly):
 def common_zero_places(forms):
     """Places where every listed form vanishes (zero forms vanish everywhere).
 
-    At least one form must be nonzero; returns places of the gcd's squarefree
-    support, with the place at infinity included when all orders there are
-    positive.
+    At least one form must be nonzero.  One pass over the nonzero forms keeps
+    their polynomials' gcd, taking none once it is constant, and whether all
+    vanish at infinity.  Returns the places of the gcd's squarefree support (a
+    monic linear gcd is its own place), then infinity when all vanish there.
     """
-    nonzero = [f for f in forms if not f.is_zero]
-    if not nonzero:
+    g, at_infinity = None, True
+    for f in forms:
+        poly = f.poly
+        if not poly:
+            continue
+        if f.degree < len(poly):
+            at_infinity = False
+        if g is None:
+            g = poly
+        elif len(g) > 1:
+            g = poly_gcd(g, poly)
+    if g is None:
         raise ValueError("all forms vanish identically")
-    g = None
-    for f in nonzero:
-        g = f.poly if g is None else poly_gcd(g, f.poly)
-        if len(g) == 1:
-            break
     places = []
-    if g and len(g) > 1:
-        _, factors = _factor_poly(g)
-        places.extend(Place.finite(c) for c, _ in factors)
-    if all(f.degree - f.poly_degree > 0 for f in nonzero):
-        places.append(Place.infinity())
+    if len(g) == 2 and g[1] == 1:
+        places.append(Place._unchecked(False, g))
+    elif len(g) > 1:
+        places.extend(Place.finite(c) for c, _ in _factor_poly(g)[1])
+    if at_infinity:
+        places.append(_INFINITY)
     return places

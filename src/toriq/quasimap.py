@@ -17,7 +17,7 @@ from .basepoint import INF, OrderVector, _locate_degree
 from .classes import CurveClass
 from .fan import (_cone_table, _degenerate_collections, _first_cone, _sorted_collections,
                   is_connected, require_valid)
-from .forms import common_zero_places
+from .forms import _divide_out, common_zero_places
 from .record import Record
 
 
@@ -43,9 +43,6 @@ class Quasimap(Record):
 
     def component_degree_vector(self, comp):
         return tuple(f.degree for f in self.components[comp])
-
-    def with_components(self, components):
-        return Quasimap._unchecked(self.fan, tuple(map(tuple, components)), self.nodes, self.markings)
 
 
 class BasepointPlace(Record):
@@ -92,8 +89,13 @@ def _zero_rays(secs):
 
 
 def _orders_at(q, comp, place):
-    """Per-ray vanishing orders of one component at a place, INF for zero."""
-    return tuple(INF if o is None else o for o in (f.ord_at(place) for f in q.sections(comp)))
+    """Per-ray vanishing orders of one component at a place, INF for zero:
+    read off the degrees at infinity, else counted by ``_divide_out``."""
+    secs = q.sections(comp)
+    if place.at_infinity:
+        return tuple([f.degree - len(f.poly) + 1 if f.poly else INF for f in secs])
+    coeffs = place.coeffs
+    return tuple([_divide_out(f.poly, coeffs)[1] if f.poly else INF for f in secs])
 
 
 def _absorbs(orders, beta):
@@ -105,7 +107,7 @@ def _absorbs(orders, beta):
 def _nondegenerate_zero_rays(q, comp):
     """The zero rays of one component; ValueError when they are degenerate."""
     zeros = _zero_rays(q.sections(comp))
-    degenerate = _degenerate_collections(q.fan, zeros)
+    degenerate = zeros and _degenerate_collections(q.fan, zeros)  # none without zero rays
     if degenerate:
         raise ValueError(f"component {comp} vanishes on the primitive collection {degenerate[0]}")
     return zeros
@@ -116,7 +118,8 @@ def component_basepoints(q, comp):
 
     Conjugate basepoints sharing an irreducible minimal polynomial over the
     rationals are reported as one place; degree bookkeeping weights them by
-    the place degree.
+    the place degree.  The places are each primitive collection's common
+    zeros; the records are unchecked, as a degenerate component raises first.
     """
     fan = q.fan
     zeros = _nondegenerate_zero_rays(q, comp)
@@ -128,9 +131,9 @@ def component_basepoints(q, comp):
         return ()
     out = []
     for place in sorted(places, key=lambda p: p.sort_key()):
-        orders = _orders_at(q, comp, place)
-        beta, _ = _locate_degree(fan, orders, zeros, first=True)
-        out.append(BasepointPlace(comp, place, OrderVector._unchecked(fan, orders), beta))
+        vector = OrderVector._unchecked(fan, _orders_at(q, comp, place))
+        beta, _ = _locate_degree(fan, vector.orders, zeros, first=True)
+        out.append(BasepointPlace._unchecked(comp, place, vector, beta))
     return tuple(out)
 
 
@@ -238,13 +241,14 @@ def degrees(q):
 
 
 def extend_at(q, comp, place, beta):
-    """Twist one component at one place by minus the given class (local extension)."""
-    new = list(q.components)
-    secs = list(new[comp])
-    for rho, f in enumerate(secs):
-        secs[rho] = f.shift(place, -beta.pairings[rho])
+    """Twist one component at one place by minus the given class (local
+    extension), shifting only the sections with a nonzero pairing."""
+    new, secs = list(q.components), list(q.components[comp])
+    for rho, d in enumerate(beta.pairings):
+        if d:
+            secs[rho] = secs[rho].shift(place, -d)
     new[comp] = tuple(secs)
-    return q.with_components(new)
+    return Quasimap._unchecked(q.fan, tuple(new), q.nodes, q.markings)
 
 
 def _twist_away(q, bps):

@@ -1,6 +1,7 @@
 """Random generators for fans' quasimaps used across the test suite, the
 reference chart evaluator that point comparisons are tested against, and the
-oracles of the place arithmetic (division, gcds, vanishing orders).
+oracles of the place arithmetic (division, gcds, vanishing orders, common
+zeros).
 
 Everything is driven by a seeded random.Random so failures reproduce; the
 generators retry until the produced data passes validate_quasimap, which
@@ -11,11 +12,12 @@ from fractions import Fraction
 from itertools import count
 from math import prod
 
+from toriq.basepoint import INF
 from toriq.classes import effective_classes, length
-from toriq.forms import (BinaryForm, Place, ProjPoint, _primitive_remainder, _quotient, _trim,
-                         poly_mul)
+from toriq.forms import (BinaryForm, Place, ProjPoint, _divide_out, _factor_poly,
+                         _primitive_remainder, _quotient, _trim, poly_gcd, poly_mul)
 from toriq.linalg import primitive_vector
-from toriq.quasimap import (Quasimap, basepoints, extend_at, point_is_basepoint,
+from toriq.quasimap import (Quasimap, _orders_at, basepoints, extend_at, point_is_basepoint,
                             section_values, validate_quasimap)
 
 # where random_quasimap may put a node end besides the integral points: off
@@ -30,6 +32,17 @@ class GiveUp(Exception):
 def scaled(form, factor):
     """The form with every coefficient multiplied by ``factor``."""
     return BinaryForm(form.degree, tuple(factor * c for c in form.coeffs))
+
+
+def with_components(q, components):
+    """q with its components replaced, each given as an iterable of forms."""
+    return Quasimap._unchecked(q.fan, tuple(map(tuple, components)), q.nodes, q.markings)
+
+
+def orders_at(forms, place):
+    """The scan's per-ray orders (``_orders_at``) of the forms at a place,
+    read as the sections of one component."""
+    return _orders_at(Quasimap._unchecked(None, (tuple(forms),), (), ()), 0, place)
 
 
 def chart_point(fan, cone, values):
@@ -355,3 +368,38 @@ def ord_at_oracle(form, place):
             return count
         count += 1
         rem = q
+
+
+# The common zeros as forms took them before the scan's kernels were fused:
+# the nonzero forms listed first, a gcd per form up to the first constant one,
+# every place factored, and a second pass for infinity.
+def common_zero_places_oracle(forms):
+    nonzero = [f for f in forms if not f.is_zero]
+    if not nonzero:
+        raise ValueError("all forms vanish identically")
+    g = None
+    for f in nonzero:
+        g = f.poly if g is None else poly_gcd(g, f.poly)
+        if len(g) == 1:
+            break
+    places = []
+    if g and len(g) > 1:
+        _, factors = _factor_poly(g)
+        places.extend(Place.finite(c) for c, _ in factors)
+    if all(f.degree - f.poly_degree > 0 for f in nonzero):
+        places.append(Place.infinity())
+    return places
+
+
+# The per-ray orders as the scan took them before its one-loop kernel: one
+# vanishing order per form, dispatched on the place, INF for a zero form.
+def orders_at_oracle(secs, place):
+    out = []
+    for f in secs:
+        if f.is_zero:
+            out.append(INF)
+        elif place.at_infinity:
+            out.append(f.degree - f.poly_degree)
+        else:
+            out.append(_divide_out(f.poly, place.coeffs)[1])
+    return tuple(out)

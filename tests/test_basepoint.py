@@ -11,7 +11,7 @@ from toriq.fan import (_degenerate_collections, _first_cone, primitive_collectio
                        product_fan, projective_space_fan, require_valid)
 from toriq.quasimap import component_basepoints, degrees
 
-from qmgen import random_order_vector, random_stable_quasimap, scaled
+from qmgen import random_order_vector, random_stable_quasimap, scaled, with_components
 
 
 def twist_orders(fan, ord_vector, beta):
@@ -400,4 +400,4 @@ def test_scan_rejects_degenerate_components(name, request):
         first = next(c for c in primitive_collections(fan) if c <= vanishing)
         message = f"component 0 vanishes on the primitive collection {tuple(sorted(first))}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            component_basepoints(q.with_components((secs,)), 0)
+            component_basepoints(with_components(q, (secs,)), 0)

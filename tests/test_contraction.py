@@ -16,7 +16,7 @@ from toriq.quasimap import (Quasimap, basepoints, component_basepoints, degrees,
                             stability, validate_quasimap)
 
 from qmgen import (NODE_POINTS, GiveUp, _section_tuple, evaluate, random_quasimap,
-                   random_stable_quasimap, scaled)
+                   random_stable_quasimap, scaled, with_components)
 from test_quasimap import validate_quasimap_oracle
 
 
@@ -255,7 +255,7 @@ def test_witness_closing_check_rejects_a_wrong_contraction(p2):
     def scaled_contract(f):
         c = real_contract(f)
         first, *rest = c.sections(0)
-        return c.with_components(((scaled(first, 3), *rest),) + c.components[1:])
+        return with_components(c, ((scaled(first, 3), *rest),) + c.components[1:])
 
     assert equal_quasimaps(real_contract(surjectivity_witness(q)), q)
     assert not equal_quasimaps(scaled_contract(surjectivity_witness(q)), q)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from toriq.basepoint import INF
 from toriq.contraction import surjectivity_witness
 from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
 from toriq.forms import (BinaryForm, Place, ProjPoint, _divide_out, _factor_poly,
@@ -11,8 +12,8 @@ from toriq.forms import (BinaryForm, Place, ProjPoint, _divide_out, _factor_poly
                          poly_gcd, poly_mul)
 from toriq.quasimap import basepoints, degrees, regular_extension
 
-from qmgen import (ord_at_oracle, poly_divmod_oracle, poly_gcd_oracle, poly_gcd_prs_oracle,
-                   random_stable_quasimap)
+from qmgen import (ord_at_oracle, orders_at, poly_divmod_oracle, poly_gcd_oracle,
+                   poly_gcd_prs_oracle, random_stable_quasimap)
 
 
 def F(deg, *coeffs):
@@ -30,12 +31,12 @@ def test_form_shape_checks():
 
 def test_orders_and_values():
     f = F(3, 0, -1, 0, 1)  # z^3 - z
-    assert f.ord_at(Place.rational(0)) == 1
-    assert f.ord_at(Place.rational(1)) == 1
-    assert f.ord_at(Place.rational(2)) == 0
-    assert f.ord_at(Place.infinity()) == 0
     g = F(4, 0, 0, 1)  # z^2 X^2 as a quartic
-    assert g.ord_at(Place.infinity()) == 2
+    forms = (f, g, BinaryForm.zero(2))
+    assert orders_at(forms, Place.rational(0)) == (1, 2, INF)
+    assert orders_at(forms, Place.rational(1)) == (1, 0, INF)
+    assert orders_at(forms, Place.rational(2)) == (0, 0, INF)
+    assert orders_at(forms, Place.infinity()) == (0, 2, INF)
     assert g.value_at(ProjPoint.infinity()) == 0
     assert g.value_at(ProjPoint(1, 2)) == 4
 
@@ -159,6 +160,8 @@ def test_poly_helpers():
     b = (Fraction(-1), Fraction(1))  # z - 1
     assert _divide_out(a, b) == ((1, 1), 1)
     assert poly_gcd(a, b) == (-1, 1)
+    assert poly_gcd(a + (0,), b + (0, 0)) == (-1, 1)  # trailing zeros are trimmed
+    assert poly_gcd((0,), (0, 0)) == ()
     assert poly_mul(b, (Fraction(1), Fraction(1))) == (-1, 0, 1)
 
 
@@ -402,7 +405,9 @@ def test_place_division_agrees_with_divmod_oracle():
     refused = 0
     for form in forms:
         for place in DIVISION_PLACES:
-            assert form.ord_at(place) == ord_at_oracle(form, place), (form, place)
+            expected = ord_at_oracle(form, place)
+            assert orders_at((form,), place) == (INF if expected is None else expected,), \
+                (form, place)
             for exponent in range(-3, 4):
                 expected = _outcome(shift_oracle, form, place, exponent)
                 result = _outcome(form.shift, place, exponent)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -11,7 +12,7 @@ from toriq.contraction import StableMapTree, contract, surjectivity_witness
 from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
 from toriq.fan import (is_connected, primitive_collections, product_fan,
                        projective_space_fan, require_valid)
-from toriq.forms import BinaryForm, Place, ProjPoint
+from toriq.forms import BinaryForm, Place, ProjPoint, common_zero_places, poly_mul
 from toriq.linalg import kernel_basis, primitive_vector
 from toriq.quasimap import (BasepointPlace, Quasimap, _absorbs, _chart_cone, _orders_at,
                             _orthogonal_characters, _same_point, _twist_away, basepoints,
@@ -20,8 +21,9 @@ from toriq.quasimap import (BasepointPlace, Quasimap, _absorbs, _chart_cone, _or
                             same_morphism_sections, section_values, stability,
                             validate_quasimap)
 
-from qmgen import (chart_point, evaluate, ord_at_oracle, poly_gcd_oracle, random_quasimap,
-                   random_stable_quasimap, scaled)
+from qmgen import (chart_point, common_zero_places_oracle, evaluate, ord_at_oracle,
+                   orders_at, orders_at_oracle, poly_gcd_oracle, random_quasimap,
+                   random_stable_quasimap, scaled, with_components)
 
 
 def F(deg, *coeffs):
@@ -496,6 +498,137 @@ def test_component_basepoints_match_a_full_witness_scan(p2, p1xp1, bl0p2, p2xp1,
     assert found >= 100
 
 
+# The common factors of the seeded collections below: constant, monic
+# integral and non-monic or Fraction linear (roots 1/2, -2/3, -6), an
+# irreducible and a split quadratic, a double root, an irreducible cubic and a
+# cubic with one rational root.
+COMMON_FACTORS = [(1,), (-3, 1), (-1, 2), (2, 3), (3, Fraction(1, 2)), (1, 0, 1), (-3, 0, 2),
+                  (-3, -1, 2), (1, -2, 1), (-2, 0, 0, 1), (-2, 2, -1, 1)]
+PROBE_PLACES = [Place.infinity(), Place.rational(0), Place.rational(Fraction(1, 2)),
+                Place.finite((1, 0, 1))]
+
+
+def kernel_collections(rng, count):
+    """Seeded lists of one to four forms: each zero about a fifth of the
+    time, else a random cofactor of degree 0-3 (int or Fraction
+    coefficients) times one common factor, in a degree 0-2 above its
+    polynomial's, and in every form's above it about a third of the time."""
+    def scalar():
+        k = rng.randint(-4, 4)
+        return Fraction(k, rng.choice((1, 2, 3))) if rng.random() < 0.4 else k
+
+    out = []
+    for _ in range(count):
+        common = rng.choice(COMMON_FACTORS)
+        at_infinity = rng.random() < 0.35
+        forms = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.2:
+                forms.append(BinaryForm.zero(rng.randint(0, 4)))
+                continue
+            cofactor = [scalar() for _ in range(rng.randint(0, 3))] + [rng.choice((1, -2, 3))]
+            poly = poly_mul(tuple(cofactor), common)
+            extra = rng.randint(1, 2) if at_infinity else rng.randint(0, 2)
+            forms.append(BinaryForm.from_poly(len(poly) - 1 + extra, poly))
+        out.append(forms)
+    return out
+
+
+def test_fused_scan_kernels_match_the_unfused_oracles():
+    """On 800 seeded collections, ``common_zero_places`` gives the places of
+    the unfused oracle, repr-equal (or its ValueError), and ``_orders_at``
+    the per-form orders at each of them and at four probe places, repr-equal
+    to the per-form loop and equal to repeated long division."""
+    rng = random.Random(3601)
+    seen = Counter()
+    for forms in kernel_collections(rng, 800):
+        expected = _outcome(common_zero_places_oracle, forms)
+        assert repr(_outcome(common_zero_places, forms)) == repr(expected), forms
+        nonzero = [f for f in forms if not f.is_zero]
+        seen["zero forms"] += len(nonzero) < len(forms)
+        seen["one nonzero form"] += len(nonzero) == 1
+        if isinstance(expected, str):
+            seen["all zero"] += 1
+            continue
+        seen["infinity"] += Place.infinity() in expected
+        for place in expected:
+            if not place.at_infinity:
+                seen[f"degree {place.degree}"] += 1
+                seen["fraction root"] += place.degree == 1 and type(place.coeffs[0]) is Fraction
+        for place in expected + PROBE_PLACES:
+            orders = orders_at(forms, place)
+            assert repr(orders) == repr(orders_at_oracle(forms, place)), (forms, place)
+            assert orders == tuple(INF if o is None else o
+                                   for o in (ord_at_oracle(f, place) for f in forms))
+    assert min(seen[k] for k in ("zero forms", "one nonzero form", "all zero", "infinity",
+                                 "degree 2", "degree 3", "fraction root")) >= 30, seen
+
+
+def basepoints_oracle(q):
+    """The basepoint scan as the library took it before its kernels were
+    fused: places from the unfused oracle, orders by the per-form loop, each
+    record and order vector through its checked constructor, each degree from
+    public ``degree_at_point``."""
+    out = []
+    for comp in range(q.n_components):
+        secs = q.sections(comp)
+        places = set()
+        for pc in primitive_collections(q.fan):
+            places.update(common_zero_places_oracle([secs[i] for i in pc]))
+        for place in sorted(places, key=lambda p: p.sort_key()):
+            orders = OrderVector(q.fan, orders_at_oracle(secs, place))
+            out.append(BasepointPlace(comp, place, orders, degree_at_point(q.fan, orders)[0]))
+    return tuple(out)
+
+
+def regular_extension_oracle(q):
+    """Every basepoint twisted away as ``extend_at`` did before it skipped
+    unshifted sections: each section of the component shifted, the quasimap
+    rebuilt through its public constructor."""
+    for bp in basepoints_oracle(q):
+        comps = [list(secs) for secs in q.components]
+        comps[bp.component] = [f.shift(bp.place, -d)
+                               for f, d in zip(comps[bp.component], bp.degree.pairings)]
+        q = Quasimap(q.fan, comps, q.nodes, q.markings)
+    return q
+
+
+def _twisted_in(q, rng, places, classes):
+    """q with a basepoint twisted in at a seeded component, place and class
+    that the sections absorb, or q itself when 40 draws find none."""
+    for _ in range(40):
+        comp, place, beta = rng.randrange(q.n_components), rng.choice(places), rng.choice(classes)
+        if _absorbs(_orders_at(q, comp, place), beta):
+            return extend_at(q, comp, place, -1 * beta)
+    return q
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "bl0p2", "p1xp1", "p2xp1", "f2", "hexagon"])
+def test_scan_and_extension_match_the_unfused_oracles(request, name):
+    """Seeded stable draws, their witness trees (whose tails have Fraction
+    coefficients) and both with a basepoint twisted in at a Fraction,
+    infinite or quadratic place: ``basepoints`` and ``regular_extension`` are
+    repr-equal to the unfused scan and twist."""
+    fan = request.getfixturevalue(name)
+    rng = random.Random(f"fused-scan/{name}")
+    places = [Place.rational(Fraction(-1, 2)), Place.rational(Fraction(5, 3)),
+              Place.infinity(), Place.finite((1, 0, 1)), Place.finite((-2, 0, 1))]
+    classes = [c for c in effective_classes(fan, 4) if not c.is_zero()]
+    found = twisted = 0
+    for _ in range(10):
+        q = random_stable_quasimap(fan, rng, max_total_length=5)
+        tree = surjectivity_witness(q).quasimap
+        for r in (q, tree):
+            t = _twisted_in(r, rng, places, classes)
+            twisted += t is not r
+            for x in (r, t):
+                expected = basepoints_oracle(x)
+                assert repr(basepoints(x)) == repr(expected)
+                assert repr(regular_extension(x)) == repr(regular_extension_oracle(x))
+                found += len(expected)
+    assert found >= 30 and twisted >= 15
+
+
 def _outcome(fn, *args):
     """The result, or the ValueError's message."""
     try:
@@ -635,8 +768,8 @@ def equal_quasimaps_oracle(q1, q2):
 
 def _scaled(q, factors):
     """q with each component's sections scaled ray by ray by its factor tuple."""
-    return q.with_components([tuple(scaled(f, c) for f, c in zip(secs, comp_factors))
-                              for secs, comp_factors in zip(q.components, factors)])
+    return with_components(q, [tuple(scaled(f, c) for f, c in zip(secs, comp_factors))
+                               for secs, comp_factors in zip(q.components, factors)])
 
 
 def _retwisted(q, bp, place, beta):
@@ -683,14 +816,14 @@ def equality_pairs(fan, rng, bases):
             k = rng.randrange(f.degree + 1)
             comps[comp][rho] = BinaryForm(f.degree, f.coeffs[:k] + (f.coeffs[k] + 1,)
                                           + f.coeffs[k + 1:])
-        return q.with_components(comps)
+        return with_components(q, comps)
 
     def degenerate(q):
         comps = [list(secs) for secs in q.components]
         comp = rng.randrange(q.n_components)
         for rho in rng.choice(primitive_collections(fan)):
             comps[comp][rho] = BinaryForm.zero(comps[comp][rho].degree)
-        return q.with_components(comps)
+        return with_components(q, comps)
 
     def with_basepoint(q):
         for _ in range(40):
