@@ -18,14 +18,13 @@ of the coefficients: they act as a torus automorphism of the target, applied
 by ``apply_ibar`` and divided out of each target section when a chart is
 inverted.
 
-An inversion is certified on the chart that made it, with no transport back:
-the zero rays and the degrees of the candidate's image must be the
-extension's, and so must the values of the chart's characters that are not
-lifts and pair to 0 with the zero rays.  The candidate is basepoint-free by
-construction, the lifts agree by construction, and with them those rows span
-the characters of the orbit that the extension's generic point lies in, so
-the two are one morphism of one degree: G-related (see
-``invert_through_charts``).
+Fibres invert the image itself, never its regular extension: a chart
+coordinate is a character, which pairs to 0 with every curve class, so
+twisting a basepoint away leaves it unchanged.  A section that a lift reads
+has its basepoint places divided out to the scan's orders, and only the rest
+is factored.  The inversion is certified on its chart, with no transport
+back, against the extension's zero rays, degrees and free chart rows, all
+read off the image (see ``invert_through_charts``).
 """
 
 from fractions import Fraction
@@ -39,10 +38,10 @@ from .classes import (CurveClass, ample_functional, anchor_rays,
                       enumeration_degree, nef_hilbert_basis)
 from .fan import (_cone_sets, _cone_table, dual_basis, memo, primitive_collections,
                   product_fan, projective_space_fan, remember, require_valid)
-from .forms import BinaryForm, _multiply_in, _quotient, poly_mul
+from .forms import BinaryForm, Place, _divide_out, _factor_poly, _multiply_in, _quotient, poly_mul
 from .linalg import box_points, int_or_frac, lattice_map_is_surjective
-from .quasimap import (Quasimap, _absorbs, _orders_at, _twist_away, _zero_rays,
-                       basepoints, degrees, extend_at, validate_quasimap)
+from .quasimap import (Quasimap, _absorbs, _zero_rays, basepoints, degrees, extend_at,
+                       validate_quasimap)
 from .record import Record
 
 
@@ -280,7 +279,8 @@ def _power_product(c, factors):
 
 
 def apply_ibar(emb, q):
-    """Transport a quasimap along the embedding (same curve, monomial sections)."""
+    """Transport a quasimap along the embedding (same curve, monomial sections);
+    a monomial that is one source ray with coefficient 1 passes its section."""
     require_valid_embedding(emb)
     if q.fan != emb.source:
         raise ValueError("quasimap target does not match the embedding source")
@@ -289,6 +289,9 @@ def apply_ibar(emb, q):
     for secs in q.components:
         out = []
         for c, row in zip(emb.coeffs, table):
+            if c == 1 and len(row) == 1 and row[0][1] == 1:
+                out.append(secs[row[0][0]])
+                continue
             degree = sum(e * secs[rho].degree for rho, e in row)
             if any(secs[rho].is_zero for rho, _ in row):
                 out.append(BinaryForm.zero(degree))
@@ -299,28 +302,35 @@ def apply_ibar(emb, q):
     return Quasimap._unchecked(emb.target, tuple(new_components), q.nodes, q.markings)
 
 
-def _factored_sections(emb, secs):
-    """Per target ray, the unit and places of the section divided by its
-    monomial coefficient, or None for a zero section."""
-    out = []
-    for c, f in zip(emb.coeffs, secs):
-        if f.is_zero:
-            out.append(None)
-        else:
-            u, places = f.factor()
-            out.append((_quotient(u, c), places))
-    return out
+def _factored_section(f, c, tau, bps):
+    """Unit over the monomial coefficient ``c`` and places of the nonzero
+    section ``f`` of ray ``tau``: the finite places of the scan records
+    ``bps`` divided out to the scan's orders, infinity's read off the degree
+    and the rest factored."""
+    poly, places = f.poly, {}
+    for bp in bps:
+        order = bp.orders.orders[tau]
+        if order and not bp.place.at_infinity:
+            poly = _divide_out(poly, bp.place.coeffs, order)[0]
+            places[bp.place] = order
+    if f.degree >= len(f.poly):
+        places[Place.infinity()] = f.degree - len(f.poly) + 1
+    unit, factors = _factor_poly(poly)
+    for coeffs, mult in factors:
+        places[Place.finite(coeffs)] = mult
+    return _quotient(unit, c), places
 
 
 @memo
 def _chart(emb, zeros):
     """The chart that inverts a target section tuple with zero rays ``zeros``:
     the first source cone with a covering target chart whose cone holds
-    ``zeros``, as (source cone, lifts, free rows), or None.  The free rows
-    are the rows of the target cone's exponent matrix that are not lifts and
-    pair to 0 with ``zeros``, each with its pullback to the source rays and
-    the numerator and denominator of c^row = prod c_tau^row_tau over the
-    monomial coefficients.
+    ``zeros``, as (source cone, reads, vanishing rays, free rows), or None.
+    A ray vanishes when its lift is positive at a zero ray; the reads pair
+    each other ray with its lift's nonzero entries.  The free rows are the
+    target cone's exponent rows that are not lifts and pair to 0 with
+    ``zeros``, each with its pullback to the source rays and the numerator
+    and denominator of c^row = prod c_tau^row_tau.
 
     A target chart's coordinates carry a zero section to a negative power
     exactly when that section's ray is off the chart's cone: a ray off a cone
@@ -331,68 +341,71 @@ def _chart(emb, zeros):
         for entry in chart_cover(emb)[si]:
             ti, lifts = entry["target_cone"], entry["lifts"]
             if zeros <= _cone_sets(tgt)[ti]:
+                vanishing = frozenset(rho for rho, lift in zip(scone, lifts)
+                                      if any(lift[tau] > 0 for tau in zeros))
+                reads = tuple((rho, tuple((tau, e) for tau, e in enumerate(lift) if e))
+                              for rho, lift in zip(scone, lifts) if rho not in vanishing)
                 free = []
                 for row in _cone_table(tgt)[ti][3]:
                     if row not in lifts and not any(row[tau] for tau in zeros):
                         scale = prod(Fraction(c) ** e for c, e in zip(emb.coeffs, row))
                         free.append((row, _pull_back_character(emb, row),
                                      scale.numerator, scale.denominator))
-                return scone, lifts, tuple(free)
+                return scone, reads, vanishing, tuple(free)
     return None
 
 
-def _invert_component(emb, secs):
-    """Source section tuple whose image is the given basepoint-free target
-    tuple on one component, or None when no chart inversion applies."""
+def _invert_component(emb, secs, bps):
+    """Source section tuple whose image is the given target tuple twisted
+    away at its scan records ``bps`` (basepoint-free with none), with its
+    order vector at each place the inversion used, keyed by place; or None
+    when no chart inversion applies."""
     src = emb.source
-    factored = _factored_sections(emb, secs)
-    zeros = frozenset(tau for tau, fac in enumerate(factored) if fac is None)
-    chart = _chart(emb, zeros)
+    chart = _chart(emb, _zero_rays(secs))
     if chart is None:
         return None
-    scone, lifts, _ = chart
+    scone, reads, vanishing, _ = chart
     # numerator, denominator and per-place orders of each source chart
-    # coordinate, read off the target sections through its lift; a lift
-    # positive at a zero section makes the coordinate vanish
-    all_places = {p for fac in factored if fac for p in fac[1]}
-    orders = {p: [0] * src.n_rays for p in all_places}
+    # coordinate, read off the target sections through its lift: a character,
+    # so the twists of the scan records, by classes, leave it as it is
+    factored = {}
+    orders = {bp.place: [0] * src.n_rays for bp in bps}
     nums = [1] * src.n_rays
     dens = [1] * src.n_rays
-    vanishing = set()
-    for rho, lift in zip(scone, lifts):
-        if any(lift[tau] > 0 for tau in zeros):
-            vanishing.add(rho)
-            continue
-        for tau, e in enumerate(lift):
-            if e:
-                u, places = factored[tau]
-                n, d = (u.numerator, u.denominator) if e > 0 else (u.denominator, u.numerator)
-                nums[rho] *= n ** abs(e)
-                dens[rho] *= d ** abs(e)
-                for p, mult in places.items():
-                    orders[p][rho] += e * mult
+    for rho, entries in reads:
+        for tau, e in entries:
+            if tau not in factored:
+                factored[tau] = _factored_section(secs[tau], emb.coeffs[tau], tau, bps)
+            u, places = factored[tau]
+            n, d = (u.numerator, u.denominator) if e > 0 else (u.denominator, u.numerator)
+            nums[rho] *= n ** abs(e)
+            dens[rho] *= d ** abs(e)
+            for p, mult in places.items():
+                orders.setdefault(p, [0] * src.n_rays)[rho] += e * mult
 
-    # the vanishing rays lie in the source cone, so they are not degenerate
-    # and every place's orders have a witnessing cone
-    shifts = []
-    for vec in orders.values():
+    # the source cone holds the vanishing rays and every ray a lift reads, so
+    # it witnesses class 0 at a place with no negative order; elsewhere the
+    # orders less the shift are the c_k >= 0 of the witnessing cone
+    for p, vec in orders.items():
         for rho in vanishing:
             vec[rho] = INF
-        beta_p, _ = _locate_degree(src, tuple(vec), frozenset(vanishing), first=True)
-        shifts.append(beta_p.pairings)
+        if min(vec) < 0:
+            shift = _locate_degree(src, tuple(vec), vanishing, first=True)[0].pairings
+            vec = [o - s for o, s in zip(vec, shift)]
+        orders[p] = tuple(vec)
 
-    # the orders less the shift are the c_k >= 0 of the witnessing cone
     sections = [None] * src.n_rays
     for rho in range(src.n_rays):
         if rho in vanishing:
             continue
         poly = (1,)
         degree = 0
-        for (p, vec), shift in zip(orders.items(), shifts):
-            e = vec[rho] - shift[rho]
-            degree += e * p.degree
-            if not p.at_infinity:
-                poly = _multiply_in(poly, p.coeffs, e)
+        for p, vec in orders.items():
+            e = vec[rho]
+            if e:
+                degree += e * p.degree
+                if not p.at_infinity:
+                    poly = _multiply_in(poly, p.coeffs, e)
         num, den = nums[rho], dens[rho]
         if (num, den) != (1, 1):
             poly = tuple(_quotient(num * c, den) for c in poly)
@@ -405,28 +418,30 @@ def _invert_component(emb, secs):
             coord = sum(sections[r].degree * row[r] for r in range(src.n_rays)
                         if r not in vanishing)
             sections[rho] = BinaryForm.zero(-coord)
-    return tuple(sections)
+    return tuple(sections), orders
 
 
-def _agrees_on_chart(emb, candidate, secs):
+def _agrees_on_chart(emb, candidate, secs, bps):
     """Whether the image of a source tuple that ``_invert_component`` built
-    from the target tuple ``secs`` is G-related to it, tested on the chart of
-    the inversion: (i) the monomials that meet a zero candidate section are
-    the zero sections, (ii) the degrees agree, and (iii) so does each free
-    row of the target cone that pairs to 0 with the zero rays.  A free row
-    compares prod_tau (c_tau x^e_tau)^row_tau with prod_tau secs_tau^row_tau,
-    the left side as c^row times the candidate to the row's pullback, the
-    negative powers moved across; by (i) the pullback pairs to 0 with the
-    zero candidate sections, and by (ii) both sides have one degree, so the
-    dehomogenizations are compared, the left scaled by c^row's numerator and
-    the right by its denominator."""
-    zeros = _zero_rays(secs)
-    for row, g in zip(_sparse_exponents(emb), secs):
+    from the target tuple ``secs`` and its scan records ``bps`` is G-related
+    to ``secs`` twisted away at them, tested on the chart of the inversion:
+    (i) the monomials that meet a zero candidate section are the zero
+    sections, (ii) the degrees are those of ``secs`` less the sum of place
+    degree times scan class, and (iii) each free row of the target cone that
+    pairs to 0 with the zero rays agrees.  A free row compares prod_tau
+    (c_tau x^e_tau)^row_tau with prod_tau secs_tau^row_tau, the left side as
+    c^row times the candidate to the row's pullback, the negative powers
+    moved across; by (i) the pullback pairs to 0 with the zero candidate
+    sections, and both sides have one degree, so the dehomogenizations are
+    compared, the left scaled by c^row's numerator and the right by its
+    denominator."""
+    for tau, (row, g) in enumerate(zip(_sparse_exponents(emb), secs)):
         if any(candidate[rho].is_zero for rho, _ in row) != g.is_zero:
             return False
-        if sum(e * candidate[rho].degree for rho, e in row) != g.degree:
+        twist = sum(bp.place.degree * bp.degree.pairings[tau] for bp in bps)
+        if sum(e * candidate[rho].degree for rho, e in row) != g.degree - twist:
             return False
-    for row, pulled, num, den in _chart(emb, zeros)[2]:
+    for row, pulled, num, den in _chart(emb, _zero_rays(secs))[3]:
         lhs = [(f.poly, e) for f, e in zip(candidate, pulled) if e > 0]
         lhs += [(g.poly, -e) for g, e in zip(secs, row) if e < 0]
         rhs = [(f.poly, -e) for f, e in zip(candidate, pulled) if e < 0]
@@ -437,39 +452,47 @@ def _agrees_on_chart(emb, candidate, secs):
     return True
 
 
-def invert_through_charts(emb, extension):
-    """The source quasimap through which the given valid basepoint-free
-    quasimap factors, found by chart inversion; None when no chart applies or
-    the candidate's image is another map.
+def invert_through_charts(emb, q, bps=()):
+    """The source quasimap f through which the regular extension of the valid
+    quasimap ``q`` factors, with f's order vectors by place per component
+    (``_invert_component``); None when no chart applies or f's image is
+    another map.  ``bps`` are ``q``'s scan records, none when it has no
+    basepoints.
 
-    The candidate has the extension's nodes and markings, and on each
-    component it is basepoint-free by construction: at each place the shift
+    A chart coordinate is a character, which pairs to 0 with every class, so
+    twisting by a scan class leaves it as it is: ``q`` and its extension have
+    the same chart coordinates, and f is read off ``q`` with no extension
+    built.  f is basepoint-free by construction: at each place the shift
     leaves nonzero orders only on a witnessing cone, which holds the
     vanishing rays.  Its degrees are a class: the image's are, and a chart's
-    lifts pull back to a basis of the characters.  Its image is then
-    basepoint-free too, as the embedding is valid, and ``_agrees_on_chart``
-    certifies that it is G-related to the extension.  With equal zero rays
-    (i), the generic points of both lie in the orbit of the cone that the
-    zero rays span, inside the chart of the inversion; the rows of that
-    chart's exponent matrix that pair to 0 with the zero rays are a basis of
-    the orbit's characters, so when they agree as rational functions the two
-    are one morphism.  The lifts among them agree by construction, since a
-    character pairs to 0 with every class, which leaves the free rows (iii).
-    Two basepoint-free tuples of one morphism with equal degrees (ii) are
-    G-related.  Were the candidate to carry a basepoint of degree beta != 0,
-    its image's degrees would exceed the extension's by iota_* beta != 0,
-    so (ii) refuses it.  If ``emb`` covers every source chart it is
-    injective on points, so the nodes glue; on other embeddings the
-    candidate's gluing is checked by ``validate_quasimap``.
+    lifts pull back to a basis of the characters.  So its image is
+    basepoint-free, the embedding being valid, and ``_agrees_on_chart``
+    certifies on each component that it is G-related to the extension:
+    (i) the zero rays are ``q``'s, which are the extension's; (ii) the degrees
+    are the extension's, ``q``'s less the sum of place degree times scan
+    class; (iii) each free row agrees on ``q``'s polynomials: from the
+    extension's to ``q``'s, both sides of its comparison gain one power of
+    each basepoint place, as sum_tau row_tau d_tau = 0 for its class d.  By
+    (i) the generic points of both lie in the orbit of the cone the zero rays
+    span, inside the chart; the rows of its exponent matrix that pair to 0 with the zero rays
+    are a basis of the orbit's characters, and the lifts among them agree by
+    construction, so by (iii) the two are one morphism, and by (ii)
+    G-related.  A basepoint of f of class beta != 0 would raise its image's
+    degrees by iota_* beta != 0, which (ii) refuses.  An embedding covering
+    every source chart is injective on points, so f's nodes glue; on other
+    embeddings ``validate_quasimap`` checks f.
     """
-    comps = tuple(_invert_component(emb, secs) for secs in extension.components)
-    if None in comps:
+    per_comp = [[bp for bp in bps if bp.component == comp] for comp in range(q.n_components)]
+    found = [_invert_component(emb, secs, records)
+             for secs, records in zip(q.components, per_comp)]
+    if None in found:
         return None
-    candidate = Quasimap._unchecked(emb.source, comps, extension.nodes, extension.markings)
+    comps, orders = zip(*found)
+    candidate = Quasimap._unchecked(emb.source, comps, q.nodes, q.markings)
     if not covers_all_charts(emb) and validate_quasimap(candidate):
         return None
-    pairs = zip(comps, extension.components)
-    return candidate if all(_agrees_on_chart(emb, *p) for p in pairs) else None
+    triples = zip(comps, q.components, per_comp)
+    return (candidate, orders) if all(_agrees_on_chart(emb, *t) for t in triples) else None
 
 
 def _quasimap_sort_key(q):
@@ -494,13 +517,15 @@ def fibre_class_pool(emb, cap):
 def fibre_enumeration(emb, q, beta, length_cap=None):
     """All source quasimaps of class ``beta`` mapping to ``q`` along the embedding.
 
-    Works place by place: the regular extension must factor through the source
-    (by chart inversion) as some f.  Each basepoint then keeps the pool classes
-    with the right pushforward whose pairings, added to f's orders there, stay
-    nonnegative; every assignment of kept classes with the right total is
-    materialized by twisting f.  The pool holds the classes of degree at most
-    ``length_cap``; by default that is beta's own degree, which no basepoint
-    class exceeds, so a smaller cap may leave preimages out.
+    A quasimap is its regular extension and its basepoint degrees: the
+    extension must factor as some f, which ``invert_through_charts`` reads
+    off ``q`` and its scan records, with f's orders at each basepoint.  Each
+    basepoint keeps the pool classes with its pushforward whose pairings,
+    added to f's orders there, stay nonnegative; each assignment of kept
+    classes that totals beta with f's degrees is materialized by twisting f.
+    The pool holds the classes of degree at most ``length_cap``; by default
+    beta's own degree, which no basepoint class exceeds, so a smaller cap may
+    leave preimages out.
     """
     require_valid_embedding(emb)
     if q.fan != emb.target:
@@ -508,33 +533,32 @@ def fibre_enumeration(emb, q, beta, length_cap=None):
     if pushforward_curves(emb, beta).pairings != degrees(q)[0].pairings:
         raise ValueError("the quasimap's degree is not the pushforward of the class")
     bps = basepoints(q)
-    extension = _twist_away(q, bps)
-    f = invert_through_charts(emb, extension)
-    if f is None:
+    found = invert_through_charts(emb, q, bps)
+    if found is None:
         return ()
-    f_total, _ = degrees(f)
+    f, f_orders = found
 
     cap = enumeration_degree(beta) if length_cap is None else length_cap
     pool = fibre_class_pool(emb, cap)
 
     per_place = []
     for bp in bps:
-        orders = _orders_at(f, bp.component, bp.place)
+        orders = f_orders[bp.component][bp.place]
         matches = [c for c in pool.get(bp.degree.pairings, ()) if _absorbs(orders, c)]
         if not matches:
             return ()
         per_place.append(matches)
 
+    f_total = [sum(degs) for degs in zip(*([g.degree for g in secs] for secs in f.components))]
     results = []
     for assignment in product(*per_place):
         total = f_total
         for bp, c in zip(bps, assignment):
-            total = total + bp.place.degree * c
-        if total.pairings != beta.pairings:
-            continue
-        out = f
-        for bp, c in zip(bps, assignment):
-            out = extend_at(out, bp.component, bp.place, -1 * c)
-        results.append(out)
+            total = [t + bp.place.degree * d for t, d in zip(total, c.pairings)]
+        if total == list(beta.pairings):
+            out = f
+            for bp, c in zip(bps, assignment):
+                out = extend_at(out, bp.component, bp.place, -1 * c)
+            results.append(out)
     results.sort(key=_quasimap_sort_key)
     return tuple(results)

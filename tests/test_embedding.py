@@ -1,19 +1,25 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+import toriq
 from toriq.cases import fixture_path
 from toriq.classes import (CurveClass, DivisorClass, ample_functional,
                            curve_class_from_anchor, divisor_from_ray_coefficients,
-                           effective_classes,
+                           effective_classes, enumeration_degree,
                            nef_hilbert_basis, wall_curve_classes)
 from toriq.basepoint import INF, _locate_degree
-from toriq.embedding import (EmbeddingSpec, _factored_sections, _invert_component,
-                             _pull_back_character,
+from toriq.embedding import (EmbeddingSpec, _factored_section, _invert_component,
+                             _pull_back_character, _quasimap_sort_key,
                              apply_ibar, build_epic_embedding,
                              chart_cover, covers_all_charts, epic_check,
                              fibre_class_pool, fibre_enumeration,
@@ -22,13 +28,14 @@ from toriq.embedding import (EmbeddingSpec, _factored_sections, _invert_componen
                              validate_embedding)
 from toriq.fan import (Fan, dual_basis, primitive_collections, product_fan,
                        projective_space_fan, require_valid, validate_fan)
-from toriq.forms import BinaryForm, Place, ProjPoint, poly_mul
+from toriq.forms import BinaryForm, Place, ProjPoint, _quotient, poly_mul
 from toriq.io import load_embedding
-from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps,
-                            regular_extension, same_morphism_sections, stability,
-                            validate_quasimap)
+from toriq.quasimap import (Quasimap, _absorbs, _orders_at, _twist_away, basepoints, degrees,
+                            equal_quasimaps, extend_at, regular_extension,
+                            same_morphism_sections, stability, validate_quasimap)
 
-from qmgen import GiveUp, _section_tuple, random_quasimap, scaled
+from qmgen import GiveUp, _section_tuple, random_quasimap, random_stable_quasimap, scaled
+from test_symmetry import _random_map, pulled_back
 
 
 def _solve_character(fan, pairings):
@@ -47,6 +54,18 @@ def F(deg, *coeffs):
 
 
 MARKS = ((0, ProjPoint(1, 1)), (0, ProjPoint(1, 2)))
+
+
+def inverted_sections(emb, secs):
+    """The source sections that ``_invert_component`` finds, or None."""
+    found = _invert_component(emb, secs, ())
+    return None if found is None else found[0]
+
+
+def inverted(emb, q):
+    """The source quasimap that ``invert_through_charts`` finds, or None."""
+    found = invert_through_charts(emb, q)
+    return None if found is None else found[0]
 
 
 @pytest.fixture
@@ -337,6 +356,40 @@ def test_apply_ibar_constant(segre, p1xp1):
     assert degrees(image)[0].is_zero()
 
 
+def apply_ibar_oracle(emb, q):
+    """Transport with every monomial multiplied out: c_tau times the product
+    of the source sections to their exponents, zero when one of them is."""
+    components = []
+    for secs in q.components:
+        out = []
+        for c, exp in zip(emb.coeffs, emb.exponents):
+            degree = sum(e * f.degree for f, e in zip(secs, exp))
+            poly = (c,)
+            for f, e in zip(secs, exp):
+                for _ in range(e):
+                    poly = poly_mul(poly, f.poly) if f.poly else ()
+            out.append(BinaryForm.from_poly(degree, poly) if poly else BinaryForm.zero(degree))
+        components.append(tuple(out))
+    return Quasimap(emb.target, components, q.nodes, q.markings)
+
+
+def test_apply_ibar_matches_the_product_oracle(request, p1, p2, p1xp1, p3):
+    """Transport equals the multiplied-out monomials on seeded quasimaps: a
+    target section passes through only for one source ray to the power 1 with
+    coefficient 1, not for a square or a scaled ray."""
+    scaled_identity = EmbeddingSpec(p2, p2, (2, 1, Fraction(-1, 3)),
+                                    ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    square = EmbeddingSpec(p1, p1, (1, 1), ((2, 0), (0, 2)))
+    scaled_segre = EmbeddingSpec(p1xp1, p3, (2, 1, Fraction(1, 3), 5),
+                                 ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)))
+    built = [embedding_named(request, name) for name in CONFTEST_FANS + ["segre.json"]]
+    rng = random.Random(404)
+    for emb in [scaled_identity, square, scaled_segre] + built:
+        for _ in range(6):
+            q = random_quasimap(emb.source, rng, max_components=2, max_total_length=5)
+            assert apply_ibar(emb, q) == apply_ibar_oracle(emb, q)
+
+
 def test_fibre_segre(segre, segre_pair):
     q1, q2 = segre_pair
     image = apply_ibar(segre, q1)
@@ -427,7 +480,7 @@ def test_identity_embedding_inversion(p2):
     rng = random.Random(3)
     q = random_quasimap(p2, rng, max_components=1)
     ext = regular_extension(q)
-    candidate = invert_through_charts(emb, ext)
+    candidate = inverted(emb, ext)
     assert candidate is not None
     for comp in range(ext.n_components):
         assert same_morphism_sections(p2, candidate.sections(comp), ext.sections(comp))
@@ -447,15 +500,15 @@ def test_chart_inversion_returns_only_a_checked_factorization(segre):
         q = Quasimap(segre.target, (secs,), markings=((0, ProjPoint(1, 7)),))
         if validate_quasimap(q) or basepoints(q):
             continue
-        candidate = Quasimap(segre.source, (_invert_component(segre, secs),), (), q.markings)
+        candidate = Quasimap(segre.source, (inverted_sections(segre, secs),), (), q.markings)
         assert validate_quasimap(candidate) == [] and basepoints(candidate) == ()
         image = apply_ibar(segre, candidate)
         if same_morphism_sections(segre.target, image.sections(0), secs):
-            assert invert_through_charts(segre, q) == candidate
+            assert inverted(segre, q) == candidate
         else:
             off_quadric += 1
-            assert invert_through_charts(segre, q) is None
-            assert invert_through_charts(segre, image) == candidate
+            assert inverted(segre, q) is None
+            assert inverted(segre, image) == candidate
     assert off_quadric >= 20
 
 
@@ -469,23 +522,24 @@ def test_chart_inversion_rejects_a_candidate_with_basepoints(segre, segre_pair, 
     image = apply_ibar(segre, q1)
     extension = regular_extension(image)
     assert covers_all_charts(segre)
-    assert invert_through_charts(segre, extension) is not None
+    assert inverted(segre, extension) is not None
     assert fibre_enumeration(segre, image, degrees(q1)[0])
 
     real = toriq.embedding._invert_component
     collection = primitive_collections(segre.source)[0]
     place = Place.rational(5)
 
-    def with_basepoint(emb, secs):
+    def with_basepoint(emb, secs, bps):
+        sections, orders = real(emb, secs, bps)
         return tuple(f.shift(place, 1) if rho in collection else f
-                     for rho, f in enumerate(real(emb, secs)))
+                     for rho, f in enumerate(sections)), orders
 
-    candidate = Quasimap(segre.source, (with_basepoint(segre, extension.sections(0)),),
+    candidate = Quasimap(segre.source, (with_basepoint(segre, extension.sections(0), ())[0],),
                          extension.nodes, extension.markings)
     assert validate_quasimap(candidate) == []
     assert [bp.place for bp in basepoints(candidate)] == [place]
     monkeypatch.setattr(toriq.embedding, "_invert_component", with_basepoint)
-    assert invert_through_charts(segre, extension) is None
+    assert inverted(segre, extension) is None
     assert fibre_enumeration(segre, image, degrees(q1)[0]) == ()
 
 
@@ -509,11 +563,11 @@ def test_chart_inversion_checks_candidates_of_an_embedding_not_covering_every_ch
     lines = tuple((F(1, 0, slope), F(1, 0, 1), F(1, 1)) for slope in (1, 2))
     extension = Quasimap(emb.target, lines, (node,), ((0, ProjPoint(1, 1)), (1, ProjPoint(1, 1))))
     assert validate_quasimap(extension) == [] and basepoints(extension) == ()
-    candidate = Quasimap(blowup, [_invert_component(emb, secs) for secs in lines],
+    candidate = Quasimap(blowup, [inverted_sections(emb, secs) for secs in lines],
                          extension.nodes, extension.markings)
     assert equal_quasimaps(apply_ibar(emb, candidate), extension)
     assert "does not glue" in validate_quasimap(candidate)[0]
-    assert invert_through_charts(emb, extension) is None
+    assert inverted(emb, extension) is None
 
 
 CONFTEST_FANS = ["p1", "p2", "p3", "bl0p2", "p1xp1", "p2xp1", "f2", "hexagon"]
@@ -561,7 +615,7 @@ def test_chart_inversion_passes_the_checks_it_skips(request):
             if not validate_quasimap(q) and not basepoints(q):
                 extensions.append(q)
         for extension in extensions:
-            candidate = invert_through_charts(emb, extension)
+            candidate = inverted(emb, extension)
             outcomes[name, candidate is None] += 1
             if candidate is not None:
                 assert validate_quasimap(candidate) == []
@@ -574,7 +628,7 @@ def _invert_through_charts_oracle(emb, extension):
     """``invert_through_charts`` as it was before its chart-local check: the
     candidate's image under ``apply_ibar`` is compared with the extension by
     ``same_morphism_sections`` on every target ray."""
-    comps = tuple(_invert_component(emb, secs) for secs in extension.components)
+    comps = tuple(inverted_sections(emb, secs) for secs in extension.components)
     if None in comps:
         return None
     candidate = Quasimap(emb.source, comps, extension.nodes, extension.markings)
@@ -607,9 +661,9 @@ def test_chart_local_check_matches_the_image_oracle(request):
                 extensions.append(q)
         extensions += [Quasimap(emb.target, (secs,)) for secs in _target_tuples(emb, rng, 50)]
         for extension in extensions:
-            got = invert_through_charts(emb, extension)
+            got = inverted(emb, extension)
             assert got == _invert_through_charts_oracle(emb, extension), extension
-            comps = tuple(_invert_component(emb, secs) for secs in extension.components)
+            comps = tuple(inverted_sections(emb, secs) for secs in extension.components)
             if None not in comps:
                 candidate = Quasimap(emb.source, comps, extension.nodes, extension.markings)
                 assert basepoints(candidate) == (), extension
@@ -719,6 +773,21 @@ def _oracle_chart_cover(emb):
                 entries.append({"target_cone": ti, "combos": tuple(combos)})
         cover[si] = tuple(entries)
     return cover
+
+
+def _factored_sections(emb, secs):
+    """Per target ray, the unit and places of the section divided by its
+    monomial coefficient, or None for a zero section: the whole section
+    factored, as chart inversion did before it read the basepoint scan's
+    places, kept as the oracles' factoring."""
+    out = []
+    for c, f in zip(emb.coeffs, secs):
+        if f.is_zero:
+            out.append(None)
+        else:
+            u, places = f.factor()
+            out.append((_quotient(u, c), places))
+    return out
 
 
 def _oracle_invert_component(emb, cover, secs):
@@ -987,17 +1056,21 @@ def test_fixed_point_zero_sets_match_the_support_oracles(request, p1):
 def test_factored_units_are_ints_where_integral(request):
     """The unit of each factored target section over its monomial
     coefficient is an int when integral and a Fraction only otherwise, on
-    seeded tuples and on them scaled by 2/3."""
+    seeded tuples and on them scaled by 2/3; with no scan records, unit and
+    places are the whole section's factorization."""
     types = Counter()
     for name in CONFTEST_FANS + ["segre.json"]:
         emb = embedding_named(request, name)
         for secs in _target_tuples(emb, random.Random(f"units/{name}"), 20):
             rescaled = [scaled(f, Fraction(2, 3)) for f in secs]
-            for fac in _factored_sections(emb, secs) + _factored_sections(emb, rescaled):
-                if fac is not None:
-                    unit = fac[0]
-                    assert type(unit) is int or unit.denominator != 1, (name, unit)
-                    types[type(unit)] += 1
+            for forms in (secs, rescaled):
+                oracle = _factored_sections(emb, forms)
+                for tau, (c, f) in enumerate(zip(emb.coeffs, forms)):
+                    if not f.is_zero:
+                        unit, places = _factored_section(f, c, tau, ())
+                        assert (unit, places) == oracle[tau]
+                        assert type(unit) is int or unit.denominator != 1, (name, unit)
+                        types[type(unit)] += 1
     assert types[int] and types[Fraction], types
 
 
@@ -1011,7 +1084,7 @@ def test_inversion_matches_combination_oracle(request):
         cover = assert_cover_matches_oracle(emb)
         seen = outcomes[name] = Counter()
         for secs in _target_tuples(emb, random.Random(f"inversion/{name}"), 30):
-            got = _invert_component(emb, secs)
+            got = inverted_sections(emb, secs)
             assert got == _oracle_invert_component(emb, cover, secs)
             if got is None:
                 seen["none"] += 1
@@ -1120,7 +1193,7 @@ def test_inversion_matches_its_checked_oracle(request):
             q = random_quasimap(emb.source, rng, max_components=3, max_total_length=5)
             tuples += regular_extension(apply_ibar(emb, q)).components
         for secs in tuples:
-            got = _invert_component(emb, secs)
+            got = inverted_sections(emb, secs)
             assert got == _invert_component_checked(emb, secs, rejected), (name, secs)
             if got is None:
                 seen["none"] += 1
@@ -1128,3 +1201,136 @@ def test_inversion_matches_its_checked_oracle(request):
                 seen["vanishing" if any(f.is_zero for f in got) else "plain"] += 1
     assert not rejected, rejected
     assert seen["vanishing"] >= 200 and seen["plain"] >= 100, seen
+
+
+def fibre_enumeration_oracle(emb, q, beta, length_cap=None):
+    """``fibre_enumeration`` as it was before it inverted the image itself:
+    the regular extension is built and inverted with its sections factored
+    whole, f's orders at each basepoint are counted by division, and the
+    totals are classes."""
+    require_valid_embedding(emb)
+    if q.fan != emb.target:
+        raise ValueError("quasimap target does not match the embedding target")
+    if pushforward_curves(emb, beta).pairings != degrees(q)[0].pairings:
+        raise ValueError("the quasimap's degree is not the pushforward of the class")
+    bps = basepoints(q)
+    f = inverted(emb, _twist_away(q, bps))
+    if f is None:
+        return ()
+    f_total, _ = degrees(f)
+    cap = enumeration_degree(beta) if length_cap is None else length_cap
+    pool = fibre_class_pool(emb, cap)
+    per_place = []
+    for bp in bps:
+        orders = _orders_at(f, bp.component, bp.place)
+        matches = [c for c in pool.get(bp.degree.pairings, ()) if _absorbs(orders, c)]
+        if not matches:
+            return ()
+        per_place.append(matches)
+    results = []
+    for assignment in product(*per_place):
+        total = f_total
+        for bp, c in zip(bps, assignment):
+            total = total + bp.place.degree * c
+        if total.pairings != beta.pairings:
+            continue
+        out = f
+        for bp, c in zip(bps, assignment):
+            out = extend_at(out, bp.component, bp.place, -1 * c)
+        results.append(out)
+    results.sort(key=_quasimap_sort_key)
+    return tuple(results)
+
+
+QUADRATIC_PLACES = (Place.finite((1, 0, 1)), Place.finite((-2, 0, 1)))
+
+
+def _fibre_oracle_draws(fan, rng):
+    """Seeded source quasimaps for the fibre oracle: trees of up to three
+    components, stable draws moved by a Möbius map per component (every
+    other one sending its first basepoint to infinity), and every other one
+    of those twisted on one component at a quadratic place by one of the two
+    first nonzero effective classes with no negative pairing, which puts a
+    basepoint of that class there."""
+    draws = [random_quasimap(fan, rng, max_components=3, max_total_length=5)
+             for _ in range(8)]
+    for i in range(8):
+        q = random_stable_quasimap(fan, rng, max_total_length=5)
+        maps = [_random_map(rng) for _ in q.components]
+        if i % 2 == 0:
+            first = basepoints(q)[0]
+            maps[first.component] = _random_map(rng, first.place.rational_point().b)
+        draws.append(pulled_back(q, maps))
+    twists = [c for c in effective_classes(fan, 4) if not c.is_zero() and min(c.pairings) >= 0]
+    for q in draws[::2]:
+        comp = rng.randrange(q.n_components)
+        draws.append(extend_at(q, comp, rng.choice(QUADRATIC_PLACES), -1 * rng.choice(twists[:2])))
+    return draws
+
+
+def test_fibres_match_the_extension_oracle(request):
+    """The fibre read off the image and its scan records is repr-equal to the
+    one read off its regular extension, on seeded draws (see
+    ``_fibre_oracle_draws``) through every conftest fan's built embedding,
+    segre.json, bl0p2_product.json and the blow-down, which does not cover
+    every chart, with three rounds of draws on segre.json, whose fibres may
+    have several elements; the draws reach those, trees, basepoints at
+    infinity, at non-integral places and at quadratic places."""
+    seen = Counter()
+    names = CONFTEST_FANS + ["segre.json", "bl0p2_product.json"]
+    rounds = [(embedding_named(request, name), 3 if name == "segre.json" else 1)
+              for name in names] + [(blow_down(), 1)]
+    for emb, count in rounds:
+        rng = random.Random(f"fibre oracle {emb.source.rays} {emb.target.n_rays}")
+        for q in [q for _ in range(count) for q in _fibre_oracle_draws(emb.source, rng)]:
+            image = apply_ibar(emb, q)
+            beta = degrees(q)[0]
+            fibre = fibre_enumeration(emb, image, beta)
+            assert repr(fibre) == repr(fibre_enumeration_oracle(emb, image, beta)), q
+            assert any(equal_quasimaps(f, q) for f in fibre) or not covers_all_charts(emb)
+            seen["several" if len(fibre) > 1 else "one" if fibre else "none"] += 1
+            seen["tree"] += q.n_components > 1
+            for bp in basepoints(image):
+                point = bp.place.rational_point()
+                seen["quadratic" if point is None else "infinity" if point.is_infinity
+                     else "fraction" if type(point.b) is Fraction else "integer"] += 1
+    assert min(seen.values()) >= 5, seen
+    assert seen["one"] + seen["several"] >= 100, seen
+
+
+FIBRE_WITHOUT_SYMPY = """
+import sys
+from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
+from toriq.fan import projective_space_fan
+from toriq.forms import BinaryForm, ProjPoint, poly_mul
+from toriq.quasimap import Quasimap, degrees
+
+def quintic(*factors):
+    poly = (1,)
+    for factor in factors:
+        poly = poly_mul(poly, factor)
+    return BinaryForm.from_poly(5, poly)
+
+p2 = projective_space_fan(2)
+z1 = (-1, 1)
+secs = (quintic(z1, (2, 0, 1)), quintic(z1, z1, z1, z1, (3, 1)), quintic(z1, z1, z1, (1, 0, 1)))
+q = Quasimap(p2, (secs,), markings=((0, ProjPoint(1, 7)), (0, ProjPoint(1, 9))))
+assert degrees(q)[0].pairings == (5, 5, 5)
+emb = build_epic_embedding(p2)
+assert fibre_enumeration(emb, apply_ibar(emb, q), degrees(q)[0]) == (q,)
+assert "sympy" not in sys.modules, "a fibre loaded sympy"
+"""
+
+
+def test_a_fibre_factors_no_basepoint_place_again():
+    """A p2 quasimap of class 5 with sections (z - 1)(z^2 + 2),
+    (z - 1)^4 (z + 3) and (z - 1)^3 (z^2 + 1) has one basepoint, at z = 1, of
+    degree 1.  Its regular extension's sections have quartic polynomials,
+    which only sympy factors; divided by z - 1 to the scan's orders, what is
+    left is at most quadratic.  In a fresh process the fibre of its image is
+    the quasimap itself, and sympy is never imported."""
+    src = str(Path(toriq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", FIBRE_WITHOUT_SYMPY], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

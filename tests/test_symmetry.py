@@ -4,7 +4,10 @@ each of its components.  A Möbius map per component pulls the sections back
 basepoints must move by that inverse map and keep their degrees, order
 vectors and lengths, and the regular extension must be the pulled-back one.
 Integer maps carry the integral basepoints of the seeded stable draws to
-non-integral places and to infinity."""
+non-integral places and to infinity.  Nor do fibres depend on the
+representative of a point under the torus G that the target is the quotient
+by: scaling the image, or the source before transport, by an element of G
+leaves the fibre the same up to G."""
 
 import random
 from collections import Counter
@@ -13,11 +16,14 @@ from fractions import Fraction
 import pytest
 
 from toriq.basepoint import length_at_point
+from toriq.cases import fixture_path
+from toriq.embedding import apply_ibar, fibre_enumeration
 from toriq.forms import BinaryForm, ProjPoint, poly_mul
+from toriq.io import load_embedding
 from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps, regular_extension,
                             stability, validate_quasimap)
 
-from qmgen import random_stable_quasimap
+from qmgen import random_effective_class, random_stable_quasimap, scaled
 from test_quasimap import basepoints_oracle
 
 
@@ -109,3 +115,44 @@ def test_moebius_pullback_moves_places_and_keeps_invariants(request, name):
             moved["infinity" if point.is_infinity else
                   "fraction" if type(point.b) is Fraction else "integer"] += 1
     assert moved["infinity"] >= 5 and moved["fraction"] >= 5, moved
+
+
+def torus_scaled(q, rng):
+    """q with each section of ray rho scaled by t^a_rho, for a seeded rational
+    t and the pairings a of a seeded effective class of q's fan: an element of
+    G, since a character pairs to 0 with every class, so the result is
+    ``equal_quasimaps`` to q."""
+    a = random_effective_class(q.fan, rng, 4).pairings
+    t = rng.choice((2, -3, Fraction(1, 2), Fraction(-2, 3)))
+    return Quasimap(q.fan, [[scaled(f, t ** d) for f, d in zip(secs, a)] for secs in q.components],
+                    q.nodes, q.markings)
+
+
+@pytest.mark.parametrize("name", ["segre.json", "bl0p2_product.json"])
+def test_fibres_do_not_see_the_torus(name):
+    """On 25 seeded stable draws: the fibre of the image scaled by an element
+    of G has the unscaled fibre's size, and each of its elements is
+    ``equal_quasimaps`` to exactly one of the unscaled fibre's; the fibre of
+    the image of the source scaled by an element of G contains that scaled
+    source."""
+    emb = load_embedding(str(fixture_path(name)))
+    rng = random.Random(f"torus/{name}")
+    sizes = Counter()
+    for _ in range(25):
+        q = random_stable_quasimap(emb.source, rng, max_total_length=5)
+        beta = degrees(q)[0]
+        image = apply_ibar(emb, q)
+        fibre = fibre_enumeration(emb, image, beta)
+        moved = torus_scaled(image, rng)
+        assert equal_quasimaps(moved, image)
+        moved_fibre = fibre_enumeration(emb, moved, beta)
+        assert len(moved_fibre) == len(fibre)
+        for g in moved_fibre:
+            assert sum(equal_quasimaps(g, f) for f in fibre) == 1
+        source = torus_scaled(q, rng)
+        assert any(equal_quasimaps(f, source)
+                   for f in fibre_enumeration(emb, apply_ibar(emb, source), beta))
+        sizes[len(fibre)] += 1
+    assert sizes[1] >= 5, sizes
+    if name == "segre.json":
+        assert sizes[2] >= 3, sizes
