@@ -230,27 +230,42 @@ def surjectivity_witness(q):
     """A stable map whose contraction is the given valid stable quasimap.
 
     Grafts a deterministic rational tail at each basepoint (simple disjoint
-    zeros away from the attaching point) until no basepoints remain.  Each
-    graft must lower the sum of the squared degrees of the open basepoints,
-    under the functional of ``enumeration_degree``: the anticanonical degree
-    on a Fano target, where descent is proven, and a fixed ample degree
-    otherwise, which is positive on every nonzero effective class, so the
-    measure is a positive integer and the loop ends.  A graft that does not
-    lower it raises ValueError.  So the search runs on any projective target
-    (a fan with no ample class raises): proven to succeed on Fano targets,
-    and observed to on the tests' non-Fano corpus.
+    zeros away from the attaching point) until no basepoints remain.  The
+    target must be projective: a fan with no ample class raises.
+
+    Let l be the functional of ``enumeration_degree``, an integer degree
+    positive on every nonzero effective class, and measure the open
+    basepoints by the sum of l(beta_p)^2.  Lemma: a tail of class beta built
+    here is never a constant map twisted at one place (an extension of class
+    0 with exactly one basepoint p).  If it were, every nonzero section would
+    be c (z - p)^beta_rho.  But a tail section of positive degree is never
+    zero and has simple zeros at integers that no other ray uses, plus
+    possibly z = 0, the attaching point, which is no basepoint, since the
+    tail's values there are the twisted host's.  beta pairs positively with
+    two rays (as every nonzero effective class on a projective target does,
+    see ``test_effective_classes_have_two_positive_pairings``), so both of
+    those rays would need their single zero at p, which is impossible.
+
+    A graft at a basepoint of class beta replaces l(beta)^2 by the sum of
+    l(beta_j)^2 over the tail's basepoints, all at integers, and twisting at
+    one place leaves every other basepoint as it was.  With gamma the class
+    of the tail's extension, the l(beta_j) sum to l(beta) - l(gamma).  If
+    gamma is not 0 the new sum is strictly smaller; if it is, the lemma gives
+    at least two terms, each at least 1, so it is strictly smaller too.  The
+    measure is a nonnegative integer that falls on every graft, so the loop
+    ends; nothing here assumes the target Fano.
 
     The result is certified by construction, not checked again: the loop's
     empty list is a full scan; each tail takes its basepoint's class and, at
     [1 : 0], the twisted host's values at the node; a component with under
     three special points keeps a nonzero class (``q`` is stable, and a tail
-    grafted once loses all of it only at a basepoint of that class, which the
-    descent guard refuses); ``contract`` drops just the grafted trees (a
-    stable ``q`` has none) and twists each host back.
+    ends with its extension's class gamma, and if gamma is 0 it has at least
+    two grafted nodes besides its host node, by the lemma); ``contract`` drops
+    just the grafted trees (a stable ``q`` has none) and twists each host back.
     """
     if not stability(q, "quasimap"):
         raise ValueError("the witness search needs a stable quasimap")
-    functional = _degree_functional(q.fan)  # the descent measure's degree
+    _degree_functional(q.fan)  # refuses a target with no ample class
     bps = basepoints(q)
     for bp in bps:
         if bp.place.rational_point() is None:
@@ -261,11 +276,6 @@ def surjectivity_witness(q):
 
     work = q
     zero_counter = 0
-
-    def measure(places):
-        return sum(functional.pair(bp.degree) ** 2 for bp in places)
-
-    current = measure(bps)
     while bps:
         bp = bps[0]
         point = bp.place.rational_point()
@@ -278,12 +288,5 @@ def surjectivity_witness(q):
         # twisting at one place leaves every other order vector as it was, so
         # only the new tail component needs a scan
         bps = bps[1:] + component_basepoints(work, work.n_components - 1)
-        nxt = measure(bps)
-        if nxt >= current:
-            raise ValueError(
-                f"witness search failed to descend at the basepoint {bp.place!r} of "
-                f"component {bp.component}, of class {bp.degree.pairings}: the measure "
-                f"went from {current} to {nxt}")
-        current = nxt
 
     return StableMapTree._unchecked(work)

@@ -1,35 +1,81 @@
 """Non-Fano coverage on the second Hirzebruch surface: the anticanonical
 degree vanishes on the rigid section, so every bounded enumeration must fall
 back to an honest ample degree.  The witness search also runs on a corpus of
-non-Fano targets, where the paper proves nothing."""
+non-Fano targets, where the paper proves nothing and the search's own
+docstring proves that it ends; the lemma that proof rests on is checked on
+the smooth toric surfaces that two star subdivisions reach from P2 and
+F0-F4."""
 
 import random
+from operator import add
 
 import pytest
 
-from toriq.classes import (ample_functional, curve_class_from_anchor,
+from toriq.basepoint import INF, degree_at_point
+from toriq.classes import (CurveClass, ample_functional, curve_class_from_anchor,
                            effective_classes, enumeration_degree, factorizations,
                            is_ample, is_fano, length, nef_hilbert_basis,
                            wall_curve_classes)
-from toriq.contraction import StableMapTree, contract, surjectivity_witness
+from toriq.contraction import StableMapTree, _deterministic_tail, contract, surjectivity_witness
 from toriq.embedding import apply_ibar, build_epic_embedding, fibre_enumeration
 from toriq.cli import main
 from toriq.fan import Fan, product_fan, projective_space_fan, validate_fan
-from toriq.forms import BinaryForm, ProjPoint
+from toriq.forms import BinaryForm, Place, ProjPoint
 from toriq.io import dump, quasimap_to_dict
-from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps, stability,
-                            validate_quasimap)
+from toriq.quasimap import (Quasimap, basepoints, degrees, equal_quasimaps, extend_at,
+                            stability, validate_quasimap)
 
-from qmgen import random_stable_quasimap
+from qmgen import random_order_vector, random_stable_quasimap
 from test_embedding import CONFTEST_FANS, _hirzebruch, _plane_bundle
 
-# F3, F4, F2 x P1 and P(O + O(3)) over the plane: non-Fano targets on which
-# seeded stable draws are fast
+
+def _surface(rays):
+    """The smooth complete toric surface whose rays, in cyclic order, span
+    its two-dimensional cones pairwise."""
+    return Fan(2, tuple(rays), tuple((i, (i + 1) % len(rays)) for i in range(len(rays))))
+
+
+def _self_intersections(rays):
+    """The self-intersections D_i^2 of the toric divisors of a surface whose
+    rays are in cyclic order: u_(i-1) + u_(i+1) = -D_i^2 u_i."""
+    out = []
+    for i, u in enumerate(rays):
+        s = tuple(map(add, rays[i - 1], rays[(i + 1) % len(rays)]))
+        out.append(-(s[0] // u[0] if u[0] else s[1] // u[1]))
+    return tuple(out)
+
+
+def _small_surfaces():
+    """The smooth complete toric surfaces with at most six rays reached from
+    P2 and F0-F4 by at most two star subdivisions of a cone, one per GL2(Z)
+    class: the cyclic self-intersection sequence, up to rotation and
+    reflection, is a complete invariant (Fulton, Introduction to Toric
+    Varieties, §2.5)."""
+    def key(rays):
+        seq = _self_intersections(rays)
+        return min(t[r:] + t[:r] for t in (seq, seq[::-1]) for r in range(len(t)))
+
+    level = [((1, 0), (0, 1), (-1, -1))] + [((1, 0), (0, 1), (-1, a), (0, -1)) for a in range(5)]
+    found = {}
+    for _ in range(3):
+        for rays in level:
+            found.setdefault(key(rays), rays)
+        level = [rays[:i + 1] + (tuple(map(add, rays[i], rays[(i + 1) % len(rays)])),)
+                 + rays[i + 1:] for rays in level if len(rays) < 6 for i in range(len(rays))]
+    return [_surface(rays) for rays in found.values()]
+
+
+# F3, F4, F2 x P1, P(O + O(3)) over the plane and F1 and F2 blown up where
+# the negative section meets a fibre (self-intersections (-2, -1, -1, 1, 0)
+# and (-3, -1, -1, 2, 0)): non-Fano targets on which seeded stable draws are
+# fast
 NON_FANO_CORPUS = {
     "f3": _hirzebruch(3),
     "f4": _hirzebruch(4),
     "f2xp1": product_fan([_hirzebruch(2), projective_space_fan(1)]),
     "p2_bundle_3": _plane_bundle(3),
+    "bl_f1": _surface(((1, 0), (1, 1), (0, 1), (-1, 1), (0, -1))),
+    "bl_f2": _surface(((1, 0), (1, 1), (0, 1), (-1, 2), (0, -1))),
 }
 
 # the non-Fano surface with six rays whose wall curves have ample degrees 1 to 10
@@ -122,10 +168,12 @@ def test_f2_map_stability_defaults_to_the_ample_functional(f2):
 
 def test_descent_is_measured_by_the_ample_degree(f2, tmp_path):
     """The first of 60 draws ``random_stable_quasimap(f2, random.Random(2),
-    max_total_length=8)`` on which the anticanonical degree did not descend:
-    its basepoint at z has class 2E + F, the graft leaves one of class F,
-    and both have anticanonical degree 2.  Their ample degrees fall, so the
-    search finds a witness, in the library and at the CLI."""
+    max_total_length=8)`` whose graft does not lower the sum of the squared
+    anticanonical degrees: its basepoint at z has class 2E + F, the graft
+    leaves one of class F, and both have anticanonical degree 2, as the
+    tail's extension has class 2E.  That class is not 0, so its ample degree
+    is positive and the measure of ``surjectivity_witness``'s proof falls:
+    the search finds a witness, in the library and at the CLI."""
     q = Quasimap(f2, ((BinaryForm.from_poly(2, (0, 0, -2)), BinaryForm.constant(-1),
                        BinaryForm.from_poly(2, (0, 0, -1)),
                        BinaryForm.from_poly(4, (0, -2, -1, -2, 2))),),
@@ -145,7 +193,9 @@ def test_descent_is_measured_by_the_ample_degree(f2, tmp_path):
 
 def test_witness_draws_on_f2_all_descend(f2):
     """Every seeded stable draw on F2 gets a witness whose contraction is the
-    draw; measured by the anticanonical degree, 6 of these 60 did not."""
+    draw, as the lemma of ``surjectivity_witness`` proves on any projective
+    target; 6 of these 60 have a graft that does not lower the sum of the
+    squared anticanonical degrees, which is 0 on the rigid section."""
     rng = random.Random(2)
     for _ in range(60):
         q = random_stable_quasimap(f2, rng, max_total_length=8)
@@ -181,3 +231,77 @@ def test_effective_classes_have_two_positive_pairings(request):
         for beta in effective_classes(fan, 6):
             if not beta.is_zero():
                 assert sum(d > 0 for d in beta.pairings) >= 2, (fan, beta.pairings)
+
+
+def test_tails_are_never_a_constant_map_twisted_at_one_place(request):
+    """The lemma of ``surjectivity_witness``: the tail ``_deterministic_tail``
+    builds for a basepoint of class beta never has an extension of class 0
+    with exactly one basepoint.  Seeded order vectors give beta and the
+    twisted host's values at the node, 0 exactly where the order is INF or
+    exceeds the pairing.  Some tails do have an extension of class 0, all
+    with two or more basepoints, so the lemma cannot be tightened to "every
+    tail's extension has a nonzero class"."""
+    surfaces = _small_surfaces()  # P2, F0-F4, 5 blow-ups with 5 rays, 15 with 6
+    assert sorted(f.n_rays for f in surfaces) == [3] + [4] * 5 + [5] * 5 + [6] * 15
+    assert all(validate_fan(f) == [] for f in surfaces)
+    fans = (surfaces + [request.getfixturevalue(name) for name in CONFTEST_FANS]
+            + list(NON_FANO_CORPUS.values()) + [S6])
+    rng = random.Random(38)
+    class_zero = 0
+    for fan in fans:
+        for _ in range(40):
+            orders = random_order_vector(fan, rng)
+            beta, _ = degree_at_point(fan, orders)
+            if beta.is_zero():
+                continue
+            values = tuple(0 if o is INF or o > d else rng.choice((-2, -1, 1, 3))
+                           for o, d in zip(orders.orders, beta.pairings))
+            tail, _ = _deterministic_tail(values, beta, rng.randrange(4))
+            assert all(not s.is_zero for s, d in zip(tail, beta.pairings) if d > 0)
+            assert tuple(s.value_at(ProjPoint(1, 0)) for s in tail) == values
+            bps = basepoints(Quasimap._unchecked(fan, (tail,), (), ()))
+            assert all(bp.place.rational_point() not in (None, ProjPoint(1, 0)) for bp in bps)
+            gamma = beta
+            for bp in bps:
+                gamma = gamma - bp.degree
+            if gamma.is_zero():
+                class_zero += 1
+                assert len(bps) >= 2, (fan, beta.pairings, values)
+    assert class_zero > 0
+
+
+def _oda_fan():
+    """Oda's smooth complete threefold that is not projective: P3's fan with
+    each edge from -e1-e2-e3 to e_i subdivided by their sum, and the three
+    split faces cut by diagonals that turn the same way around that ray.
+    The three wall classes across the diagonals sum to 0, so no ample class
+    is positive on all of them (Oda, Convex Bodies and Algebraic Geometry,
+    §2.3)."""
+    e, w = (0, 1, 2), (4, 5, 6)
+    rays = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (0, -1, -1), (-1, 0, -1), (-1, -1, 0))
+    cones = [e]
+    for i in range(3):
+        j = (i + 1) % 3
+        cones += [(3, w[i], w[j]), (w[i], e[i], e[j]), (w[i], e[j], w[j])]
+    return Fan(3, rays, tuple(tuple(sorted(c)) for c in cones))
+
+
+def test_witness_refuses_a_non_projective_target(tmp_path, capsys):
+    """The search's descent needs a degree positive on effective classes, so
+    a target with no ample class is refused before any graft, in the
+    library and at the CLI (exit 1)."""
+    fan = _oda_fan()
+    assert validate_fan(fan) == []
+    constant = Quasimap(fan, ((BinaryForm.constant(1),) * 7,),
+                        markings=((0, ProjPoint(1, 1)), (0, ProjPoint(1, 2))))
+    beta = CurveClass(fan, (0, 1, 1, 0, 1, 0, 0))
+    q = extend_at(constant, 0, Place.of_point(ProjPoint(1, 0)), -1 * beta)
+    assert validate_quasimap(q) == [] and stability(q, "quasimap")
+    assert [bp.degree for bp in basepoints(q)] == [beta]
+    with pytest.raises(ValueError, match="not projective"):
+        surjectivity_witness(q)
+
+    path = tmp_path / "oda.json"
+    dump(quasimap_to_dict(q), str(path))
+    assert main(["witness", str(path)]) == 1
+    assert "not projective" in capsys.readouterr().err
