@@ -17,7 +17,7 @@ import operator
 from itertools import combinations
 
 from .fan import memo, require_valid, walls
-from .linalg import box_points, kernel_basis
+from .linalg import kernel_basis, lattice_points
 from .record import Record
 
 
@@ -253,40 +253,27 @@ def length(beta):
     return sum(beta.pairings)
 
 
-def _truncated_cone_lattice_points(generators, inequalities, functional, bound):
-    """Lattice points x of a cone with <functional, x> <= bound.
-
-    ``generators`` span the cone (ints, anchor coordinates), which is the
-    dual of the ``inequalities`` rows; ``functional`` is an integer vector
-    positive on every generator, which both callers guarantee: the degree
-    functional is ample or anticanonical on a Fano fan, so positive on every
-    Mori generator, and the sum of the Mori generators is positive on every
-    nonzero nef class.  The box of the vertices 0 and each
-    bound * g / <functional, g> has its corners rounded inwards to integers.
-    """
-    if bound < 0:
-        return []
-    lo = hi = (0,) * len(generators[0])
-    for g in generators:
-        f = _dot(functional, g)
-        lo = tuple(min(a, -(-bound * x // f)) for a, x in zip(lo, g))
-        hi = tuple(max(b, bound * x // f) for b, x in zip(hi, g))
-    return list(box_points(
-        (lo, hi), lambda x: _dot(functional, x) <= bound and _in_dual(inequalities, x)))
-
-
 def effective_classes(fan, bound):
     """All effective curve classes with functional value at most ``bound``.
 
-    The functional is the anticanonical degree when that is positive on the
-    whole effective cone (the Fano case) and a fixed ample degree otherwise;
-    either way the enumeration is finite and exact.
+    The functional is the anticanonical degree on a Fano fan and a fixed
+    ample degree otherwise; either is positive on the effective cone away from
+    0, so the classes are the points of a bounded polyhedron.
     """
     require_valid(fan)
-    pts = _truncated_cone_lattice_points(
-        _mori_generators_anchor(fan), [d.coords for d in nef_extreme_rays(fan)],
-        _degree_functional(fan).coords, bound)
-    return [curve_class_from_anchor(fan, p) for p in sorted(pts)]
+    return [curve_class_from_anchor(fan, p) for p in _effective_points(fan, bound)]
+
+
+def _effective_points(fan, bound, beta=None):
+    """Sorted anchor coordinates of the effective classes of degree at most
+    ``bound``; with ``beta``, of those whose rest in ``beta`` is effective."""
+    nef = [d.coords for d in nef_extreme_rays(fan)]
+    rows = nef + [tuple(-x for x in _degree_functional(fan).coords)]
+    rhs = [0] * len(nef) + [-bound]
+    if beta is not None:
+        rows += [tuple(-x for x in row) for row in nef]
+        rhs += [-_dot(row, beta.anchor_coords) for row in nef]
+    return lattice_points(rows, rhs)
 
 
 @memo
@@ -299,22 +286,13 @@ def nef_hilbert_basis(fan):
         raise ValueError("nef cone has no extreme rays (fan not projective?)")
     functional = tuple(map(sum, zip(*gens)))
     cap = _dot(functional, map(sum, zip(*extremes)))
-    pts = [p for p in _truncated_cone_lattice_points(extremes, gens, functional, cap)
-           if any(x != 0 for x in p)]
+    pts = [p for p in lattice_points(gens + (tuple(-x for x in functional),),
+                                     (0,) * len(gens) + (-cap,)) if any(p)]
     values = {p: _dot(functional, p) for p in pts}
-    basis = []
-    for p in pts:
-        reducible = False
-        for q in pts:
-            if values[q] >= values[p]:
-                continue
-            rest = tuple(a - b for a, b in zip(p, q))
-            if any(x != 0 for x in rest) and _in_dual(gens, rest):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(p)
-    return tuple(DivisorClass(fan, p) for p in sorted(basis))
+    # p - q is nonzero when q has the smaller value
+    return tuple(DivisorClass(fan, p) for p in pts if not any(
+        values[q] < values[p] and _in_dual(gens, tuple(a - b for a, b in zip(p, q)))
+        for q in pts))
 
 
 def factorizations(fan, beta, bound=None):
@@ -333,11 +311,10 @@ def factorizations(fan, beta, bound=None):
     if bound is not None:
         cap = min(cap, bound)
     pairs = {}
-    for part in effective_classes(fan, cap):
-        if part.is_zero():
-            continue
+    for p in _effective_points(fan, cap, beta):
+        part = curve_class_from_anchor(fan, p)
         rest = beta - part
-        if rest.is_zero() or not is_effective(rest):
+        if part.is_zero() or rest.is_zero():
             continue
         pair = (part, rest) if part.anchor_coords <= rest.anchor_coords else (rest, part)
         pairs.setdefault((pair[0].anchor_coords, pair[1].anchor_coords), pair)

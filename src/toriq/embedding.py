@@ -36,10 +36,10 @@ from .basepoint import INF, _locate_degree
 from .classes import (CurveClass, ample_functional, anchor_rays,
                       divisor_from_ray_coefficients, effective_classes,
                       enumeration_degree, nef_hilbert_basis)
-from .fan import (_cone_sets, _cone_table, dual_basis, memo, primitive_collections,
+from .fan import (_cone_sets, _cone_table, memo, primitive_collections,
                   product_fan, projective_space_fan, remember, require_valid)
 from .forms import BinaryForm, Place, _divide_out, _factor_poly, _multiply_in, _quotient, poly_mul
-from .linalg import box_points, int_or_frac, lattice_map_is_surjective
+from .linalg import int_or_frac, lattice_map_is_surjective, lattice_points
 from .quasimap import (Quasimap, _absorbs, _zero_rays, basepoints, degrees, extend_at,
                        validate_quasimap)
 from .record import Record
@@ -207,22 +207,8 @@ def covers_all_charts(emb):
 
 def polytope_lattice_points(fan, coeffs):
     """Lattice points of {m : <m, u_rho> >= -coeffs[rho]}, sorted, for an
-    integral lift on a valid smooth complete fan.  It is nef exactly when each
-    cone point m_sigma lies in the polytope, and then the m_sigma are the
-    vertices (Cox-Little-Schenck, Thm 6.1.7, Prop 6.1.10); else it raises."""
-    n = fan.dim
-    rhs = [-index(c) for c in coeffs]
-
-    def inside(m):
-        return all(p >= r for p, r in zip(fan.pairing(m), rhs))
-
-    vertices = [tuple(sum(rhs[i] * m[k] for i, m in zip(sigma, basis)) for k in range(n))
-                for sigma in fan.max_cones for basis in (dual_basis(fan, sigma),)]
-    for sigma, m in zip(fan.max_cones, vertices):
-        if not inside(m):
-            raise ValueError(f"lift {tuple(coeffs)} is not nef: the cone point of {sigma} "
-                             "lies outside its polytope")
-    return list(box_points(vertices, inside))
+    integral lift on a valid complete fan, whose rays make the polytope bounded."""
+    return lattice_points(fan.rays, [-index(c) for c in coeffs])
 
 
 def build_epic_embedding(fan):

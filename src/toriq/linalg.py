@@ -10,8 +10,8 @@ builds the dual basis that starts each walk of ``fan`` over its facet graph,
 ``kernel_basis`` the nef cone's extreme rays, and
 ``lattice_map_is_surjective`` the epic check of an embedding from the maximal
 minors.  ``solve_square`` has no library caller; it stays because perfbench's
-traced runs wrap it by name.  ``box_points`` walks the box between integer
-corners: of a polytope's vertices, and of a truncated cone.
+traced runs wrap it by name.  ``lattice_points`` walks the integer points of
+a bounded polyhedron, for every class search and section polytope.
 
 ``int_or_frac``, ``frac`` and ``primitive_vector`` serve the rational
 coefficients of ``forms``, chart points and embedding coefficients: values are
@@ -21,8 +21,9 @@ when a Fraction is present.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 
 def frac(x):
@@ -120,11 +121,47 @@ def primitive_vector(vec):
     return tuple(x // g for x in ints)
 
 
-def box_points(vertices, test):
-    """The integer points of the integer vertices' bounding box that pass
-    ``test``, in lexicographic order; no points for no vertices."""
-    ranges = [range(min(xs), max(xs) + 1) for xs in zip(*vertices)]
-    return filter(test, product(*ranges)) if vertices else iter(())
+def _tightened(rows):
+    """The rows (a, b) of {x : <a, x> >= b}, each divided by its content with
+    b rounded up, keeping the largest b per direction; None if one is 0 >= b > 0."""
+    out = {}
+    for a, b in rows:
+        g = gcd(*a)
+        if g > 1:
+            a, b = tuple(x // g for x in a), -(-b // g)
+        elif not g and b > 0:
+            return None
+        if out.get(a, b) <= b:
+            out[a] = b
+    return out.items()
+
+
+def lattice_points(rows, rhs):
+    """The integer points of the bounded polyhedron {x : <row, x> >= b}, in
+    lexicographic order.  Fourier-Motzkin elimination (Schrijver, Theory of
+    Linear and Integer Programming, §12.2) projects it onto each prefix of
+    coordinates, tightened to keep its integer points; an integer point of
+    one projection extends to the next by the integers between the rows'
+    bounds on the next coordinate, so every point is reached, and no prefix
+    off the projections is visited."""
+    system = _tightened(zip(map(tuple, rows), rhs))
+    levels = []
+    for k in reversed(range(len(rows[0]) if rows else 0)):
+        if system is None:
+            return []
+        lower = [(a[:k], a[k], b) for a, b in system if a[k] > 0]
+        upper = [(a[:k], a[k], b) for a, b in system if a[k] < 0]
+        levels.append((lower, upper))
+        if k:  # the bounds on the first coordinate cross when its projection is empty
+            system = _tightened([(a[:k], b) for a, b in system if a[k] == 0]
+                                + [(tuple(d * y - c * x for x, y in zip(a, e)), d * f - c * b)
+                                   for a, d, b in lower for e, c, f in upper])
+    points = [()]
+    for lower, upper in reversed(levels):
+        points = [p + (x,) for p in points for x in range(
+            max(-((sum(map(mul, a, p)) - b) // c) for a, c, b in lower),
+            min((b - sum(map(mul, a, p))) // c for a, c, b in upper) + 1)]
+    return points
 
 
 def lattice_map_is_surjective(mat):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toriq.classes import (CurveClass, DivisorClass, _degree_functional, _dot, _in_dual,
-                           _truncated_cone_lattice_points, ample_functional, anchor_rays,
+                           ample_functional, anchor_rays,
                            anticanonical_class, beta_a_sigma, curve_class_from_anchor,
                            divisor_from_ray_coefficients,
                            effective_classes, enumeration_degree, factorizations,
@@ -18,6 +18,7 @@ from toriq.classes import (CurveClass, DivisorClass, _degree_functional, _dot, _
 from toriq.embedding import (EmbeddingSpec, _pull_back_character, apply_ibar,
                              build_epic_embedding, pushforward_curves, validate_embedding)
 from toriq.fan import Fan, locate_cones, product_fan, projective_space_fan, walls
+from toriq.linalg import lattice_points
 from toriq.quasimap import degrees
 
 from qmgen import random_quasimap
@@ -420,8 +421,8 @@ def test_cone_tests_match_their_oracles(oracle_fans):
 
 
 def test_enumerations_match_their_closure_oracles(oracle_fans, base_fans):
-    # the integer corners bound the same boxes as the Fraction vertices, so the
-    # two cones' truncations list the same points in the same order
+    # the walk on each truncated cone's inequalities lists the points of the
+    # Fraction vertices' box that pass them, in the same order
     for fan in base_fans:
         gens = _mori_oracle(fan)
         extremes = [d.coords for d in nef_extreme_rays(fan)]
@@ -429,7 +430,8 @@ def test_enumerations_match_their_closure_oracles(oracle_fans, base_fans):
         total = tuple(map(sum, zip(*gens)))
         for bound in range(13):
             for cone, dual, functional in ((gens, extremes, degree), (extremes, gens, total)):
-                assert _truncated_cone_lattice_points(cone, dual, functional, bound) == \
+                rows = list(dual) + [tuple(-x for x in functional)]
+                assert lattice_points(rows, [0] * len(dual) + [-bound]) == \
                     _closure_cone_points(cone, lambda x: _in_dual(dual, x),
                                          lambda x: _dot(functional, x), bound), (fan, bound)
     for fan in oracle_fans:

@@ -1,9 +1,7 @@
-"""The integer elimination of ``linalg``, its surjectivity test, its box walk
-and the cone-point vertices of ``polytope_lattice_points`` against the code
-they replaced."""
+"""The integer elimination of ``linalg``, its surjectivity test, its lattice
+walk and ``polytope_lattice_points`` against the code they replaced."""
 
 import random
-import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -13,7 +11,7 @@ import pytest
 from toriq.classes import divisor_from_ray_coefficients, is_nef, nef_hilbert_basis
 from toriq.embedding import polytope_lattice_points
 from toriq.fan import product_fan, projective_space_fan
-from toriq.linalg import (box_points, frac, invert, kernel_basis, lattice_map_is_surjective,
+from toriq.linalg import (frac, invert, kernel_basis, lattice_map_is_surjective, lattice_points,
                           primitive_vector, solve_square)
 
 
@@ -109,6 +107,13 @@ def polytope_lattice_points_oracle(fan, coeffs):
         if inside(pt):
             points.append(pt)
     return sorted(points)
+
+
+def box_points(vertices, test):
+    """The integer points of the integer vertices' bounding box that pass
+    ``test``, in lexicographic order; no points for no vertices."""
+    ranges = [range(min(xs), max(xs) + 1) for xs in zip(*vertices)]
+    return filter(test, product(*ranges)) if vertices else iter(())
 
 
 def primitive_oracle(vec):
@@ -317,9 +322,9 @@ def random_coefficients(rng, fan):
 
 
 def test_polytope_points_agree_with_subset_oracle(polytope_fans):
-    """On a nef lift the cone points are the vertices, and the points are the
-    oracle's, which solves every set of dim rays for them; any other integral
-    lift raises naming it not nef, and a rational one raises a TypeError."""
+    """On any integral lift, nef or not, the points are the oracle's, which
+    solves every set of dim rays for the vertices; a rational lift raises a
+    TypeError."""
     rng = random.Random("polytope")
     nef = not_nef = rational = 0
     for i in range(1200):
@@ -329,40 +334,61 @@ def test_polytope_points_agree_with_subset_oracle(polytope_fans):
             rational += 1
             with pytest.raises(TypeError):
                 polytope_lattice_points(fan, coeffs)
-        elif is_nef(divisor_from_ray_coefficients(fan, coeffs)):
+            continue
+        if is_nef(divisor_from_ray_coefficients(fan, coeffs)):
             nef += 1
-            got = polytope_lattice_points(fan, coeffs)
-            assert got == polytope_lattice_points_oracle(fan, coeffs), (fan, coeffs)
-            assert all(type(x) is int for pt in got for x in pt)
         else:
             not_nef += 1
-            with pytest.raises(ValueError, match=f"^lift {re.escape(str(tuple(coeffs)))} is not nef"):
-                polytope_lattice_points(fan, coeffs)
+        got = polytope_lattice_points(fan, coeffs)
+        assert got == polytope_lattice_points_oracle(fan, coeffs), (fan, coeffs)
+        assert all(type(x) is int for pt in got for x in pt)
     assert nef > 250 and not_nef > 250 and rational > 250
 
 
-def test_box_points_agree_with_product_oracle():
-    """The box walk keeps, in order, the points of a fixed wide grid that lie
-    between the vertices' least and greatest coordinates and pass the test."""
+def test_lattice_points_match_the_box_oracle():
+    """On seeded bounded polyhedra in dimensions 1-4, a box and random rows,
+    the walk lists, in order, the points of the box that satisfy every row.
+    Some systems hold an opposite pair that makes a flat slice, rows with
+    content > 1, or a zero row with b <= 0 or b > 0; some are empty."""
     rng = random.Random(2213)
-    kept = 0
-    for _ in range(60):
-        dim = rng.randint(1, 3)
-        vertices = [tuple(rng.randint(-8, 8) for _ in range(dim))
-                    for _ in range(rng.randint(1, 4))]
-        modulus = rng.randint(1, 3)
-
-        def test(point):
-            return sum(point) % modulus == 0
-
-        lo = [min(xs) for xs in zip(*vertices)]
-        hi = [max(xs) for xs in zip(*vertices)]
-        expected = [p for p in product(range(-9, 10), repeat=dim)
-                    if all(a <= x <= b for a, x, b in zip(lo, p, hi)) and test(p)]
-        assert list(box_points(vertices, test)) == expected, vertices
+    kept = empty = flat = 0
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        lo = [rng.randint(-5, 2) for _ in range(dim)]
+        hi = [a + rng.randint(-1, 6) for a in lo]
+        rows = [tuple(int(j == i) * s for j in range(dim)) for i in range(dim) for s in (1, -1)]
+        rhs = [b for a, c in zip(lo, hi) for b in (a, -c)]
+        for _ in range(rng.randint(0, 3)):
+            rows.append(tuple(rng.randint(-3, 3) for _ in range(dim)))
+            rhs.append(rng.randint(-8, 4))
+        kind = rng.randrange(4)
+        if kind == 0:
+            row, b = tuple(rng.randint(-2, 2) for _ in range(dim)), rng.randint(-4, 4)
+            rows += [row, tuple(-x for x in row)]
+            rhs += [b, -b]
+            flat += 1
+        elif kind == 1:
+            k = rng.randint(2, 4)
+            rows.append(tuple(k * rng.randint(-2, 2) for _ in range(dim)))
+            rhs.append(rng.randint(-9, 9))
+        elif kind == 2:
+            rows.append((0,) * dim)
+            rhs.append(rng.randint(-2, 1))
+        order = rng.sample(range(len(rows)), len(rows))
+        rows, rhs = [rows[i] for i in order], [rhs[i] for i in order]
+        expected = list(box_points((lo, hi), lambda p: all(
+            sum(a * x for a, x in zip(row, p)) >= b for row, b in zip(rows, rhs))))
+        assert lattice_points(rows, rhs) == expected, (rows, rhs)
         kept += len(expected)
-    assert list(box_points([], lambda p: True)) == []
-    assert kept >= 800
+        empty += not expected
+    assert kept >= 6000 and empty >= 150 and flat >= 80
+
+
+def test_lattice_points_walk_a_thin_polytope_not_its_box():
+    """0 <= x0 <= 3 and x1 = 10^12 x0: four points, whose bounding box holds
+    more than 10^12."""
+    rows = [(1, 0), (-1, 0), (10**12, -1), (-10**12, 1)]
+    assert lattice_points(rows, [0, -3, 0, 0]) == [(k, k * 10**12) for k in range(4)]
 
 
 def test_primitive_vector_reads_ints_and_fractions_alike():
