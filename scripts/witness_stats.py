@@ -11,22 +11,18 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
+from inputs import shapes  # noqa: E402
 from qmgen import random_stable_quasimap  # noqa: E402
+from worker import WARM_TARGETS  # noqa: E402
 
 from toriq.classes import length  # noqa: E402
 from toriq.contraction import StableMapTree, contract, surjectivity_witness  # noqa: E402
-from toriq.fan import Fan, product_fan, projective_space_fan  # noqa: E402
 from toriq.quasimap import basepoints, degrees, equal_quasimaps  # noqa: E402
 
-# the Fano targets of perfbench's warm_session workload, with its ray orders
-TARGETS = {
-    "p2": Fan(2, ((-1, -1), (1, 0), (0, 1)), ((0, 1), (0, 2), (1, 2))),
-    "p1xp1": product_fan([projective_space_fan(1), projective_space_fan(1)]),
-    "bl0p2": Fan(2, ((0, -1), (1, 0), (-1, 1), (0, 1)), ((1, 3), (2, 3), (0, 2), (0, 1))),
-    "p1xp2": product_fan([projective_space_fan(1), projective_space_fan(2)]),
-}
+# the Fano targets of perfbench's warm_session workload
+TARGETS = {name: fan for name, fan in shapes().items() if name in WARM_TARGETS}
 
 
 def main():

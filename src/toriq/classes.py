@@ -3,14 +3,14 @@
 Curve classes are stored as their full intersection pairing vector against
 the toric boundary divisors; divisor classes in the anchor basis given by the
 boundary divisors away from the fan's first maximal cone.  Both lattices are
-free, so the public constructors, ``beta_a_sigma`` and the multiples take
-ints only (``operator.index``).  Effectivity is membership in the rational
-cone spanned by the wall curve classes, decided exactly through the dual
-(nef) cone; one test (``_in_dual``) decides both cones.  The ray-relation
-check runs once, at the boundary, in the public ``CurveClass`` constructor;
-sums, multiples, degrees at a point, ``beta_a_sigma`` (so wall and anchor
-classes), a valid quasimap's degrees and pushforwards along a valid
-embedding skip it.
+integral (N_1 is the integer kernel of the ray map), so the public
+constructors, ``beta_a_sigma`` and the multiples take ints only
+(``operator.index``).  Effectivity is membership in the rational cone spanned
+by the wall curve classes, decided exactly through the dual (nef) cone; one
+test (``_in_dual``) decides both cones.  The ray-relation check runs once, at
+the boundary, in the public ``CurveClass`` constructor; sums, multiples,
+degrees at a point, ``beta_a_sigma`` (so wall and anchor classes), a valid
+quasimap's degrees and pushforwards along a valid embedding skip it.
 """
 
 import operator
@@ -189,7 +189,9 @@ def _mori_generators_anchor(fan):
 
 @memo
 def nef_extreme_rays(fan):
-    """Primitive generators of the nef cone, as anchor-basis divisor classes."""
+    """Primitive generators of the nef cone, as anchor-basis divisor classes:
+    each spans the kernel line of some rank - 1 wall classes, on the side
+    pairing nonnegatively with every wall class (at rank 1, the whole line)."""
     require_valid(fan)
     gens = _mori_generators_anchor(fan)
     rank = picard_rank(fan)

@@ -289,10 +289,10 @@ def apply_ibar(emb, q):
 
 
 def _factored_section(f, c, tau, bps):
-    """Unit over the monomial coefficient ``c`` and places of the nonzero
-    section ``f`` of ray ``tau``: the finite places of the scan records
-    ``bps`` divided out to the scan's orders, infinity's read off the degree
-    and the rest factored."""
+    """Unit over the coefficient ``c`` and places of the nonzero section ``f``
+    of ray ``tau``: the finite places of the scan records ``bps`` divided out
+    to the scan's orders and infinity's read off the degree, so a basepoint
+    of high multiplicity needs no sympy; only the rest is factored."""
     poly, places = f.poly, {}
     for bp in bps:
         order = bp.orders.orders[tau]

@@ -30,7 +30,6 @@ without it.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from operator import index
 
 from .linalg import int_or_frac, primitive_vector
@@ -355,8 +354,7 @@ class BinaryForm(Record):
         return f"BinaryForm(deg={self.degree}, {self.coeffs})"
 
 
-@lru_cache(maxsize=None)
-def _factor_poly_cached(poly):
+def _factor_poly_sympy(poly):
     import sympy
 
     expr = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(poly)],
@@ -403,7 +401,7 @@ def _factor_poly(poly):
         return lead, (((_quotient(poly[0], lead), 1), 1),)
     if len(poly) == 3:
         return lead, _factor_monic_quadratic(_quotient(poly[0], lead), _quotient(poly[1], lead))
-    return _factor_poly_cached(poly)
+    return _factor_poly_sympy(poly)
 
 
 def common_zero_places(forms):

@@ -276,8 +276,8 @@ def stability(q, mode="quasimap"):
 
     In quasimap mode a component with fewer than two special points fails and
     one with exactly two needs nonzero degree.  In map mode the input must be
-    basepoint-free and the stability is Kontsevich's: a component of class
-    zero needs at least three special points.
+    basepoint-free and the stability is Kontsevich's, with no polarization: a
+    component needs three special points only when its class is zero.
     """
     _, per_comp = degrees(q)
     if mode == "quasimap":

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 from collections import Counter
 from fractions import Fraction
@@ -898,6 +900,20 @@ def test_requests_leave_no_memo_on_their_inputs(p2, p1xp1, bl0p2):
             for sections in q.components:
                 for form in sections:
                     assert set(form.__dict__) == {"degree", "coeffs", "poly"}
+
+
+def test_no_module_keeps_a_cache_between_requests():
+    """The polynomials of a reused input must not be remembered from one
+    request to the next, so no function in any toriq module has a
+    ``cache_info``: derived data lives on the fan or embedding it belongs to."""
+    import toriq
+
+    modules = [importlib.import_module(f"toriq.{info.name}")
+               for info in pkgutil.iter_modules(toriq.__path__)]
+    cached = [f"{module.__name__}.{name}" for module in [toriq, *modules]
+              for name, value in vars(module).items()
+              if callable(getattr(value, "cache_info", None))]
+    assert len(modules) >= 12 and not cached, cached
 
 
 def test_same_point_agrees_with_the_chart_oracle(p2, p3, p1xp1, hexagon, f2):
