@@ -266,16 +266,12 @@ def effective_classes(fan, bound):
     return [curve_class_from_anchor(fan, p) for p in _effective_points(fan, bound)]
 
 
-def _effective_points(fan, bound, beta=None):
+def _effective_points(fan, bound, rows=(), rhs=()):
     """Sorted anchor coordinates of the effective classes of degree at most
-    ``bound``; with ``beta``, of those whose rest in ``beta`` is effective."""
+    ``bound`` that satisfy <row, x> >= b for the caller's ``rows`` and ``rhs``."""
     nef = [d.coords for d in nef_extreme_rays(fan)]
-    rows = nef + [tuple(-x for x in _degree_functional(fan).coords)]
-    rhs = [0] * len(nef) + [-bound]
-    if beta is not None:
-        rows += [tuple(-x for x in row) for row in nef]
-        rhs += [-_dot(row, beta.anchor_coords) for row in nef]
-    return lattice_points(rows, rhs)
+    return lattice_points(nef + [tuple(-x for x in _degree_functional(fan).coords), *rows],
+                          [0] * len(nef) + [-bound, *rhs])
 
 
 @memo
@@ -312,8 +308,10 @@ def factorizations(fan, beta, bound=None):
     cap = enumeration_degree(beta) // 2
     if bound is not None:
         cap = min(cap, bound)
+    nef = [d.coords for d in nef_extreme_rays(fan)]
     pairs = {}
-    for p in _effective_points(fan, cap, beta):
+    for p in _effective_points(fan, cap, [tuple(-x for x in row) for row in nef],
+                               [-_dot(row, beta.anchor_coords) for row in nef]):
         part = curve_class_from_anchor(fan, p)
         rest = beta - part
         if part.is_zero() or rest.is_zero():

@@ -157,8 +157,6 @@ def graft(q, component, place, tail_sections, attach_point):
             raise ValueError(
                 f"tail section {rho} has degree {form.degree}, expected {beta.pairings[rho]}"
             )
-        if beta.pairings[rho] < 0 and not form.is_zero:
-            raise ValueError("sections of negative degree must vanish")
 
     extended = extend_at(q, component, place, beta)
     tail_values = tuple(f.value_at(attach_point) for f in tail_sections)

@@ -33,8 +33,8 @@ from math import prod
 from operator import index
 
 from .basepoint import INF, _locate_degree
-from .classes import (CurveClass, ample_functional, anchor_rays,
-                      divisor_from_ray_coefficients, effective_classes,
+from .classes import (CurveClass, _effective_points, ample_functional, anchor_rays,
+                      curve_class_from_anchor, divisor_from_ray_coefficients,
                       enumeration_degree, nef_hilbert_basis)
 from .fan import (_cone_sets, _cone_table, memo, primitive_collections,
                   product_fan, projective_space_fan, remember, require_valid)
@@ -488,16 +488,17 @@ def _quasimap_sort_key(q):
 
 
 @memo
-def fibre_class_pool(emb, cap):
-    """The nonzero effective source classes of degree at most ``cap`` (see
-    ``enumeration_degree``), grouped by the pairings of their pushforward, in
-    enumeration order."""
-    require_valid_embedding(emb)
-    pool = {}
-    for c in effective_classes(emb.source, cap):
-        if not c.is_zero():
-            pool.setdefault(pushforward_curves(emb, c).pairings, []).append(c)
-    return {pairings: tuple(classes) for pairings, classes in pool.items()}
+def _fibre_classes(emb, pairings, cap):
+    """The effective source classes c of degree at most ``cap`` (see
+    ``enumeration_degree``) with iota_* c of the given ``pairings``, in
+    enumeration order: the slice of the truncated effective cone where each
+    pulled-back target anchor divisor pairs with c as ``pairings`` on its ray."""
+    rows, rhs = [], []
+    for tau, col in zip(anchor_rays(emb.target), zip(*pullback_matrix(emb))):
+        rows += [col, tuple(-x for x in col)]
+        rhs += [pairings[tau], -pairings[tau]]
+    return tuple(curve_class_from_anchor(emb.source, p)
+                 for p in _effective_points(emb.source, cap, rows, rhs))
 
 
 def fibre_enumeration(emb, q, beta, length_cap=None):
@@ -506,12 +507,12 @@ def fibre_enumeration(emb, q, beta, length_cap=None):
     A quasimap is its regular extension and its basepoint degrees: the
     extension must factor as some f, which ``invert_through_charts`` reads
     off ``q`` and its scan records, with f's orders at each basepoint.  Each
-    basepoint keeps the pool classes with its pushforward whose pairings,
-    added to f's orders there, stay nonnegative; each assignment of kept
-    classes that totals beta with f's degrees is materialized by twisting f.
-    The pool holds the classes of degree at most ``length_cap``; by default
-    beta's own degree, which no basepoint class exceeds, so a smaller cap may
-    leave preimages out.
+    basepoint p keeps the classes of its slice (``_fibre_classes``) whose
+    pairings, added to f's orders at p, stay nonnegative; each assignment of
+    kept classes that totals beta with f's degrees is materialized by
+    twisting f.  The slices hold the classes of degree at most ``length_cap``;
+    by default beta's own degree, which no basepoint class exceeds, so a
+    smaller cap may leave preimages out.
     """
     require_valid_embedding(emb)
     if q.fan != emb.target:
@@ -525,12 +526,10 @@ def fibre_enumeration(emb, q, beta, length_cap=None):
     f, f_orders = found
 
     cap = enumeration_degree(beta) if length_cap is None else length_cap
-    pool = fibre_class_pool(emb, cap)
-
     per_place = []
     for bp in bps:
         orders = f_orders[bp.component][bp.place]
-        matches = [c for c in pool.get(bp.degree.pairings, ()) if _absorbs(orders, c)]
+        matches = [c for c in _fibre_classes(emb, bp.degree.pairings, cap) if _absorbs(orders, c)]
         if not matches:
             return ()
         per_place.append(matches)

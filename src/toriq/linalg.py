@@ -156,7 +156,7 @@ def lattice_points(rows, rhs):
             system = _tightened([(a[:k], b) for a, b in system if a[k] == 0]
                                 + [(tuple(d * y - c * x for x, y in zip(a, e)), d * f - c * b)
                                    for a, d, b in lower for e, c, f in upper])
-    points = [()]
+    points = [] if system is None else [()]  # None only at dimension 0, with no level
     for lower, upper in reversed(levels):
         points = [p + (x,) for p in points for x in range(
             max(-((sum(map(mul, a, p)) - b) // c) for a, c, b in lower),

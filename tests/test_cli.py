@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 import toriq
-from toriq.cases import CASE_NAMES, fixture_path
+from toriq.cases import CASE_NAMES, family_map, fixture_path
 from toriq.classes import wall_curve_classes
 from toriq.cli import main
-from toriq.io import load_embedding, load_fan, load_quasimap
+from toriq.io import dump, load_embedding, load_fan, load_quasimap, quasimap_to_dict
 from toriq.quasimap import degrees
 
 
@@ -276,6 +276,48 @@ def test_graft_at_a_missing_component_is_a_domain_error(tmp_path, capsys):
     code, _, err = run(capsys, "graft", fx("section_line.json"), "--component", "5",
                        "--place", "inf", "--tail", _line_tail(tmp_path))
     assert code == 1 and "the given place is not a basepoint of the quasimap" in err
+
+
+def _edited_segre(tmp_path, name, edit):
+    data = json.loads(Path(fx("segre.json")).read_text())
+    edit(data["monomials"])
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_domain_errors_exit_1_and_name_the_failure(tmp_path, capsys):
+    """Embedding data of the wrong shape, a quasimap to another fan, a failing
+    contraction condition, a finite place that is no basepoint and a tail
+    with one section for three rays each exit 1 with a message that says so."""
+    three = _edited_segre(tmp_path, "three.json", lambda monomials: monomials.pop())
+    short = _edited_segre(tmp_path, "short.json",
+                          lambda monomials: monomials[0]["exponents"].pop())
+    family = tmp_path / "family.json"
+    dump(quasimap_to_dict(family_map(1)), str(family))
+    one_section = tmp_path / "one_section.json"
+    one_section.write_text(json.dumps({"sections": [{"degree": 1, "coeffs": ["0", "1"]}],
+                                       "attach": ["1", "0"]}))
+    line = fx("section_line.json")
+    shape = "one coefficient and one exponent vector per target ray is required"
+    cases = [
+        (("embed", "check", three), f"invalid: {shape}\n", "embedding data is invalid"),
+        (("embed", "check", short),
+         "invalid: exponent vector of target ray 0 has the wrong length\n",
+         "embedding data is invalid"),
+        (("embed", "ibar", three, line), "", f"invalid embedding: {shape}"),
+        (("embed", "ibar", fx("segre.json"), line), "",
+         "quasimap target does not match the embedding source"),
+        (("contract", "check", str(family)),
+         "tails: 1\n  tail [1] at component 0: fails\ncontraction condition: fails\n",
+         "contraction condition fails"),
+        (("graft", line, "--component", "0", "--place", "5", "--tail", _line_tail(tmp_path)),
+         "", "the given place is not a basepoint of the quasimap"),
+        (("graft", line, "--component", "0", "--place", "inf", "--tail", str(one_section)),
+         "", "one tail section per ray is required"),
+    ]
+    for argv, out, message in cases:
+        assert run(capsys, *argv) == (1, out, f"error: {message}\n"), argv
 
 
 @pytest.mark.parametrize("tail", [

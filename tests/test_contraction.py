@@ -179,6 +179,27 @@ def test_prune_requires_unmarked_leaf():
         prune(f, 0)  # marked component
 
 
+def test_graft_needs_a_rational_place_and_prune_a_leaf(p2):
+    """A basepoint at the place z^2 + 1 has no rational point to graft a tail
+    at, and the middle component of a three-component chain is no leaf."""
+    place = Place.finite((1, 0, 1))
+    q = Quasimap(p2, ((F(3, 1, 0, 1), F(3, 0, 1, 0, 1), F(3, 1, 1, 1, 1)),), markings=MARKS)
+    assert [bp.place for bp in basepoints(q)] == [place]
+    with pytest.raises(ValueError, match="grafting needs a rational basepoint place"):
+        graft(q, 0, place, (F(1, 0, 1), F(1, 1), F(1, 1, 1)), ProjPoint(1, 0))
+
+    base = (F(1, 1), F(1, 0, 1), F(1, 1, 1))
+    point = ProjPoint(1, 3)
+    constant = tuple(F(0, v) for v in section_values(Quasimap(p2, (base,)), 0, point))
+    chain = Quasimap(p2, (base, constant, constant),
+                     nodes=(((0, point), (1, ProjPoint(1, 0))),
+                            ((1, ProjPoint(0, 1)), (2, ProjPoint(1, 0)))),
+                     markings=MARKS)
+    assert validate_quasimap(chain) == []
+    with pytest.raises(ValueError, match="only leaf components can be pruned"):
+        prune(chain, 1)
+
+
 def test_prune_degree_zero_leaf(p2):
     base = (F(1, 1), F(1, 0, 1), F(1, 1, 1))
     hostq = Quasimap(p2, (base,), markings=MARKS)

@@ -18,15 +18,14 @@ from toriq.classes import (CurveClass, DivisorClass, ample_functional,
                            effective_classes, enumeration_degree,
                            nef_hilbert_basis, wall_curve_classes)
 from toriq.basepoint import INF, _locate_degree
-from toriq.embedding import (EmbeddingSpec, _factored_section, _invert_component,
-                             _pull_back_character, _quasimap_sort_key,
+from toriq.embedding import (EmbeddingSpec, _factored_section, _fibre_classes,
+                             _invert_component, _pull_back_character, _quasimap_sort_key,
                              apply_ibar, build_epic_embedding,
-                             chart_cover, covers_all_charts, epic_check,
-                             fibre_class_pool, fibre_enumeration,
+                             chart_cover, covers_all_charts, epic_check, fibre_enumeration,
                              invert_through_charts, polytope_lattice_points,
                              pullback_pic, pushforward_curves, require_valid_embedding,
                              validate_embedding)
-from toriq.fan import (Fan, dual_basis, primitive_collections, product_fan,
+from toriq.fan import (Fan, dual_basis, memo, primitive_collections, product_fan,
                        projective_space_fan, require_valid, validate_fan)
 from toriq.forms import BinaryForm, Place, ProjPoint, _quotient, poly_mul
 from toriq.io import load_embedding
@@ -674,12 +673,34 @@ def test_chart_local_check_matches_the_image_oracle(request):
     assert min(outcomes.values()) >= 50, outcomes
 
 
-@pytest.mark.parametrize("name", CONFTEST_FANS + ["segre.json"])
+# The class pool that fibres read before each basepoint read its own slice of
+# the effective cone, kept as the oracle of the slices and of
+# fibre_enumeration_oracle.
+
+@memo
+def fibre_class_pool(emb, cap):
+    """The nonzero effective source classes of degree at most ``cap`` (see
+    ``enumeration_degree``), grouped by the pairings of their pushforward, in
+    enumeration order."""
+    require_valid_embedding(emb)
+    pool = {}
+    for c in effective_classes(emb.source, cap):
+        if not c.is_zero():
+            pool.setdefault(pushforward_curves(emb, c).pairings, []).append(c)
+    return {pairings: tuple(classes) for pairings, classes in pool.items()}
+
+
+@pytest.mark.parametrize("name", CONFTEST_FANS + ["segre.json", "blow_down"])
 def test_fibre_class_pool_matches_filter(request, name):
     """The indexed pool against the filter it replaced: the nonzero effective
     classes of length at most the cap whose pushforward is the degree at the
-    basepoint, in enumeration order."""
-    emb = embedding_named(request, name)
+    basepoint, in enumeration order.  Each nonzero key's slice
+    (``_fibre_classes``) is its pool entry, and a key outside the pool, minus
+    an effective target class, has an empty slice.  The key 0 is skipped: on
+    the blow-down, whose exceptional classes push forward to 0, its slice also
+    holds the zero class, which the pool drops, and no basepoint has degree 0."""
+    emb = blow_down() if name == "blow_down" else embedding_named(request, name)
+    outside = (-1 * wall_curve_classes(emb.target)[0]).pairings
     for cap in range(7):
         candidates = [(pushforward_curves(emb, c).pairings, c)
                       for c in effective_classes(emb.source, cap) if not c.is_zero()]
@@ -687,6 +708,9 @@ def test_fibre_class_pool_matches_filter(request, name):
         assert set(pool) == {pairings for pairings, _ in candidates}
         for pairings, classes in pool.items():
             assert list(classes) == [c for pushed, c in candidates if pushed == pairings]
+            if any(pairings):
+                assert _fibre_classes(emb, pairings, cap) == classes, (pairings, cap)
+        assert outside not in pool and _fibre_classes(emb, outside, cap) == ()
 
 
 # The chart inversion as it was before the cover stored lifts, kept as the

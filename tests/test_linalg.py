@@ -391,6 +391,14 @@ def test_lattice_points_walk_a_thin_polytope_not_its_box():
     assert lattice_points(rows, [0, -3, 0, 0]) == [(k, k * 10**12) for k in range(4)]
 
 
+def test_lattice_points_in_dimension_0():
+    """The one point of Z^0 satisfies rows 0 >= b with b <= 0 and fails a row
+    0 >= b with b > 0; with no rows it is the answer."""
+    assert lattice_points([(), ()], [0, -1]) == [()]
+    assert lattice_points([(), ()], [0, 1]) == []
+    assert lattice_points([], []) == [()]
+
+
 def test_primitive_vector_reads_ints_and_fractions_alike():
     """An all-int vector and the same vector as Fractions give one primitive
     tuple of ints, the oracle's, and so does the vector scaled by a rational;
